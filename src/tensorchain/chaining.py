@@ -308,24 +308,42 @@ def _covering_number_at(dist: np.ndarray, u: float) -> int:
     return int(kernels.greedy_cover(dist <= u))
 
 
-def dudley_integral(space, metric_id) -> float:
-    """Entropy integral of sqrt(log N(u)) over (0, diameter].
+@dataclass(frozen=True)
+class CoveringCurve:
+    """N(u) at u = 0 and at every distinct positive distance, ascending."""
 
-    N(u) is piecewise constant between consecutive realized distances, so
-    the step sum below is the exact value of the integral.
-    """
+    radii: np.ndarray
+    counts: tuple
+
+    def dudley_integral(self) -> float:
+        """Entropy integral of sqrt(log N(u)) over (0, diameter].
+
+        N(u) is piecewise constant between consecutive radii, so the step
+        sum below is the exact value of the integral for the counts held.
+        """
+        total = 0.0
+        for k in range(len(self.radii) - 1):
+            step = self.radii[k + 1] - self.radii[k]
+            total += math.sqrt(math.log(self.counts[k])) * step
+        return total
+
+    def to_csv(self) -> str:
+        lines = ["u,covering_number"]
+        for u, count in zip(self.radii[1:], self.counts[1:]):
+            lines.append(f"{float(u)!r},{count}")
+        return "\n".join(lines) + "\n"
+
+
+def covering_curve(space, metric_id) -> CoveringCurve:
+    """Covering numbers at every radius where N(u) can change, one cover each."""
     dist = space.distance_matrix(metric_id)
-    if space.size == 1:
-        return 0.0
-    positive = np.unique(dist[dist > 0])
-    if positive.size == 0:
-        return 0.0
-    breakpoints = np.concatenate(([0.0], positive))
-    total = 0.0
-    for k in range(len(breakpoints) - 1):
-        count = _covering_number_at(dist, breakpoints[k])
-        total += math.sqrt(math.log(count)) * (breakpoints[k + 1] - breakpoints[k])
-    return total
+    radii = np.concatenate(([0.0], np.unique(dist[dist > 0])))
+    return CoveringCurve(radii, tuple(_covering_number_at(dist, u) for u in radii))
+
+
+def dudley_integral(space, metric_id) -> float:
+    """Entropy integral of sqrt(log N(u)) over (0, diameter]."""
+    return covering_curve(space, metric_id).dudley_integral()
 
 
 # ---------------------------------------------------------------------------

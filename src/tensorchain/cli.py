@@ -1,8 +1,8 @@
 """Batch experiment runner.
 
 Every experiment is described by a single JSON config file; the command
-line carries only the subcommand, the config path, the output directory,
-and a thread count.  Reports embed their full config, and reruns with the
+line carries only the subcommand, the config path and the output
+directory.  Reports embed their full config, and reruns with the
 same config produce byte-identical JSON/CSV payloads (the manifest's wall
 times are the only nondeterministic output, and they are excluded from
 its digest list).
@@ -35,9 +35,8 @@ from .bounds import (
 from .chaining import (
     FiniteMetricSpace,
     build_admissible_greedy,
-    covering_number,
+    covering_curve,
     diameter,
-    dudley_integral,
     gamma_exhaustive,
     gamma_truncated_value,
     gamma_value,
@@ -277,13 +276,14 @@ def _run_gamma(config, outputs):
         space = FiniteMetricSpace(mat.shape[0], {metric_id: mat})
     beta = float(config.get("beta", 2.0))
     seq = build_admissible_greedy(space, metric_id, beta)
+    curve = covering_curve(space, metric_id)
     report = {
         "experiment_config": config,
         "size": space.size,
         "diameter": diameter(space, metric_id),
         "greedy_levels": [list(lev) for lev in seq.levels],
         "gamma_greedy": gamma_value(space, metric_id, beta, seq),
-        "dudley_integral": dudley_integral(space, metric_id),
+        "dudley_integral": curve.dudley_integral(),
     }
     if space.size <= 16:
         report["gamma_exhaustive"] = gamma_exhaustive(space, metric_id, beta)
@@ -291,11 +291,7 @@ def _run_gamma(config, outputs):
     for p in config.get("p_values", [1, 2, 4]):
         truncated[str(p)] = gamma_truncated_value(space, metric_id, beta, float(p), seq)
     report["gamma_truncated"] = truncated
-    dist = space.distance_matrix(metric_id)
-    lines = ["u,covering_number"]
-    for u in np.unique(dist[dist > 0]):
-        lines.append(f"{float(u)!r},{covering_number(space, metric_id, float(u))}")
-    outputs["covering.csv"] = "\n".join(lines) + "\n"
+    outputs["covering.csv"] = curve.to_csv()
     outputs["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return []
 
@@ -431,10 +427,8 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def run(config: dict, out_dir, threads: int = 0) -> RunManifest:
+def run(config: dict, out_dir) -> RunManifest:
     """Execute the configured experiment and write its outputs."""
-    if threads > 0:
-        os.environ.setdefault("NUMBA_NUM_THREADS", str(threads))
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}
     stages = {}
@@ -472,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=0, help="worker threads (0 = auto)"
-        )
     return parser
 
 
@@ -504,7 +495,7 @@ def main(argv=None) -> int:
             return EXIT_CAPACITY
         return EXIT_CONFIG
     try:
-        manifest = run(config, args.out, args.threads)
+        manifest = run(config, args.out)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -1,17 +1,14 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with numpy.
 
-Each kernel exists twice: a loop form compiled with numba's ``@njit`` and a
-vectorized pure-numpy form.  The active backend is chosen once at import
-time from the ``TENSORCHAIN_NUMBA`` environment variable ("0"/"false"/"off"
-selects the numpy path; anything else, or an unset variable, selects numba
-when it is importable).  ``benchmarks/bench_kernels.py`` times the two
-paths against each other; the test suite asserts they agree.
+Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
+one against a plain-loop oracle.  Scratch memory of the batched kernels is
+bounded by processing samples, supports or subsets in chunks.
 
 Gauge codes used by the norm kernels: 0 = frobenius, 1 = spectral,
 2 = nuclear, all evaluated on the matrix unfolding.
 """
 
-import os
+from itertools import combinations
 
 import numpy as np
 
@@ -19,254 +16,8 @@ GAUGE_FROBENIUS = 0
 GAUGE_SPECTRAL = 1
 GAUGE_NUCLEAR = 2
 
-# Cap on per-chunk scratch memory in the vectorized fallbacks (complex entries).
+# Cap on per-chunk scratch memory (complex entries).
 _CHUNK_ENTRIES = 1 << 22
-
-
-def _numba_requested() -> bool:
-    value = os.environ.get("TENSORCHAIN_NUMBA", "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-try:
-    if _numba_requested():
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    else:
-        njit = None
-        NUMBA_ENABLED = False
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# loop bodies (numba-compilable)
-# ---------------------------------------------------------------------------
-
-
-def _matrix_gauge_norm(mat, gauge):
-    if gauge == GAUGE_FROBENIUS:
-        acc = 0.0
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = mat[i, j]
-                acc += v.real * v.real + v.imag * v.imag
-        return np.sqrt(acc)
-    s = np.linalg.svd(mat)[1]
-    if gauge == GAUGE_SPECTRAL:
-        return s[0]
-    return s.sum()
-
-
-def _ensemble_pairwise_norms_loop(trajs, gauge):
-    ns, nt, d1, d2 = trajs.shape
-    out = np.zeros((ns, nt, nt))
-    diff = np.empty((d1, d2), np.complex128)
-    for s in range(ns):
-        for a in range(nt):
-            for b in range(a + 1, nt):
-                for i in range(d1):
-                    for j in range(d2):
-                        diff[i, j] = trajs[s, a, i, j] - trajs[s, b, i, j]
-                v = _matrix_gauge_norm(diff, gauge)
-                out[s, a, b] = v
-                out[s, b, a] = v
-    return out
-
-
-def _ensemble_norms_vs_ref_loop(trajs, ref, gauge):
-    ns, nt, d1, d2 = trajs.shape
-    out = np.zeros((ns, nt))
-    diff = np.empty((d1, d2), np.complex128)
-    for s in range(ns):
-        for a in range(nt):
-            if a == ref:
-                continue
-            for i in range(d1):
-                for j in range(d2):
-                    diff[i, j] = trajs[s, a, i, j] - trajs[s, ref, i, j]
-            out[s, a] = _matrix_gauge_norm(diff, gauge)
-    return out
-
-
-def _batch_lambda_max_loop(mats):
-    nb = mats.shape[0]
-    out = np.empty(nb)
-    for b in range(nb):
-        w = np.linalg.eigvalsh(mats[b])
-        out[b] = w[-1]
-    return out
-
-
-def _batch_spectral_loop(mats):
-    nb = mats.shape[0]
-    out = np.empty(nb)
-    for b in range(nb):
-        out[b] = np.linalg.svd(mats[b])[1][0]
-    return out
-
-
-def _rip_scan_loop(gram, xi):
-    ncols = gram.shape[0]
-    idx = np.arange(xi)
-    block = np.empty((xi, xi), np.complex128)
-    best = 0.0
-    while True:
-        # Gershgorin bound on the deviation of the Gram block from identity;
-        # skipping the eigensolve below the running max keeps the scan exact.
-        dev = 0.0
-        for r in range(xi):
-            row = abs(gram[idx[r], idx[r]] - 1.0)
-            for q in range(xi):
-                if q != r:
-                    row += abs(gram[idx[r], idx[q]])
-            if row > dev:
-                dev = row
-        if dev > best:
-            for r in range(xi):
-                for q in range(xi):
-                    block[r, q] = gram[idx[r], idx[q]]
-            w = np.linalg.eigvalsh(block)
-            lo = 1.0 - w[0]
-            hi = w[-1] - 1.0
-            if lo > best:
-                best = lo
-            if hi > best:
-                best = hi
-        # colexicographic successor
-        pos = 0
-        while pos < xi:
-            limit = idx[pos + 1] if pos + 1 < xi else ncols
-            if idx[pos] + 1 < limit:
-                idx[pos] += 1
-                for r in range(pos):
-                    idx[r] = r
-                break
-            pos += 1
-        if pos == xi:
-            break
-    return best
-
-
-def _farthest_point_order_loop(dist):
-    n = dist.shape[0]
-    order = np.empty(n, np.int64)
-    # seed at the 1-center, ties toward the lowest index
-    best_i = 0
-    best_e = np.inf
-    for i in range(n):
-        ecc = 0.0
-        for j in range(n):
-            if dist[i, j] > ecc:
-                ecc = dist[i, j]
-        if ecc < best_e:
-            best_e = ecc
-            best_i = i
-    order[0] = best_i
-    chosen = np.zeros(n, np.bool_)
-    chosen[best_i] = True
-    mind = dist[best_i].copy()
-    for k in range(1, n):
-        bi = -1
-        bv = -1.0
-        for i in range(n):
-            if not chosen[i] and mind[i] > bv:
-                bv = mind[i]
-                bi = i
-        order[k] = bi
-        chosen[bi] = True
-        for i in range(n):
-            if dist[bi, i] < mind[i]:
-                mind[i] = dist[bi, i]
-    return order
-
-
-def _chain_sum_loop(dist, members, offsets, weights):
-    n = dist.shape[0]
-    nlev = weights.shape[0]
-    worst = 0.0
-    for t in range(n):
-        total = 0.0
-        for lev in range(nlev):
-            if weights[lev] == 0.0:
-                continue
-            m = np.inf
-            for p in range(offsets[lev], offsets[lev + 1]):
-                d = dist[t, members[p]]
-                if d < m:
-                    m = d
-            total += weights[lev] * m
-        if total > worst:
-            worst = total
-    return worst
-
-
-def _gamma2_scan_loop(dist, subs, w1):
-    n = dist.shape[0]
-    nsubs, k = subs.shape
-    best = np.inf
-    msub = np.empty(n)
-    for si in range(nsubs):
-        for t in range(n):
-            m = np.inf
-            for p in range(k):
-                d = dist[t, subs[si, p]]
-                if d < m:
-                    m = d
-            msub[t] = m
-        for t0 in range(n):
-            sup = 0.0
-            for t in range(n):
-                v = dist[t, t0] + w1 * msub[t]
-                if v > sup:
-                    sup = v
-            if sup < best:
-                best = sup
-    return best
-
-
-def _greedy_cover_loop(within):
-    n = within.shape[0]
-    covered = np.zeros(n, np.bool_)
-    count = 0
-    remaining = n
-    while remaining > 0:
-        bi = 0
-        bv = -1
-        for c in range(n):
-            gain = 0
-            for t in range(n):
-                if not covered[t] and within[c, t]:
-                    gain += 1
-            if gain > bv:
-                bv = gain
-                bi = c
-        for t in range(n):
-            if within[bi, t]:
-                if not covered[t]:
-                    remaining -= 1
-                covered[t] = True
-        count += 1
-    return count
-
-
-def _max_triangle_violation_loop(dist):
-    n = dist.shape[0]
-    worst = -np.inf
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = dist[i, j] - dist[i, k] - dist[k, j]
-                if v > worst:
-                    worst = v
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
 
 
 def _gauge_norms_stack(diff, gauge):
@@ -285,7 +36,8 @@ def _sample_chunks(ns, per_sample_entries):
         yield lo, min(ns, lo + step)
 
 
-def _ensemble_pairwise_norms_np(trajs, gauge):
+def ensemble_pairwise_norms(trajs, gauge):
+    """(samples, index, index) gauge norms of X_a - X_b for every pair."""
     ns, nt, d1, d2 = trajs.shape
     out = np.zeros((ns, nt, nt))
     for lo, hi in _sample_chunks(ns, nt * nt * d1 * d2):
@@ -295,7 +47,8 @@ def _ensemble_pairwise_norms_np(trajs, gauge):
     return out
 
 
-def _ensemble_norms_vs_ref_np(trajs, ref, gauge):
+def ensemble_norms_vs_ref(trajs, ref, gauge):
+    """(samples, index) gauge norms of X_a - X_ref."""
     ns, nt, d1, d2 = trajs.shape
     out = np.zeros((ns, nt))
     for lo, hi in _sample_chunks(ns, nt * d1 * d2):
@@ -305,17 +58,18 @@ def _ensemble_norms_vs_ref_np(trajs, ref, gauge):
     return out
 
 
-def _batch_lambda_max_np(mats):
+def batch_lambda_max(mats):
+    """Largest eigenvalue of each Hermitian matrix in a stack."""
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def _batch_spectral_np(mats):
+def batch_spectral(mats):
+    """Largest singular value of each matrix in a stack."""
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _rip_scan_np(gram, xi):
-    from itertools import combinations
-
+def rip_scan(gram, xi):
+    """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram."""
     ncols = gram.shape[0]
     best = 0.0
     chunk = []
@@ -338,7 +92,8 @@ def _rip_scan_np(gram, xi):
     return best
 
 
-def _farthest_point_order_np(dist):
+def farthest_point_order(dist):
+    """Farthest-point ordering seeded at the 1-center, ties to the lowest index."""
     n = dist.shape[0]
     order = np.empty(n, np.int64)
     order[0] = int(np.argmin(dist.max(axis=1)))
@@ -354,7 +109,9 @@ def _farthest_point_order_np(dist):
     return order
 
 
-def _chain_sum_np(dist, members, offsets, weights):
+def chain_sum(dist, members, offsets, weights):
+    """sup_t sum_lev weights[lev] * d(t, level lev); level lev is
+    members[offsets[lev]:offsets[lev + 1]]."""
     n = dist.shape[0]
     total = np.zeros(n)
     for lev in range(weights.shape[0]):
@@ -365,7 +122,8 @@ def _chain_sum_np(dist, members, offsets, weights):
     return float(total.max())
 
 
-def _gamma2_scan_np(dist, subs, w1):
+def gamma2_scan(dist, subs, w1):
+    """min over subsets S in subs and roots t0 of sup_t d(t, t0) + w1 * d(t, S)."""
     n = dist.shape[0]
     best = np.inf
     step = max(1, _CHUNK_ENTRIES // (n * n))
@@ -377,7 +135,8 @@ def _gamma2_scan_np(dist, subs, w1):
     return best
 
 
-def _greedy_cover_np(within):
+def greedy_cover(within):
+    """Ball count of the greedy cover; within[c, t] says ball c holds t."""
     n = within.shape[0]
     covered = np.zeros(n, np.bool_)
     count = 0
@@ -389,73 +148,10 @@ def _greedy_cover_np(within):
     return count
 
 
-def _max_triangle_violation_np(dist):
+def max_triangle_violation(dist):
+    """max over i, j, k of d(i, j) - d(i, k) - d(k, j)."""
     worst = -np.inf
     for k in range(dist.shape[0]):
         v = dist - dist[:, k : k + 1] - dist[k : k + 1, :]
         worst = max(worst, float(v.max()))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-_LOOP_KERNELS = {
-    "ensemble_pairwise_norms": _ensemble_pairwise_norms_loop,
-    "ensemble_norms_vs_ref": _ensemble_norms_vs_ref_loop,
-    "batch_lambda_max": _batch_lambda_max_loop,
-    "batch_spectral": _batch_spectral_loop,
-    "rip_scan": _rip_scan_loop,
-    "farthest_point_order": _farthest_point_order_loop,
-    "chain_sum": _chain_sum_loop,
-    "gamma2_scan": _gamma2_scan_loop,
-    "greedy_cover": _greedy_cover_loop,
-    "max_triangle_violation": _max_triangle_violation_loop,
-}
-
-_NUMPY_KERNELS = {
-    "ensemble_pairwise_norms": _ensemble_pairwise_norms_np,
-    "ensemble_norms_vs_ref": _ensemble_norms_vs_ref_np,
-    "batch_lambda_max": _batch_lambda_max_np,
-    "batch_spectral": _batch_spectral_np,
-    "rip_scan": _rip_scan_np,
-    "farthest_point_order": _farthest_point_order_np,
-    "chain_sum": _chain_sum_np,
-    "gamma2_scan": _gamma2_scan_np,
-    "greedy_cover": _greedy_cover_np,
-    "max_triangle_violation": _max_triangle_violation_np,
-}
-
-if NUMBA_ENABLED:
-    _matrix_gauge_norm = njit(cache=True)(_matrix_gauge_norm)
-    _NUMBA_KERNELS = {name: njit(cache=True)(fn) for name, fn in _LOOP_KERNELS.items()}
-else:
-    _NUMBA_KERNELS = {}
-
-_ACTIVE = _NUMBA_KERNELS if NUMBA_ENABLED else _NUMPY_KERNELS
-
-ensemble_pairwise_norms = _ACTIVE["ensemble_pairwise_norms"]
-ensemble_norms_vs_ref = _ACTIVE["ensemble_norms_vs_ref"]
-batch_lambda_max = _ACTIVE["batch_lambda_max"]
-batch_spectral = _ACTIVE["batch_spectral"]
-rip_scan = _ACTIVE["rip_scan"]
-farthest_point_order = _ACTIVE["farthest_point_order"]
-chain_sum = _ACTIVE["chain_sum"]
-gamma2_scan = _ACTIVE["gamma2_scan"]
-greedy_cover = _ACTIVE["greedy_cover"]
-max_triangle_violation = _ACTIVE["max_triangle_violation"]
-
-
-def backend() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def get_impl(name: str, which: str):
-    """Fetch a specific backend implementation (for tests and benchmarks)."""
-    table = _NUMBA_KERNELS if which == "numba" else _NUMPY_KERNELS
-    if name not in _NUMPY_KERNELS:
-        raise KeyError(name)
-    if which == "numba" and not NUMBA_ENABLED:
-        raise RuntimeError("numba backend is not active")
-    return table[name]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -157,6 +157,7 @@ class Ensemble:
     gauge: GaugeNorm
     trajectories: np.ndarray | None
     increment_norms: np.ndarray | None
+    _norms_vs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_raw(self) -> bool:
@@ -171,13 +172,20 @@ class Ensemble:
         )
 
     def norms_vs(self, t0: int) -> np.ndarray:
+        """(samples, index) norms of X_t - X_t0, computed once per t0, read-only."""
         if t0 < 0 or t0 >= self.space_size:
             raise DomainError(f"reference index {t0} outside the space")
-        if self.is_raw:
-            return kernels.ensemble_norms_vs_ref(
-                self.trajectories, t0, _GAUGE_CODE[self.gauge]
-            )
-        return self.pairwise_norms[:, :, t0]
+        norms = self._norms_vs.get(t0)
+        if norms is None:
+            if self.is_raw:
+                norms = kernels.ensemble_norms_vs_ref(
+                    self.trajectories, t0, _GAUGE_CODE[self.gauge]
+                )
+            else:
+                norms = self.pairwise_norms[:, :, t0]
+            norms.flags.writeable = False
+            self._norms_vs[t0] = norms
+        return norms
 
     def sup_samples(self, t0: int) -> np.ndarray:
         """Per-sample supremum over t of ||X_t - X_t0||."""

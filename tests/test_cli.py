@@ -1,7 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from tensorchain import kernels
+from tensorchain import rng as trng
+from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -132,6 +136,51 @@ def test_simulate_rerun_byte_identical(tmp_path):
         assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
         texts.append((out / "ensemble.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(kernels, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+def test_simulate_reduces_increments_against_t0_once(tmp_path, monkeypatch):
+    # sup_samples, empirical_tail and ensemble.csv all read the same norms
+    calls = count_calls(monkeypatch, "ensemble_norms_vs_ref")
+    cfg = {
+        "experiment": "simulate",
+        "seed": 5,
+        "samples": 400,
+        "index_count": 4,
+        "basis_count": 2,
+        "row_modes": [2],
+        "t0": 1,
+        "verify_tail": True,
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_gamma_covers_once_per_radius(tmp_path, monkeypatch):
+    # beyond the exact-cover limit of 20 points every N(u) is one greedy cover;
+    # the entropy integral and covering.csv share them
+    calls = count_calls(monkeypatch, "greedy_cover")
+    points = trng.stream(3, 0).uniform(-1.0, 1.0, (24, 2)).tolist()
+    cfg = {"experiment": "gamma", "seed": 0, "points": points}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_OK
+    dist = FiniteMetricSpace.from_points(points).distance_matrix("euclidean")
+    radii = np.unique(dist[dist > 0])
+    assert len(calls) == radii.size + 1  # u = 0 for the integral
+    assert len((out / "covering.csv").read_text().splitlines()) == 1 + radii.size
 
 
 def test_verdict_failure_exit_code(tmp_path):

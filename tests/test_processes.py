@@ -159,6 +159,16 @@ def test_reduced_storage_matches_raw():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("storage_budget", [1 << 24, 0])  # raw, norm-only
+def test_norms_vs_is_cached_and_read_only(storage_budget):
+    spec = make_spec(seed=108, nt=4)
+    ens = sample_ensemble(spec, process_space(spec), 109, 5, storage_budget=storage_budget)
+    norms = ens.norms_vs(1)
+    assert ens.norms_vs(1) is norms
+    with pytest.raises(ValueError):
+        norms[0, 0] = 1.0
+
+
 def test_sup_moment_singleton_space_is_zero():
     basis = (random_hermitian((2,), trng.stream(41, 0)),)
     spec = ProcessSpec("gaussian_linear", np.ones((1, 1)), basis, 2.0)
