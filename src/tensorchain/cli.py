@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,6 +103,17 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 
+_GAUGES = tuple(g.value for g in GaugeNorm)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def validate(config: dict) -> list:
     """All config violations at once, as human-readable diagnostics."""
     diags = []
@@ -111,12 +122,12 @@ def validate(config: dict) -> list:
         diags.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}")
         return diags
     seed = config.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         diags.append("seed: required, must be a nonnegative integer")
 
     def need_positive_int(name, minimum=1):
         v = config.get(name)
-        if not isinstance(v, int) or v < minimum:
+        if not _is_int(v) or v < minimum:
             diags.append(f"{name}: required, must be an integer >= {minimum}")
             return None
         return v
@@ -126,14 +137,38 @@ def validate(config: dict) -> list:
         if (
             not isinstance(v, list)
             or not v
-            or any(not isinstance(d, int) or d < 1 for d in v)
+            or any(not _is_int(d) or d < 1 for d in v)
         ):
             diags.append(f"{name}: required, must be a list of positive integers")
             return None
         return v
 
+    def check_grid(name):
+        grid = config.get(name)
+        if isinstance(grid, dict) and (
+            not all(_is_number(grid.get(k)) for k in ("start", "stop"))
+            or not _is_int(grid.get("points"))
+        ):
+            diags.append(
+                f"{name}: the object form needs numbers start and stop "
+                "and an integer points"
+            )
+
+    def check_constants():
+        constants = config.get("constants")
+        if constants is None:
+            return
+        if not isinstance(constants, dict):
+            diags.append("constants: must be an object")
+            return
+        unknown = sorted(set(constants) - {f.name for f in fields(ConstantSet)})
+        if unknown:
+            diags.append(f"constants: unknown keys {', '.join(unknown)}")
+        if not all(_is_number(v) for v in constants.values()):
+            diags.append("constants: every value must be a number")
+
     if kind == "simulate":
-        need_positive_int("samples")
+        need_positive_int("samples", 2)
         need_positive_int("index_count", 2)
         need_positive_int("basis_count")
         need_dims("row_modes")
@@ -145,18 +180,23 @@ def validate(config: dict) -> list:
             "iid_bernstein",
         ):
             diags.append(f"family: unknown generator family {family!r}")
+        gauge = config.get("gauge", "spectral")
+        if not isinstance(gauge, str) or gauge.lower() not in _GAUGES:
+            diags.append(f"gauge: must be one of {', '.join(_GAUGES)}")
+        check_grid("u_grid")
+        check_grid("tail_u_grid")
     elif kind == "gamma":
         if "points" not in config and "matrix" not in config:
             diags.append("points/matrix: one of the two must be given")
         beta = config.get("beta", 2.0)
-        if not isinstance(beta, (int, float)) or beta <= 0:
+        if not _is_number(beta) or beta <= 0:
             diags.append("beta: must be a positive number")
     elif kind == "rip":
         cols = need_dims("col_dims")
         xi = need_positive_int("xi")
         need_positive_int("trials")
         tau = config.get("tau")
-        if not isinstance(tau, (int, float)) or not 0 < tau:
+        if not _is_number(tau) or not 0 < tau:
             diags.append("tau: required, must be positive")
         target = need_positive_int("target_size")
         if cols and target and target > math.prod(cols):
@@ -183,11 +223,15 @@ def validate(config: dict) -> list:
         need_positive_int("t_count", 2)
         need_positive_int("n")
         need_dims("row_modes")
+        check_grid("u_grid")
+        check_constants()
     elif kind == "mixed-tail":
         need_positive_int("samples")
         need_positive_int("index_count", 2)
         need_positive_int("basis_count")
         need_dims("row_modes")
+        check_grid("u_grid")
+        check_constants()
     return diags
 
 

@@ -19,7 +19,9 @@ calibration scale; the claimed exponential tail with exponent ``tail_beta``
 is verified empirically by :func:`verify_increment_tail`, never assumed.
 
 Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
-are bit-reproducible regardless of scheduling.
+are bit-reproducible regardless of scheduling.  :func:`_realize` is the one
+place trajectories are built: it draws every component's scalars for a block
+of samples and contracts each component once for the whole block.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ from .errors import (
 from .report import BoundReport, make_rows
 from .tensor import GaugeNorm, is_hermitian, norm, unfold
 
-DEFAULT_STORAGE_BUDGET = 1 << 24  # complex entries kept in a raw ensemble
+# Complex entries realized at once by sample_mixed_sups.  Smaller than
+# kernels._CHUNK_ENTRIES: a block of that size (64 MB of trajectories, plus
+# SVD scratch) would outweigh the ensembles the other experiments hold.
+_BLOCK_ENTRIES = 1 << 18
 
 _GAUGE_CODE = {
     GaugeNorm.FROBENIUS: kernels.GAUGE_FROBENIUS,
@@ -143,30 +148,29 @@ def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL, name="increment")
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Realized trajectories (raw mode) or their pairwise increment norms.
+    """Realized trajectories as a read-only (samples, index, D, D) array.
 
-    Raw mode keeps the unfolded tensors as a (samples, index, D, D) array.
-    When that exceeds the storage budget, only the (samples, index, index)
-    gauge-norm matrix of increments is retained.
+    Gauge norms of the increments are reduced from the trajectories on
+    demand and cached: all pairs in ``pairwise_norms``, and the increments
+    against one reference index in ``norms_vs``.
     """
 
     spec: ProcessSpec
-    space_size: int
     seed: int
-    sample_count: int
     gauge: GaugeNorm
-    trajectories: np.ndarray | None
-    increment_norms: np.ndarray | None
+    trajectories: np.ndarray
     _norms_vs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def is_raw(self) -> bool:
-        return self.trajectories is not None
+    def sample_count(self) -> int:
+        return self.trajectories.shape[0]
+
+    @property
+    def space_size(self) -> int:
+        return self.trajectories.shape[1]
 
     @cached_property
     def pairwise_norms(self) -> np.ndarray:
-        if self.increment_norms is not None:
-            return self.increment_norms
         return kernels.ensemble_pairwise_norms(
             self.trajectories, _GAUGE_CODE[self.gauge]
         )
@@ -177,12 +181,9 @@ class Ensemble:
             raise DomainError(f"reference index {t0} outside the space")
         norms = self._norms_vs.get(t0)
         if norms is None:
-            if self.is_raw:
-                norms = kernels.ensemble_norms_vs_ref(
-                    self.trajectories, t0, _GAUGE_CODE[self.gauge]
-                )
-            else:
-                norms = self.pairwise_norms[:, :, t0]
+            norms = kernels.ensemble_norms_vs_ref(
+                self.trajectories, t0, _GAUGE_CODE[self.gauge]
+            )
             norms.flags.writeable = False
             self._norms_vs[t0] = norms
         return norms
@@ -192,11 +193,23 @@ class Ensemble:
         return self.norms_vs(t0).max(axis=1)
 
 
-def _realize_sample(spec: ProcessSpec, seed: int, s: int, nt: int) -> np.ndarray:
-    gen = rng_mod.stream(seed, s)
-    w = _draw_scalars(spec.family, gen, spec.order)
-    weighted = spec.coefficients[:nt] * w[None, :]
-    return np.einsum("tk,kij->tij", weighted, spec.basis_stack)
+def _realize(specs, seed: int, lo: int, hi: int, nt: int) -> np.ndarray:
+    """(hi - lo, nt, D, D) trajectories of samples lo..hi-1 of a sum of processes.
+
+    Sample s draws the scalars of every component from the stream (seed, s),
+    in component order; each component is then contracted once for the block.
+    """
+    gens = [rng_mod.stream(seed, s) for s in range(lo, hi)]
+    trajs = None
+    for spec in specs:
+        w = np.array([_draw_scalars(spec.family, gen, spec.order) for gen in gens])
+        weighted = spec.coefficients[None, :nt] * w[:, None, :]
+        part = np.einsum("stk,kij->stij", weighted, spec.basis_stack)
+        if trajs is None:
+            trajs = part
+        else:
+            trajs += part
+    return trajs
 
 
 def sample_ensemble(
@@ -205,7 +218,6 @@ def sample_ensemble(
     seed: int,
     n_samples: int,
     gauge=GaugeNorm.SPECTRAL,
-    storage_budget: int = DEFAULT_STORAGE_BUDGET,
 ) -> Ensemble:
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -214,23 +226,9 @@ def sample_ensemble(
             f"coefficient map covers {spec.index_count} indices, "
             f"space has {space.size}"
         )
-    gauge = GaugeNorm.coerce(gauge)
-    nt = space.size
-    side = spec.basis[0].shape.row_count
-    raw_entries = n_samples * nt * side * side
-    if raw_entries <= storage_budget:
-        trajs = np.empty((n_samples, nt, side, side), np.complex128)
-        for s in range(n_samples):
-            trajs[s] = _realize_sample(spec, seed, s, nt)
-        trajs.flags.writeable = False
-        return Ensemble(spec, nt, seed, n_samples, gauge, trajs, None)
-    norms = np.empty((n_samples, nt, nt))
-    code = _GAUGE_CODE[gauge]
-    for s in range(n_samples):
-        block = _realize_sample(spec, seed, s, nt)[None]
-        norms[s] = kernels.ensemble_pairwise_norms(block, code)[0]
-    norms.flags.writeable = False
-    return Ensemble(spec, nt, seed, n_samples, gauge, None, norms)
+    trajs = _realize((spec,), seed, 0, n_samples, space.size)
+    trajs.flags.writeable = False
+    return Ensemble(spec, seed, GaugeNorm.coerce(gauge), trajs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +403,8 @@ def sample_mixed_sups(
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
     """
+    if n_samples < 1:
+        raise ValidationError("need at least one sample")
     if spec_subgauss.family is not ProcessFamily.GAUSSIAN_LINEAR:
         raise ValidationError("first component must be gaussian_linear")
     if spec_subexp.family is not ProcessFamily.SUBEXPONENTIAL_LINEAR:
@@ -414,23 +414,17 @@ def sample_mixed_sups(
         raise ValidationError("components must share one index set")
     if spec_subgauss.basis[0].shape != spec_subexp.basis[0].shape:
         raise ValidationError("components must share one tensor shape")
-    gauge = GaugeNorm.coerce(gauge)
-    code = _GAUGE_CODE[gauge]
+    if not 0 <= t0 < nt:
+        raise DomainError(f"reference index {t0} outside the space")
+    code = _GAUGE_CODE[GaugeNorm.coerce(gauge)]
+    specs = (spec_subgauss, spec_subexp)
+    side = spec_subgauss.basis[0].shape.row_count
+    step = max(1, _BLOCK_ENTRIES // (nt * side * side))
     sups = np.empty(n_samples)
-    for s in range(n_samples):
-        gen = rng_mod.stream(seed, s)
-        wg = _draw_scalars(ProcessFamily.GAUSSIAN_LINEAR, gen, spec_subgauss.order)
-        we = _draw_scalars(ProcessFamily.SUBEXPONENTIAL_LINEAR, gen, spec_subexp.order)
-        traj = np.einsum(
-            "tk,kij->tij", spec_subgauss.coefficients[:nt] * wg[None, :],
-            spec_subgauss.basis_stack,
-        )
-        traj += np.einsum(
-            "tk,kij->tij", spec_subexp.coefficients[:nt] * we[None, :],
-            spec_subexp.basis_stack,
-        )
-        norms = kernels.ensemble_norms_vs_ref(traj[None], t0, code)[0]
-        sups[s] = norms.max()
+    for lo in range(0, n_samples, step):
+        hi = min(n_samples, lo + step)
+        trajs = _realize(specs, seed, lo, hi, nt)
+        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, code).max(axis=1)
     return sups
 
 

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from tensorchain import kernels
+from tensorchain import kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
@@ -265,3 +266,52 @@ def test_empirical_and_mixed_tail_hold(tmp_path):
     out = tmp_path / "mixed"
     assert main(["mixed-tail", "--config", path, "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "bound_report.json").read_text())["verdict"] == "holds"
+
+
+def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
+    # 4 indices of 2x2 unfoldings: 16 complex entries per sample, 64 per block
+    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 16 * 64)
+    calls = count_calls(monkeypatch, "ensemble_norms_vs_ref")
+    cfg = {
+        "experiment": "mixed-tail",
+        "seed": 10,
+        "samples": 300,
+        "row_modes": [2],
+        "index_count": 4,
+        "basis_count": 2,
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["mixed-tail", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == math.ceil(300 / 64)
+    assert [len(args[0]) for args in calls] == [64, 64, 64, 64, 44]
+
+
+SAMPLING = {"seed": 3, "samples": 50, "row_modes": [2]}
+SIMULATE = {"experiment": "simulate", "index_count": 4, "basis_count": 2, **SAMPLING}
+MIXED = {"experiment": "mixed-tail", "index_count": 4, "basis_count": 2, **SAMPLING}
+EMPIRICAL = {"experiment": "empirical", "t_count": 3, "n": 4, **SAMPLING}
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({**SIMULATE, "samples": 1}, "samples"),
+        ({**SIMULATE, "gauge": "bogus"}, "gauge"),
+        ({**SIMULATE, "seed": True}, "seed"),
+        ({**SIMULATE, "basis_count": True}, "basis_count"),
+        ({**SIMULATE, "u_grid": {"start": 0}}, "u_grid"),
+        ({**SIMULATE, "tail_u_grid": {"start": 0, "stop": 2}}, "tail_u_grid"),
+        ({**MIXED, "constants": {"chain_konst": 1.0}}, "chain_konst"),
+        ({**MIXED, "u_grid": {"stop": 3, "points": 4}}, "u_grid"),
+        ({**EMPIRICAL, "constants": {"bogus": 2.0, "chain_const": 1.0}}, "bogus"),
+        ({**EMPIRICAL, "u_grid": {"start": 1, "stop": 2, "points": "4"}}, "u_grid"),
+        ({**EMPIRICAL, "constants": {"chain_const": "1"}}, "constants"),
+    ],
+)
+def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()

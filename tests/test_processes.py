@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tensorchain import kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.errors import (
@@ -144,14 +145,54 @@ def test_homogeneity_of_statistics_and_exponent():
     assert fit_a[0] == pytest.approx(fit_b[0], rel=1e-9)
 
 
-def test_reduced_storage_matches_raw():
-    spec = make_spec(seed=31, nt=4)
-    space = process_space(spec)
-    raw = sample_ensemble(spec, space, 37, 25)
-    reduced = sample_ensemble(spec, space, 37, 25, storage_budget=1)
-    assert raw.is_raw and not reduced.is_raw
-    assert np.allclose(raw.pairwise_norms, reduced.increment_norms, rtol=1e-12)
-    assert np.allclose(raw.sup_samples(0), reduced.sup_samples(0), rtol=1e-12)
+def oracle_trajectories(specs, seed, n_samples, nt):
+    """Per-sample loop: each component's scalars from stream (seed, s) in order."""
+    laws = {
+        "gaussian_linear": lambda gen, k: gen.standard_normal(k),
+        "subexponential_linear": lambda gen, k: (gen.integers(0, 2, k) * 2.0 - 1.0)
+        * gen.standard_exponential(k),
+        "rademacher_martingale": lambda gen, k: gen.integers(0, 2, k) * 2.0 - 1.0,
+        "iid_bernstein": lambda gen, k: gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), k),
+    }
+    out = []
+    for s in range(n_samples):
+        gen = trng.stream(seed, s)
+        traj = None
+        for spec in specs:
+            w = laws[spec.family.value](gen, spec.order)
+            part = np.einsum(
+                "tk,kij->tij", spec.coefficients[:nt] * w[None, :], spec.basis_stack
+            )
+            traj = part if traj is None else traj + part
+        out.append(traj)
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["gaussian_linear", "subexponential_linear", "rademacher_martingale", "iid_bernstein"],
+)
+def test_ensemble_matches_per_sample_oracle(family):
+    spec = make_spec(family=family, seed=31, nt=7, k=4)
+    space = FiniteMetricSpace.from_points([[float(t)] for t in range(5)])
+    ens = sample_ensemble(spec, space, 37, 25)
+    assert np.array_equal(ens.trajectories, oracle_trajectories((spec,), 37, 25, 5))
+    assert (ens.sample_count, ens.space_size) == (25, 5)
+
+
+@pytest.mark.parametrize("t0", [0, 4])
+def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
+    g = make_spec("gaussian_linear", seed=103, nt=6, k=3)
+    e = make_spec("subexponential_linear", seed=104, nt=6, k=2, tail_beta=1.0)
+    # 6 indices of 2x2 unfoldings: 24 entries per sample, 4 samples per block,
+    # so 10 samples span two full blocks and a partial one
+    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 24 * 4)
+    got = sample_mixed_sups(g, e, 7, 10, t0=t0)
+    trajs = oracle_trajectories((g, e), 7, 10, 6)
+    want = [
+        np.linalg.svd(traj - traj[t0], compute_uv=False)[:, 0].max() for traj in trajs
+    ]
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +200,16 @@ def test_reduced_storage_matches_raw():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("storage_budget", [1 << 24, 0])  # raw, norm-only
-def test_norms_vs_is_cached_and_read_only(storage_budget):
+# one chunk for the whole ensemble, or (clamped) one sample per chunk
+@pytest.mark.parametrize("chunk_entries", [1 << 24, 0])
+def test_norms_vs_is_cached_and_read_only(monkeypatch, chunk_entries):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     spec = make_spec(seed=108, nt=4)
-    ens = sample_ensemble(spec, process_space(spec), 109, 5, storage_budget=storage_budget)
+    ens = sample_ensemble(spec, process_space(spec), 109, 5)
     norms = ens.norms_vs(1)
     assert ens.norms_vs(1) is norms
+    diffs = ens.trajectories - ens.trajectories[:, 1:2]
+    assert np.allclose(norms, np.linalg.svd(diffs, compute_uv=False)[..., 0])
     with pytest.raises(ValueError):
         norms[0, 0] = 1.0
 
@@ -320,6 +365,17 @@ def test_mixed_sups_requires_matching_families():
     g = make_spec("gaussian_linear", seed=101)
     with pytest.raises(ValidationError):
         sample_mixed_sups(g, g, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "n_samples, t0, error",
+    [(0, 0, ValidationError), (5, -1, DomainError), (5, 6, DomainError)],
+)
+def test_mixed_sups_input_checks(n_samples, t0, error):
+    g = make_spec("gaussian_linear", seed=101)
+    e = make_spec("subexponential_linear", seed=102, tail_beta=1.0)
+    with pytest.raises(error):
+        sample_mixed_sups(g, e, 1, n_samples, t0=t0)
 
 
 def test_mixed_sups_deterministic():
