@@ -2,10 +2,11 @@
 
 Every experiment is described by a single JSON config file; the command
 line carries only the subcommand, the config path and the output
-directory.  Reports embed their full config, and reruns with the
-same config produce byte-identical JSON/CSV payloads (the manifest's wall
-times are the only nondeterministic output, and they are excluded from
-its digest list).
+directory.  Each experiment declares its keys once, in ``_KEYS``: the
+check a value must pass and the default used when the key is absent.
+Reports embed their full config, and reruns with the same config produce
+byte-identical JSON/CSV payloads (the manifest's wall times are the only
+nondeterministic output, and they are excluded from its digest list).
 
 Exit codes: 0 success, 2 config error, 3 capacity error, 4 a verified
 bound was violated.
@@ -20,11 +21,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, rng as rng_mod
+from . import __version__, rng as rng_mod, sensing
 from .bounds import (
     ConstantSet,
     evaluate_bound,
@@ -41,9 +42,10 @@ from .chaining import (
     gamma_truncated_value,
     gamma_value,
 )
-from .empirical import diagonal_family, verify_empirical_bound
-from .errors import CapacityError, TensorChainError
+from .empirical import _NOISE_LAWS, diagonal_family, verify_empirical_bound
+from .errors import CapacityError, FitFailureError, TensorChainError
 from .processes import (
+    ProcessFamily,
     ProcessSpec,
     empirical_tail,
     ensemble_to_csv,
@@ -56,22 +58,10 @@ from .processes import (
 from .sensing import fourier_unitary, rip_monte_carlo
 from .tensor import GaugeNorm, random_hermitian, random_unitary
 
-EXPERIMENTS = (
-    "simulate",
-    "gamma",
-    "rip",
-    "verify-azuma",
-    "verify-bernstein",
-    "empirical",
-    "mixed-tail",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_VERDICT = 4
-
-_RIP_BUDGET = 1_000_000
 
 
 @dataclass
@@ -83,27 +73,12 @@ class RunManifest:
     verdicts: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return (
-            json.dumps(
-                {
-                    "config": self.config,
-                    "version": self.version,
-                    "stage_seconds": self.stage_seconds,
-                    "digests": self.digests,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# validation
+# the declared keys of each experiment
 # ---------------------------------------------------------------------------
-
-
-_GAUGES = tuple(g.value for g in GaugeNorm)
 
 
 def _is_int(v) -> bool:
@@ -114,138 +89,211 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(_is_number(x) for x in v)
+
+
+def _is_rows(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(
+        _is_numbers(r) and len(r) == len(v[0]) for r in v
+    )
+
+
+def _check(ok, form):
+    """A key's check: None for a value that passes ``ok``, else what it must be."""
+    return lambda v: None if ok(v) else f"must be {form}"
+
+
+def _integer(minimum):
+    return _check(lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+
+
+def _enum(*choices):
+    return _check(lambda v: v in choices, f"one of {', '.join(choices)}")
+
+
+def _grid(objects):
+    """Nonempty, ascending and nonnegative; with ``objects`` also the
+    ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly."""
+
+    def ok(v):
+        if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
+            start, stop, points = v["start"], v["stop"], v["points"]
+            if not (_is_numbers([start, stop]) and _is_int(points) and points >= 1):
+                return False
+            v = _u_grid(v).tolist()
+        return _is_numbers(v) and v[0] >= 0 and all(a < b for a, b in zip(v, v[1:]))
+
+    form = "a nonempty ascending list of nonnegative numbers"
+    if objects:
+        form += " or an object of numbers start, stop and an integer points >= 1"
+    return _check(ok, form)
+
+
+def _constants(v):
+    if not isinstance(v, dict):
+        return "must be an object"
+    unknown = sorted(set(v) - {f.name for f in fields(ConstantSet)})
+    if unknown:
+        return f"unknown keys {', '.join(unknown)}"
+    if not all(_is_number(x) for x in v.values()):
+        return "every value must be a number"
+    return None
+
+
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "a positive number")
+_BOOL = _check(lambda v: isinstance(v, bool), "true or false")
+_NAME = _check(lambda v: isinstance(v, str) and v != "", "a nonempty string")
+_DIMS = _check(
+    lambda v: _is_numbers(v) and all(_is_int(d) and d >= 1 for d in v),
+    "a nonempty list of positive integers",
+)
+_NUMBERS = _check(_is_numbers, "a nonempty list of numbers")
+_ROWS = _check(_is_rows, "a nonempty list of equal-length number lists")
+_POINTS = _check(
+    lambda v: _is_numbers(v) or _is_rows(v),
+    "a nonempty list of numbers or of equal-length number lists",
+)
+_SQUARE = _check(lambda v: _is_rows(v) and len(v) == len(v[0]), "a square matrix")
+_OPERATOR = _check(
+    lambda v: v == "fourier" or isinstance(v, dict) and set(v) == {"seed"}
+    and _is_int(v["seed"]) and v["seed"] >= 0,
+    '"fourier" or {"seed": integer >= 0}',
+)
+
+_REQUIRED = object()  # default of a key the config must give
+_SEED = (_integer(0), _REQUIRED)
+_NEXT_SEED = (_integer(0), lambda config: config["seed"] + 1)
+_SAMPLING = {
+    "seed": _SEED,
+    "samples": (_integer(1), _REQUIRED),
+    "row_modes": (_DIMS, _REQUIRED),
+}
+_PROCESS = {
+    **_SAMPLING,
+    "index_count": (_integer(2), _REQUIRED),
+    "basis_count": (_integer(1), _REQUIRED),
+    "basis_seed": _NEXT_SEED,
+    "coefficients": (_ROWS, None),  # None: uniform on [-1, 1] from the basis stream
+    "metric_scale": (_POSITIVE, 2.0),
+}
+_CONSTANTS = (_constants, None)  # None: fitted to the sampled suprema
+_FITTED_GRID = (_grid(True), {"start": 1.0, "stop": 5.0, "points": 10})
+
+# experiment -> {key: (check, default)}; a default is a value, _REQUIRED, or
+# a function of the config
+_KEYS = {
+    "simulate": {
+        **_PROCESS,
+        "samples": (_integer(2), _REQUIRED),
+        "family": (_enum(*(f.value for f in ProcessFamily)), "gaussian_linear"),
+        "tail_beta": (_POSITIVE, 2.0),
+        "gauge": (_enum(*(g.value for g in GaugeNorm)), "spectral"),
+        "t0": (_integer(0), 0),
+        "u_grid": (_grid(True), None),  # None: quantiles of the sampled suprema
+        "tail_u_grid": (_grid(True), {"start": 0.5, "stop": 3.0, "points": 6}),
+        "fit_exponent": (_BOOL, True),
+        "verify_tail": (_BOOL, False),
+    },
+    "gamma": {
+        "seed": _SEED,
+        "points": (_POINTS, None),
+        "matrix": (_SQUARE, None),
+        "metric_id": (_NAME, "euclidean"),
+        "beta": (_POSITIVE, 2.0),
+        "p_values": (_NUMBERS, [1, 2, 4]),
+    },
+    "rip": {
+        "seed": _SEED,
+        "col_dims": (_DIMS, _REQUIRED),
+        "target_size": (_integer(1), _REQUIRED),
+        "xi": (_integer(1), _REQUIRED),
+        "tau": (_POSITIVE, _REQUIRED),
+        "trials": (_integer(1), _REQUIRED),
+        "operator": (_OPERATOR, "fourier"),
+    },
+    "verify-azuma": {
+        **_SAMPLING,
+        "steps": (_integer(1), _REQUIRED),
+        "difference_seed": _NEXT_SEED,
+        "u_sigma_factors": (_NUMBERS, [2.0, 3.0, 4.0]),
+    },
+    "verify-bernstein": {
+        **_SAMPLING,
+        "n": (_integer(1), _REQUIRED),
+        "envelope_seed": _NEXT_SEED,
+        "u_grid": (_grid(False), [1.0, 2.0, 3.0]),
+    },
+    "empirical": {
+        **_SAMPLING,
+        "t_count": (_integer(2), _REQUIRED),
+        "n": (_integer(1), _REQUIRED),
+        "family_seed": _NEXT_SEED,
+        "noise": (_enum(*_NOISE_LAWS), "rademacher"),
+        "u_grid": _FITTED_GRID,
+        "constants": _CONSTANTS,
+    },
+    "mixed-tail": {**_PROCESS, "u_grid": _FITTED_GRID, "constants": _CONSTANTS},
+}
+
+EXPERIMENTS = tuple(_KEYS)
+
+
 def validate(config: dict) -> list:
-    """All config violations at once, as human-readable diagnostics."""
-    diags = []
+    """All config violations at once, as human-readable diagnostics.
+
+    Every key is checked against its experiment's table; the checks that
+    span keys run once every key has passed its own.
+    """
     kind = config.get("experiment")
     if kind not in EXPERIMENTS:
-        diags.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}")
+        return [f"experiment: must be one of {', '.join(EXPERIMENTS)}"]
+    table = _KEYS[kind]
+    unknown = sorted(set(config) - set(table) - {"experiment"})
+    diags = [f"{key}: unknown key for {kind}" for key in unknown]
+    for key, (check, default) in table.items():
+        if key not in config:
+            if default is _REQUIRED:
+                diags.append(f"{key}: required")
+        elif (problem := check(config[key])) is not None:
+            diags.append(f"{key}: {problem}")
+    if diags:
         return diags
-    seed = config.get("seed")
-    if not _is_int(seed) or seed < 0:
-        diags.append("seed: required, must be a nonnegative integer")
-
-    def need_positive_int(name, minimum=1):
-        v = config.get(name)
-        if not _is_int(v) or v < minimum:
-            diags.append(f"{name}: required, must be an integer >= {minimum}")
-            return None
-        return v
-
-    def need_dims(name):
-        v = config.get(name)
-        if (
-            not isinstance(v, list)
-            or not v
-            or any(not _is_int(d) or d < 1 for d in v)
-        ):
-            diags.append(f"{name}: required, must be a list of positive integers")
-            return None
-        return v
-
-    def check_grid(name):
-        grid = config.get(name)
-        if isinstance(grid, dict) and (
-            not all(_is_number(grid.get(k)) for k in ("start", "stop"))
-            or not _is_int(grid.get("points"))
-        ):
+    if "points" in table and ("points" in config) == ("matrix" in config):
+        diags.append("points/matrix: exactly one of the two must be given")
+    coeffs = config.get("coefficients")
+    if coeffs and np.shape(coeffs) != (config["index_count"], config["basis_count"]):
+        diags.append("coefficients: must have index_count rows of basis_count numbers")
+    if "col_dims" in table:
+        size = math.prod(config["col_dims"])
+        if config["target_size"] > size:
+            diags.append(f"target_size: must not exceed the source size {size}")
+        count = sensing._support_count(size, config["xi"])
+        budget = sensing.DEFAULT_SUPPORT_BUDGET
+        if count > budget:
             diags.append(
-                f"{name}: the object form needs numbers start and stop "
-                "and an integer points"
+                f"capacity: xi/col_dims: {count} supports exceed the "
+                f"exact-scan budget of {budget}; shrink xi or col_dims"
             )
-
-    def check_constants():
-        constants = config.get("constants")
-        if constants is None:
-            return
-        if not isinstance(constants, dict):
-            diags.append("constants: must be an object")
-            return
-        unknown = sorted(set(constants) - {f.name for f in fields(ConstantSet)})
-        if unknown:
-            diags.append(f"constants: unknown keys {', '.join(unknown)}")
-        if not all(_is_number(v) for v in constants.values()):
-            diags.append("constants: every value must be a number")
-
-    if kind == "simulate":
-        need_positive_int("samples", 2)
-        need_positive_int("index_count", 2)
-        need_positive_int("basis_count")
-        need_dims("row_modes")
-        family = config.get("family", "gaussian_linear")
-        if family not in (
-            "gaussian_linear",
-            "subexponential_linear",
-            "rademacher_martingale",
-            "iid_bernstein",
-        ):
-            diags.append(f"family: unknown generator family {family!r}")
-        gauge = config.get("gauge", "spectral")
-        if not isinstance(gauge, str) or gauge.lower() not in _GAUGES:
-            diags.append(f"gauge: must be one of {', '.join(_GAUGES)}")
-        check_grid("u_grid")
-        check_grid("tail_u_grid")
-    elif kind == "gamma":
-        if "points" not in config and "matrix" not in config:
-            diags.append("points/matrix: one of the two must be given")
-        beta = config.get("beta", 2.0)
-        if not _is_number(beta) or beta <= 0:
-            diags.append("beta: must be a positive number")
-    elif kind == "rip":
-        cols = need_dims("col_dims")
-        xi = need_positive_int("xi")
-        need_positive_int("trials")
-        tau = config.get("tau")
-        if not _is_number(tau) or not 0 < tau:
-            diags.append("tau: required, must be positive")
-        target = need_positive_int("target_size")
-        if cols and target and target > math.prod(cols):
-            diags.append(
-                f"target_size: must not exceed the source size {math.prod(cols)}"
-            )
-        if cols and xi:
-            count = math.comb(math.prod(cols), min(xi, math.prod(cols)))
-            if count > _RIP_BUDGET:
-                diags.append(
-                    f"capacity: xi/col_dims: {count} supports exceed the "
-                    f"exact-scan budget of {_RIP_BUDGET}; shrink xi or col_dims"
-                )
-    elif kind == "verify-azuma":
-        need_positive_int("samples")
-        need_positive_int("steps")
-        need_dims("row_modes")
-    elif kind == "verify-bernstein":
-        need_positive_int("samples")
-        need_positive_int("n")
-        need_dims("row_modes")
-    elif kind == "empirical":
-        need_positive_int("samples")
-        need_positive_int("t_count", 2)
-        need_positive_int("n")
-        need_dims("row_modes")
-        check_grid("u_grid")
-        check_constants()
-    elif kind == "mixed-tail":
-        need_positive_int("samples")
-        need_positive_int("index_count", 2)
-        need_positive_int("basis_count")
-        need_dims("row_modes")
-        check_grid("u_grid")
-        check_constants()
     return diags
 
 
+def _settings(config) -> dict:
+    """Every declared key of the config's experiment: its value or default."""
+    return {
+        key: config[key] if key in config else (d(config) if callable(d) else d)
+        for key, (_, d) in _KEYS[config["experiment"]].items()
+    }
+
+
 # ---------------------------------------------------------------------------
-# experiment builders
+# experiment builders: they read the settings ``p`` and echo ``config``
 # ---------------------------------------------------------------------------
 
 
-def _u_grid(config, default):
-    grid = config.get("u_grid")
-    if grid is None:
-        return np.asarray(default, dtype=np.float64)
+def _u_grid(grid) -> np.ndarray:
     if isinstance(grid, dict):
-        return np.linspace(grid["start"], grid["stop"], int(grid["points"]))
+        return np.linspace(grid["start"], grid["stop"], grid["points"])
     return np.asarray(grid, dtype=np.float64)
 
 
@@ -254,71 +302,58 @@ def _quantile_grid(sups: np.ndarray, points: int = 12) -> np.ndarray:
     # exponential-exponent diagnosis is meaningful
     levels = np.geomspace(0.5, max(0.005, 2.0 / sups.size), points)
     grid = np.quantile(sups, 1.0 - levels)
-    grid = np.unique(grid[grid > 0])
-    return grid
+    return np.unique(grid[grid > 0])
 
 
-def _build_process_spec(config) -> ProcessSpec:
-    basis_seed = int(config.get("basis_seed", config["seed"] + 1))
-    row_modes = tuple(config["row_modes"])
-    count = int(config["basis_count"])
+def _build_process_spec(p, family, basis_seed, tail_beta) -> ProcessSpec:
+    row_modes = tuple(p["row_modes"])
+    count = p["basis_count"]
     basis = tuple(
         random_hermitian(row_modes, rng_mod.stream(basis_seed, k)) for k in range(count)
     )
-    if "coefficients" in config:
-        coeffs = np.asarray(config["coefficients"], dtype=np.float64)
-    else:
+    coeffs = p["coefficients"]
+    if coeffs is None:
         coeffs = rng_mod.stream(basis_seed, count).uniform(
-            -1.0, 1.0, (int(config["index_count"]), count)
+            -1.0, 1.0, (p["index_count"], count)
         )
-    return ProcessSpec(
-        family=config.get("family", "gaussian_linear"),
-        coefficients=coeffs,
-        basis=basis,
-        tail_beta=float(config.get("tail_beta", 2.0)),
-        metric_scale=float(config.get("metric_scale", 2.0)),
-    )
+    return ProcessSpec(family, coeffs, basis, tail_beta, p["metric_scale"])
 
 
-def _run_simulate(config, outputs):
-    spec = _build_process_spec(config)
-    gauge = GaugeNorm.coerce(config.get("gauge", "spectral"))
+def _run_simulate(config, p, outputs):
+    spec = _build_process_spec(p, p["family"], p["basis_seed"], float(p["tail_beta"]))
+    gauge = GaugeNorm.coerce(p["gauge"])
     space = FiniteMetricSpace(
         spec.index_count, {"increment": process_metric(spec, gauge)}
     )
-    ensemble = sample_ensemble(
-        spec, space, config["seed"], config["samples"], gauge=gauge
-    )
-    t0 = int(config.get("t0", 0))
-    sups = ensemble.sup_samples(t0)
-    grid = _u_grid(config, None) if "u_grid" in config else _quantile_grid(sups)
-    curve = empirical_tail(ensemble, space, t0, grid)
+    ensemble = sample_ensemble(spec, space, p["seed"], p["samples"], gauge=gauge)
+    sups = ensemble.sup_samples(p["t0"])
+    grid = _quantile_grid(sups) if p["u_grid"] is None else _u_grid(p["u_grid"])
+    curve = empirical_tail(ensemble, space, p["t0"], grid)
     report = {"experiment_config": config, "family": spec.family.value}
     verdicts = []
-    if config.get("fit_exponent", True):
+    if p["fit_exponent"]:
         beta_hat, r2 = fit_tail_exponent(curve)
         report["fitted_exponent"] = {"beta_hat": beta_hat, "r_squared": r2}
-    if config.get("verify_tail", False):
-        tail_grid = _u_grid({"u_grid": config.get("tail_u_grid")}, np.linspace(0.5, 3.0, 6))
+    if p["verify_tail"]:
         tail_report = verify_increment_tail(
-            ensemble, space, "increment", spec.tail_beta, tail_grid
+            ensemble, space, "increment", spec.tail_beta, _u_grid(p["tail_u_grid"])
         )
         report["increment_tail"] = tail_report.to_dict()
         verdicts.append(tail_report.verdict)
-    outputs["ensemble.csv"] = ensemble_to_csv(ensemble, t0)
+    outputs["ensemble.csv"] = ensemble_to_csv(ensemble, p["t0"])
     outputs["tail_curve.csv"] = curve.to_csv()
     outputs["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return verdicts
 
 
-def _run_gamma(config, outputs):
-    metric_id = config.get("metric_id", "euclidean")
-    if "points" in config:
-        space = FiniteMetricSpace.from_points(config["points"], metric_id)
+def _run_gamma(config, p, outputs):
+    metric_id = p["metric_id"]
+    if p["points"] is not None:
+        space = FiniteMetricSpace.from_points(p["points"], metric_id)
     else:
-        mat = np.asarray(config["matrix"], dtype=np.float64)
+        mat = np.asarray(p["matrix"], dtype=np.float64)
         space = FiniteMetricSpace(mat.shape[0], {metric_id: mat})
-    beta = float(config.get("beta", 2.0))
+    beta = p["beta"]
     seq = build_admissible_greedy(space, metric_id, beta)
     curve = covering_curve(space, metric_id)
     report = {
@@ -331,29 +366,23 @@ def _run_gamma(config, outputs):
     }
     if space.size <= 16:
         report["gamma_exhaustive"] = gamma_exhaustive(space, metric_id, beta)
-    truncated = {}
-    for p in config.get("p_values", [1, 2, 4]):
-        truncated[str(p)] = gamma_truncated_value(space, metric_id, beta, float(p), seq)
-    report["gamma_truncated"] = truncated
+    report["gamma_truncated"] = {
+        str(q): gamma_truncated_value(space, metric_id, beta, q, seq)
+        for q in p["p_values"]
+    }
     outputs["covering.csv"] = curve.to_csv()
     outputs["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
     return []
 
 
-def _run_rip(config, outputs):
-    operator = config.get("operator", "fourier")
-    col_dims = tuple(config["col_dims"])
-    if operator == "fourier":
+def _run_rip(config, p, outputs):
+    col_dims = tuple(p["col_dims"])
+    if p["operator"] == "fourier":
         u = fourier_unitary(col_dims)
     else:
-        u = random_unitary(col_dims, rng_mod.stream(int(operator["seed"]), 0))
+        u = random_unitary(col_dims, rng_mod.stream(p["operator"]["seed"], 0))
     rep = rip_monte_carlo(
-        u,
-        int(config["xi"]),
-        float(config["tau"]),
-        int(config["trials"]),
-        int(config["seed"]),
-        target_size=int(config["target_size"]),
+        u, p["xi"], p["tau"], p["trials"], p["seed"], target_size=p["target_size"]
     )
     payload = rep.to_dict()
     payload["experiment_config"] = config
@@ -370,87 +399,58 @@ def _emit_bound_report(config, outputs, report):
     return [report.verdict]
 
 
-def _run_verify_azuma(config, outputs):
-    row_modes = tuple(config["row_modes"])
-    steps = int(config["steps"])
-    diff_seed = int(config.get("difference_seed", config["seed"] + 1))
-    scale = 1.0 / math.sqrt(steps)
+def _run_verify_azuma(config, p, outputs):
+    row_modes = tuple(p["row_modes"])
+    scale = 1.0 / math.sqrt(p["steps"])
     diffs = [
-        scale * random_hermitian(row_modes, rng_mod.stream(diff_seed, i))
-        for i in range(steps)
+        scale * random_hermitian(row_modes, rng_mod.stream(p["difference_seed"], i))
+        for i in range(p["steps"])
     ]
     report = verify_azuma(
-        diffs,
-        int(config["samples"]),
-        int(config["seed"]),
-        u_sigma_factors=tuple(config.get("u_sigma_factors", (2.0, 3.0, 4.0))),
+        diffs, p["samples"], p["seed"], u_sigma_factors=p["u_sigma_factors"]
     )
     return _emit_bound_report(config, outputs, report)
 
 
-def _run_verify_bernstein(config, outputs):
-    row_modes = tuple(config["row_modes"])
-    n = int(config["n"])
-    env_seed = int(config.get("envelope_seed", config["seed"] + 1))
+def _run_verify_bernstein(config, p, outputs):
+    row_modes = tuple(p["row_modes"])
     envelopes = [
-        random_hermitian(row_modes, rng_mod.stream(env_seed, i)) for i in range(n)
+        random_hermitian(row_modes, rng_mod.stream(p["envelope_seed"], i))
+        for i in range(p["n"])
     ]
-    report = verify_bernstein(
-        envelopes,
-        int(config["samples"]),
-        int(config["seed"]),
-        u_grid=tuple(config.get("u_grid", (1.0, 2.0, 3.0))),
-    )
+    report = verify_bernstein(envelopes, p["samples"], p["seed"], u_grid=p["u_grid"])
     return _emit_bound_report(config, outputs, report)
 
 
-def _run_empirical(config, outputs):
+def _run_empirical(config, p, outputs):
     family = diagonal_family(
-        tuple(config["row_modes"]),
-        int(config["t_count"]),
-        int(config["n"]),
-        int(config.get("family_seed", config["seed"] + 1)),
-        noise=config.get("noise", "rademacher"),
+        tuple(p["row_modes"]), p["t_count"], p["n"], p["family_seed"], noise=p["noise"]
     )
-    constants = None
-    if isinstance(config.get("constants"), dict):
-        constants = ConstantSet(**config["constants"])
+    constants = None if p["constants"] is None else ConstantSet(**p["constants"])
     report = verify_empirical_bound(
-        family,
-        int(config["seed"]),
-        int(config["samples"]),
-        _u_grid(config, np.linspace(1.0, 5.0, 10)),
-        constants=constants,
+        family, p["seed"], p["samples"], _u_grid(p["u_grid"]), constants=constants
     )
     return _emit_bound_report(config, outputs, report)
 
 
-def _run_mixed_tail(config, outputs):
-    seed = int(config["seed"])
-    base = dict(config)
-    base["family"] = "gaussian_linear"
-    spec_g = _build_process_spec(base)
-    base = dict(config)
-    base["family"] = "subexponential_linear"
-    base["basis_seed"] = int(config.get("basis_seed", seed + 1)) + 1000
-    base["tail_beta"] = 1.0
-    spec_e = _build_process_spec(base)
-    sups = sample_mixed_sups(spec_g, spec_e, seed, int(config["samples"]))
-    d2 = process_metric(spec_g)
-    d1 = process_metric(spec_e)
-    space = FiniteMetricSpace(spec_g.index_count, {"d1": d1, "d2": d2})
+def _run_mixed_tail(config, p, outputs):
+    basis_seed = p["basis_seed"]
+    spec_g = _build_process_spec(p, "gaussian_linear", basis_seed, 2.0)
+    spec_e = _build_process_spec(p, "subexponential_linear", basis_seed + 1000, 1.0)
+    sups = sample_mixed_sups(spec_g, spec_e, p["seed"], p["samples"])
+    metrics = {"d1": process_metric(spec_e), "d2": process_metric(spec_g)}
+    space = FiniteMetricSpace(spec_g.index_count, metrics)
     gamma1 = gamma_value(space, "d1", 1.0, build_admissible_greedy(space, "d1", 1.0))
     gamma2 = gamma_value(space, "d2", 2.0, build_admissible_greedy(space, "d2", 2.0))
     params = {
         "gammas": [gamma1, gamma2],
         "diams": [diameter(space, "d1"), diameter(space, "d2")],
     }
-    grid = _u_grid(config, np.linspace(1.0, 5.0, 10))
-    constants = None
-    if isinstance(config.get("constants"), dict):
-        constants = ConstantSet(**config["constants"])
-    if constants is None:
+    grid = _u_grid(p["u_grid"])
+    if p["constants"] is None:
         constants = fit_constants("mixed", sups, grid, params)
+    else:
+        constants = ConstantSet(**p["constants"])
     report = evaluate_bound("mixed", sups, grid, params, constants)
     return _emit_bound_report(config, outputs, report)
 
@@ -477,7 +477,7 @@ def run(config: dict, out_dir) -> RunManifest:
     outputs = {}
     stages = {}
     start = time.perf_counter()
-    verdicts = _RUNNERS[config["experiment"]](config, outputs)
+    verdicts = _RUNNERS[config["experiment"]](config, _settings(config), outputs)
     stages["run"] = time.perf_counter() - start
     digests = {}
     start = time.perf_counter()
@@ -540,12 +540,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         manifest = run(config, args.out)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except TensorChainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        if isinstance(exc, FitFailureError):
+            with open(os.path.join(args.out, "fit_diagnostics.json"), "w") as fh:
+                fh.write(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG
     if any(v == "violated" for v in manifest.verdicts):
         print("bound verdict: violated", file=sys.stderr)
         return EXIT_VERDICT

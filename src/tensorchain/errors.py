@@ -2,7 +2,12 @@
 
 
 class TensorChainError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``label`` names the kind of failure in the command-line error message.
+    """
+
+    label = "config error"
 
 
 class ShapeError(TensorChainError, ValueError):
@@ -24,17 +29,25 @@ class SingularityError(TensorChainError, ArithmeticError):
 class CapacityError(TensorChainError, RuntimeError):
     """The requested exact computation exceeds the configured budget."""
 
+    label = "capacity error"
+
 
 class DegenerateMetricError(TensorChainError, ValueError):
     """A zero distance pairs indices whose realizations differ."""
+
+    label = "degenerate metric"
 
 
 class InsufficientDataError(TensorChainError, ValueError):
     """Too few usable points to run the requested estimation."""
 
+    label = "insufficient data"
+
 
 class FitFailureError(TensorChainError, RuntimeError):
     """No feasible constants exist inside the search box."""
+
+    label = "fit failure"
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -3,7 +3,8 @@
 A report records, per tested point, the evaluated threshold, the claimed
 probability bound, the empirical exceedance frequency, and the binomial
 margin used for the verdict.  The verdict is "holds" only when every row
-satisfies empirical <= bound + margin.  Serialization is deterministic:
+satisfies empirical <= bound + margin, so a report has at least one row:
+over zero rows it would hold vacuously.  Serialization is deterministic:
 reruns with identical inputs produce identical bytes.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+
+from .errors import ValidationError
 
 
 def binomial_margin(prob: float, samples: int, sigmas: float = 3.0) -> float:
@@ -44,6 +47,10 @@ class BoundReport:
     rows: tuple
     fitted: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.rows:
+            raise ValidationError(f"{self.bound_name}: a report needs at least one u")
 
     @property
     def verdict(self) -> str:

@@ -4,8 +4,9 @@ A signal lives on the column-mode index space (J_1, ..., J_N); a
 measurement operator is a (rows; J) tensor.  The restricted isometry
 constant of order xi is the worst deviation of a xi-column Gram block of
 the unfolding from the identity, so it is computed exactly by scanning
-supports (colexicographic order, Gershgorin pruning) whenever the support
-count fits the budget, and estimated by random support probes otherwise.
+every support of size xi in lexicographic order, without pruning, whenever
+the support count fits the budget, and estimated by random support probes
+otherwise.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by

@@ -26,7 +26,13 @@ from tensorchain.bounds import (
     verify_azuma,
     verify_bernstein,
 )
-from tensorchain.errors import DomainError, FitFailureError
+from tensorchain.errors import DomainError, FitFailureError, ValidationError
+from tensorchain.processes import (
+    ProcessSpec,
+    process_space,
+    sample_ensemble,
+    verify_increment_tail,
+)
 from tensorchain.tensor import DenseTensor, Shape, norm, random_hermitian
 
 
@@ -392,6 +398,45 @@ def test_evaluate_bound_report_shape():
     # CSV and JSON render deterministically
     assert rep.to_csv() == rep.to_csv()
     assert rep.to_json() == rep.to_json()
+
+
+def _azuma_without_points():
+    diffs = [random_hermitian((2,), trng.stream(17, i)) for i in range(3)]
+    return verify_azuma(diffs, 100, seed=18, u_sigma_factors=())
+
+
+def _bernstein_without_points():
+    envs = [random_hermitian((2,), trng.stream(19, i)) for i in range(3)]
+    return verify_bernstein(envs, 100, seed=20, u_grid=())
+
+
+def _evaluation_without_points():
+    params = {"beta": 2.0, "gamma": 1.0, "diam": 1.0}
+    sups = np.abs(trng.stream(21, 0).standard_normal(100))
+    return evaluate_bound("exp_tail", sups, [], params, ConstantSet())
+
+
+def _increment_tail_without_points():
+    basis = (random_hermitian((2,), trng.stream(22, 0)),)
+    spec = ProcessSpec("gaussian_linear", np.array([[0.0], [1.0], [2.0]]), basis, 2.0)
+    space = process_space(spec)
+    ensemble = sample_ensemble(spec, space, 23, 50)
+    return verify_increment_tail(ensemble, space, "increment", 2.0, [])
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        _azuma_without_points,
+        _bernstein_without_points,
+        _evaluation_without_points,
+        _increment_tail_without_points,
+    ],
+)
+def test_report_without_tested_points_is_rejected(verify):
+    # over zero rows every row holds, so the verdict would read "holds"
+    with pytest.raises(ValidationError):
+        verify()
 
 
 def test_constant_set_positivity():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorchain import kernels, processes
+from tensorchain import cli, kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
@@ -14,6 +14,13 @@ from tensorchain.cli import (
     EXIT_VERDICT,
     main,
     validate,
+)
+from tensorchain.errors import (
+    CapacityError,
+    DegenerateMetricError,
+    FitFailureError,
+    InsufficientDataError,
+    ValidationError,
 )
 
 
@@ -107,6 +114,7 @@ def test_gamma_experiment_report_value(tmp_path):
     assert (out / "covering.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["digests"]) == {"report.json", "covering.csv"}
+    assert manifest["verdicts"] == []
 
 
 def test_reruns_reproduce_identical_digests(tmp_path):
@@ -205,6 +213,8 @@ def test_verdict_failure_exit_code(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_VERDICT
     report = json.loads((out / "report.json").read_text())
     assert report["increment_tail"]["verdict"] == "violated"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"] == ["violated"]
 
 
 def test_rip_experiment_outputs(tmp_path):
@@ -290,6 +300,18 @@ SAMPLING = {"seed": 3, "samples": 50, "row_modes": [2]}
 SIMULATE = {"experiment": "simulate", "index_count": 4, "basis_count": 2, **SAMPLING}
 MIXED = {"experiment": "mixed-tail", "index_count": 4, "basis_count": 2, **SAMPLING}
 EMPIRICAL = {"experiment": "empirical", "t_count": 3, "n": 4, **SAMPLING}
+GAMMA = {"experiment": "gamma", "seed": 0, "points": [[0.0], [1.0], [3.0]]}
+RIP = {
+    "experiment": "rip",
+    "seed": 7,
+    "col_dims": [8],
+    "target_size": 4,
+    "xi": 2,
+    "tau": 0.5,
+    "trials": 5,
+}
+AZUMA = {"experiment": "verify-azuma", "steps": 4, **SAMPLING}
+BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
 
 
 @pytest.mark.parametrize(
@@ -306,12 +328,128 @@ EMPIRICAL = {"experiment": "empirical", "t_count": 3, "n": 4, **SAMPLING}
         ({**EMPIRICAL, "constants": {"bogus": 2.0, "chain_const": 1.0}}, "bogus"),
         ({**EMPIRICAL, "u_grid": {"start": 1, "stop": 2, "points": "4"}}, "u_grid"),
         ({**EMPIRICAL, "constants": {"chain_const": "1"}}, "constants"),
+        # values of the wrong form
+        ({**SIMULATE, "t0": "x"}, "t0"),
+        ({**SIMULATE, "basis_seed": "abc"}, "basis_seed"),
+        ({**SIMULATE, "tail_beta": "x"}, "tail_beta"),
+        ({**SIMULATE, "metric_scale": "x"}, "metric_scale"),
+        ({**SIMULATE, "coefficients": "abc"}, "coefficients"),
+        ({**SIMULATE, "u_grid": "x"}, "u_grid"),
+        ({**GAMMA, "points": "ab"}, "points"),
+        ({**GAMMA, "points": [[0], [1, 2]]}, "points"),
+        ({**GAMMA, "p_values": ["a"]}, "p_values"),
+        ({**GAMMA, "p_values": 3}, "p_values"),
+        ({**GAMMA, "metric_id": 5}, "metric_id"),
+        ({**RIP, "operator": {}}, "operator"),
+        ({**RIP, "operator": "bogus"}, "operator"),
+        ({**RIP, "operator": {"seed": "x"}}, "operator"),
+        ({**AZUMA, "difference_seed": "x"}, "difference_seed"),
+        ({**AZUMA, "u_sigma_factors": "ab"}, "u_sigma_factors"),
+        ({**BERNSTEIN, "u_grid": "ab"}, "u_grid"),
+        ({**BERNSTEIN, "u_grid": {"start": 1, "stop": 2, "points": 3}}, "u_grid"),
+        ({**EMPIRICAL, "family_seed": "x"}, "family_seed"),
+        # values that must not be coerced, ignored or empty
+        ({**SIMULATE, "t0": 1.7}, "t0"),
+        ({**SIMULATE, "verify_tail": "no"}, "verify_tail"),
+        ({**SIMULATE, "coefficients": [[0.5, 1.0], [1.0, 0.5]]}, "coefficients"),
+        ({**MIXED, "basis_seed": 1.5}, "basis_seed"),
+        ({**MIXED, "family": "gaussian_linear"}, "family"),
+        ({**MIXED, "tail_beta": 2.0}, "tail_beta"),
+        ({**MIXED, "t0": 0}, "t0"),
+        ({**BERNSTEIN, "envelope_seed": -1}, "envelope_seed"),
+        ({**SIMULATE, "sampels": 60}, "sampels"),
+        ({**GAMMA, "bta": 2.0}, "bta"),
+        ({**RIP, "operater": "fourier"}, "operater"),
+        ({**AZUMA, "step": 4}, "step"),
+        ({**BERNSTEIN, "u-grid": [1.0]}, "u-grid"),
+        ({**EMPIRICAL, "noize": "uniform"}, "noize"),
+        ({**MIXED, "constant": {}}, "constant"),
+        ({**GAMMA, "matrix": [[0.0, 1.0], [1.0, 0.0]]}, "matrix"),
+        ({**GAMMA, "points": []}, "points"),
+        ({**MIXED, "u_grid": []}, "u_grid"),
+        ({**EMPIRICAL, "u_grid": []}, "u_grid"),
+        ({**AZUMA, "u_sigma_factors": []}, "u_sigma_factors"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):
+    # every experiment's table, not only the sampling ones
     kind = config["experiment"]
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def drop_config_echo(out):
+    """Output files by name; JSON reports without their config echo."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "manifest.json":
+            continue
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            payload.pop("experiment_config")
+            files[path.name] = payload
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "minimal",
+    [
+        {**SIMULATE, "samples": 400},
+        GAMMA,
+        RIP,
+        {**AZUMA, "samples": 400},
+        {**BERNSTEIN, "samples": 400},
+        {**EMPIRICAL, "samples": 400},
+        {**MIXED, "samples": 400},
+    ],
+    ids=lambda c: c["experiment"],
+)
+def test_spelled_out_defaults_match_minimal_config(tmp_path, minimal):
+    # a key left out must run exactly as the key given at its declared default
+    full = dict(minimal)
+    for key, (_, default) in cli._KEYS[minimal["experiment"]].items():
+        if key not in minimal and default is not None:
+            full[key] = default(minimal) if callable(default) else default
+    assert len(full) > len(minimal)
+    outputs = []
+    for name, cfg in (("minimal", minimal), ("full", full)):
+        path = write_config(tmp_path, cfg, name=f"{name}.json")
+        out = tmp_path / name
+        assert main([cfg["experiment"], "--config", path, "--out", str(out)]) == EXIT_OK
+        outputs.append(drop_config_echo(out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "error, label, code",
+    [
+        (FitFailureError, "fit failure", EXIT_CONFIG),
+        (InsufficientDataError, "insufficient data", EXIT_CONFIG),
+        (DegenerateMetricError, "degenerate metric", EXIT_CONFIG),
+        (ValidationError, "config error", EXIT_CONFIG),
+        (CapacityError, "capacity error", EXIT_CAPACITY),
+    ],
+)
+def test_runtime_failure_is_named(tmp_path, capsys, monkeypatch, error, label, code):
+    diagnostics = {"bound": "mixed", "violations": [{"u": 1.0, "empirical": 0.5}]}
+
+    def failing_fit(*args, **kwargs):
+        if error is FitFailureError:
+            raise FitFailureError("no feasible constants", diagnostics)
+        raise error("fit stopped")
+
+    monkeypatch.setattr(cli, "fit_constants", failing_fit)
+    path = write_config(tmp_path, MIXED)
+    out = tmp_path / "out"
+    assert main(["mixed-tail", "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(f"{label}: ")
+    written = out / "fit_diagnostics.json"
+    if error is FitFailureError:
+        assert json.loads(written.read_text()) == diagnostics
+    else:
+        assert not written.exists()
