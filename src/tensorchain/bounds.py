@@ -7,6 +7,12 @@ empirical tail.  The two bounds with fully explicit constants (the Azuma
 and Bernstein inequalities for Hermitian tensors) are verified as true
 probability bounds by Monte Carlo on generators that satisfy their
 hypotheses.
+
+Fitting and evaluation share one formula table, ``_TAIL_BOUNDS``, which
+maps each fitted bound to its public ``*_sup_tail_bound`` function and the
+two :class:`ConstantSet` slots it fills, and one verdict rule, the rows of
+:func:`tensorchain.report.make_rows`: a fitted scale is feasible when every
+row of its report holds.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import kernels, rng as rng_mod
 from .errors import DomainError, FitFailureError, ShapeError
-from .report import BoundReport, binomial_margin, make_rows
+from .report import BoundReport, make_rows
 from .tensor import GaugeNorm, einstein_product, is_hermitian, norm, unfold
 
 
@@ -252,73 +258,67 @@ def bernstein_tail(sigma, upsilon, n, u, row_modes):
 
 
 # ---------------------------------------------------------------------------
+# empirical processes
+# ---------------------------------------------------------------------------
+
+
+def empirical_sup_tail_bound(gamma2, gamma1, n, sigma, upsilon, u, chain_const, scale_const):
+    """Threshold C (gamma2/sqrt(n) + gamma1/n) + C' (sigma sqrt(u/n) + upsilon u/n)
+    with tail exp(-u) for the supremum of an empirical process; u >= 1."""
+    if u < 1:
+        raise DomainError("u must be at least 1")
+    threshold = chain_const * (gamma2 / math.sqrt(n) + gamma1 / n) + scale_const * (
+        sigma * math.sqrt(u) / math.sqrt(n) + upsilon * u / n
+    )
+    return threshold, math.exp(-u)
+
+
+# ---------------------------------------------------------------------------
 # constant fitting against empirical tails
 # ---------------------------------------------------------------------------
 
 SEARCH_BOX = (1e-2, 1e3)
+BISECTION_STEPS = 80
+
+# bound name -> (the ConstantSet slots of its two free constants, its
+# public tail formula as (threshold, prob_bound) of params, u, c1, c2)
+_TAIL_BOUNDS = {
+    "exp_tail": (
+        ("chain_const", "diam_const"),
+        lambda p, u, c1, c2: exp_tail_sup_tail_bound(
+            p["gamma"], p["diam"], u, p["beta"], c1, c2
+        ),
+    ),
+    "martingale": (
+        ("chain_const", "diam_const"),
+        lambda p, u, c1, c2: martingale_sup_tail_bound(p["gamma"], p["diam"], u, c1, c2),
+    ),
+    "mixed": (
+        ("mixed_chain_const", "mixed_scale_const"),
+        lambda p, u, c1, c2: mixed_tail_sup_tail_bound(p["gammas"], p["diams"], u, c1, c2),
+    ),
+    "empirical": (
+        ("mixed_chain_const", "mixed_scale_const"),
+        lambda p, u, c1, c2: empirical_sup_tail_bound(
+            p["gamma2"], p["gamma1"], p["n"], p["sigma"], p["upsilon"], u, c1, c2
+        ),
+    ),
+}
 
 
-def _bound_family(bound_name: str, params: dict):
-    """Threshold/probability pair for one bound family.
+def _tail_bound(bound_name: str):
+    if bound_name not in _TAIL_BOUNDS:
+        raise DomainError(f"unknown bound family {bound_name!r}")
+    return _TAIL_BOUNDS[bound_name]
 
-    Thresholds take the two free constants as arguments; the returned field
-    names say which ConstantSet slots they occupy.
-    """
-    if bound_name == "exp_tail":
-        beta = float(params["beta"])
-        gamma = float(params["gamma"])
-        diam = float(params["diam"])
-        pref = math.exp(1.0 / beta)
 
-        def thr(u, c_chain, c_diam):
-            return pref * (c_chain * gamma + u * c_diam * diam)
-
-        def prob(u):
-            return math.exp(-(u**beta) / beta)
-
-        return thr, prob, ("chain_const", "diam_const")
-    if bound_name == "martingale":
-        gamma = float(params["gamma"])
-        diam = float(params["diam"])
-
-        def thr(u, c_chain, c_diam):
-            return math.sqrt(math.e) * (c_chain * gamma + c_diam * diam * u)
-
-        def prob(u):
-            return math.exp(-(u**2) / 2.0)
-
-        return thr, prob, ("chain_const", "diam_const")
-    if bound_name == "mixed":
-        gammas = [float(g) for g in params["gammas"]]
-        diams = [float(d) for d in params["diams"]]
-        gsum = sum(gammas)
-
-        def thr(u, c_chain, c_scale):
-            mixed = sum(d * u ** (1.0 / (n + 1)) for n, d in enumerate(diams))
-            return c_chain * gsum + c_scale * mixed
-
-        def prob(u):
-            return math.exp(-u)
-
-        return thr, prob, ("mixed_chain_const", "mixed_scale_const")
-    if bound_name == "empirical":
-        gamma2 = float(params["gamma2"])
-        gamma1 = float(params["gamma1"])
-        n = float(params["n"])
-        sigma = float(params["sigma"])
-        upsilon = float(params["upsilon"])
-        chain_part = gamma2 / math.sqrt(n) + gamma1 / n
-
-        def thr(u, c_chain, c_scale):
-            return c_chain * chain_part + c_scale * (
-                sigma * math.sqrt(u) / math.sqrt(n) + upsilon * u / n
-            )
-
-        def prob(u):
-            return math.exp(-u)
-
-        return thr, prob, ("mixed_chain_const", "mixed_scale_const")
-    raise DomainError(f"unknown bound family {bound_name!r}")
+def _bound_rows(formula, sups: np.ndarray, u: np.ndarray, params: dict, c1, c2):
+    """One verdict row per u for the bound at constants (c1, c2)."""
+    pairs = [formula(params, uu, c1, c2) for uu in u]
+    thresholds = [thr for thr, _ in pairs]
+    probs = [pb for _, pb in pairs]
+    empir = [_exceedance(sups, thr) for thr in thresholds]
+    return make_rows(u, thresholds, probs, empir, sups.size)
 
 
 def _exceedance(sorted_sups: np.ndarray, threshold: float) -> float:
@@ -326,88 +326,63 @@ def _exceedance(sorted_sups: np.ndarray, threshold: float) -> float:
     return float(count) / sorted_sups.size
 
 
-def fit_constants(
-    bound_name: str,
-    sup_samples,
-    u_grid,
-    params: dict,
-    box=SEARCH_BOX,
-    margin_sigmas: float = 3.0,
-    iterations: int = 80,
-) -> ConstantSet:
+def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> ConstantSet:
     """Smallest feasible constants for the named bound, by log bisection.
 
     Both free constants of the family are tied to a single scale s (the
     search direction is (1, 1)), which makes feasibility monotone in s and
-    the fit deterministic.  Raises :class:`FitFailureError` when even the
-    top of the box fails, with per-u diagnostics.
+    the fit deterministic.  A scale is feasible when every row of the
+    report at constants (s, s) holds.  Raises :class:`FitFailureError` when
+    even the top of :data:`SEARCH_BOX` fails, with the failing rows as
+    diagnostics.
     """
     sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
     u = np.asarray(u_grid, dtype=np.float64)
-    thr, prob, field_names = _bound_family(bound_name, params)
-    samples = sups.size
+    slots, formula = _tail_bound(bound_name)
 
-    def feasible(s: float) -> bool:
-        for uu in u:
-            pb = prob(uu)
-            if _exceedance(sups, thr(uu, s, s)) > pb + binomial_margin(pb, samples, margin_sigmas):
-                return False
-        return True
+    def failing(s: float) -> list:
+        return [r for r in _bound_rows(formula, sups, u, params, s, s) if not r.holds]
 
-    lo, hi = float(box[0]), float(box[1])
-    if feasible(lo):
-        return ConstantSet(**{field_names[0]: lo, field_names[1]: lo})
-    if not feasible(hi):
+    lo, hi = SEARCH_BOX
+    if not failing(lo):
+        return ConstantSet(**{slots[0]: lo, slots[1]: lo})
+    violations = failing(hi)
+    if violations:
         diag = {
             "bound": bound_name,
             "box": [lo, hi],
             "violations": [
-                {
-                    "u": float(uu),
-                    "threshold": thr(uu, hi, hi),
-                    "prob_bound": prob(uu),
-                    "empirical": _exceedance(sups, thr(uu, hi, hi)),
-                }
-                for uu in u
-                if _exceedance(sups, thr(uu, hi, hi))
-                > prob(uu) + binomial_margin(prob(uu), samples, margin_sigmas)
+                {"u": r.u, "threshold": r.threshold, "prob_bound": r.prob_bound,
+                 "empirical": r.empirical}
+                for r in violations
             ],
         }
         raise FitFailureError(
-            f"no feasible constants for {bound_name!r} within {box}", diag
+            f"no feasible constants for {bound_name!r} within {SEARCH_BOX}", diag
         )
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = math.sqrt(lo * hi)
-        if feasible(mid):
-            hi = mid
-        else:
+        if failing(mid):
             lo = mid
-    return ConstantSet(**{field_names[0]: hi, field_names[1]: hi})
+        else:
+            hi = mid
+    return ConstantSet(**{slots[0]: hi, slots[1]: hi})
 
 
 def evaluate_bound(
-    bound_name: str,
-    sup_samples,
-    u_grid,
-    params: dict,
-    constants: ConstantSet,
-    margin_sigmas: float = 3.0,
+    bound_name: str, sup_samples, u_grid, params: dict, constants: ConstantSet
 ) -> BoundReport:
     """Compare the named bound against an empirical supremum sample."""
     sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
     u = np.asarray(u_grid, dtype=np.float64)
-    thr, prob, field_names = _bound_family(bound_name, params)
-    c1 = getattr(constants, field_names[0])
-    c2 = getattr(constants, field_names[1])
-    thresholds = [thr(uu, c1, c2) for uu in u]
-    probs = [prob(uu) for uu in u]
-    empir = [_exceedance(sups, t) for t in thresholds]
-    rows = make_rows(u, thresholds, probs, empir, sups.size, margin_sigmas)
+    slots, formula = _tail_bound(bound_name)
+    c1 = getattr(constants, slots[0])
+    c2 = getattr(constants, slots[1])
     return BoundReport(
         bound_name=bound_name,
         inputs={**{k: _plain(v) for k, v in params.items()}, "samples": int(sups.size)},
-        rows=rows,
-        fitted={field_names[0]: c1, field_names[1]: c2},
+        rows=_bound_rows(formula, sups, u, params, c1, c2),
+        fitted={slots[0]: c1, slots[1]: c2},
     )
 
 
@@ -429,7 +404,6 @@ def verify_azuma(
     n_samples: int,
     seed: int,
     u_sigma_factors=(2.0, 3.0, 4.0),
-    margin_sigmas: float = 3.0,
 ) -> BoundReport:
     """Empirical check of the Azuma bound on a sign-flip martingale.
 
@@ -450,7 +424,7 @@ def verify_azuma(
     u_values = [f * sigma for f in u_sigma_factors]
     probs = [min(1.0, azuma_tail(sigma, u, shape.row_modes)) for u in u_values]
     empir = [float((stats >= u).mean()) for u in u_values]
-    rows = make_rows(u_values, u_values, probs, empir, n_samples, margin_sigmas)
+    rows = make_rows(u_values, u_values, probs, empir, n_samples)
     return BoundReport(
         bound_name="azuma",
         inputs={
@@ -469,7 +443,6 @@ def verify_bernstein(
     n_samples: int,
     seed: int,
     u_grid=(1.0, 2.0, 3.0),
-    margin_sigmas: float = 3.0,
 ) -> BoundReport:
     """Empirical check of the Bernstein bound on bounded Hermitian draws.
 
@@ -498,7 +471,7 @@ def verify_bernstein(
         thresholds.append(thr)
         probs.append(min(1.0, pb))
     empir = [float((stats >= t).mean()) for t in thresholds]
-    rows = make_rows(u_grid, thresholds, probs, empir, n_samples, margin_sigmas)
+    rows = make_rows(u_grid, thresholds, probs, empir, n_samples)
     return BoundReport(
         bound_name="bernstein",
         inputs={

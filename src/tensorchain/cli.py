@@ -112,9 +112,9 @@ def _enum(*choices):
     return _check(lambda v: v in choices, f"one of {', '.join(choices)}")
 
 
-def _grid(objects):
-    """Nonempty, ascending and nonnegative; with ``objects`` also the
-    ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly."""
+def _grid(objects, minimum=0):
+    """Nonempty, ascending and at least ``minimum``; with ``objects`` also
+    the ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly."""
 
     def ok(v):
         if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
@@ -122,9 +122,9 @@ def _grid(objects):
             if not (_is_numbers([start, stop]) and _is_int(points) and points >= 1):
                 return False
             v = _u_grid(v).tolist()
-        return _is_numbers(v) and v[0] >= 0 and all(a < b for a, b in zip(v, v[1:]))
+        return _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
 
-    form = "a nonempty ascending list of nonnegative numbers"
+    form = f"a nonempty ascending list of numbers >= {minimum}"
     if objects:
         form += " or an object of numbers start, stop and an integer points >= 1"
     return _check(ok, form)
@@ -178,7 +178,8 @@ _PROCESS = {
     "metric_scale": (_POSITIVE, 2.0),
 }
 _CONSTANTS = (_constants, None)  # None: fitted to the sampled suprema
-_FITTED_GRID = (_grid(True), {"start": 1.0, "stop": 5.0, "points": 10})
+# the fitted tail bounds hold for u >= 1 only
+_FITTED_GRID = (_grid(True, 1), {"start": 1.0, "stop": 5.0, "points": 10})
 
 # experiment -> {key: (check, default)}; a default is a value, _REQUIRED, or
 # a function of the config
@@ -472,13 +473,17 @@ _RUNNERS = {
 
 
 def run(config: dict, out_dir) -> RunManifest:
-    """Execute the configured experiment and write its outputs."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute the configured experiment and write its outputs.
+
+    The output directory is created once the experiment has run, so a run
+    that fails leaves none behind.
+    """
     outputs = {}
     stages = {}
     start = time.perf_counter()
     verdicts = _RUNNERS[config["experiment"]](config, _settings(config), outputs)
     stages["run"] = time.perf_counter() - start
+    os.makedirs(out_dir, exist_ok=True)
     digests = {}
     start = time.perf_counter()
     for name, text in sorted(outputs.items()):
@@ -543,6 +548,7 @@ def main(argv=None) -> int:
     except TensorChainError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         if isinstance(exc, FitFailureError):
+            os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "fit_diagnostics.json"), "w") as fh:
                 fh.write(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG

@@ -25,9 +25,11 @@ import numpy as np
 from . import kernels, rng as rng_mod
 from .chaining import FiniteMetricSpace, build_admissible_greedy, gamma_value
 from .errors import DomainError, ValidationError
-from .report import BoundReport
+from .report import MARGIN_SIGMAS, BoundReport
 from .tensor import DenseTensor
 from .bounds import ConstantSet, evaluate_bound, fit_constants
+# the empirical-process tail bound is declared with the other bounds
+from .bounds import empirical_sup_tail_bound  # noqa: F401
 
 _NOISE_LAWS = ("rademacher", "uniform")
 
@@ -157,17 +159,6 @@ def empirical_sup_moment_bound(gamma2, gamma1, n, sigma, upsilon, p, const=1.0) 
     )
 
 
-def empirical_sup_tail_bound(gamma2, gamma1, n, sigma, upsilon, u, chain_const, scale_const):
-    """Threshold C (gamma2/sqrt(n) + gamma1/n) + C' (sigma sqrt(u/n) + upsilon u/n)
-    with tail exp(-u); u >= 1."""
-    if u < 1:
-        raise DomainError("u must be at least 1")
-    threshold = chain_const * (gamma2 / math.sqrt(n) + gamma1 / n) + scale_const * (
-        sigma * math.sqrt(u) / math.sqrt(n) + upsilon * u / n
-    )
-    return threshold, math.exp(-u)
-
-
 def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np.ndarray:
     """Per-sample sup_t || (1/n) sum_i w_i theta_i(t) ||_spec."""
     if n_samples < 1:
@@ -186,7 +177,6 @@ def verify_empirical_bound(
     n_samples: int,
     u_grid,
     constants: ConstantSet | None = None,
-    margin_sigmas: float = 3.0,
 ) -> BoundReport:
     """Fit (or take) constants and compare the tail bound with simulation."""
     space = family_space(family)
@@ -201,12 +191,8 @@ def verify_empirical_bound(
         "upsilon": family.upsilon,
     }
     if constants is None:
-        constants = fit_constants(
-            "empirical", sups, u_grid, params, margin_sigmas=margin_sigmas
-        )
-    report = evaluate_bound(
-        "empirical", sups, u_grid, params, constants, margin_sigmas
-    )
+        constants = fit_constants("empirical", sups, u_grid, params)
+    report = evaluate_bound("empirical", sups, u_grid, params, constants)
     inputs = dict(report.inputs)
     inputs.update({"noise": family.noise, "seed": seed, "t_count": family.t_count})
     # fit-time concentration record: the average supremum against the
@@ -238,13 +224,13 @@ def check_bernstein_condition(
     seed: int,
     n_samples: int,
     p_values=(2, 3, 4),
-    margin_sigmas: float = 3.0,
 ):
     """Monte Carlo check of E X^p <= (p! upsilon^(p-2) / 2) A_i^2 per (t, i).
 
     The order check is lambda_min(bound - estimate) >= -margin with the
-    margin set to ``margin_sigmas`` spectral standard errors of the
-    estimated moment tensor.  Returns one record per (p, t, i).
+    margin set to :data:`~tensorchain.report.MARGIN_SIGMAS` spectral
+    standard errors of the estimated moment tensor.  Returns one record per
+    (p, t, i).
     """
     gen = rng_mod.stream(seed, 0)
     w = _draw_noise(family.noise, gen, n_samples)
@@ -259,7 +245,7 @@ def check_bernstein_condition(
                 theta = family.parameters[t, i]
                 theta_p = np.linalg.matrix_power(theta, p)
                 estimate = mean_wp * theta_p
-                margin = margin_sigmas * se_wp * float(
+                margin = MARGIN_SIGMAS * se_wp * float(
                     np.linalg.svd(theta_p, compute_uv=False)[0]
                 )
                 bound = (

@@ -334,7 +334,6 @@ def verify_increment_tail(
     metric_id: str,
     beta: float,
     u_grid,
-    margin_sigmas: float = 3.0,
 ) -> BoundReport:
     """Check P(||X_t - X_s|| >= u d(s,t)) <= 2 exp(-u^beta) on every pair.
 
@@ -371,7 +370,7 @@ def verify_increment_tail(
         worst_freq[i] = freq.max(initial=0.0)
         if bounds[i] > 0:
             worst_ratio = max(worst_ratio, worst_freq[i] / bounds[i])
-    rows = make_rows(u, u, bounds, worst_freq, samples, margin_sigmas)
+    rows = make_rows(u, u, bounds, worst_freq, samples)
     return BoundReport(
         bound_name="increment_exponential_tail",
         inputs={

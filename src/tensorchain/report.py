@@ -17,8 +17,12 @@ from dataclasses import asdict, dataclass, field
 from .errors import ValidationError
 
 
-def binomial_margin(prob: float, samples: int, sigmas: float = 3.0) -> float:
-    """`sigmas` binomial standard errors at success probability `prob`.
+# binomial standard errors of slack every verdict allows
+MARGIN_SIGMAS = 3.0
+
+
+def binomial_margin(prob: float, samples: int) -> float:
+    """MARGIN_SIGMAS binomial standard errors at success probability `prob`.
 
     The standard error is floored at 1/samples: below that, a frequency
     estimator has no resolution, and an unfloored margin would force
@@ -27,7 +31,7 @@ def binomial_margin(prob: float, samples: int, sigmas: float = 3.0) -> float:
     p = min(max(prob, 0.0), 1.0)
     if samples <= 0:
         return 0.0
-    return sigmas * max(math.sqrt(p * (1.0 - p) / samples), 1.0 / samples)
+    return MARGIN_SIGMAS * max(math.sqrt(p * (1.0 - p) / samples), 1.0 / samples)
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,10 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def make_rows(u_grid, thresholds, prob_bounds, empiricals, samples, sigmas=3.0):
+def make_rows(u_grid, thresholds, prob_bounds, empiricals, samples):
     rows = []
     for u, thr, pb, emp in zip(u_grid, thresholds, prob_bounds, empiricals):
-        margin = binomial_margin(pb, samples, sigmas)
+        margin = binomial_margin(pb, samples)
         rows.append(
             BoundRow(
                 u=float(u),

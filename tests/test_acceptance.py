@@ -14,6 +14,7 @@ import pytest
 
 from tensorchain import rng as trng
 from tensorchain.bounds import (
+    SEARCH_BOX,
     evaluate_bound,
     fit_constants,
     moment_to_tail,
@@ -256,7 +257,6 @@ def test_criterion_5_explicit_constant_bounds():
 
 def test_criterion_6_fitted_constant_bounds():
     grid = np.linspace(1.0, 5.0, 10)
-    box = (1e-2, 1e3)
 
     basis = tuple(random_hermitian((2,), trng.stream(1010, k)) for k in range(4))
     coeffs = trng.stream(1010, 99).uniform(-1.0, 1.0, (8, 4))
@@ -274,12 +274,12 @@ def test_criterion_6_fitted_constant_bounds():
     for seed in (1, 2, 3):
         ens = sample_ensemble(spec, space, 7000 + seed, SAMPLES)
         sups = ens.sup_samples(0)
-        cs = fit_constants("exp_tail", sups, grid, params, box=box)
+        cs = fit_constants("exp_tail", sups, grid, params)
         fits.append(cs.chain_const)
         verdicts.append(evaluate_bound("exp_tail", sups, grid, params, cs).verdict)
     single_ok = (
         all(v == "holds" for v in verdicts)
-        and all(box[0] <= f <= box[1] for f in fits)
+        and all(SEARCH_BOX[0] <= f <= SEARCH_BOX[1] for f in fits)
         and max(fits) / min(fits) <= 1.2
     )
 
@@ -305,12 +305,12 @@ def test_criterion_6_fitted_constant_bounds():
     verdicts2 = []
     for seed in (4, 5, 6):
         sups = sample_mixed_sups(spec_g, spec_e, 8000 + seed, SAMPLES)
-        cs = fit_constants("mixed", sups, grid, params2, box=box)
+        cs = fit_constants("mixed", sups, grid, params2)
         fits2.append(cs.mixed_chain_const)
         verdicts2.append(evaluate_bound("mixed", sups, grid, params2, cs).verdict)
     mixed_ok = (
         all(v == "holds" for v in verdicts2)
-        and all(box[0] <= f <= box[1] for f in fits2)
+        and all(SEARCH_BOX[0] <= f <= SEARCH_BOX[1] for f in fits2)
         and max(fits2) / min(fits2) <= 1.2
     )
     conclude(

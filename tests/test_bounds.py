@@ -5,9 +5,11 @@ import pytest
 
 from tensorchain import rng as trng
 from tensorchain.bounds import (
+    SEARCH_BOX,
     ConstantSet,
     azuma_tail,
     bernstein_tail,
+    empirical_sup_tail_bound,
     evaluate_bound,
     exp_tail_sup_moment_bound,
     exp_tail_sup_tail_bound,
@@ -383,6 +385,72 @@ def test_fit_failure_diagnostics():
     with pytest.raises(FitFailureError) as err:
         fit_constants("exp_tail", sups, np.array([1.0]), params)
     assert err.value.diagnostics["violations"]
+    # the failing rows at the top of the box, under their own four keys
+    top = SEARCH_BOX[1]
+    thr, pb = exp_tail_sup_tail_bound(1e-12, 1e-12, 1.0, 2.0, top, top)
+    assert err.value.diagnostics == {
+        "bound": "exp_tail",
+        "box": list(SEARCH_BOX),
+        "violations": [{"u": 1.0, "threshold": thr, "prob_bound": pb, "empirical": 1.0}],
+    }
+
+
+# every fitted family, its params, and its public formula at constants (c1, c2)
+FAMILIES = {
+    "exp_tail": (
+        {"beta": 2.0, "gamma": 0.7, "diam": 1.3},
+        lambda u, c1, c2: exp_tail_sup_tail_bound(0.7, 1.3, u, 2.0, c1, c2),
+    ),
+    "martingale": (
+        {"gamma": 0.7, "diam": 1.3},
+        lambda u, c1, c2: martingale_sup_tail_bound(0.7, 1.3, u, c1, c2),
+    ),
+    "mixed": (
+        {"gammas": [0.4, 0.9], "diams": [1.1, 0.6]},
+        lambda u, c1, c2: mixed_tail_sup_tail_bound([0.4, 0.9], [1.1, 0.6], u, c1, c2),
+    ),
+    "empirical": (
+        {"gamma2": 0.8, "gamma1": 0.3, "n": 8, "sigma": 0.5, "upsilon": 1.2},
+        lambda u, c1, c2: empirical_sup_tail_bound(0.8, 0.3, 8, 0.5, 1.2, u, c1, c2),
+    ),
+}
+
+
+@pytest.mark.parametrize("bound_name", sorted(FAMILIES))
+def test_evaluation_rows_are_the_public_formula(bound_name):
+    params, formula = FAMILIES[bound_name]
+    cs = ConstantSet(
+        chain_const=1.7, diam_const=0.6, mixed_chain_const=2.3, mixed_scale_const=0.9
+    )
+    sups = np.abs(trng.stream(24, 0).standard_normal(500))
+    rep = evaluate_bound(bound_name, sups, np.linspace(1.0, 4.0, 7), params, cs)
+    c1, c2 = rep.fitted.values()
+    for row in rep.rows:
+        assert (row.threshold, row.prob_bound) == formula(row.u, c1, c2)
+
+
+@pytest.mark.parametrize("bound_name", ["mixed", "empirical"])
+def test_fitted_bound_rejects_u_below_one(bound_name):
+    params, _ = FAMILIES[bound_name]
+    sups = np.abs(trng.stream(25, 0).standard_normal(500))
+    grid = [0.5, 1.0]
+    with pytest.raises(DomainError):
+        evaluate_bound(bound_name, sups, grid, params, ConstantSet())
+    with pytest.raises(DomainError):
+        fit_constants(bound_name, sups, grid, params)
+
+
+@pytest.mark.parametrize("bound_name", ["martingale", "empirical"])
+def test_fitted_constants_hold(bound_name):
+    params, _ = FAMILIES[bound_name]
+    sups = np.abs(trng.stream(26, 0).standard_normal(4000))
+    grid = np.linspace(1.0, 5.0, 8)
+    cs = fit_constants(bound_name, sups, grid, params)
+    rep = evaluate_bound(bound_name, sups, grid, params, cs)
+    assert rep.verdict == "holds"
+    # and the fit is the smallest such scale: just below it a row fails
+    below = ConstantSet(**{k: v * (1 - 1e-9) for k, v in rep.fitted.items()})
+    assert evaluate_bound(bound_name, sups, grid, params, below).verdict == "violated"
 
 
 def test_evaluate_bound_report_shape():

@@ -369,6 +369,11 @@ BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
         ({**MIXED, "u_grid": []}, "u_grid"),
         ({**EMPIRICAL, "u_grid": []}, "u_grid"),
         ({**AZUMA, "u_sigma_factors": []}, "u_sigma_factors"),
+        # fitted tail bounds are stated for u >= 1 only
+        ({**MIXED, "u_grid": [0.5, 1.0]}, "u_grid"),
+        ({**MIXED, "u_grid": {"start": 0, "stop": 2, "points": 3}}, "u_grid"),
+        ({**EMPIRICAL, "u_grid": [0.5, 1.0]}, "u_grid"),
+        ({**EMPIRICAL, "u_grid": {"start": 0, "stop": 2, "points": 3}}, "u_grid"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):
@@ -378,6 +383,15 @@ def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # t0 passes its own check but lies outside the 4-index space
+    path = write_config(tmp_path, {**SIMULATE, "t0": 9})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "outside the space" in capsys.readouterr().err
     assert not out.exists()
 
 
