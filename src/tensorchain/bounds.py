@@ -18,12 +18,12 @@ row of its report holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels, rng as rng_mod
-from .errors import DomainError, FitFailureError, ShapeError
+from .errors import DomainError, FitFailureError, ShapeError, ValidationError
 from .report import BoundReport, make_rows
 from .tensor import GaugeNorm, einstein_product, is_hermitian, norm, unfold
 
@@ -312,6 +312,11 @@ def _tail_bound(bound_name: str):
     return _TAIL_BOUNDS[bound_name]
 
 
+def constant_slots(bound_name: str) -> tuple:
+    """The two :class:`ConstantSet` slots the named bound reads."""
+    return _tail_bound(bound_name)[0]
+
+
 def _bound_rows(formula, sups: np.ndarray, u: np.ndarray, params: dict, c1, c2):
     """One verdict row per u for the bound at constants (c1, c2)."""
     pairs = [formula(params, uu, c1, c2) for uu in u]
@@ -334,10 +339,12 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     the fit deterministic.  A scale is feasible when every row of the
     report at constants (s, s) holds.  Raises :class:`FitFailureError` when
     even the top of :data:`SEARCH_BOX` fails, with the failing rows as
-    diagnostics.
+    diagnostics, and :class:`ValidationError` for an empty u grid.
     """
     sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
     u = np.asarray(u_grid, dtype=np.float64)
+    if u.size == 0:
+        raise ValidationError(f"{bound_name}: a fit needs at least one u")
     slots, formula = _tail_bound(bound_name)
 
     def failing(s: float) -> list:
@@ -484,8 +491,3 @@ def verify_bernstein(
         },
         rows=rows,
     )
-
-
-def with_series_constant(constants: ConstantSet) -> ConstantSet:
-    """Fill in the computable union-bound series constant."""
-    return replace(constants, series_const=union_bound_series_constant())

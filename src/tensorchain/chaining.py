@@ -26,7 +26,7 @@ from .errors import CapacityError, DomainError, ValidationError
 
 _TRIANGLE_TOL = 1e-9
 _EXACT_COVER_LIMIT = 20
-_EXHAUSTIVE_LIMIT = 16
+EXHAUSTIVE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,9 @@ def gamma_exhaustive(space, metric_id, beta) -> float:
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
-    if space.size > _EXHAUSTIVE_LIMIT:
+    if space.size > EXHAUSTIVE_LIMIT:
         raise CapacityError(
-            f"exhaustive search limited to {_EXHAUSTIVE_LIMIT} points, "
+            f"exhaustive search limited to {EXHAUSTIVE_LIMIT} points, "
             f"got {space.size}; use build_admissible_greedy"
         )
     if space.size == 1:

@@ -21,19 +21,21 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, rng as rng_mod, sensing
 from .bounds import (
     ConstantSet,
+    constant_slots,
     evaluate_bound,
     fit_constants,
     verify_azuma,
     verify_bernstein,
 )
 from .chaining import (
+    EXHAUSTIVE_LIMIT,
     FiniteMetricSpace,
     build_admissible_greedy,
     covering_curve,
@@ -130,15 +132,23 @@ def _grid(objects, minimum=0):
     return _check(ok, form)
 
 
-def _constants(v):
-    if not isinstance(v, dict):
-        return "must be an object"
-    unknown = sorted(set(v) - {f.name for f in fields(ConstantSet)})
-    if unknown:
-        return f"unknown keys {', '.join(unknown)}"
-    if not all(_is_number(x) for x in v.values()):
-        return "every value must be a number"
-    return None
+def _constants(bound_name):
+    """The ``constants`` key of an experiment whose tail bound is
+    ``bound_name``: numbers for the ConstantSet slots that bound reads, or
+    None (the default) to fit them to the sampled suprema."""
+    slots = constant_slots(bound_name)
+
+    def check(v):
+        if not isinstance(v, dict):
+            return "must be an object"
+        unknown = sorted(set(v) - set(slots))
+        if unknown:
+            return f"unknown keys {', '.join(unknown)}; allowed: {', '.join(slots)}"
+        if not all(_is_number(x) for x in v.values()):
+            return "every value must be a number"
+        return None
+
+    return check, None
 
 
 _POSITIVE = _check(lambda v: _is_number(v) and v > 0, "a positive number")
@@ -149,6 +159,9 @@ _DIMS = _check(
     "a nonempty list of positive integers",
 )
 _NUMBERS = _check(_is_numbers, "a nonempty list of numbers")
+_NONNEGATIVES = _check(
+    lambda v: _is_numbers(v) and min(v) >= 0, "a nonempty list of numbers >= 0"
+)
 _ROWS = _check(_is_rows, "a nonempty list of equal-length number lists")
 _POINTS = _check(
     lambda v: _is_numbers(v) or _is_rows(v),
@@ -177,7 +190,6 @@ _PROCESS = {
     "coefficients": (_ROWS, None),  # None: uniform on [-1, 1] from the basis stream
     "metric_scale": (_POSITIVE, 2.0),
 }
-_CONSTANTS = (_constants, None)  # None: fitted to the sampled suprema
 # the fitted tail bounds hold for u >= 1 only
 _FITTED_GRID = (_grid(True, 1), {"start": 1.0, "stop": 5.0, "points": 10})
 
@@ -217,7 +229,7 @@ _KEYS = {
         **_SAMPLING,
         "steps": (_integer(1), _REQUIRED),
         "difference_seed": _NEXT_SEED,
-        "u_sigma_factors": (_NUMBERS, [2.0, 3.0, 4.0]),
+        "u_sigma_factors": (_NONNEGATIVES, [2.0, 3.0, 4.0]),
     },
     "verify-bernstein": {
         **_SAMPLING,
@@ -232,9 +244,9 @@ _KEYS = {
         "family_seed": _NEXT_SEED,
         "noise": (_enum(*_NOISE_LAWS), "rademacher"),
         "u_grid": _FITTED_GRID,
-        "constants": _CONSTANTS,
+        "constants": _constants("empirical"),
     },
-    "mixed-tail": {**_PROCESS, "u_grid": _FITTED_GRID, "constants": _CONSTANTS},
+    "mixed-tail": {**_PROCESS, "u_grid": _FITTED_GRID, "constants": _constants("mixed")},
 }
 
 EXPERIMENTS = tuple(_KEYS)
@@ -269,13 +281,10 @@ def validate(config: dict) -> list:
         size = math.prod(config["col_dims"])
         if config["target_size"] > size:
             diags.append(f"target_size: must not exceed the source size {size}")
-        count = sensing._support_count(size, config["xi"])
-        budget = sensing.DEFAULT_SUPPORT_BUDGET
-        if count > budget:
-            diags.append(
-                f"capacity: xi/col_dims: {count} supports exceed the "
-                f"exact-scan budget of {budget}; shrink xi or col_dims"
-            )
+        try:
+            sensing.check_scan_capacity(size, config["xi"])
+        except CapacityError as exc:
+            diags.append(f"capacity: xi/col_dims: {exc}; shrink xi or col_dims")
     return diags
 
 
@@ -365,7 +374,7 @@ def _run_gamma(config, p, outputs):
         "gamma_greedy": gamma_value(space, metric_id, beta, seq),
         "dudley_integral": curve.dudley_integral(),
     }
-    if space.size <= 16:
+    if space.size <= EXHAUSTIVE_LIMIT:
         report["gamma_exhaustive"] = gamma_exhaustive(space, metric_id, beta)
     report["gamma_truncated"] = {
         str(q): gamma_truncated_value(space, metric_id, beta, q, seq)
@@ -543,15 +552,19 @@ def main(argv=None) -> int:
         if all(d.startswith("capacity:") for d in diagnostics):
             return EXIT_CAPACITY
         return EXIT_CONFIG
-    try:
-        manifest = run(config, args.out)
-    except TensorChainError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        if isinstance(exc, FitFailureError):
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "fit_diagnostics.json"), "w") as fh:
-                fh.write(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
-        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG
+    try:  # an --out that cannot be created or written
+        try:
+            manifest = run(config, args.out)
+        except TensorChainError as exc:
+            print(f"{exc.label}: {exc}", file=sys.stderr)
+            if isinstance(exc, FitFailureError):
+                os.makedirs(args.out, exist_ok=True)
+                with open(os.path.join(args.out, "fit_diagnostics.json"), "w") as fh:
+                    fh.write(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
+            return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if any(v == "violated" for v in manifest.verdicts):
         print("bound verdict: violated", file=sys.stderr)
         return EXIT_VERDICT

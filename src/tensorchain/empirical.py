@@ -125,9 +125,6 @@ def family_metrics(family: EmpiricalFamily, s_idx: int, t_idx: int):
     difference; d2 the quadratic mean of those norms.
     """
     diff = family.parameters[t_idx] - family.parameters[s_idx]
-    gap = np.abs(diff - diff.conj().transpose(0, 2, 1)).max()
-    if gap > 1e-10:
-        raise DomainError("parameter differences must be Hermitian")
     norms = kernels.batch_spectral(np.ascontiguousarray(diff))
     d1 = float(norms.max())
     d2 = float(math.sqrt(np.mean(norms**2)))

@@ -4,9 +4,9 @@ A signal lives on the column-mode index space (J_1, ..., J_N); a
 measurement operator is a (rows; J) tensor.  The restricted isometry
 constant of order xi is the worst deviation of a xi-column Gram block of
 the unfolding from the identity, so it is computed exactly by scanning
-every support of size xi in lexicographic order, without pruning, whenever
-the support count fits the budget, and estimated by random support probes
-otherwise.
+every support of size xi in lexicographic order, without pruning.  Every
+scan is exact: one whose support count exceeds :data:`SUPPORT_BUDGET` is
+refused with :class:`CapacityError` before any work.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by
@@ -31,8 +31,7 @@ from . import kernels, rng as rng_mod
 from .errors import CapacityError, DegenerateOperatorWarning, DomainError
 from .tensor import DenseTensor, Shape, fold, is_unitary, unfold
 
-DEFAULT_SUPPORT_BUDGET = 1_000_000
-DEFAULT_PROBE_COUNT = 512
+SUPPORT_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +154,20 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def _support_count(ncols: int, xi: int) -> int:
-    return math.comb(ncols, min(xi, ncols))
+def check_scan_capacity(ncols: int, xi: int) -> None:
+    """Refuse an exact scan of more than :data:`SUPPORT_BUDGET` supports.
+
+    The scan covers every support of size min(xi, ncols) among ``ncols``
+    columns; :class:`CapacityError` names the count and the budget.
+    """
+    count = math.comb(ncols, min(xi, ncols))
+    if count > SUPPORT_BUDGET:
+        raise CapacityError(
+            f"{count} supports exceed the exact-scan budget of {SUPPORT_BUDGET}"
+        )
 
 
-def rip_exact(a: DenseTensor, xi: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> float:
+def rip_exact(a: DenseTensor, xi: int) -> float:
     """Exact isometry constant: worst eigenvalue deviation of a Gram block.
 
     Deviations only grow as supports grow (eigenvalue interlacing), so only
@@ -168,34 +176,17 @@ def rip_exact(a: DenseTensor, xi: int, budget: int = DEFAULT_SUPPORT_BUDGET) -> 
     if xi < 1:
         raise DomainError("xi must be at least 1")
     ncols = a.shape.col_count
-    k = min(xi, ncols)
-    count = _support_count(ncols, k)
-    if count > budget:
-        raise CapacityError(
-            f"{count} supports exceed the budget of {budget}; "
-            "use rip_monte_carlo for a sampled estimate"
-        )
+    check_scan_capacity(ncols, xi)
     mat = unfold(a)
     gram = mat.conj().T @ mat
-    return float(kernels.rip_scan(gram, k))
-
-
-def _rip_sampled(a: DenseTensor, xi: int, gen: np.random.Generator, probes: int) -> float:
-    ncols = a.shape.col_count
-    k = min(xi, ncols)
-    mat = unfold(a)
-    gram = mat.conj().T @ mat
-    best = 0.0
-    for _ in range(probes):
-        sel = np.sort(gen.choice(ncols, size=k, replace=False))
-        w = np.linalg.eigvalsh(gram[np.ix_(sel, sel)])
-        best = max(best, float(w[-1] - 1.0), float(1.0 - w[0]))
-    return best
+    return float(kernels.rip_scan(gram, min(xi, ncols)))
 
 
 @dataclass(frozen=True)
 class RipReport:
     """Monte Carlo sweep of the isometry constant under random sampling."""
+
+    method = "exact"  # every trial's tau value comes from an exact scan
 
     xi: int
     tau: float
@@ -203,7 +194,6 @@ class RipReport:
     seed: int
     target_size: int
     source_dims: tuple
-    method: str  # "exact" or "sampled"
     tau_values: tuple
     eta_hat: float
     eta_ci: tuple  # normal-approximation 95% interval, clipped to [0, 1]
@@ -239,34 +229,26 @@ def rip_monte_carlo(
     trials: int,
     seed: int,
     target_size: int,
-    budget: int = DEFAULT_SUPPORT_BUDGET,
-    probe_count: int = DEFAULT_PROBE_COUNT,
 ) -> RipReport:
     """Frequency of tau_xi(sampled operator) >= tau over seeded trials.
 
     Each trial draws its pattern from stream (seed, trial), so reports merge
-    deterministically by trial index.  tau values are exact when the support
-    scan fits the budget; otherwise each trial uses ``probe_count`` random
-    supports and the report is flagged "sampled" (a lower-bound estimate).
+    deterministically by trial index.  Every tau value is exact; a scan over
+    :data:`SUPPORT_BUDGET` supports raises :class:`CapacityError` before the
+    first pattern is drawn.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if xi < 1:
         raise DomainError("xi must be at least 1")
+    check_scan_capacity(u.shape.col_count, xi)
     source_dims = u.shape.row_modes
-    ncols = u.shape.col_count
-    exact = _support_count(ncols, xi) <= budget
     values = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOperatorWarning)
         for trial in range(trials):
             pattern = draw_pattern(source_dims, target_size, seed, stream_index=trial)
-            op = sample_operator(u, pattern)
-            if exact:
-                values.append(rip_exact(op, xi, budget))
-            else:
-                gen = rng_mod.stream(seed, (1 << 32) + trial)
-                values.append(_rip_sampled(op, xi, gen, probe_count))
+            values.append(rip_exact(sample_operator(u, pattern), xi))
     arr = np.array(values)
     eta_hat = float((arr >= tau).mean())
     half = 1.96 * math.sqrt(max(eta_hat * (1.0 - eta_hat), 0.0) / trials)
@@ -278,7 +260,6 @@ def rip_monte_carlo(
         seed=int(seed),
         target_size=int(target_size),
         source_dims=source_dims,
-        method="exact" if exact else "sampled",
         tau_values=tuple(float(v) for v in values),
         eta_hat=eta_hat,
         eta_ci=ci,

@@ -484,6 +484,11 @@ def _evaluation_without_points():
     return evaluate_bound("exp_tail", sups, [], params, ConstantSet())
 
 
+def _fit_without_points():
+    params = {"gammas": [0.4, 0.9], "diams": [1.1, 0.6]}
+    return fit_constants("mixed", [1.0, 2.0], [], params)
+
+
 def _increment_tail_without_points():
     basis = (random_hermitian((2,), trng.stream(22, 0)),)
     spec = ProcessSpec("gaussian_linear", np.array([[0.0], [1.0], [2.0]]), basis, 2.0)
@@ -498,6 +503,7 @@ def _increment_tail_without_points():
         _azuma_without_points,
         _bernstein_without_points,
         _evaluation_without_points,
+        _fit_without_points,
         _increment_tail_without_points,
     ],
 )

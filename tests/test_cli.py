@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +376,11 @@ BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
         ({**MIXED, "u_grid": {"start": 0, "stop": 2, "points": 3}}, "u_grid"),
         ({**EMPIRICAL, "u_grid": [0.5, 1.0]}, "u_grid"),
         ({**EMPIRICAL, "u_grid": {"start": 0, "stop": 2, "points": 3}}, "u_grid"),
+        ({**AZUMA, "u_sigma_factors": [-1.0, 2.0]}, "u_sigma_factors"),
+        # constants the bound does not read
+        ({**MIXED, "constants": {"chain_const": 1000.0}}, "chain_const"),
+        ({**EMPIRICAL, "constants": {"diam_const": 2.0}}, "diam_const"),
+        ({**MIXED, "constants": {"mixed_chain_const": "1"}}, "constants"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):
@@ -384,6 +391,23 @@ def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key
     assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unusable_out_exits_with_diagnostic(tmp_path, capsys):
+    path = write_config(tmp_path, GAMMA_CONFIG)
+    out = tmp_path / "taken"
+    out.write_text("a regular file")
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert f"output error: {out}" in capsys.readouterr().err
+    assert out.read_text() == "a regular file"
+
+
+def test_readme_configs_validate():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        assert validate(json.loads(block)) == []
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, capsys):

@@ -112,6 +112,16 @@ def test_metric_quadratic_mean_below_max():
             assert d2 <= d1 + 1e-12
 
 
+def test_family_space_accepts_every_valid_family():
+    # each tensor is within the construction's Hermitian tolerance of 1e-10,
+    # their difference (gap 1.6e-10) is not
+    params = np.zeros((2, 1, 2, 2), complex)
+    params[0, 0] = [[1.0, 0.8e-10], [0.0, 1.0]]
+    params[1, 0] = [[1.0, -0.8e-10], [0.0, 1.0]]
+    space = family_space(EmpiricalFamily((2,), params))
+    assert space.distance_matrix("d1")[0, 1] == pytest.approx(1.6e-10, rel=1e-9)
+
+
 def test_family_space_carries_both_metrics():
     fam = diagonal_family((2,), t_count=4, n=3, seed=5)
     space = family_space(fam)

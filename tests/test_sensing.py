@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorchain import rng as trng
+from tensorchain import rng as trng, sensing
 from tensorchain.chaining import FiniteMetricSpace, dudley_integral
 from tensorchain.errors import CapacityError, DegenerateOperatorWarning, DomainError
 from tensorchain.sensing import (
@@ -220,9 +220,19 @@ def test_rip_exact_equals_matrix_view():
 
 
 def test_rip_exact_budget():
+    # C(64, 5) = 7 624 512 supports exceed the budget
     u = fourier_unitary((64,))
     with pytest.raises(CapacityError):
-        rip_exact(u, 5, budget=1000)
+        rip_exact(u, 5)
+
+
+def test_rip_monte_carlo_refuses_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(sensing, "draw_pattern", lambda *a, **k: drawn.append(a))
+    u = fourier_unitary((64,))
+    with pytest.raises(CapacityError, match="budget of 1000000"):
+        rip_monte_carlo(u, 5, 0.5, trials=3, seed=1, target_size=32)
+    assert drawn == []
 
 
 def test_rip_monte_carlo_trivial_thresholds():
