@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels, rng as rng_mod
 from .errors import DomainError, FitFailureError, ShapeError, ValidationError
-from .report import BoundReport, make_rows
+from .report import BoundReport, make_rows, row_holds
 from .tensor import GaugeNorm, einstein_product, is_hermitian, norm, unfold
 
 
@@ -337,9 +337,11 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     Both free constants of the family are tied to a single scale s (the
     search direction is (1, 1)), which makes feasibility monotone in s and
     the fit deterministic.  A scale is feasible when every row of the
-    report at constants (s, s) holds.  Raises :class:`FitFailureError` when
-    even the top of :data:`SEARCH_BOX` fails, with the failing rows as
-    diagnostics, and :class:`ValidationError` for an empty u grid.
+    report at constants (s, s) holds; each trial scale stops at its first
+    failing u, and full rows are built only for the diagnostics.  Raises
+    :class:`FitFailureError` when even the top of :data:`SEARCH_BOX` fails,
+    with the failing rows as diagnostics, and :class:`ValidationError` for
+    an empty u grid.
     """
     sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
     u = np.asarray(u_grid, dtype=np.float64)
@@ -347,14 +349,19 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
         raise ValidationError(f"{bound_name}: a fit needs at least one u")
     slots, formula = _tail_bound(bound_name)
 
-    def failing(s: float) -> list:
-        return [r for r in _bound_rows(formula, sups, u, params, s, s) if not r.holds]
+    def feasible(s: float) -> bool:
+        for uu in u:
+            thr, pb = formula(params, uu, s, s)
+            if not row_holds(pb, _exceedance(sups, thr), sups.size):
+                return False
+        return True
 
     lo, hi = SEARCH_BOX
-    if not failing(lo):
+    if feasible(lo):
         return ConstantSet(**{slots[0]: lo, slots[1]: lo})
-    violations = failing(hi)
-    if violations:
+    if not feasible(hi):
+        rows = _bound_rows(formula, sups, u, params, hi, hi)
+        violations = [r for r in rows if not r.holds]
         diag = {
             "bound": bound_name,
             "box": [lo, hi],
@@ -369,10 +376,10 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
         )
     for _ in range(BISECTION_STEPS):
         mid = math.sqrt(lo * hi)
-        if failing(mid):
-            lo = mid
-        else:
+        if feasible(mid):
             hi = mid
+        else:
+            lo = mid
     return ConstantSet(**{slots[0]: hi, slots[1]: hi})
 
 

@@ -25,7 +25,7 @@ from . import kernels
 from .errors import CapacityError, DomainError, ValidationError
 
 _TRIANGLE_TOL = 1e-9
-_EXACT_COVER_LIMIT = 20
+EXACT_COVER_LIMIT = 20
 EXHAUSTIVE_LIMIT = 16
 
 
@@ -294,8 +294,8 @@ def _exact_cover_count(dist: np.ndarray, u: float) -> int:
 def covering_number(space, metric_id, u: float) -> int:
     """Minimum number of closed u-balls centered in T that cover T.
 
-    Exact (branch and bound seeded by greedy) up to 20 points; the greedy
-    upper bound beyond that.
+    Exact (branch and bound seeded by greedy) up to
+    :data:`EXACT_COVER_LIMIT` points; the greedy upper bound beyond that.
     """
     if u <= 0:
         raise DomainError("radius must be positive")
@@ -303,7 +303,7 @@ def covering_number(space, metric_id, u: float) -> int:
 
 
 def _covering_number_at(dist: np.ndarray, u: float) -> int:
-    if dist.shape[0] <= _EXACT_COVER_LIMIT:
+    if dist.shape[0] <= EXACT_COVER_LIMIT:
         return int(_exact_cover_count(dist, u))
     return int(kernels.greedy_cover(dist <= u))
 

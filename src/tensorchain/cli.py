@@ -35,6 +35,7 @@ from .bounds import (
     verify_bernstein,
 )
 from .chaining import (
+    EXACT_COVER_LIMIT,
     EXHAUSTIVE_LIMIT,
     FiniteMetricSpace,
     build_admissible_greedy,
@@ -373,6 +374,7 @@ def _run_gamma(config, p, outputs):
         "greedy_levels": [list(lev) for lev in seq.levels],
         "gamma_greedy": gamma_value(space, metric_id, beta, seq),
         "dudley_integral": curve.dudley_integral(),
+        "covering_exact": space.size <= EXACT_COVER_LIMIT,
     }
     if space.size <= EXHAUSTIVE_LIMIT:
         report["gamma_exhaustive"] = gamma_exhaustive(space, metric_id, beta)

@@ -8,6 +8,7 @@ Gauge codes used by the norm kernels: 0 = frobenius, 1 = spectral,
 2 = nuclear, all evaluated on the matrix unfolding.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,11 @@ GAUGE_NUCLEAR = 2
 
 # Cap on per-chunk scratch memory (complex entries).
 _CHUNK_ENTRIES = 1 << 22
+
+# rip_scan: relative slack on a Gershgorin bound, and the size of the first
+# of a chunk's doubling eigensolve batches.
+_RIP_SLACK = 1e-9
+_RIP_FIRST_BATCH = 64
 
 
 def _gauge_norms_stack(diff, gauge):
@@ -68,27 +74,77 @@ def batch_spectral(mats):
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
+def _lex_supports(ncols, xi, limit):
+    """The xi-subsets of range(ncols) in lexicographic order, as (xi, <= limit)
+    index arrays.
+
+    The subset of rank r is read off the combinatorial number system:
+    C(ncols, xi) - 1 - r = sum_j C(a_j, xi - j) with a_0 > a_1 > ..., each
+    a_j the largest with C(a_j, xi - j) within what is left, and element j
+    is ncols - 1 - a_j.  Table entries are capped at C(ncols, xi), which
+    no remainder reaches; C(ncols, xi) itself must fit in an int64.
+    """
+    total = math.comb(ncols, xi)
+    table = np.array(
+        [[min(math.comb(a, m), total) for a in range(ncols)] for m in range(xi + 1)],
+        np.int64,
+    )
+    for lo in range(0, total, limit):
+        rest = total - 1 - np.arange(lo, min(total, lo + limit))
+        cols = np.empty((xi, rest.size), np.int64)
+        for j in range(xi):
+            a = np.searchsorted(table[xi - j], rest, side="right") - 1
+            rest -= table[xi - j][a]
+            cols[j] = ncols - 1 - a
+        yield cols
+
+
 def rip_scan(gram, xi):
-    """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram."""
+    """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram.
+
+    Every support is enumerated, in lexicographic chunks, but only the
+    blocks that could beat the running maximum are eigensolved.  For the
+    Hermitian matrix B that ``eigvalsh`` reads (the lower triangle of a
+    block, real diagonal), Gershgorin's theorem gives
+    |lambda - 1| <= g = max_i (|B_ii - 1| + sum_{j != i} |B_ij|).  The
+    computed eigenvalues are exact for some B + E with ||E|| <= c xi eps ||B||
+    and ||B|| <= 1 + g, and g itself is summed with relative error below
+    xi eps; both stay far below the slack, so a block's computed deviation
+    is at most g + _RIP_SLACK * (1 + g).  Each chunk eigensolves its
+    supports in decreasing order of that inflated bound, in batches that
+    start at _RIP_FIRST_BATCH and double, and stops at the first support
+    whose inflated bound is below the running best.  A skipped block's
+    computed deviation is below the best already found, so the result is the
+    maximum over the same per-block ``eigvalsh`` values as a scan that
+    eigensolves every block, to the last bit.
+    """
     ncols = gram.shape[0]
-    best = 0.0
-    chunk = []
+    radius = np.abs(np.tril(gram, -1))
+    radius += radius.T
+    radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
     limit = max(1, _CHUNK_ENTRIES // (xi * xi))
-
-    def flush(rows):
-        nonlocal best
-        subs = np.array(rows, dtype=np.int64)
-        blocks = gram[subs[:, :, None], subs[:, None, :]]
-        w = np.linalg.eigvalsh(blocks)
-        best = max(best, float((w[:, -1] - 1.0).max()), float((1.0 - w[:, 0]).max()))
-
-    for comb in combinations(range(ncols), xi):
-        chunk.append(comb)
-        if len(chunk) >= limit:
-            flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
+    best = 0.0
+    for cols in _lex_supports(ncols, xi, limit):
+        rows = radius.diagonal()[cols]
+        for a, b in combinations(range(xi), 2):
+            off = radius.take(cols[a] * ncols + cols[b])
+            rows[a] += off
+            rows[b] += off
+        bound = rows.max(axis=0)
+        bound += _RIP_SLACK * (1.0 + bound)
+        live = np.flatnonzero(bound >= best)
+        live = live[np.argsort(-bound[live])]
+        ranked = -bound[live]  # ascending
+        done, batch = 0, _RIP_FIRST_BATCH
+        while True:
+            stop = min(done + batch, np.searchsorted(ranked, -best, side="right"))
+            if stop <= done:
+                break
+            subs = cols[:, live[done:stop]].T
+            w = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])
+            dev = max(float((w[:, -1] - 1.0).max()), float((1.0 - w[:, 0]).max()))
+            best = max(best, dev)
+            done, batch = stop, 2 * batch
     return best
 
 

@@ -83,18 +83,22 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
+def row_holds(prob_bound, empirical, samples) -> bool:
+    """The verdict of one row: empirical <= prob_bound + its binomial margin."""
+    return bool(empirical <= prob_bound + binomial_margin(prob_bound, samples))
+
+
 def make_rows(u_grid, thresholds, prob_bounds, empiricals, samples):
     rows = []
     for u, thr, pb, emp in zip(u_grid, thresholds, prob_bounds, empiricals):
-        margin = binomial_margin(pb, samples)
         rows.append(
             BoundRow(
                 u=float(u),
                 threshold=float(thr),
                 prob_bound=float(pb),
                 empirical=float(emp),
-                margin=float(margin),
-                holds=bool(emp <= pb + margin),
+                margin=float(binomial_margin(pb, samples)),
+                holds=row_holds(pb, emp, samples),
             )
         )
     return tuple(rows)

@@ -3,10 +3,15 @@
 A signal lives on the column-mode index space (J_1, ..., J_N); a
 measurement operator is a (rows; J) tensor.  The restricted isometry
 constant of order xi is the worst deviation of a xi-column Gram block of
-the unfolding from the identity, so it is computed exactly by scanning
-every support of size xi in lexicographic order, without pruning.  Every
-scan is exact: one whose support count exceeds :data:`SUPPORT_BUDGET` is
-refused with :class:`CapacityError` before any work.
+the unfolding from the identity.  It is computed exactly by
+:func:`tensorchain.kernels.rip_scan`, which enumerates every support of
+size xi and bounds each block's deviation by Gershgorin's theorem,
+inflated by a relative slack of 1e-9 that covers the eigensolver's
+backward error; only the blocks whose bound could beat the running
+maximum are eigensolved, so the result equals, bit for bit, a scan that
+eigensolves every block.  :data:`SUPPORT_BUDGET` counts every enumerated
+support: a scan over more is refused with :class:`CapacityError` before
+any work.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by
@@ -157,8 +162,9 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 def check_scan_capacity(ncols: int, xi: int) -> None:
     """Refuse an exact scan of more than :data:`SUPPORT_BUDGET` supports.
 
-    The scan covers every support of size min(xi, ncols) among ``ncols``
-    columns; :class:`CapacityError` names the count and the budget.
+    The scan enumerates and bounds every support of size min(xi, ncols)
+    among ``ncols`` columns, eigensolved or not, so all of them count;
+    :class:`CapacityError` names the count and the budget.
     """
     count = math.comb(ncols, min(xi, ncols))
     if count > SUPPORT_BUDGET:
@@ -171,7 +177,11 @@ def rip_exact(a: DenseTensor, xi: int) -> float:
     """Exact isometry constant: worst eigenvalue deviation of a Gram block.
 
     Deviations only grow as supports grow (eigenvalue interlacing), so only
-    supports of size min(xi, #columns) are scanned.
+    supports of size min(xi, #columns) are scanned.  Every one of them is
+    enumerated and bounded, but only the blocks whose slack-inflated
+    Gershgorin bound reaches the running maximum are eigensolved (see
+    :func:`tensorchain.kernels.rip_scan`); the value is the one a scan that
+    eigensolves every block returns.
     """
     if xi < 1:
         raise DomainError("xi must be at least 1")

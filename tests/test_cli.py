@@ -194,6 +194,15 @@ def test_gamma_covers_once_per_radius(tmp_path, monkeypatch):
     assert len((out / "covering.csv").read_text().splitlines()) == 1 + radii.size
 
 
+@pytest.mark.parametrize("size, exact", [(20, True), (21, False)])
+def test_gamma_reports_whether_covering_numbers_are_exact(tmp_path, size, exact):
+    points = trng.stream(3, 0).uniform(-1.0, 1.0, (size, 2)).tolist()
+    path = write_config(tmp_path, {"experiment": "gamma", "seed": 0, "points": points})
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["covering_exact"] is exact
+
+
 def test_verdict_failure_exit_code(tmp_path):
     # an under-scaled metric with an overclaimed cubic tail must exit 4
     cfg = {

@@ -1,12 +1,14 @@
 """Each numpy kernel against a plain-loop oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from tensorchain import kernels
+from tensorchain import kernels, sensing
 from tensorchain import rng as trng
+from tensorchain.tensor import unfold
 
 
 def random_trajs(seed, ns=6, nt=5, d=3):
@@ -182,19 +184,118 @@ def test_batch_spectral_matches_loop():
     assert np.allclose(kernels.batch_spectral(mats), want, rtol=1e-12, atol=1e-12)
 
 
+def rip_scan_loop(gram, xi):
+    best = 0.0
+    for comb in itertools.combinations(range(gram.shape[0]), xi):
+        w = np.linalg.eigvalsh(gram[np.ix_(comb, comb)])
+        best = max(best, w[-1] - 1.0, 1.0 - w[0])
+    return best
+
+
+def random_gram(scale):
+    gen = trng.stream(5, 0)
+    mat = gen.standard_normal((6, 9)) + 1j * gen.standard_normal((6, 9))
+    mat *= scale / np.sqrt(6)
+    return np.ascontiguousarray(mat.conj().T @ mat)
+
+
 # at column scale 0.5 the deviation below 1 is the larger one
 @pytest.mark.parametrize("scale", [1.0, 0.5])
 @pytest.mark.parametrize("xi", [1, 2, 3])
 def test_rip_scan_matches_plain_scan(xi, scale):
-    gen = trng.stream(5, 0)
-    mat = gen.standard_normal((6, 9)) + 1j * gen.standard_normal((6, 9))
-    mat *= scale / np.sqrt(6)
-    gram = np.ascontiguousarray(mat.conj().T @ mat)
-    best = 0.0
-    for comb in itertools.combinations(range(9), xi):
-        w = np.linalg.eigvalsh(gram[np.ix_(comb, comb)])
-        best = max(best, w[-1] - 1.0, 1.0 - w[0])
-    assert kernels.rip_scan(gram, xi) == pytest.approx(best, rel=1e-12)
+    gram = random_gram(scale)
+    assert kernels.rip_scan(gram, xi) == rip_scan_loop(gram, xi)
+
+
+# 20 chunk entries split the scan into chunks of two supports at xi 3
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("xi", [1, 2, 3])
+def test_rip_scan_matches_plain_scan_in_small_chunks(xi, scale, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 20)
+    gram = random_gram(scale)
+    assert kernels.rip_scan(gram, xi) == rip_scan_loop(gram, xi)
+
+
+def gershgorin_bound(block):
+    off = np.abs(block).sum(axis=1) - np.abs(block.diagonal())
+    return float((np.abs(block.diagonal().real - 1.0) + off).max())
+
+
+def misleading_gram():
+    """Its largest Gershgorin bound (0.6, on {0, 1, 2}) is not on the
+    support of largest deviation (0.5, any support holding 3)."""
+    gram = np.eye(6, dtype=np.complex128)
+    gram[0, 1] = gram[1, 0] = 0.3
+    gram[0, 2], gram[2, 0] = 0.3j, -0.3j
+    gram[3, 3] = 1.5
+    return gram
+
+
+def equicorrelated(n, rho):
+    return np.eye(n, dtype=np.complex128) + rho * (np.ones((n, n)) - np.eye(n))
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        equicorrelated(7, 0.2),  # lambda_max meets its Gershgorin bound
+        equicorrelated(7, -0.15),  # lambda_min meets it
+        1.0 * np.eye(7, dtype=np.complex128),
+        1.5 * np.eye(7, dtype=np.complex128),
+        0.25 * np.eye(7, dtype=np.complex128),
+        misleading_gram(),
+        # scanned one support per chunk, the last support meets its bound
+        # just above the best of the earlier ones
+        np.diag([1.0, 1.1, 1.2, 1.3, 1.4, 1.49999999, 1.5]).astype(np.complex128),
+    ],
+    ids=["equi+", "equi-", "I", "1.5I", "0.25I", "misleading", "graded"],
+)
+@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("xi", [1, 2, 3, 6])
+def test_rip_scan_matches_plain_scan_on_adversarial_grams(
+    gram, xi, chunk_entries, monkeypatch
+):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    assert kernels.rip_scan(gram, xi) == rip_scan_loop(gram, xi)
+
+
+def test_misleading_gram_bound_and_deviation_disagree():
+    gram = misleading_gram()
+    combs = list(itertools.combinations(range(6), 3))
+    bounds = [gershgorin_bound(gram[np.ix_(c, c)]) for c in combs]
+    devs = [np.abs(np.linalg.eigvalsh(gram[np.ix_(c, c)]) - 1.0).max() for c in combs]
+    assert combs[int(np.argmax(bounds))] == (0, 1, 2)
+    assert 3 in combs[int(np.argmax(devs))]
+    assert max(bounds) > max(devs)
+
+
+@pytest.mark.parametrize(
+    "ncols, xi, limit",
+    [(9, 1, 4), (9, 3, 7), (9, 9, 3), (12, 6, 100), (70, 69, 5), (5, 7, 2)],
+)
+def test_lex_supports_match_combinations(ncols, xi, limit):
+    chunks = list(kernels._lex_supports(ncols, xi, limit))
+    assert all(c.shape[0] == xi and 0 < c.shape[1] <= limit for c in chunks)
+    got = [tuple(int(v) for v in col) for c in chunks for col in c.T]
+    assert got == list(itertools.combinations(range(ncols), xi))
+
+
+def test_rip_scan_eigensolves_few_fourier_blocks(monkeypatch):
+    u = sensing.fourier_unitary((64,))
+    a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))
+    gram = a.conj().T @ a
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(blocks, *args, **kwargs):
+        solved.append(blocks.shape[0])
+        return eigvalsh(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    tau = kernels.rip_scan(gram, 3)
+    assert sum(solved) < math.comb(64, 3) / 4
+    monkeypatch.undo()
+    assert tau == rip_scan_loop(gram, 3)
 
 
 def test_farthest_point_order_matches_loop():
