@@ -154,6 +154,21 @@ def _check_pair(space: FiniteMetricSpace, seq: AdmissibleSequence):
         )
 
 
+def _weight(n, beta) -> float:
+    """The chaining weight 2^(n/beta); a DomainError naming beta on overflow."""
+    try:
+        return 2.0 ** (n / beta)
+    except OverflowError:
+        return _finite(math.inf, beta)
+
+
+def _finite(value: float, beta) -> float:
+    """A chaining weight or value; a DomainError naming beta if it overflowed."""
+    if not math.isfinite(value):
+        raise DomainError(f"beta {beta!r} is too small: the chaining sum overflows")
+    return value
+
+
 def gamma_value(space, metric_id, beta, seq: AdmissibleSequence) -> float:
     """sup_t sum_n 2^(n/beta) d(t, T_n) for the given sequence."""
     return gamma_truncated_value(space, metric_id, beta, 1.0, seq)
@@ -169,10 +184,10 @@ def gamma_truncated_value(space, metric_id, beta, p, seq: AdmissibleSequence) ->
     dist = space.distance_matrix(metric_id)
     start = int(math.floor(math.log2(p)))
     weights = np.array(
-        [2.0 ** (n / beta) if n >= start else 0.0 for n in range(seq.depth)]
+        [_weight(n, beta) if n >= start else 0.0 for n in range(seq.depth)]
     )
     members, offsets = _level_arrays(seq)
-    return float(kernels.chain_sum(dist, members, offsets, weights))
+    return _finite(float(kernels.chain_sum(dist, members, offsets, weights)), beta)
 
 
 def build_admissible_greedy(space, metric_id, beta) -> AdmissibleSequence:
@@ -216,7 +231,7 @@ def gamma_exhaustive(space, metric_id, beta) -> float:
     dist = space.distance_matrix(metric_id)
     k = min(4, space.size)
     subs = np.array(list(itertools.combinations(range(space.size), k)), dtype=np.int64)
-    return float(kernels.gamma2_scan(dist, subs, 2.0 ** (1.0 / beta)))
+    return _finite(float(kernels.gamma2_scan(dist, subs, _weight(1, beta))), beta)
 
 
 @dataclass(frozen=True)

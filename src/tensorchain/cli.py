@@ -54,6 +54,7 @@ from .processes import (
     ensemble_to_csv,
     fit_tail_exponent,
     process_metric,
+    process_space,
     sample_ensemble,
     sample_mixed_sups,
     verify_increment_tail,
@@ -115,6 +116,11 @@ def _enum(*choices):
     return _check(lambda v: v in choices, f"one of {', '.join(choices)}")
 
 
+def _numbers(minimum):
+    form = f"a nonempty list of numbers >= {minimum}"
+    return _check(lambda v: _is_numbers(v) and min(v) >= minimum, form)
+
+
 def _grid(objects, minimum=0):
     """Nonempty, ascending and at least ``minimum``; with ``objects`` also
     the ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly."""
@@ -158,10 +164,6 @@ _NAME = _check(lambda v: isinstance(v, str) and v != "", "a nonempty string")
 _DIMS = _check(
     lambda v: _is_numbers(v) and all(_is_int(d) and d >= 1 for d in v),
     "a nonempty list of positive integers",
-)
-_NUMBERS = _check(_is_numbers, "a nonempty list of numbers")
-_NONNEGATIVES = _check(
-    lambda v: _is_numbers(v) and min(v) >= 0, "a nonempty list of numbers >= 0"
 )
 _ROWS = _check(_is_rows, "a nonempty list of equal-length number lists")
 _POINTS = _check(
@@ -215,7 +217,7 @@ _KEYS = {
         "matrix": (_SQUARE, None),
         "metric_id": (_NAME, "euclidean"),
         "beta": (_POSITIVE, 2.0),
-        "p_values": (_NUMBERS, [1, 2, 4]),
+        "p_values": (_numbers(1), [1, 2, 4]),  # moments p >= 1
     },
     "rip": {
         "seed": _SEED,
@@ -230,7 +232,7 @@ _KEYS = {
         **_SAMPLING,
         "steps": (_integer(1), _REQUIRED),
         "difference_seed": _NEXT_SEED,
-        "u_sigma_factors": (_NONNEGATIVES, [2.0, 3.0, 4.0]),
+        "u_sigma_factors": (_numbers(0), [2.0, 3.0, 4.0]),
     },
     "verify-bernstein": {
         **_SAMPLING,
@@ -332,11 +334,8 @@ def _build_process_spec(p, family, basis_seed, tail_beta) -> ProcessSpec:
 
 def _run_simulate(config, p, outputs):
     spec = _build_process_spec(p, p["family"], p["basis_seed"], float(p["tail_beta"]))
-    gauge = GaugeNorm.coerce(p["gauge"])
-    space = FiniteMetricSpace(
-        spec.index_count, {"increment": process_metric(spec, gauge)}
-    )
-    ensemble = sample_ensemble(spec, space, p["seed"], p["samples"], gauge=gauge)
+    space = process_space(spec, p["gauge"])
+    ensemble = sample_ensemble(spec, space, p["seed"], p["samples"], gauge=p["gauge"])
     sups = ensemble.sup_samples(p["t0"])
     grid = _quantile_grid(sups) if p["u_grid"] is None else _u_grid(p["u_grid"])
     curve = empirical_tail(ensemble, space, p["t0"], grid)

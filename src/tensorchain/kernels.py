@@ -4,8 +4,8 @@ Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Scratch memory of the batched kernels is
 bounded by processing samples, supports or subsets in chunks.
 
-Gauge codes used by the norm kernels: 0 = frobenius, 1 = spectral,
-2 = nuclear, all evaluated on the matrix unfolding.
+The norm kernels evaluate a ``GaugeNorm`` on the matrix unfolding.  Ensemble
+increments are reduced once per a < b pair, in ``np.triu_indices`` order.
 """
 
 import math
@@ -13,9 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-GAUGE_FROBENIUS = 0
-GAUGE_SPECTRAL = 1
-GAUGE_NUCLEAR = 2
+from .tensor import GaugeNorm
 
 # Cap on per-chunk scratch memory (complex entries).
 _CHUNK_ENTRIES = 1 << 22
@@ -26,42 +24,41 @@ _RIP_SLACK = 1e-9
 _RIP_FIRST_BATCH = 64
 
 
-def _gauge_norms_stack(diff, gauge):
+def _gauge_norms_stack(mats, gauge):
     """Gauge norms along the last two axes of a stacked array."""
-    if gauge == GAUGE_FROBENIUS:
-        return np.sqrt((diff.real**2 + diff.imag**2).sum(axis=(-2, -1)))
-    sv = np.linalg.svd(diff, compute_uv=False)
-    if gauge == GAUGE_SPECTRAL:
+    gauge = GaugeNorm.coerce(gauge)
+    if gauge is GaugeNorm.FROBENIUS:
+        return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
+    sv = np.linalg.svd(mats, compute_uv=False)
+    if gauge is GaugeNorm.SPECTRAL:
         return sv[..., 0]
     return sv.sum(axis=-1)
 
 
-def _sample_chunks(ns, per_sample_entries):
-    step = max(1, _CHUNK_ENTRIES // max(1, per_sample_entries))
+def _increment_norms(trajs, a, b, gauge):
+    """(samples, len(a)) gauge norms of X_a - X_b; ``b`` is aligned with ``a``
+    or holds one index, which broadcasts.  A chunk's two gathers, X_a (the
+    difference buffer) and X_b, hold at most _CHUNK_ENTRIES complex entries."""
+    ns, _, d1, d2 = trajs.shape
+    out = np.empty((ns, a.size))
+    step = max(1, _CHUNK_ENTRIES // max(1, (a.size + b.size) * d1 * d2))
     for lo in range(0, ns, step):
-        yield lo, min(ns, lo + step)
+        block = trajs[lo : lo + step]
+        diff = block[:, a]
+        diff -= block[:, b]
+        out[lo : lo + step] = _gauge_norms_stack(diff, gauge)
+    return out
 
 
 def ensemble_pairwise_norms(trajs, gauge):
-    """(samples, index, index) gauge norms of X_a - X_b for every pair."""
-    ns, nt, d1, d2 = trajs.shape
-    out = np.zeros((ns, nt, nt))
-    for lo, hi in _sample_chunks(ns, nt * nt * d1 * d2):
-        block = trajs[lo:hi]
-        diff = block[:, :, None, :, :] - block[:, None, :, :, :]
-        out[lo:hi] = _gauge_norms_stack(diff, gauge)
-    return out
+    """(samples, pairs) gauge norms of X_a - X_b, a < b in ``triu_indices`` order."""
+    a, b = np.triu_indices(trajs.shape[1], 1)
+    return _increment_norms(trajs, a, b, gauge)
 
 
 def ensemble_norms_vs_ref(trajs, ref, gauge):
     """(samples, index) gauge norms of X_a - X_ref."""
-    ns, nt, d1, d2 = trajs.shape
-    out = np.zeros((ns, nt))
-    for lo, hi in _sample_chunks(ns, nt * d1 * d2):
-        block = trajs[lo:hi]
-        diff = block - block[:, ref : ref + 1, :, :]
-        out[lo:hi] = _gauge_norms_stack(diff, gauge)
-    return out
+    return _increment_norms(trajs, np.arange(trajs.shape[1]), np.array([ref]), gauge)
 
 
 def batch_lambda_max(mats):
@@ -71,7 +68,7 @@ def batch_lambda_max(mats):
 
 def batch_spectral(mats):
     """Largest singular value of each matrix in a stack."""
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    return _gauge_norms_stack(mats, GaugeNorm.SPECTRAL)
 
 
 def _lex_supports(ncols, xi, limit):

@@ -49,12 +49,6 @@ from .tensor import GaugeNorm, is_hermitian, norm, unfold
 # SVD scratch) would outweigh the ensembles the other experiments hold.
 _BLOCK_ENTRIES = 1 << 18
 
-_GAUGE_CODE = {
-    GaugeNorm.FROBENIUS: kernels.GAUGE_FROBENIUS,
-    GaugeNorm.SPECTRAL: kernels.GAUGE_SPECTRAL,
-    GaugeNorm.NUCLEAR: kernels.GAUGE_NUCLEAR,
-}
-
 
 class ProcessFamily(enum.Enum):
     GAUSSIAN_LINEAR = "gaussian_linear"
@@ -151,8 +145,8 @@ class Ensemble:
     """Realized trajectories as a read-only (samples, index, D, D) array.
 
     Gauge norms of the increments are reduced from the trajectories on
-    demand and cached: all pairs in ``pairwise_norms``, and the increments
-    against one reference index in ``norms_vs``.
+    demand and cached: each a < b pair once, in ``np.triu_indices`` order, in
+    ``pairwise_norms``, and the increments against one index in ``norms_vs``.
     """
 
     spec: ProcessSpec
@@ -171,9 +165,7 @@ class Ensemble:
 
     @cached_property
     def pairwise_norms(self) -> np.ndarray:
-        return kernels.ensemble_pairwise_norms(
-            self.trajectories, _GAUGE_CODE[self.gauge]
-        )
+        return kernels.ensemble_pairwise_norms(self.trajectories, self.gauge)
 
     def norms_vs(self, t0: int) -> np.ndarray:
         """(samples, index) norms of X_t - X_t0, computed once per t0, read-only."""
@@ -181,9 +173,7 @@ class Ensemble:
             raise DomainError(f"reference index {t0} outside the space")
         norms = self._norms_vs.get(t0)
         if norms is None:
-            norms = kernels.ensemble_norms_vs_ref(
-                self.trajectories, t0, _GAUGE_CODE[self.gauge]
-            )
+            norms = kernels.ensemble_norms_vs_ref(self.trajectories, t0, self.gauge)
             norms.flags.writeable = False
             self._norms_vs[t0] = norms
         return norms
@@ -351,23 +341,22 @@ def verify_increment_tail(
     pair_norms = ensemble.pairwise_norms
     samples = ensemble.sample_count
     idx_s, idx_t = np.triu_indices(space.size, k=1)
-    live = dist[idx_s, idx_t] > 0
-    for a, b in zip(idx_s[~live], idx_t[~live]):
-        if pair_norms[:, a, b].max(initial=0.0) > 0:
-            raise DegenerateMetricError(
-                f"indices {a} and {b} are at distance zero but their "
-                "realizations differ"
-            )
-    idx_s, idx_t = idx_s[live], idx_t[live]
     d_pairs = dist[idx_s, idx_t]
-    norms_pairs = pair_norms[:, idx_s, idx_t]
+    live = d_pairs > 0
+    differ = np.flatnonzero(~live & (pair_norms.max(axis=0, initial=0.0) > 0))
+    if differ.size:  # name the first in triu order
+        raise DegenerateMetricError(
+            f"indices {idx_s[differ[0]]} and {idx_t[differ[0]]} are at distance zero "
+            "but their realizations differ"
+        )
 
     bounds = np.minimum(1.0, 2.0 * np.exp(-(u**beta)))
     worst_freq = np.zeros_like(u)
     worst_ratio = 0.0
     for i, uu in enumerate(u):
-        freq = (norms_pairs >= uu * d_pairs[None, :]).mean(axis=0)
-        worst_freq[i] = freq.max(initial=0.0)
+        # a pair at distance zero has zero norms here and is left out
+        freq = (pair_norms >= uu * d_pairs).mean(axis=0)
+        worst_freq[i] = freq[live].max(initial=0.0)
         if bounds[i] > 0:
             worst_ratio = max(worst_ratio, worst_freq[i] / bounds[i])
     rows = make_rows(u, u, bounds, worst_freq, samples)
@@ -380,7 +369,7 @@ def verify_increment_tail(
             "gauge": ensemble.gauge.value,
             "samples": samples,
             "seed": ensemble.seed,
-            "pairs_tested": int(idx_s.size),
+            "pairs_tested": int(live.sum()),
         },
         rows=rows,
         extras={"worst_ratio": float(worst_ratio)},
@@ -415,7 +404,6 @@ def sample_mixed_sups(
         raise ValidationError("components must share one tensor shape")
     if not 0 <= t0 < nt:
         raise DomainError(f"reference index {t0} outside the space")
-    code = _GAUGE_CODE[GaugeNorm.coerce(gauge)]
     specs = (spec_subgauss, spec_subexp)
     side = spec_subgauss.basis[0].shape.row_count
     step = max(1, _BLOCK_ENTRIES // (nt * side * side))
@@ -423,7 +411,7 @@ def sample_mixed_sups(
     for lo in range(0, n_samples, step):
         hi = min(n_samples, lo + step)
         trajs = _realize(specs, seed, lo, hi, nt)
-        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, code).max(axis=1)
+        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, gauge).max(axis=1)
     return sups
 
 

@@ -211,6 +211,29 @@ def test_truncated_rejects_small_p():
         gamma_truncated_value(LINE, "euclidean", 2.0, 0.5, seq)
 
 
+FIVE = FiniteMetricSpace.from_points([[0.0], [1.0], [3.0], [4.0], [7.0]])
+FAR = FiniteMetricSpace(5, {"euclidean": 1e300 * FIVE.distance_matrix("euclidean")})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "space, beta, evaluate",
+    [
+        (FIVE, 0.001, "greedy"),  # the level-2 weight 2^2000
+        (FIVE, 0.0009, "exhaustive"),  # the level-1 weight 2^1111
+        (FAR, 0.01, "greedy"),  # finite weights, an infinite value
+        (FAR, 0.01, "exhaustive"),
+    ],
+)
+def test_overflowing_chaining_sum_names_beta(space, beta, evaluate):
+    with pytest.raises(DomainError, match="beta"):
+        if evaluate == "greedy":
+            seq = build_admissible_greedy(space, "euclidean", beta)
+            gamma_value(space, "euclidean", beta, seq)
+        else:
+            gamma_exhaustive(space, "euclidean", beta)
+
+
 # ---------------------------------------------------------------------------
 # greedy construction and the exhaustive oracle
 # ---------------------------------------------------------------------------

@@ -390,6 +390,9 @@ BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
         ({**MIXED, "constants": {"chain_const": 1000.0}}, "chain_const"),
         ({**EMPIRICAL, "constants": {"diam_const": 2.0}}, "diam_const"),
         ({**MIXED, "constants": {"mixed_chain_const": "1"}}, "constants"),
+        # a chaining weight 2^(n/beta) that overflows; moments below 1
+        ({**GAMMA, "points": [[0.0], [1.0], [3.0], [4.0], [7.0]], "beta": 1e-3}, "beta"),
+        ({**GAMMA, "p_values": [0.5]}, "p_values"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):

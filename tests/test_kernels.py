@@ -8,7 +8,10 @@ import pytest
 
 from tensorchain import kernels, sensing
 from tensorchain import rng as trng
-from tensorchain.tensor import unfold
+from tensorchain.tensor import GaugeNorm, unfold
+
+GAUGES = list(GaugeNorm)
+GAUGE_IDS = [str(i) for i in range(len(GAUGES))]
 
 
 def random_trajs(seed, ns=6, nt=5, d=3):
@@ -32,7 +35,7 @@ def random_dist(seed, n=9):
 
 
 def matrix_gauge_norm(mat, gauge):
-    if gauge == kernels.GAUGE_FROBENIUS:
+    if gauge is GaugeNorm.FROBENIUS:
         acc = 0.0
         for i in range(mat.shape[0]):
             for j in range(mat.shape[1]):
@@ -40,31 +43,37 @@ def matrix_gauge_norm(mat, gauge):
                 acc += v.real * v.real + v.imag * v.imag
         return np.sqrt(acc)
     s = np.linalg.svd(mat)[1]
-    if gauge == kernels.GAUGE_SPECTRAL:
+    if gauge is GaugeNorm.SPECTRAL:
         return s[0]
     return s.sum()
 
 
-def pairwise_norms_loop(trajs, gauge):
-    ns, nt = trajs.shape[:2]
-    out = np.zeros((ns, nt, nt))
-    for s in range(ns):
-        for a in range(nt):
-            for b in range(a + 1, nt):
-                v = matrix_gauge_norm(trajs[s, a] - trajs[s, b], gauge)
-                out[s, a, b] = v
-                out[s, b, a] = v
+def increment_norms_loop(trajs, pairs, gauge):
+    """(samples, len(pairs)) norms of X_a - X_b, one (a, b) pair at a time."""
+    out = np.zeros((trajs.shape[0], len(pairs)))
+    for s in range(trajs.shape[0]):
+        for k, (a, b) in enumerate(pairs):
+            out[s, k] = matrix_gauge_norm(trajs[s, a] - trajs[s, b], gauge)
     return out
+
+
+def pairwise_norms_loop(trajs, gauge):
+    nt = trajs.shape[1]
+    pairs = [(a, b) for a in range(nt) for b in range(a + 1, nt)]  # triu order
+    return increment_norms_loop(trajs, pairs, gauge)
 
 
 def norms_vs_ref_loop(trajs, ref, gauge):
-    ns, nt = trajs.shape[:2]
-    out = np.zeros((ns, nt))
-    for s in range(ns):
-        for a in range(nt):
-            if a != ref:
-                out[s, a] = matrix_gauge_norm(trajs[s, a] - trajs[s, ref], gauge)
-    return out
+    pairs = [(a, ref) for a in range(trajs.shape[1])]
+    return increment_norms_loop(trajs, pairs, gauge)
+
+
+def broadcast_square_norms(trajs, gauge):
+    """(samples, index, index) norms of every ordered pair, the diagonal and
+    the mirrored lower triangle included: the all-pairs form that
+    ``ensemble_pairwise_norms`` reduced before it kept one pair per increment."""
+    diff = trajs[:, :, None, :, :] - trajs[:, None, :, :, :]
+    return kernels._gauge_norms_stack(diff, gauge)
 
 
 def farthest_point_order_loop(dist):
@@ -145,7 +154,8 @@ def max_triangle_violation_loop(dist):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("gauge", [0, 1, 2])
+# ids are each gauge's position in declaration order
+@pytest.mark.parametrize("gauge", GAUGES, ids=GAUGE_IDS)
 def test_pairwise_norms_match_loop(gauge):
     trajs = random_trajs(1)
     assert np.allclose(
@@ -156,7 +166,7 @@ def test_pairwise_norms_match_loop(gauge):
     )
 
 
-@pytest.mark.parametrize("gauge", [0, 1, 2])
+@pytest.mark.parametrize("gauge", GAUGES, ids=GAUGE_IDS)
 def test_norms_vs_ref_match_loop(gauge):
     trajs = random_trajs(2)
     assert np.allclose(
@@ -165,6 +175,36 @@ def test_norms_vs_ref_match_loop(gauge):
         rtol=1e-12,
         atol=1e-12,
     )
+
+
+# one chunk for all samples, or one sample per chunk
+@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+def test_pairwise_norms_equal_broadcast_square_on_triu(
+    gauge, chunk_entries, monkeypatch
+):
+    trajs = random_trajs(3, ns=7, nt=6)
+    a, b = np.triu_indices(6, 1)
+    want = broadcast_square_norms(trajs, gauge)[:, a, b]
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    assert np.array_equal(kernels.ensemble_pairwise_norms(trajs, gauge), want)
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+def test_one_point_ensemble_has_no_pairs(gauge):
+    trajs = random_trajs(4, ns=3, nt=1)
+    assert kernels.ensemble_pairwise_norms(trajs, gauge).shape == (3, 0)
+    norms_vs = kernels.ensemble_norms_vs_ref(trajs, 0, gauge)
+    assert np.array_equal(norms_vs, np.zeros((3, 1)))
+
+
+def test_norm_kernels_take_gauge_names_not_codes():
+    trajs = random_trajs(5)
+    for gauge in GAUGES:
+        want = kernels.ensemble_pairwise_norms(trajs, gauge)
+        assert np.array_equal(kernels.ensemble_pairwise_norms(trajs, gauge.value), want)
+    with pytest.raises(ValueError):
+        kernels.ensemble_norms_vs_ref(trajs, 0, 1)
 
 
 def test_batch_lambda_max_matches_loop():

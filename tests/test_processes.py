@@ -118,7 +118,8 @@ def test_rank_one_increment_closed_form():
     seed, samples = 23, 40
     ens = sample_ensemble(spec, space, seed, samples)
     b_norm = norm(basis[0], GaugeNorm.SPECTRAL)
-    got = ens.pairwise_norms[:, 0, 1]
+    assert ens.pairwise_norms.shape == (samples, 1)  # the one pair (0, 1)
+    got = ens.pairwise_norms[:, 0]
     for s in range(samples):
         g = trng.stream(seed, s).standard_normal(1)[0]
         assert got[s] == pytest.approx(abs(g) * 0.75 * b_norm, rel=1e-10)
@@ -135,6 +136,7 @@ def test_homogeneity_of_statistics_and_exponent():
     )
     scaled = sample_ensemble(scaled_spec, process_space(scaled_spec), 30, 4000)
     base = sample_ensemble(spec, space, 30, 4000)
+    assert base.pairwise_norms.shape == (4000, 6 * 5 // 2)
     assert np.allclose(scaled.pairwise_norms, 3.0 * base.pairwise_norms, rtol=1e-12)
     sups_a, sups_b = base.sup_samples(0), scaled.sup_samples(0)
     grid_a = np.unique(np.quantile(sups_a, 1 - np.geomspace(0.5, 0.01, 10)))
@@ -328,6 +330,25 @@ def test_increment_tail_zero_process_passes():
     assert all(r.empirical == 0.0 for r in report.rows)
 
 
+def test_increment_tail_leaves_out_coincident_indices():
+    # indices 0 and 2 share coefficients: zero distance, identical realizations
+    spec = make_spec(seed=111)
+    coeffs = spec.coefficients.copy()
+    coeffs[2] = coeffs[0]
+    spec = ProcessSpec(spec.family, coeffs, spec.basis, spec.tail_beta)
+    space = process_space(spec)
+    ens = sample_ensemble(spec, space, 112, 300)
+    u = [0.5, 1.0, 2.0]
+    report = verify_increment_tail(ens, space, "increment", 2.0, u)
+    assert report.inputs["pairs_tested"] == 6 * 5 // 2 - 1
+    a, b = np.triu_indices(6, 1)
+    dist = space.distance_matrix("increment")[a, b]
+    live = dist > 0
+    norms = ens.pairwise_norms[:, live]
+    want = [(norms >= uu * dist[live]).mean(axis=0).max() for uu in u]
+    assert [row.empirical for row in report.rows] == want
+
+
 def test_increment_tail_gaussian_with_default_scale_passes():
     spec, space, ens = make_pair(seed=83, samples=4000)
     report = verify_increment_tail(
@@ -352,8 +373,17 @@ def test_increment_tail_degenerate_metric_detected():
     spec, space, _ = make_pair(seed=97, samples=10)
     zero_metric = FiniteMetricSpace(space.size, {"flat": np.zeros((space.size,) * 2)})
     ens = sample_ensemble(spec, zero_metric, 98, 10)
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(DegenerateMetricError, match="indices 0 and 1 "):
         verify_increment_tail(ens, zero_metric, "flat", 2.0, [1.0, 2.0])
+
+
+def test_increment_tail_names_first_degenerate_pair_in_triu_order():
+    # points 1 and 3 coincide, and so do 2 and 5; their realizations differ
+    spec, _, _ = make_pair(seed=97, samples=10)
+    space = FiniteMetricSpace.from_points([[0.0], [1.0], [2.0], [1.0], [4.0], [2.0]])
+    ens = sample_ensemble(spec, space, 98, 10)
+    with pytest.raises(DegenerateMetricError, match="indices 1 and 3 "):
+        verify_increment_tail(ens, space, "euclidean", 2.0, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
