@@ -187,7 +187,9 @@ def gamma_truncated_value(space, metric_id, beta, p, seq: AdmissibleSequence) ->
         [_weight(n, beta) if n >= start else 0.0 for n in range(seq.depth)]
     )
     members, offsets = _level_arrays(seq)
-    return _finite(float(kernels.chain_sum(dist, members, offsets, weights)), beta)
+    with np.errstate(over="ignore"):  # _finite names beta instead
+        value = float(kernels.chain_sum(dist, members, offsets, weights))
+    return _finite(value, beta)
 
 
 def build_admissible_greedy(space, metric_id, beta) -> AdmissibleSequence:
@@ -231,7 +233,10 @@ def gamma_exhaustive(space, metric_id, beta) -> float:
     dist = space.distance_matrix(metric_id)
     k = min(4, space.size)
     subs = np.array(list(itertools.combinations(range(space.size), k)), dtype=np.int64)
-    return _finite(float(kernels.gamma2_scan(dist, subs, _weight(1, beta))), beta)
+    w1 = _weight(1, beta)
+    with np.errstate(over="ignore"):  # _finite names beta instead
+        value = float(kernels.gamma2_scan(dist, subs, w1))
+    return _finite(value, beta)
 
 
 @dataclass(frozen=True)

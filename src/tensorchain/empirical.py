@@ -36,7 +36,12 @@ _NOISE_LAWS = ("rademacher", "uniform")
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalFamily:
-    """Parameter tensors (t_count, n, D, D) plus the scalar noise law."""
+    """Parameter tensors (t_count, n, D, D) plus the scalar noise law.
+
+    Parameters within 1e-10 of Hermitian are accepted and stored as their
+    Hermitian parts (P + P^H) / 2, which equal exactly Hermitian input bit
+    for bit; the norm kernels assume Hermitian stacks.
+    """
 
     row_modes: tuple
     parameters: np.ndarray
@@ -50,9 +55,10 @@ class EmpiricalFamily:
             raise ValidationError(
                 f"parameters must have shape (t_count, n, {side}, {side})"
             )
-        herm_gap = np.abs(params - params.conj().transpose(0, 1, 3, 2)).max()
-        if herm_gap > 1e-10:
+        adjoint = params.conj().transpose(0, 1, 3, 2)
+        if np.abs(params - adjoint).max() > 1e-10:
             raise ValidationError("parameter tensors must be Hermitian")
+        params = (params + adjoint) / 2.0
         if self.noise not in _NOISE_LAWS:
             raise ValidationError(f"noise must be one of {_NOISE_LAWS}")
         params.flags.writeable = False

@@ -4,8 +4,12 @@ Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Scratch memory of the batched kernels is
 bounded by processing samples, supports or subsets in chunks.
 
-The norm kernels evaluate a ``GaugeNorm`` on the matrix unfolding.  Ensemble
-increments are reduced once per a < b pair, in ``np.triu_indices`` order.
+The norm kernels evaluate a ``GaugeNorm`` on stacks of Hermitian matrices:
+the increments of a process or of a family, whose tensors are Hermitian by
+construction.  Spectral and nuclear norms come from the eigenvalues, max |w|
+and sum |w|, and ``np.linalg.eigvalsh`` reads only the lower triangle of each
+matrix.  Ensemble increments are reduced once per a < b pair, in
+``np.triu_indices`` order.
 """
 
 import math
@@ -25,14 +29,14 @@ _RIP_FIRST_BATCH = 64
 
 
 def _gauge_norms_stack(mats, gauge):
-    """Gauge norms along the last two axes of a stacked array."""
+    """Gauge norms of a stack of Hermitian matrices (the last two axes)."""
     gauge = GaugeNorm.coerce(gauge)
     if gauge is GaugeNorm.FROBENIUS:
         return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
-    sv = np.linalg.svd(mats, compute_uv=False)
+    w = np.linalg.eigvalsh(mats)  # ascending
     if gauge is GaugeNorm.SPECTRAL:
-        return sv[..., 0]
-    return sv.sum(axis=-1)
+        return np.maximum(-w[..., 0], w[..., -1])
+    return np.abs(w).sum(axis=-1)
 
 
 def _increment_norms(trajs, a, b, gauge):
@@ -67,7 +71,8 @@ def batch_lambda_max(mats):
 
 
 def batch_spectral(mats):
-    """Largest singular value of each matrix in a stack."""
+    """Spectral norm, max |eigenvalue|, of each Hermitian matrix in a stack;
+    ``eigvalsh`` reads the lower triangle."""
     return _gauge_norms_stack(mats, GaugeNorm.SPECTRAL)
 
 

@@ -42,11 +42,11 @@ from .errors import (
     ValidationError,
 )
 from .report import BoundReport, make_rows
-from .tensor import GaugeNorm, is_hermitian, norm, unfold
+from .tensor import GaugeNorm, fold, is_hermitian, norm, unfold
 
 # Complex entries realized at once by sample_mixed_sups.  Smaller than
 # kernels._CHUNK_ENTRIES: a block of that size (64 MB of trajectories, plus
-# SVD scratch) would outweigh the ensembles the other experiments hold.
+# eigensolver scratch) would outweigh the ensembles the other experiments hold.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -76,7 +76,13 @@ def _draw_scalars(family: ProcessFamily, gen: np.random.Generator, k: int):
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Generator family plus the coefficient map and Hermitian basis."""
+    """Generator family plus the coefficient map and Hermitian basis.
+
+    Each accepted basis tensor B is stored as its Hermitian part
+    (B + B^H) / 2, which equals an exactly Hermitian B bit for bit.  So the
+    realized trajectories and their increments are Hermitian, which the
+    norm kernels assume.
+    """
 
     family: ProcessFamily
     coefficients: np.ndarray  # (index_count, K) real
@@ -104,6 +110,8 @@ class ProcessSpec:
                 raise ValidationError("basis tensors must share one shape")
             if not is_hermitian(b):
                 raise ValidationError("basis tensors must be Hermitian")
+        mats = [unfold(b) for b in basis]
+        basis = tuple(fold((m + m.conj().T) / 2.0, shape0) for m in mats)
         object.__setattr__(self, "basis", basis)
         if self.tail_beta <= 0:
             raise ValidationError("tail_beta must be positive")
@@ -328,7 +336,8 @@ def verify_increment_tail(
     """Check P(||X_t - X_s|| >= u d(s,t)) <= 2 exp(-u^beta) on every pair.
 
     Pairs at zero distance must have identical realizations; otherwise the
-    metric is degenerate for this process.
+    metric is degenerate for this process.  They are left out, and a space
+    with no pair at positive distance has nothing to test.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
@@ -349,6 +358,8 @@ def verify_increment_tail(
             f"indices {idx_s[differ[0]]} and {idx_t[differ[0]]} are at distance zero "
             "but their realizations differ"
         )
+    if not live.any():
+        raise InsufficientDataError("no pair of indices is at positive distance")
 
     bounds = np.minimum(1.0, 2.0 * np.exp(-(u**beta)))
     worst_freq = np.zeros_like(u)
@@ -356,7 +367,7 @@ def verify_increment_tail(
     for i, uu in enumerate(u):
         # a pair at distance zero has zero norms here and is left out
         freq = (pair_norms >= uu * d_pairs).mean(axis=0)
-        worst_freq[i] = freq[live].max(initial=0.0)
+        worst_freq[i] = freq[live].max()
         if bounds[i] > 0:
             worst_ratio = max(worst_ratio, worst_freq[i] / bounds[i])
     rows = make_rows(u, u, bounds, worst_freq, samples)

@@ -215,7 +215,8 @@ FIVE = FiniteMetricSpace.from_points([[0.0], [1.0], [3.0], [4.0], [7.0]])
 FAR = FiniteMetricSpace(5, {"euclidean": 1e300 * FIVE.distance_matrix("euclidean")})
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+# the overflow is reported once, as the DomainError, without a numpy warning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "space, beta, evaluate",
     [

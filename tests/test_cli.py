@@ -431,6 +431,39 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_without_a_pair_at_positive_distance_is_rejected(tmp_path, capsys):
+    # three equal coefficient rows: every increment is zero, nothing to test
+    config = {
+        **SIMULATE,
+        "index_count": 3,
+        "coefficients": [[0.5, -1.0]] * 3,
+        "verify_tail": True,
+        "fit_exponent": False,
+        "u_grid": [1.0],
+    }
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "positive distance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a numpy overflow warning would print to stderr ahead of the diagnostic
+@pytest.mark.filterwarnings("error")
+def test_overflowing_gamma_prints_only_the_diagnostic(tmp_path, capfd):
+    # finite weights 2^(n/beta), a chaining sum beyond the largest float
+    pts = np.array([0.0, 1.0, 3.0, 4.0, 7.0])
+    matrix = (1e300 * np.abs(pts[:, None] - pts[None, :])).tolist()
+    config = {"experiment": "gamma", "seed": 0, "matrix": matrix, "beta": 0.01}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("config error: beta 0.01 is too small")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def drop_config_echo(out):
     """Output files by name; JSON reports without their config echo."""
     files = {}

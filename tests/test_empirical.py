@@ -114,12 +114,36 @@ def test_metric_quadratic_mean_below_max():
 
 def test_family_space_accepts_every_valid_family():
     # each tensor is within the construction's Hermitian tolerance of 1e-10,
-    # their difference (gap 1.6e-10) is not
+    # their difference (gap 1.6e-10) is not; the stored Hermitian parts are
+    # off-diagonal +-0.4e-10, so d1 is the spectral norm 0.8e-10 of theirs
     params = np.zeros((2, 1, 2, 2), complex)
     params[0, 0] = [[1.0, 0.8e-10], [0.0, 1.0]]
     params[1, 0] = [[1.0, -0.8e-10], [0.0, 1.0]]
     space = family_space(EmpiricalFamily((2,), params))
-    assert space.distance_matrix("d1")[0, 1] == pytest.approx(1.6e-10, rel=1e-9)
+    assert space.distance_matrix("d1")[0, 1] == pytest.approx(0.8e-10, rel=1e-9)
+
+
+def test_family_stores_exactly_hermitian_parameters_bit_for_bit():
+    fam = diagonal_family((2, 2), t_count=3, n=2, seed=6)
+    gen = np.random.default_rng(6)
+    raw = gen.standard_normal((3, 2, 4, 4)) + 1j * gen.standard_normal((3, 2, 4, 4))
+    params = raw + raw.conj().transpose(0, 1, 3, 2)
+    for given in (fam.parameters, params):
+        stored = EmpiricalFamily((2, 2), given).parameters
+        assert np.array_equal(stored, given)
+        assert np.array_equal(stored, stored.conj().transpose(0, 1, 3, 2))
+
+
+def test_family_stores_hermitian_part_of_nearly_hermitian_parameters():
+    gen = np.random.default_rng(7)
+    raw = gen.standard_normal((2, 3, 2, 2)) + 1j * gen.standard_normal((2, 3, 2, 2))
+    herm = raw + raw.conj().transpose(0, 1, 3, 2)
+    off = herm.copy()
+    off[:, :, 0, 1] += 0.9e-10  # within the accepted gap of 1e-10
+    stored = EmpiricalFamily((2,), off).parameters
+    assert np.array_equal(stored, (off + off.conj().transpose(0, 1, 3, 2)) / 2)
+    assert np.array_equal(stored, stored.conj().transpose(0, 1, 3, 2))
+    assert not np.array_equal(stored, off)
 
 
 def test_family_space_carries_both_metrics():

@@ -14,11 +14,32 @@ GAUGES = list(GaugeNorm)
 GAUGE_IDS = [str(i) for i in range(len(GAUGES))]
 
 
+def random_hermitian_stack(gen, shape):
+    """Exactly Hermitian matrices over the last two axes."""
+    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    return np.ascontiguousarray((raw + np.swapaxes(raw, -1, -2).conj()) / 2)
+
+
 def random_trajs(seed, ns=6, nt=5, d=3):
+    return random_hermitian_stack(trng.stream(seed, 0), (ns, nt, d, d))
+
+
+def spectrum_trajs(seed, ns=3):
+    """Trajectories over 4 indices whose increments have every sign pattern:
+    X_1 - X_0 has eigenvalues (-3, 1, 2), so the spectral norm is the bottom
+    one and the nuclear norm sums mixed signs; X_2 - X_0 is zero; X_3 - X_0
+    is negative definite."""
     gen = trng.stream(seed, 0)
-    return np.ascontiguousarray(
-        gen.standard_normal((ns, nt, d, d)) + 1j * gen.standard_normal((ns, nt, d, d))
-    )
+    q, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+
+    def conj(diag):
+        m = q @ np.diag(diag) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    base = random_hermitian_stack(gen, (ns, 3, 3))
+    zero = np.zeros((3, 3))
+    steps = [zero, conj([-3.0, 1.0, 2.0]), zero, conj([-1.0, -2.0, -0.5])]
+    return np.ascontiguousarray(np.stack([base + step for step in steps], axis=1))
 
 
 def random_dist(seed, n=9):
@@ -161,8 +182,8 @@ def test_pairwise_norms_match_loop(gauge):
     assert np.allclose(
         kernels.ensemble_pairwise_norms(trajs, gauge),
         pairwise_norms_loop(trajs, gauge),
-        rtol=1e-12,
-        atol=1e-12,
+        rtol=1e-13,
+        atol=0.0,
     )
 
 
@@ -172,9 +193,29 @@ def test_norms_vs_ref_match_loop(gauge):
     assert np.allclose(
         kernels.ensemble_norms_vs_ref(trajs, 2, gauge),
         norms_vs_ref_loop(trajs, 2, gauge),
-        rtol=1e-12,
-        atol=1e-12,
+        rtol=1e-13,
+        atol=0.0,
     )
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+def test_norm_kernels_match_loop_on_every_sign_pattern(gauge):
+    trajs = spectrum_trajs(11)
+    pairwise = kernels.ensemble_pairwise_norms(trajs, gauge)
+    vs_ref = kernels.ensemble_norms_vs_ref(trajs, 0, gauge)
+    want_pairwise = pairwise_norms_loop(trajs, gauge)
+    assert np.allclose(pairwise, want_pairwise, rtol=1e-13, atol=0.0)
+    want_vs_ref = norms_vs_ref_loop(trajs, 0, gauge)
+    assert np.allclose(vs_ref, want_vs_ref, rtol=1e-13, atol=0.0)
+    # the zero increments X_2 - X_0 and X_0 - X_0 reduce to exact zeros
+    assert np.all(pairwise[:, 1] == 0.0)
+    assert np.all(vs_ref[:, [0, 2]] == 0.0)
+    closed = {
+        GaugeNorm.SPECTRAL: (3.0, 2.0),
+        GaugeNorm.NUCLEAR: (6.0, 3.5),
+        GaugeNorm.FROBENIUS: (math.sqrt(14.0), math.sqrt(5.25)),
+    }[gauge]
+    assert np.allclose(vs_ref[:, [1, 3]], closed, rtol=1e-13, atol=0.0)
 
 
 # one chunk for all samples, or one sample per chunk
@@ -208,20 +249,18 @@ def test_norm_kernels_take_gauge_names_not_codes():
 
 
 def test_batch_lambda_max_matches_loop():
-    gen = trng.stream(3, 0)
-    raw = gen.standard_normal((8, 4, 4)) + 1j * gen.standard_normal((8, 4, 4))
-    mats = np.ascontiguousarray((raw + raw.conj().transpose(0, 2, 1)) / 2)
+    mats = random_hermitian_stack(trng.stream(3, 0), (8, 4, 4))
     want = [np.linalg.eigvalsh(m)[-1] for m in mats]
     assert np.allclose(kernels.batch_lambda_max(mats), want, rtol=1e-12, atol=1e-12)
 
 
 def test_batch_spectral_matches_loop():
-    gen = trng.stream(4, 0)
-    mats = np.ascontiguousarray(
-        gen.standard_normal((8, 3, 5)) + 1j * gen.standard_normal((8, 3, 5))
-    )
+    mats = random_hermitian_stack(trng.stream(4, 0), (8, 4, 4))
+    mats[::2] -= 3.0 * np.eye(4)  # spectral norm from the bottom eigenvalue
+    w = np.linalg.eigvalsh(mats)
+    assert (-w[::2, 0] > w[::2, -1]).all()
     want = [np.linalg.svd(m)[1][0] for m in mats]
-    assert np.allclose(kernels.batch_spectral(mats), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(kernels.batch_spectral(mats), want, rtol=1e-13, atol=0.0)
 
 
 def rip_scan_loop(gram, xi):

@@ -26,8 +26,10 @@ from tensorchain.tensor import (
     DenseTensor,
     GaugeNorm,
     Shape,
+    fold,
     norm,
     random_hermitian,
+    unfold,
     zero,
 )
 
@@ -47,6 +49,28 @@ def make_pair(seed=7, samples=500, **kw):
 # ---------------------------------------------------------------------------
 # spec validation
 # ---------------------------------------------------------------------------
+
+
+def test_spec_stores_exactly_hermitian_basis_bit_for_bit():
+    spec = make_spec(seed=5, k=3, row_modes=(2, 3))
+    again = ProcessSpec(spec.family, spec.coefficients, spec.basis, spec.tail_beta)
+    for given, stored in zip(spec.basis, again.basis):
+        assert np.array_equal(stored.data, given.data)
+        mat = unfold(stored)
+        assert np.array_equal(mat, mat.conj().T)
+
+
+def test_spec_stores_hermitian_part_of_nearly_hermitian_basis():
+    herm = unfold(random_hermitian((3,), trng.stream(6, 0)))
+    off = herm.copy()
+    off[0, 2] += 1e-12  # inside the relative tolerance of is_hermitian
+    basis = (fold(off, Shape((3,), (3,))),)
+    spec = ProcessSpec("gaussian_linear", np.ones((2, 1)), basis, 2.0)
+    mat = unfold(spec.basis[0])
+    assert np.array_equal(mat, (off + off.conj().T) / 2)
+    assert np.array_equal(mat, mat.conj().T)
+    assert not np.array_equal(mat, off)
+    assert np.array_equal(spec.basis_stack[0], mat)
 
 
 def test_spec_rejects_non_hermitian_basis():
@@ -106,7 +130,8 @@ def test_different_seed_differs():
 def test_all_families_generate_hermitian_trajectories(family):
     spec, space, ens = make_pair(family=family, seed=17, samples=8)
     trajs = ens.trajectories
-    assert np.allclose(trajs, trajs.conj().transpose(0, 1, 3, 2), atol=1e-12)
+    # bit for bit: the norm kernels read only the lower triangle
+    assert np.array_equal(trajs, trajs.conj().transpose(0, 1, 3, 2))
 
 
 def test_rank_one_increment_closed_form():
@@ -191,9 +216,8 @@ def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
     monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 24 * 4)
     got = sample_mixed_sups(g, e, 7, 10, t0=t0)
     trajs = oracle_trajectories((g, e), 7, 10, 6)
-    want = [
-        np.linalg.svd(traj - traj[t0], compute_uv=False)[:, 0].max() for traj in trajs
-    ]
+    # the increments are Hermitian: spectral norm is the largest |eigenvalue|
+    want = [np.abs(np.linalg.eigvalsh(traj - traj[t0])).max() for traj in trajs]
     assert np.array_equal(got, want)
 
 
@@ -320,14 +344,22 @@ def test_fit_exponent_needs_enough_points():
 # ---------------------------------------------------------------------------
 
 
-def test_increment_tail_zero_process_passes():
+def test_increment_tail_zero_process_has_no_pair_to_test():
     basis = (zero(Shape((2,), (2,))),)
     spec = ProcessSpec("gaussian_linear", np.ones((3, 1)), basis, 2.0)
     space = process_space(spec)  # all distances zero
     ens = sample_ensemble(spec, space, 79, 20)
-    report = verify_increment_tail(ens, space, "increment", 2.0, [0.5, 1.0, 2.0])
-    assert report.verdict == "holds"
-    assert all(r.empirical == 0.0 for r in report.rows)
+    with pytest.raises(InsufficientDataError, match="positive distance"):
+        verify_increment_tail(ens, space, "increment", 2.0, [0.5, 1.0, 2.0])
+
+
+def test_increment_tail_one_point_space_has_no_pair_to_test():
+    spec = make_spec(seed=113, nt=1, k=2)
+    space = process_space(spec)
+    ens = sample_ensemble(spec, space, 114, 20)
+    assert ens.pairwise_norms.shape == (20, 0)
+    with pytest.raises(InsufficientDataError, match="positive distance"):
+        verify_increment_tail(ens, space, "increment", 2.0, [1.0])
 
 
 def test_increment_tail_leaves_out_coincident_indices():
