@@ -52,6 +52,9 @@ class FiniteMetricSpace:
                 raise ValidationError(f"metric {name!r} has negative distances")
             if np.abs(np.diag(arr)).max(initial=0.0) > 1e-12:
                 raise ValidationError(f"metric {name!r} has a nonzero diagonal")
+            if np.diag(arr).any():  # accepted as zero, so stored as zero
+                arr = arr.copy()
+                np.fill_diagonal(arr, 0.0)
             if np.abs(arr - arr.T).max() > 1e-12:
                 raise ValidationError(f"metric {name!r} is not symmetric")
             if kernels.max_triangle_violation(arr) > _TRIANGLE_TOL:
@@ -279,12 +282,14 @@ def _ball_masks(dist: np.ndarray, u: float):
     return masks
 
 
-def _exact_cover_count(dist: np.ndarray, u: float) -> int:
+def _exact_cover_count(dist: np.ndarray, u: float, best: int) -> int:
+    """Minimum u-ball cover by branch and bound, seeded with a cover of ``best``
+    balls."""
     n = dist.shape[0]
     full = (1 << n) - 1
     masks = _ball_masks(dist, u)
     order = sorted(range(n), key=lambda c: -bin(masks[c]).count("1"))
-    best = kernels.greedy_cover(dist <= u)
+    degree = (dist <= u).sum(axis=0).tolist()  # balls holding each point
 
     def descend(covered: int, used: int):
         nonlocal best
@@ -295,14 +300,7 @@ def _exact_cover_count(dist: np.ndarray, u: float) -> int:
             return
         # branch on the uncovered point with the fewest candidate balls
         rest = full & ~covered
-        point = -1
-        fewest = n + 1
-        for t in range(n):
-            if rest >> t & 1:
-                cnt = sum(1 for c in range(n) if masks[c] >> t & 1)
-                if cnt < fewest:
-                    fewest = cnt
-                    point = t
+        point = min((t for t in range(n) if rest >> t & 1), key=degree.__getitem__)
         for c in order:
             if masks[c] >> point & 1:
                 descend(covered | masks[c], used + 1)
@@ -311,21 +309,30 @@ def _exact_cover_count(dist: np.ndarray, u: float) -> int:
     return best
 
 
+def _covering_counts(dist: np.ndarray, radii) -> tuple:
+    """N(u) at each radius: one greedy call over every radius, then, up to
+    EXACT_COVER_LIMIT points, branch and bound wherever greedy used more
+    than 2 balls.  Greedy's 1 is optimal, and its 2 is too: greedy counts 1
+    at every radius where one ball covers the space."""
+    counts = kernels.greedy_cover(dist, radii).tolist()
+    if dist.shape[0] <= EXACT_COVER_LIMIT:
+        counts = [
+            _exact_cover_count(dist, u, c) if c > 2 else c for u, c in zip(radii, counts)
+        ]
+    return tuple(counts)
+
+
 def covering_number(space, metric_id, u: float) -> int:
     """Minimum number of closed u-balls centered in T that cover T.
 
     Exact (branch and bound seeded by greedy) up to
     :data:`EXACT_COVER_LIMIT` points; the greedy upper bound beyond that.
+    The count equals the covering curve's at u.  A radius that is not > 0,
+    NaN included, raises :class:`DomainError`.
     """
-    if u <= 0:
+    if not u > 0:
         raise DomainError("radius must be positive")
-    return _covering_number_at(space.distance_matrix(metric_id), u)
-
-
-def _covering_number_at(dist: np.ndarray, u: float) -> int:
-    if dist.shape[0] <= EXACT_COVER_LIMIT:
-        return int(_exact_cover_count(dist, u))
-    return int(kernels.greedy_cover(dist <= u))
+    return _covering_counts(space.distance_matrix(metric_id), [u])[0]
 
 
 @dataclass(frozen=True)
@@ -355,10 +362,16 @@ class CoveringCurve:
 
 
 def covering_curve(space, metric_id) -> CoveringCurve:
-    """Covering numbers at every radius where N(u) can change, one cover each."""
+    """Covering numbers at u = 0 and at every distinct positive distance,
+    where N(u) can change.
+
+    One ``kernels.greedy_cover`` call counts every radius in lockstep; up to
+    :data:`EXACT_COVER_LIMIT` points each count above 2 is then made exact,
+    as in :func:`covering_number`.
+    """
     dist = space.distance_matrix(metric_id)
     radii = np.concatenate(([0.0], np.unique(dist[dist > 0])))
-    return CoveringCurve(radii, tuple(_covering_number_at(dist, u) for u in radii))
+    return CoveringCurve(radii, _covering_counts(dist, radii))
 
 
 def dudley_integral(space, metric_id) -> float:

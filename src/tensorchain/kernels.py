@@ -2,7 +2,7 @@
 
 Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Scratch memory of the batched kernels is
-bounded by processing samples, supports or subsets in chunks.
+bounded by processing samples, supports, subsets or radii in chunks.
 
 The norm kernels evaluate a ``GaugeNorm`` on stacks of Hermitian matrices:
 the increments of a process or of a family, whose tensors are Hermitian by
@@ -26,6 +26,13 @@ _CHUNK_ENTRIES = 1 << 22
 # of a chunk's doubling eigensolve batches.
 _RIP_SLACK = 1e-9
 _RIP_FIRST_BATCH = 64
+
+# _popcount: shift counts and the SWAR masks of 1-, 2- and 4-bit fields.
+_U1, _U2, _U4, _U56 = (np.uint64(s) for s in (1, 2, 4, 56))
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
 
 
 def _gauge_norms_stack(mats, gauge):
@@ -193,17 +200,68 @@ def gamma2_scan(dist, subs, w1):
     return best
 
 
-def greedy_cover(within):
-    """Ball count of the greedy cover; within[c, t] says ball c holds t."""
-    n = within.shape[0]
-    covered = np.zeros(n, np.bool_)
-    count = 0
-    while not covered.all():
-        gains = (within & ~covered[None, :]).sum(axis=1)
-        pick = int(np.argmax(gains))
-        covered |= within[pick]
-        count += 1
-    return count
+def _popcount(words):
+    """Set bits of each uint64 word (SWAR: shifts, masks and one multiply)."""
+    x = words >> _U1
+    x &= _M1
+    np.subtract(words, x, out=x)  # 2-bit field counts
+    y = x >> _U2
+    y &= _M2
+    x &= _M2
+    x += y  # 4-bit field counts
+    np.right_shift(x, _U4, out=y)
+    x += y
+    x &= _M4  # byte counts
+    x *= _H01  # top byte: their sum
+    x >>= _U56
+    return x
+
+
+def greedy_cover(dist, radii):
+    """Ball count of the greedy cover by closed balls at each radius in radii.
+
+    Greedy repeatedly picks the ball, among dist <= u, that holds the most
+    uncovered points, ties to the lowest index.  A radius at or above the
+    space radius min_c max_t dist[c, t] counts 1 with no cover run: the ball
+    that holds every point is the first pick.  The other radii run in
+    lockstep, in chunks of at most _CHUNK_ENTRIES // n^2 radii, with each
+    ball packed into ceil(n / 64) uint64 words; a radius leaves the chunk
+    once its balls cover every point.  Every radius must be >= 0 and every
+    dist[t, t] zero, so that each point lies in its own ball.
+    """
+    n = dist.shape[0]
+    words = -(-n // 64)
+    radii = np.asarray(radii, np.float64)
+    counts = np.ones(radii.size, np.int64)
+    todo = np.flatnonzero(~(radii >= dist.max(axis=1).min()))  # NaN too
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for lo in range(0, todo.size, step):
+        sel = todo[lo : lo + step]
+        counts[sel] = 0
+        packed = np.zeros((sel.size, n, 8 * words), np.uint8)
+        packed[..., : -(-n // 8)] = np.packbits(
+            dist[None, :, :] <= radii[sel, None, None], axis=-1, bitorder="little"
+        )
+        # (word, radius, ball): summing gains over words adds whole slabs.
+        # Only AND, OR and popcount read a word, so its byte order is moot.
+        balls = np.ascontiguousarray(packed.view(np.uint64).transpose(2, 0, 1))
+        covered = np.zeros((words, sel.size), np.uint64)
+        left = np.full(sel.size, n, np.uint64)
+        while sel.size:
+            gains = _popcount(balls & ~covered[:, :, None]).sum(axis=0)
+            pick = np.argmax(gains, axis=1)
+            rows = np.arange(sel.size)
+            gained = gains[rows, pick]
+            if not gained.all():
+                raise ValueError("a point lies in no ball: negative or NaN radius")
+            covered |= balls[:, rows, pick]
+            left -= gained
+            counts[sel] += 1
+            keep = left > 0
+            if not keep.all():
+                sel, left = sel[keep], left[keep]
+                balls, covered = balls[:, keep], covered[:, keep]
+    return counts
 
 
 def max_triangle_violation(dist):

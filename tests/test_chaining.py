@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorchain import kernels
 from tensorchain import rng as trng
 from tensorchain.chaining import (
+    EXACT_COVER_LIMIT,
     AdmissibleSequence,
     ChainMaps,
     FiniteMetricSpace,
     PartitionSequence,
     build_admissible_greedy,
     chain_maps,
+    covering_curve,
     covering_number,
     diameter,
     dudley_integral,
@@ -109,6 +112,18 @@ def test_space_requires_symmetry_and_zero_diagonal():
     diag = np.array([[0.5, 1.0], [1.0, 0.0]])
     with pytest.raises(ValidationError):
         FiniteMetricSpace(2, {"d": diag})
+
+
+def test_space_stores_an_accepted_near_zero_diagonal_as_zero():
+    # a point outside its own ball at u = 0 could never be covered
+    exact = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    near = exact.copy()
+    near[0, 0] = 1e-13
+    space = FiniteMetricSpace(3, {"d": near})
+    assert np.array_equal(space.distance_matrix("d"), exact)
+    assert near[0, 0] == 1e-13  # the caller's array is not changed
+    curve = covering_curve(space, "d")
+    assert curve.counts == covering_curve(FiniteMetricSpace(3, {"d": exact}), "d").counts
 
 
 def test_unknown_metric_id():
@@ -348,8 +363,34 @@ def test_covering_nonincreasing_in_radius():
 
 
 def test_covering_rejects_nonpositive_radius():
-    with pytest.raises(DomainError):
-        covering_number(LINE, "euclidean", 0.0)
+    # NaN passes a `u <= 0` check, and no point lies in a ball of radius NaN
+    for u in (0.0, -1.0, float("nan"), -math.inf):
+        with pytest.raises(DomainError):
+            covering_number(LINE, "euclidean", u)
+
+
+@pytest.mark.parametrize("size", [12, EXACT_COVER_LIMIT, 30])
+def test_covering_number_equals_the_curve_count(size):
+    pts = trng.stream(610 + size, 0).uniform(-1, 1, (size, 2))
+    pts[-1] = pts[0]
+    space = FiniteMetricSpace.from_points(pts)
+    curve = covering_curve(space, "euclidean")
+    for u, count in zip(curve.radii[1:], curve.counts[1:]):
+        assert covering_number(space, "euclidean", float(u)) == count
+
+
+def test_covering_curve_is_exact_where_greedy_is_not():
+    # seed 900 draws 9 points on which greedy is above the optimum at 5 radii
+    for seed in range(900, 904):
+        gen = trng.stream(seed, 0)
+        n = int(gen.integers(6, 11))
+        space = FiniteMetricSpace.from_points(gen.uniform(-1, 1, (n, 2)))
+        dist = space.distance_matrix("euclidean")
+        curve = covering_curve(space, "euclidean")
+        assert list(curve.counts) == [brute_cover(dist, u) for u in curve.radii]
+        if seed == 900:
+            greedy = kernels.greedy_cover(dist, curve.radii)
+            assert (greedy > np.array(curve.counts)).sum() == 5
 
 
 def test_dudley_singleton_zero():

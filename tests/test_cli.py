@@ -180,18 +180,22 @@ def test_simulate_reduces_increments_against_t0_once(tmp_path, monkeypatch):
 
 
 def test_gamma_covers_once_per_radius(tmp_path, monkeypatch):
-    # beyond the exact-cover limit of 20 points every N(u) is one greedy cover;
-    # the entropy integral and covering.csv share them
+    # one greedy_cover call per run counts every radius of the curve, on
+    # either side of the exact-cover limit of 20 points; the entropy
+    # integral and covering.csv share it
     calls = count_calls(monkeypatch, "greedy_cover")
-    points = trng.stream(3, 0).uniform(-1.0, 1.0, (24, 2)).tolist()
-    cfg = {"experiment": "gamma", "seed": 0, "points": points}
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_OK
-    dist = FiniteMetricSpace.from_points(points).distance_matrix("euclidean")
-    radii = np.unique(dist[dist > 0])
-    assert len(calls) == radii.size + 1  # u = 0 for the integral
-    assert len((out / "covering.csv").read_text().splitlines()) == 1 + radii.size
+    for size in (24, 20):
+        calls.clear()
+        points = trng.stream(3, 0).uniform(-1.0, 1.0, (size, 2)).tolist()
+        cfg = {"experiment": "gamma", "seed": 0, "points": points}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / f"out{size}"
+        assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_OK
+        dist = FiniteMetricSpace.from_points(points).distance_matrix("euclidean")
+        radii = np.unique(dist[dist > 0])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][1], np.concatenate(([0.0], radii)))
+        assert len((out / "covering.csv").read_text().splitlines()) == 1 + radii.size
 
 
 @pytest.mark.parametrize("size, exact", [(20, True), (21, False)])

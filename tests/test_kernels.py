@@ -1,5 +1,6 @@
 """Each numpy kernel against a plain-loop oracle."""
 
+import functools
 import itertools
 import math
 
@@ -42,12 +43,14 @@ def spectrum_trajs(seed, ns=3):
     return np.ascontiguousarray(np.stack([base + step for step in steps], axis=1))
 
 
-def random_dist(seed, n=9):
-    gen = trng.stream(seed, 0)
-    pts = gen.uniform(-1, 1, (n, 2))
+def planar_dist(pts):
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt((diff**2).sum(axis=2))
     return np.ascontiguousarray((d + d.T) / 2)
+
+
+def random_dist(seed, n=9):
+    return planar_dist(trng.stream(seed, 0).uniform(-1, 1, (n, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +148,16 @@ def gamma2_scan_loop(dist, subs, w1):
 
 
 def greedy_cover_loop(within):
+    """Greedy cover with each ball a Python-int bit set; the first ball of
+    largest gain wins."""
     n = within.shape[0]
-    covered = [False] * n
-    count = 0
-    while not all(covered):
-        bi, bv = 0, -1
-        for c in range(n):
-            gain = sum(1 for t in range(n) if not covered[t] and within[c, t])
-            if gain > bv:
-                bv, bi = gain, c
-        for t in range(n):
-            covered[t] = covered[t] or bool(within[bi, t])
+    # ball c as the binary numeral whose digit t (from the right) is within[c, t]
+    digits = (within[:, ::-1].astype(np.uint8) + ord("0")).view(f"S{n}").ravel()
+    balls = [int(d, 2) for d in digits]
+    covered = count = 0
+    while covered != (1 << n) - 1:
+        gains = [bin(b & ~covered).count("1") for b in balls]
+        covered |= balls[gains.index(max(gains))]
         count += 1
     return count
 
@@ -400,11 +402,77 @@ def test_gamma2_scan_matches_loop():
     )
 
 
+def cover_dist(name):
+    """Spaces for the greedy-cover oracle: random planar ones on either side
+    of the 64-bit word boundary, one with a duplicated point (a zero
+    off-diagonal distance) and an integer lattice, whose many equal
+    distances make ties in the gains."""
+    if name == "duplicate":
+        pts = trng.stream(71, 0).uniform(-1, 1, (70, 2))
+        pts[40] = pts[3]
+        return planar_dist(pts)
+    if name == "lattice":
+        return planar_dist(np.array(list(itertools.product(range(9), range(8))), float))
+    n = int(name)
+    return random_dist(700 + n, n)
+
+
+COVER_SPACES = ["1", "2", "63", "64", "65", "130", "duplicate", "lattice"]
+
+
+@functools.cache
+def cover_oracle(name):
+    """(dist, radii, loop counts) over every radius of the covering curve;
+    every 16th radius on the 130-point space, where the loop takes seconds."""
+    dist = cover_dist(name)
+    radii = np.concatenate(([0.0], np.unique(dist[dist > 0])))
+    if dist.shape[0] > 100:
+        radii = radii[::16]
+    return dist, radii, np.array([greedy_cover_loop(dist <= u) for u in radii])
+
+
 def test_greedy_cover_matches_loop():
-    dist = random_dist(9)
-    for u in np.quantile(dist[dist > 0], [0.2, 0.5, 0.8]):
-        within = dist <= u
-        assert kernels.greedy_cover(within) == greedy_cover_loop(within)
+    for name in COVER_SPACES:
+        dist, radii, want = cover_oracle(name)
+        got = kernels.greedy_cover(dist, radii)
+        assert np.array_equal(got, want), name
+        for u, count in zip(radii[::7], want[::7]):
+            assert kernels.greedy_cover(dist, [u]).tolist() == [count], (name, u)
+
+
+@pytest.mark.parametrize("per_chunk", [2, 7])
+def test_greedy_cover_matches_loop_in_split_chunks(per_chunk, monkeypatch):
+    for name in COVER_SPACES:
+        dist, radii, want = cover_oracle(name)
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", per_chunk * dist.size)
+        assert np.array_equal(kernels.greedy_cover(dist, radii), want), name
+
+
+def test_greedy_cover_counts_one_from_the_space_radius_on():
+    dist = cover_dist("65")
+    radius = dist.max(axis=1).min()
+    above = np.array([radius, np.nextafter(radius, np.inf), dist.max(), 1e300])
+    assert kernels.greedy_cover(dist, above).tolist() == [1, 1, 1, 1]
+    assert kernels.greedy_cover(dist, [np.nextafter(radius, 0)])[0] >= 2
+    assert kernels.greedy_cover(dist, []).size == 0
+
+
+@pytest.mark.parametrize("u", [float("nan"), -1.0])
+def test_greedy_cover_rejects_a_radius_with_empty_balls(u):
+    with pytest.raises(ValueError):
+        kernels.greedy_cover(cover_dist("2"), [0.5, u])
+
+
+def test_popcount_counts_set_bits():
+    words = np.concatenate(
+        (
+            np.array([0, 1, 2**63, 2**64 - 1], np.uint64),
+            trng.stream(72, 0).integers(0, 2**64, 1000, np.uint64, endpoint=False),
+        )
+    )
+    got = kernels._popcount(words)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [bin(int(w)).count("1") for w in words]
 
 
 def test_triangle_violation_matches_loop():
