@@ -29,6 +29,17 @@ EXACT_COVER_LIMIT = 20
 EXHAUSTIVE_LIMIT = 16
 
 
+def euclidean_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of a 2-D array.
+
+    Exactly symmetric with a zero diagonal, as p_i - p_j is exactly -(p_j - p_i).
+    An overflow leaves a non-finite entry for FiniteMetricSpace to reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = points[:, None, :] - points[None, :, :]
+        return np.sqrt((diff**2).sum(axis=2))
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Index set {0, ..., size-1} with one or more named distance matrices."""
@@ -43,7 +54,7 @@ class FiniteMetricSpace:
             raise ValidationError("metric space needs at least one metric")
         frozen = {}
         for name, mat in self.metrics.items():
-            arr = np.ascontiguousarray(mat, dtype=np.float64)
+            arr = np.array(mat, dtype=np.float64, order="C")  # a copy, frozen below
             if arr.shape != (self.size, self.size):
                 raise ValidationError(f"metric {name!r} has shape {arr.shape}")
             if not np.isfinite(arr).all():
@@ -53,7 +64,6 @@ class FiniteMetricSpace:
             if np.abs(np.diag(arr)).max(initial=0.0) > 1e-12:
                 raise ValidationError(f"metric {name!r} has a nonzero diagonal")
             if np.diag(arr).any():  # accepted as zero, so stored as zero
-                arr = arr.copy()
                 np.fill_diagonal(arr, 0.0)
             if np.abs(arr - arr.T).max() > 1e-12:
                 raise ValidationError(f"metric {name!r} is not symmetric")
@@ -68,11 +78,7 @@ class FiniteMetricSpace:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
             pts = pts.T
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist = (dist + dist.T) / 2.0
-        np.fill_diagonal(dist, 0.0)
-        return cls(pts.shape[0], {name: dist})
+        return cls(pts.shape[0], {name: euclidean_distances(pts)})
 
     def distance_matrix(self, metric_id: str) -> np.ndarray:
         try:

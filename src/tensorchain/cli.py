@@ -334,17 +334,17 @@ def _build_process_spec(p, family, basis_seed, tail_beta) -> ProcessSpec:
 
 def _run_simulate(config, p, outputs):
     spec = _build_process_spec(p, p["family"], p["basis_seed"], float(p["tail_beta"]))
-    space = process_space(spec, p["gauge"])
-    ensemble = sample_ensemble(spec, space, p["seed"], p["samples"], gauge=p["gauge"])
+    ensemble = sample_ensemble(spec, p["seed"], p["samples"], gauge=p["gauge"])
     sups = ensemble.sup_samples(p["t0"])
     grid = _quantile_grid(sups) if p["u_grid"] is None else _u_grid(p["u_grid"])
-    curve = empirical_tail(ensemble, space, p["t0"], grid)
+    curve = empirical_tail(ensemble, p["t0"], grid)
     report = {"experiment_config": config, "family": spec.family.value}
     verdicts = []
     if p["fit_exponent"]:
         beta_hat, r2 = fit_tail_exponent(curve)
         report["fitted_exponent"] = {"beta_hat": beta_hat, "r_squared": r2}
     if p["verify_tail"]:
+        space = process_space(spec, p["gauge"])
         tail_report = verify_increment_tail(
             ensemble, space, "increment", spec.tail_beta, _u_grid(p["tail_u_grid"])
         )

@@ -15,8 +15,9 @@ the theory being exercised):
 
 Each family carries the increment pseudo-metric
 d(s, t) = kappa * ||c(t) - c(s)||_2 * max_k ||B_k||  with kappa a per-family
-calibration scale; the claimed exponential tail with exponent ``tail_beta``
-is verified empirically by :func:`verify_increment_tail`, never assumed.
+calibration scale.  Sampling never reads it; the claimed exponential tail with
+exponent ``tail_beta`` is verified on it empirically by
+:func:`verify_increment_tail`, never assumed.
 
 Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
 are bit-reproducible regardless of scheduling.  :func:`_realize` is the one
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels, rng as rng_mod
-from .chaining import FiniteMetricSpace
+from .chaining import FiniteMetricSpace, euclidean_distances
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -92,7 +93,7 @@ class ProcessSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", ProcessFamily.coerce(self.family))
-        coeffs = np.ascontiguousarray(self.coefficients, dtype=np.float64)
+        coeffs = np.array(self.coefficients, dtype=np.float64, order="C")  # a copy
         if coeffs.ndim != 2 or coeffs.shape[1] < 1:
             raise ValidationError("coefficients must be a (index, K) array with K >= 1")
         if not np.isfinite(coeffs).all():
@@ -137,15 +138,14 @@ def process_metric(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> np.ndarray:
     """Increment pseudo-metric kappa * ||c(t)-c(s)|| * max_k ||B_k||."""
     gauge = GaugeNorm.coerce(gauge)
     scale = spec.metric_scale * max(norm(b, gauge) for b in spec.basis)
-    diff = spec.coefficients[:, None, :] - spec.coefficients[None, :, :]
-    dist = scale * np.sqrt((diff**2).sum(axis=2))
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
-    return dist
+    with np.errstate(over="ignore", invalid="ignore"):  # FiniteMetricSpace names it
+        return scale * euclidean_distances(spec.coefficients)
 
 
-def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL, name="increment"):
-    return FiniteMetricSpace(spec.index_count, {name: process_metric(spec, gauge)})
+def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> FiniteMetricSpace:
+    """The index set under :func:`process_metric`, named ``"increment"``."""
+    metric = process_metric(spec, gauge)
+    return FiniteMetricSpace(spec.index_count, {"increment": metric})
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +191,8 @@ class Ensemble:
         return self.norms_vs(t0).max(axis=1)
 
 
-def _realize(specs, seed: int, lo: int, hi: int, nt: int) -> np.ndarray:
-    """(hi - lo, nt, D, D) trajectories of samples lo..hi-1 of a sum of processes.
+def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, T, D, D) trajectories of samples lo..hi-1 of a sum of processes.
 
     Sample s draws the scalars of every component from the stream (seed, s),
     in component order; each component is then contracted once for the block.
@@ -201,7 +201,7 @@ def _realize(specs, seed: int, lo: int, hi: int, nt: int) -> np.ndarray:
     trajs = None
     for spec in specs:
         w = np.array([_draw_scalars(spec.family, gen, spec.order) for gen in gens])
-        weighted = spec.coefficients[None, :nt] * w[:, None, :]
+        weighted = spec.coefficients[None] * w[:, None, :]
         part = np.einsum("stk,kij->stij", weighted, spec.basis_stack)
         if trajs is None:
             trajs = part
@@ -211,20 +211,12 @@ def _realize(specs, seed: int, lo: int, hi: int, nt: int) -> np.ndarray:
 
 
 def sample_ensemble(
-    spec: ProcessSpec,
-    space: FiniteMetricSpace,
-    seed: int,
-    n_samples: int,
-    gauge=GaugeNorm.SPECTRAL,
+    spec: ProcessSpec, seed: int, n_samples: int, gauge=GaugeNorm.SPECTRAL
 ) -> Ensemble:
+    """Trajectories of samples 0..n_samples-1 at every index of ``spec``."""
     if n_samples < 1:
         raise ValidationError("need at least one sample")
-    if spec.index_count < space.size:
-        raise ValidationError(
-            f"coefficient map covers {spec.index_count} indices, "
-            f"space has {space.size}"
-        )
-    trajs = _realize((spec,), seed, 0, n_samples, space.size)
+    trajs = _realize((spec,), seed, 0, n_samples)
     trajs.flags.writeable = False
     return Ensemble(spec, seed, GaugeNorm.coerce(gauge), trajs)
 
@@ -234,14 +226,12 @@ def sample_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def empirical_sup_moment(ensemble: Ensemble, space, p: float, t0: int) -> float:
+def empirical_sup_moment(ensemble: Ensemble, p: float, t0: int) -> float:
     """((1/S) sum_s max_t ||X_t - X_t0||^p)^(1/p)."""
     if p < 1:
         raise DomainError("p must be at least 1")
     if ensemble.sample_count < 1:
         raise ValidationError("ensemble is empty")
-    if ensemble.space_size != space.size:
-        raise ValidationError("ensemble and space disagree on the index count")
     sups = ensemble.sup_samples(t0)
     return float(np.mean(sups**p) ** (1.0 / p))
 
@@ -259,8 +249,8 @@ class TailCurve:
     sample_count: int
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.u_grid, dtype=np.float64)
-        s = np.ascontiguousarray(self.survival, dtype=np.float64)
+        u = np.array(self.u_grid, dtype=np.float64, order="C")  # copies, frozen below
+        s = np.array(self.survival, dtype=np.float64, order="C")
         if u.ndim != 1 or s.shape != u.shape:
             raise ValidationError("u_grid and survival must be 1-D and aligned")
         if np.any(np.diff(u) <= 0):
@@ -294,7 +284,8 @@ class TailCurve:
         return "\n".join(lines) + "\n"
 
 
-def empirical_tail(ensemble: Ensemble, space, t0: int, u_grid) -> TailCurve:
+def empirical_tail(ensemble: Ensemble, t0: int, u_grid) -> TailCurve:
+    """Survival of the per-sample supremum of ||X_t - X_t0|| at each u."""
     u = np.asarray(u_grid, dtype=np.float64)
     if u.ndim != 1 or u.size == 0:
         raise DomainError("u_grid must be a nonempty 1-D array")
@@ -361,7 +352,8 @@ def verify_increment_tail(
     if not live.any():
         raise InsufficientDataError("no pair of indices is at positive distance")
 
-    bounds = np.minimum(1.0, 2.0 * np.exp(-(u**beta)))
+    with np.errstate(over="ignore"):  # u**beta = inf gives the bound 0
+        bounds = np.minimum(1.0, 2.0 * np.exp(-(u**beta)))
     worst_freq = np.zeros_like(u)
     worst_ratio = 0.0
     for i, uu in enumerate(u):
@@ -421,16 +413,14 @@ def sample_mixed_sups(
     sups = np.empty(n_samples)
     for lo in range(0, n_samples, step):
         hi = min(n_samples, lo + step)
-        trajs = _realize(specs, seed, lo, hi, nt)
+        trajs = _realize(specs, seed, lo, hi)
         sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, gauge).max(axis=1)
     return sups
 
 
 def ensemble_to_csv(ensemble: Ensemble, t0: int = 0) -> str:
     """Per-(sample, index) gauge norms of X_t - X_t0 as CSV."""
-    norms_vs = ensemble.norms_vs(t0)
     lines = ["sample,t_index,norm"]
-    for s in range(ensemble.sample_count):
-        for t in range(ensemble.space_size):
-            lines.append(f"{s},{t},{float(norms_vs[s, t])!r}")
+    for s, row in enumerate(ensemble.norms_vs(t0).tolist()):
+        lines.extend(f"{s},{t},{v!r}" for t, v in enumerate(row))
     return "\n".join(lines) + "\n"

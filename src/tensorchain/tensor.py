@@ -91,7 +91,7 @@ class DenseTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        arr = np.array(self.data, dtype=np.complex128, order="C")  # a copy, frozen
         expected = self.shape.row_modes + self.shape.col_modes
         if arr.shape != expected:
             raise ShapeError(f"data has shape {arr.shape}, expected {expected}")

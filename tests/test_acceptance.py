@@ -195,11 +195,10 @@ def _fit_exponent(family, basis_count, levels, seed):
     )
     coeffs = trng.stream(seed, 99).uniform(-1.0, 1.0, (8, basis_count))
     spec = ProcessSpec(family, coeffs, basis, 2.0 if "gauss" in family else 1.0)
-    space = process_space(spec)
-    ens = sample_ensemble(spec, space, seed + 1, SAMPLES)
+    ens = sample_ensemble(spec, seed + 1, SAMPLES)
     sups = ens.sup_samples(0)
     grid = np.unique(np.quantile(sups, 1.0 - np.geomspace(levels[0], levels[1], 12)))
-    return fit_tail_exponent(empirical_tail(ens, space, 0, grid))
+    return fit_tail_exponent(empirical_tail(ens, 0, grid))
 
 
 def test_criterion_4_tail_exponent_recovery():
@@ -272,7 +271,7 @@ def test_criterion_6_fitted_constant_bounds():
     fits = []
     verdicts = []
     for seed in (1, 2, 3):
-        ens = sample_ensemble(spec, space, 7000 + seed, SAMPLES)
+        ens = sample_ensemble(spec, 7000 + seed, SAMPLES)
         sups = ens.sup_samples(0)
         cs = fit_constants("exp_tail", sups, grid, params)
         fits.append(cs.chain_const)

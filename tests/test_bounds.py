@@ -493,7 +493,7 @@ def _increment_tail_without_points():
     basis = (random_hermitian((2,), trng.stream(22, 0)),)
     spec = ProcessSpec("gaussian_linear", np.array([[0.0], [1.0], [2.0]]), basis, 2.0)
     space = process_space(spec)
-    ensemble = sample_ensemble(spec, space, 23, 50)
+    ensemble = sample_ensemble(spec, 23, 50)
     return verify_increment_tail(ensemble, space, "increment", 2.0, [])
 
 

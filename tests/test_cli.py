@@ -468,6 +468,53 @@ def test_overflowing_gamma_prints_only_the_diagnostic(tmp_path, capfd):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_metric_scale_prints_only_the_diagnostic(tmp_path, capfd):
+    config = {**SIMULATE, "metric_scale": 1e308, "verify_tail": True}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err == "config error: metric 'increment' has non-finite entries\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_tail_beta_prints_only_the_verdict(tmp_path, capfd):
+    # u**beta overflows for every u > 1, where the bound 2 exp(-u**beta) is 0
+    config = {
+        **SIMULATE,
+        "tail_beta": 1e308,
+        "metric_scale": 0.5,
+        "verify_tail": True,
+        "fit_exponent": False,
+    }
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_VERDICT
+    assert capfd.readouterr().err == "bound verdict: violated\n"
+    rows = json.loads((out / "report.json").read_text())["increment_tail"]["rows"]
+    assert [row["prob_bound"] for row in rows if row["u"] > 1.0] == [0.0] * 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_reads_the_metric_only_to_verify_the_tail(tmp_path, capfd):
+    # distances of 1e200 overflow; the realizations and their norms do not
+    config = {
+        **SIMULATE,
+        "index_count": 3,
+        "coefficients": [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]],
+        "fit_exponent": False,
+    }
+    path = write_config(tmp_path, config)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "a")]) == EXIT_OK
+    path = write_config(tmp_path, {**config, "verify_tail": True})
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "b")])
+    assert code == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err == "config error: metric 'increment' has non-finite entries\n"
+
+
 def drop_config_echo(out):
     """Output files by name; JSON reports without their config echo."""
     files = {}

@@ -42,8 +42,7 @@ def make_spec(family="gaussian_linear", seed=7, nt=6, k=3, row_modes=(2,), **kw)
 
 def make_pair(seed=7, samples=500, **kw):
     spec = make_spec(seed=seed, **kw)
-    space = process_space(spec)
-    return spec, space, sample_ensemble(spec, space, seed + 1, samples)
+    return spec, process_space(spec), sample_ensemble(spec, seed + 1, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +89,26 @@ def test_spec_rejects_bad_scale_and_beta():
         ProcessSpec("gaussian_linear", np.ones((3, 1)), basis, 2.0, metric_scale=-1.0)
 
 
-def test_sampling_rejects_coefficient_gap():
-    spec = make_spec(nt=3)
-    big_space = FiniteMetricSpace.from_points([[0.0], [1.0], [2.0], [3.0]])
-    with pytest.raises(ValidationError):
-        sample_ensemble(spec, big_space, 1, 10)
+# each class is given a C-contiguous array of the dtype it stores, which it
+# must copy before freezing
+@pytest.mark.parametrize(
+    "given, store",
+    [
+        (1.0 - np.eye(2), lambda a: FiniteMetricSpace(2, {"d": a}).metrics["d"]),
+        (np.ones((2, 1)), lambda a: ProcessSpec(
+            "gaussian_linear", a, make_spec(k=1).basis, 2.0).coefficients),
+        (np.array([1.0, 2.0]), lambda a: TailCurve.exact(a, [0.5, 0.25]).u_grid),
+        (np.array([0.5, 0.25]), lambda a: TailCurve.exact([1.0, 2.0], a).survival),
+        (np.eye(2, dtype=complex), lambda a: DenseTensor(Shape((2,), (2,)), a).data),
+    ],
+    ids=["FiniteMetricSpace", "ProcessSpec", "TailCurve.u_grid", "TailCurve.survival",
+         "DenseTensor"],
+)
+def test_stored_arrays_leave_the_callers_writeable(given, store):
+    stored = store(given)
+    assert not stored.flags.writeable
+    given.flat[0] = 3.0
+    assert stored.flat[0] != 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +119,19 @@ def test_sampling_rejects_coefficient_gap():
 def test_zero_coefficients_give_zero_trajectories():
     basis = (random_hermitian((2,), trng.stream(3, 0)),)
     spec = ProcessSpec("gaussian_linear", np.zeros((2, 1)), basis, 2.0)
-    space = FiniteMetricSpace(2, {"d": np.zeros((2, 2))})
-    ens = sample_ensemble(spec, space, 5, 1)
+    ens = sample_ensemble(spec, 5, 1)
     assert np.all(ens.trajectories == 0)
 
 
 def test_same_seed_bit_identical():
-    _, space, e1 = make_pair(seed=11, samples=50)
-    spec = make_spec(seed=11)
-    e2 = sample_ensemble(spec, space, 12, 50)
+    _, _, e1 = make_pair(seed=11, samples=50)
+    e2 = sample_ensemble(make_spec(seed=11), 12, 50)
     assert np.array_equal(e1.trajectories, e2.trajectories)
 
 
 def test_different_seed_differs():
-    spec, space, e1 = make_pair(seed=13, samples=20)
-    e2 = sample_ensemble(spec, space, 99, 20)
+    spec, _, e1 = make_pair(seed=13, samples=20)
+    e2 = sample_ensemble(spec, 99, 20)
     assert not np.array_equal(e1.trajectories, e2.trajectories)
 
 
@@ -139,9 +151,8 @@ def test_rank_one_increment_closed_form():
     basis = (random_hermitian((2,), trng.stream(19, 0)),)
     coeffs = np.array([[0.25], [1.0]])
     spec = ProcessSpec("gaussian_linear", coeffs, basis, 2.0)
-    space = process_space(spec)
     seed, samples = 23, 40
-    ens = sample_ensemble(spec, space, seed, samples)
+    ens = sample_ensemble(spec, seed, samples)
     b_norm = norm(basis[0], GaugeNorm.SPECTRAL)
     assert ens.pairwise_norms.shape == (samples, 1)  # the one pair (0, 1)
     got = ens.pairwise_norms[:, 0]
@@ -151,7 +162,7 @@ def test_rank_one_increment_closed_form():
 
 
 def test_homogeneity_of_statistics_and_exponent():
-    spec, space, ens = make_pair(seed=29, samples=4000)
+    spec, _, ens = make_pair(seed=29, samples=4000)
     scaled_spec = ProcessSpec(
         spec.family,
         spec.coefficients,
@@ -159,20 +170,18 @@ def test_homogeneity_of_statistics_and_exponent():
         spec.tail_beta,
         spec.metric_scale,
     )
-    scaled = sample_ensemble(scaled_spec, process_space(scaled_spec), 30, 4000)
-    base = sample_ensemble(spec, space, 30, 4000)
+    scaled = sample_ensemble(scaled_spec, 30, 4000)
+    base = sample_ensemble(spec, 30, 4000)
     assert base.pairwise_norms.shape == (4000, 6 * 5 // 2)
     assert np.allclose(scaled.pairwise_norms, 3.0 * base.pairwise_norms, rtol=1e-12)
     sups_a, sups_b = base.sup_samples(0), scaled.sup_samples(0)
     grid_a = np.unique(np.quantile(sups_a, 1 - np.geomspace(0.5, 0.01, 10)))
-    fit_a = fit_tail_exponent(empirical_tail(base, space, 0, grid_a))
-    fit_b = fit_tail_exponent(
-        empirical_tail(scaled, process_space(scaled_spec), 0, 3.0 * grid_a)
-    )
+    fit_a = fit_tail_exponent(empirical_tail(base, 0, grid_a))
+    fit_b = fit_tail_exponent(empirical_tail(scaled, 0, 3.0 * grid_a))
     assert fit_a[0] == pytest.approx(fit_b[0], rel=1e-9)
 
 
-def oracle_trajectories(specs, seed, n_samples, nt):
+def oracle_trajectories(specs, seed, n_samples):
     """Per-sample loop: each component's scalars from stream (seed, s) in order."""
     laws = {
         "gaussian_linear": lambda gen, k: gen.standard_normal(k),
@@ -188,7 +197,7 @@ def oracle_trajectories(specs, seed, n_samples, nt):
         for spec in specs:
             w = laws[spec.family.value](gen, spec.order)
             part = np.einsum(
-                "tk,kij->tij", spec.coefficients[:nt] * w[None, :], spec.basis_stack
+                "tk,kij->tij", spec.coefficients * w[None, :], spec.basis_stack
             )
             traj = part if traj is None else traj + part
         out.append(traj)
@@ -200,10 +209,9 @@ def oracle_trajectories(specs, seed, n_samples, nt):
     ["gaussian_linear", "subexponential_linear", "rademacher_martingale", "iid_bernstein"],
 )
 def test_ensemble_matches_per_sample_oracle(family):
-    spec = make_spec(family=family, seed=31, nt=7, k=4)
-    space = FiniteMetricSpace.from_points([[float(t)] for t in range(5)])
-    ens = sample_ensemble(spec, space, 37, 25)
-    assert np.array_equal(ens.trajectories, oracle_trajectories((spec,), 37, 25, 5))
+    spec = make_spec(family=family, seed=31, nt=5, k=4)
+    ens = sample_ensemble(spec, 37, 25)
+    assert np.array_equal(ens.trajectories, oracle_trajectories((spec,), 37, 25))
     assert (ens.sample_count, ens.space_size) == (25, 5)
 
 
@@ -215,7 +223,7 @@ def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
     # so 10 samples span two full blocks and a partial one
     monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 24 * 4)
     got = sample_mixed_sups(g, e, 7, 10, t0=t0)
-    trajs = oracle_trajectories((g, e), 7, 10, 6)
+    trajs = oracle_trajectories((g, e), 7, 10)
     # the increments are Hermitian: spectral norm is the largest |eigenvalue|
     want = [np.abs(np.linalg.eigvalsh(traj - traj[t0])).max() for traj in trajs]
     assert np.array_equal(got, want)
@@ -231,7 +239,7 @@ def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
 def test_norms_vs_is_cached_and_read_only(monkeypatch, chunk_entries):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     spec = make_spec(seed=108, nt=4)
-    ens = sample_ensemble(spec, process_space(spec), 109, 5)
+    ens = sample_ensemble(spec, 109, 5)
     norms = ens.norms_vs(1)
     assert ens.norms_vs(1) is norms
     diffs = ens.trajectories - ens.trajectories[:, 1:2]
@@ -243,36 +251,35 @@ def test_norms_vs_is_cached_and_read_only(monkeypatch, chunk_entries):
 def test_sup_moment_singleton_space_is_zero():
     basis = (random_hermitian((2,), trng.stream(41, 0)),)
     spec = ProcessSpec("gaussian_linear", np.ones((1, 1)), basis, 2.0)
-    space = FiniteMetricSpace(1, {"d": np.zeros((1, 1))})
-    ens = sample_ensemble(spec, space, 43, 10)
-    assert empirical_sup_moment(ens, space, 1.0, 0) == 0.0
+    ens = sample_ensemble(spec, 43, 10)
+    assert empirical_sup_moment(ens, 1.0, 0) == 0.0
 
 
 def test_sup_moment_scales_exactly():
-    spec, space, ens = make_pair(seed=47, samples=60)
+    spec, _, _ = make_pair(seed=47, samples=60)
     spec3 = ProcessSpec(
         spec.family, spec.coefficients, tuple(2.5 * b for b in spec.basis),
         spec.tail_beta, spec.metric_scale,
     )
-    ens3 = sample_ensemble(spec3, process_space(spec3), 48, 60)
-    base = sample_ensemble(spec, space, 48, 60)
+    ens3 = sample_ensemble(spec3, 48, 60)
+    base = sample_ensemble(spec, 48, 60)
     for p in (1.0, 2.0):
-        assert empirical_sup_moment(ens3, process_space(spec3), p, 0) == pytest.approx(
-            2.5 * empirical_sup_moment(base, space, p, 0), rel=1e-12
+        assert empirical_sup_moment(ens3, p, 0) == pytest.approx(
+            2.5 * empirical_sup_moment(base, p, 0), rel=1e-12
         )
 
 
 def test_sup_moment_small_ensemble_hand_average():
     spec, space, ens = make_pair(seed=53, samples=5)
     sups = ens.norms_vs(0).max(axis=1)
-    assert empirical_sup_moment(ens, space, 1.0, 0) == pytest.approx(
+    assert empirical_sup_moment(ens, 1.0, 0) == pytest.approx(
         float(sups.mean()), rel=1e-12
     )
 
 
 def test_sup_moment_monotone_in_p():
     spec, space, ens = make_pair(seed=59, samples=200)
-    values = [empirical_sup_moment(ens, space, p, 0) for p in (1, 2, 4, 8)]
+    values = [empirical_sup_moment(ens, p, 0) for p in (1, 2, 4, 8)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -286,9 +293,9 @@ def test_sup_moment_subset_monotonicity():
 def test_sup_moment_domain_checks():
     spec, space, ens = make_pair(seed=67, samples=5)
     with pytest.raises(DomainError):
-        empirical_sup_moment(ens, space, 0.5, 0)
+        empirical_sup_moment(ens, 0.5, 0)
     with pytest.raises(DomainError):
-        empirical_sup_moment(ens, space, 1.0, 99)
+        empirical_sup_moment(ens, 1.0, 99)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,7 @@ def test_tail_survival_one_at_zero_and_zero_past_max():
     spec, space, ens = make_pair(seed=71, samples=100)
     sups = ens.sup_samples(0)
     grid = np.array([0.0, float(sups.max()) * 1.01])
-    curve = empirical_tail(ens, space, 0, grid)
+    curve = empirical_tail(ens, 0, grid)
     assert curve.survival[0] == 1.0
     assert curve.survival[-1] == 0.0
 
@@ -310,7 +317,7 @@ def test_tail_counts_match_independent_pass():
     sups = ens.sup_samples(0)
     grid = np.quantile(sups, [0.2, 0.5, 0.8])
     grid = np.unique(grid)
-    curve = empirical_tail(ens, space, 0, grid)
+    curve = empirical_tail(ens, 0, grid)
     for u, s in zip(curve.u_grid, curve.survival):
         count = sum(1 for v in sups if v >= u)
         assert s * curve.sample_count == pytest.approx(count)
@@ -348,7 +355,7 @@ def test_increment_tail_zero_process_has_no_pair_to_test():
     basis = (zero(Shape((2,), (2,))),)
     spec = ProcessSpec("gaussian_linear", np.ones((3, 1)), basis, 2.0)
     space = process_space(spec)  # all distances zero
-    ens = sample_ensemble(spec, space, 79, 20)
+    ens = sample_ensemble(spec, 79, 20)
     with pytest.raises(InsufficientDataError, match="positive distance"):
         verify_increment_tail(ens, space, "increment", 2.0, [0.5, 1.0, 2.0])
 
@@ -356,7 +363,7 @@ def test_increment_tail_zero_process_has_no_pair_to_test():
 def test_increment_tail_one_point_space_has_no_pair_to_test():
     spec = make_spec(seed=113, nt=1, k=2)
     space = process_space(spec)
-    ens = sample_ensemble(spec, space, 114, 20)
+    ens = sample_ensemble(spec, 114, 20)
     assert ens.pairwise_norms.shape == (20, 0)
     with pytest.raises(InsufficientDataError, match="positive distance"):
         verify_increment_tail(ens, space, "increment", 2.0, [1.0])
@@ -369,7 +376,7 @@ def test_increment_tail_leaves_out_coincident_indices():
     coeffs[2] = coeffs[0]
     spec = ProcessSpec(spec.family, coeffs, spec.basis, spec.tail_beta)
     space = process_space(spec)
-    ens = sample_ensemble(spec, space, 112, 300)
+    ens = sample_ensemble(spec, 112, 300)
     u = [0.5, 1.0, 2.0]
     report = verify_increment_tail(ens, space, "increment", 2.0, u)
     assert report.inputs["pairs_tested"] == 6 * 5 // 2 - 1
@@ -394,7 +401,7 @@ def test_increment_tail_overclaimed_exponent_fails():
     # an under-scaled metric with a claimed cubic exponent must be caught
     spec = make_spec(seed=89, metric_scale=0.5, tail_beta=3.0)
     space = process_space(spec)
-    ens = sample_ensemble(spec, space, 90, 4000)
+    ens = sample_ensemble(spec, 90, 4000)
     report = verify_increment_tail(
         ens, space, "increment", 3.0, np.linspace(1.0, 3.0, 6)
     )
@@ -404,7 +411,7 @@ def test_increment_tail_overclaimed_exponent_fails():
 def test_increment_tail_degenerate_metric_detected():
     spec, space, _ = make_pair(seed=97, samples=10)
     zero_metric = FiniteMetricSpace(space.size, {"flat": np.zeros((space.size,) * 2)})
-    ens = sample_ensemble(spec, zero_metric, 98, 10)
+    ens = sample_ensemble(spec, 98, 10)
     with pytest.raises(DegenerateMetricError, match="indices 0 and 1 "):
         verify_increment_tail(ens, zero_metric, "flat", 2.0, [1.0, 2.0])
 
@@ -413,7 +420,7 @@ def test_increment_tail_names_first_degenerate_pair_in_triu_order():
     # points 1 and 3 coincide, and so do 2 and 5; their realizations differ
     spec, _, _ = make_pair(seed=97, samples=10)
     space = FiniteMetricSpace.from_points([[0.0], [1.0], [2.0], [1.0], [4.0], [2.0]])
-    ens = sample_ensemble(spec, space, 98, 10)
+    ens = sample_ensemble(spec, 98, 10)
     with pytest.raises(DegenerateMetricError, match="indices 1 and 3 "):
         verify_increment_tail(ens, space, "euclidean", 2.0, [1.0, 2.0])
 
