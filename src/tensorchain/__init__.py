@@ -10,6 +10,7 @@ from .tensor import (  # noqa: F401
     conjugate_transpose,
     einstein_product,
     fold,
+    hermitian_part,
     identity,
     inner_product,
     inverse,

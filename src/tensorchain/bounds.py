@@ -12,7 +12,9 @@ Fitting and evaluation share one formula table, ``_TAIL_BOUNDS``, which
 maps each fitted bound to its public ``*_sup_tail_bound`` function and the
 two :class:`ConstantSet` slots it fills, and one verdict rule, the rows of
 :func:`tensorchain.report.make_rows`: a fitted scale is feasible when every
-row of its report holds.
+row of its report holds.  The Azuma and Bernstein checks build the same
+rows in one harness, from tensors taken through
+:func:`tensorchain.tensor.hermitian_part`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import kernels, rng as rng_mod
 from .errors import DomainError, FitFailureError, ShapeError, ValidationError
 from .report import BoundReport, make_rows, row_holds
-from .tensor import GaugeNorm, einstein_product, is_hermitian, norm, unfold
+from .tensor import hermitian_part, unfold
 
 
 @dataclass(frozen=True)
@@ -35,25 +37,18 @@ class ConstantSet:
     chain_const / diam_const scale the chaining and diameter terms of the
     single-exponential-tail bounds, including the martingale variant;
     mixed_chain_const / mixed_scale_const play the same roles for the
-    mixed-tail and empirical-process bounds; series_const is the computable
-    union-bound series constant; moment_const is the tail-to-moment
-    conversion constant.
+    mixed-tail and empirical-process bounds.
     """
 
     chain_const: float = 1.0
     diam_const: float = 1.0
-    series_const: float = 1.0
     mixed_chain_const: float = 1.0
     mixed_scale_const: float = 1.0
-    moment_const: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise DomainError(f"{f.name} must be strictly positive")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +129,28 @@ def azuma_tail(sigma: float, u: float, row_modes) -> float:
     return math.prod(row_modes) * math.exp(-(u**2) / (8.0 * sigma**2))
 
 
+def _hermitian_stack(tensors, what: str):
+    """(shape, :func:`~tensorchain.tensor.hermitian_part` of the unfoldings)
+    of a nonempty sequence of tensors of one square shape."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ValidationError(f"need at least one {what} tensor")
+    shape = tensors[0].shape
+    if not shape.is_square or any(t.shape != shape for t in tensors):
+        raise ShapeError(f"{what} tensors must share one square shape")
+    return shape, hermitian_part([unfold(t) for t in tensors])
+
+
+def _sigma(stack, n=1) -> float:
+    """sqrt ||(1/n) sum_k M_k^2||: the variance proxy of a Hermitian stack."""
+    return math.sqrt(kernels.batch_lambda_max(np.einsum("kij,kjl->il", stack, stack) / n))
+
+
 def martingale_chain_metric(diff_paths) -> float:
-    """Spectral norm of the summed squared differences, square-rooted."""
+    """sqrt ||sum_k D_k^2|| over the Hermitian parts of the differences D_k;
+    0 for no differences."""
     diffs = list(diff_paths)
-    if not diffs:
-        return 0.0
-    shape = diffs[0].shape
-    total = np.zeros((shape.row_count, shape.col_count), np.complex128)
-    for d in diffs:
-        if d.shape != shape:
-            raise ShapeError("difference tensors must share one shape")
-        if not is_hermitian(d):
-            raise DomainError("difference tensors must be Hermitian")
-        squared = einstein_product(d, d)
-        total = total + unfold(squared)
-    return float(math.sqrt(np.linalg.svd(total, compute_uv=False)[0]))
+    return _sigma(_hermitian_stack(diffs, "difference")[1]) if diffs else 0.0
 
 
 def martingale_sup_tail_bound(gamma2, diam, u, chain_const, diam_const):
@@ -317,13 +319,23 @@ def constant_slots(bound_name: str) -> tuple:
     return _tail_bound(bound_name)[0]
 
 
-def _bound_rows(formula, sups: np.ndarray, u: np.ndarray, params: dict, c1, c2):
-    """One verdict row per u for the bound at constants (c1, c2)."""
-    pairs = [formula(params, uu, c1, c2) for uu in u]
+def _fit_inputs(bound_name: str, sup_samples, u_grid):
+    """(sorted suprema, u grid, slots, formula); neither may be empty."""
+    sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
+    u = np.asarray(u_grid, dtype=np.float64)
+    if sups.size == 0 or u.size == 0:
+        raise ValidationError(f"{bound_name}: need at least one sample and one u")
+    return (sups, u, *_tail_bound(bound_name))
+
+
+def _bound_rows(tail, sups: np.ndarray, u_grid):
+    """One verdict row per u of the bound ``tail(u) = (threshold,
+    prob_bound)``, the bound capped at 1, against the sorted sample sups."""
+    pairs = [tail(float(u)) for u in u_grid]
     thresholds = [thr for thr, _ in pairs]
-    probs = [pb for _, pb in pairs]
+    probs = [min(1.0, pb) for _, pb in pairs]
     empir = [_exceedance(sups, thr) for thr in thresholds]
-    return make_rows(u, thresholds, probs, empir, sups.size)
+    return make_rows(u_grid, thresholds, probs, empir, sups.size)
 
 
 def _exceedance(sorted_sups: np.ndarray, threshold: float) -> float:
@@ -341,13 +353,9 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     failing u, and full rows are built only for the diagnostics.  Raises
     :class:`FitFailureError` when even the top of :data:`SEARCH_BOX` fails,
     with the failing rows as diagnostics, and :class:`ValidationError` for
-    an empty u grid.
+    an empty u grid or no samples.
     """
-    sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
-    u = np.asarray(u_grid, dtype=np.float64)
-    if u.size == 0:
-        raise ValidationError(f"{bound_name}: a fit needs at least one u")
-    slots, formula = _tail_bound(bound_name)
+    sups, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
 
     def feasible(s: float) -> bool:
         for uu in u:
@@ -360,7 +368,7 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     if feasible(lo):
         return ConstantSet(**{slots[0]: lo, slots[1]: lo})
     if not feasible(hi):
-        rows = _bound_rows(formula, sups, u, params, hi, hi)
+        rows = _bound_rows(lambda uu: formula(params, uu, hi, hi), sups, u)
         violations = [r for r in rows if not r.holds]
         diag = {
             "bound": bound_name,
@@ -387,15 +395,13 @@ def evaluate_bound(
     bound_name: str, sup_samples, u_grid, params: dict, constants: ConstantSet
 ) -> BoundReport:
     """Compare the named bound against an empirical supremum sample."""
-    sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
-    u = np.asarray(u_grid, dtype=np.float64)
-    slots, formula = _tail_bound(bound_name)
+    sups, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
     c1 = getattr(constants, slots[0])
     c2 = getattr(constants, slots[1])
     return BoundReport(
         bound_name=bound_name,
         inputs={**{k: _plain(v) for k, v in params.items()}, "samples": int(sups.size)},
-        rows=_bound_rows(formula, sups, u, params, c1, c2),
+        rows=_bound_rows(lambda uu: formula(params, uu, c1, c2), sups, u),
         fitted={slots[0]: c1, slots[1]: c2},
     )
 
@@ -413,6 +419,23 @@ def _plain(value):
 # ---------------------------------------------------------------------------
 
 
+def _verify_sums(bound_name, stack, law, n_samples, seed, u_grid, tail, inputs):
+    """Monte Carlo report of a tail bound on lambda_max(sum_k w_k M_k).
+
+    The weights w of every sample are drawn under the ``rng.noise`` law
+    from the stream (seed, 0); the rows are those of the fitted bounds.
+    """
+    if n_samples < 1:
+        raise ValidationError(f"{bound_name}: need at least one sample")
+    weights = rng_mod.noise(law, rng_mod.stream(seed, 0), (n_samples, len(stack)))
+    stats = kernels.batch_lambda_max(np.einsum("sk,kij->sij", weights, stack))
+    return BoundReport(
+        bound_name=bound_name,
+        inputs={**inputs, "samples": n_samples, "seed": seed},
+        rows=_bound_rows(tail, np.sort(stats), u_grid),
+    )
+
+
 def verify_azuma(
     diffs,
     n_samples: int,
@@ -422,33 +445,18 @@ def verify_azuma(
     """Empirical check of the Azuma bound on a sign-flip martingale.
 
     The martingale is X_k = sum_{i<=k} eps_i D_i with fixed Hermitian
-    difference tensors D_i and independent signs, so its variance proxy
-    sigma^2 = ||sum D_i^2|| is deterministic and the hypothesis holds
-    exactly.  All signs come from one counter-based stream (the harness is
-    a single vectorized pass).
+    difference tensors D_i, taken through
+    :func:`~tensorchain.tensor.hermitian_part`, and independent signs, so
+    its variance proxy sigma^2 = ||sum D_i^2|| is deterministic and the
+    hypothesis holds exactly.  All signs come from one counter-based stream
+    (the harness is a single vectorized pass).
     """
-    diffs = list(diffs)
-    sigma = martingale_chain_metric(diffs)
-    shape = diffs[0].shape
-    stack = np.stack([unfold(d) for d in diffs])
-    gen = rng_mod.stream(seed, 0)
-    eps = gen.integers(0, 2, (n_samples, len(diffs))) * 2.0 - 1.0
-    terminal = np.einsum("sk,kij->sij", eps, stack)
-    stats = kernels.batch_lambda_max(terminal)
-    u_values = [f * sigma for f in u_sigma_factors]
-    probs = [min(1.0, azuma_tail(sigma, u, shape.row_modes)) for u in u_values]
-    empir = [float((stats >= u).mean()) for u in u_values]
-    rows = make_rows(u_values, u_values, probs, empir, n_samples)
-    return BoundReport(
-        bound_name="azuma",
-        inputs={
-            "sigma": sigma,
-            "steps": len(diffs),
-            "row_modes": list(shape.row_modes),
-            "samples": n_samples,
-            "seed": seed,
-        },
-        rows=rows,
+    shape, stack = _hermitian_stack(diffs, "difference")
+    sigma = _sigma(stack)
+    inputs = {"sigma": sigma, "steps": len(stack), "row_modes": list(shape.row_modes)}
+    return _verify_sums(
+        "azuma", stack, "rademacher", n_samples, seed, [f * sigma for f in u_sigma_factors],
+        lambda u: (u, azuma_tail(sigma, u, shape.row_modes)), inputs,
     )
 
 
@@ -460,41 +468,17 @@ def verify_bernstein(
 ) -> BoundReport:
     """Empirical check of the Bernstein bound on bounded Hermitian draws.
 
-    Draws X_i = w_i B_i with w_i uniform on [-1, 1]; then E X_i^p is
+    Draws X_i = w_i B_i with w_i uniform on [-1, 1] and the B_i taken
+    through :func:`~tensorchain.tensor.hermitian_part`; then E X_i^p is
     dominated by (p! upsilon^(p-2) / 2) B_i^2 with upsilon = max ||B_i||,
-    so the hypothesis holds with envelopes A_i = B_i.
+    so the hypothesis holds with envelopes A_i = B_i.  The statistic is
+    lambda_max of the average (1/n) sum_i X_i.
     """
-    tensors = list(envelopes)
-    n = len(tensors)
-    shape = tensors[0].shape
-    for b in tensors:
-        if not is_hermitian(b):
-            raise DomainError("envelope tensors must be Hermitian")
-    stack = np.stack([unfold(b) for b in tensors])
-    sq = np.einsum("kij,kjl->il", stack, stack)  # sum_k B_k^2
-    sigma = float(math.sqrt(np.linalg.svd(sq / n, compute_uv=False)[0]))
-    upsilon = max(norm(b, GaugeNorm.SPECTRAL) for b in tensors)
-    gen = rng_mod.stream(seed, 0)
-    w = gen.uniform(-1.0, 1.0, (n_samples, n))
-    averages = np.einsum("sn,nij->sij", w, stack) / n
-    stats = kernels.batch_lambda_max(averages)
-    thresholds = []
-    probs = []
-    for u in u_grid:
-        thr, pb = bernstein_tail(sigma, upsilon, n, float(u), shape.row_modes)
-        thresholds.append(thr)
-        probs.append(min(1.0, pb))
-    empir = [float((stats >= t).mean()) for t in thresholds]
-    rows = make_rows(u_grid, thresholds, probs, empir, n_samples)
-    return BoundReport(
-        bound_name="bernstein",
-        inputs={
-            "sigma": sigma,
-            "upsilon": upsilon,
-            "n": n,
-            "row_modes": list(shape.row_modes),
-            "samples": n_samples,
-            "seed": seed,
-        },
-        rows=rows,
+    shape, stack = _hermitian_stack(envelopes, "envelope")
+    n = len(stack)
+    sigma, upsilon = _sigma(stack, n), float(kernels.batch_spectral(stack).max())
+    inputs = {"sigma": sigma, "upsilon": upsilon, "n": n, "row_modes": list(shape.row_modes)}
+    return _verify_sums(  # the statistic averages: sum_i w_i (B_i / n)
+        "bernstein", stack / n, "uniform", n_samples, seed, u_grid,
+        lambda u: bernstein_tail(sigma, upsilon, n, u, shape.row_modes), inputs,
     )

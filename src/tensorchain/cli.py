@@ -45,8 +45,8 @@ from .chaining import (
     gamma_truncated_value,
     gamma_value,
 )
-from .empirical import _NOISE_LAWS, diagonal_family, verify_empirical_bound
-from .errors import CapacityError, FitFailureError, TensorChainError
+from .empirical import diagonal_family, verify_empirical_bound
+from .errors import CapacityError, FitFailureError, InsufficientDataError, TensorChainError
 from .processes import (
     ProcessFamily,
     ProcessSpec,
@@ -60,7 +60,7 @@ from .processes import (
     verify_increment_tail,
 )
 from .sensing import fourier_unitary, rip_monte_carlo
-from .tensor import GaugeNorm, random_hermitian, random_unitary
+from .tensor import _MAX_SIDE, GaugeNorm, random_hermitian, random_unitary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,8 +108,15 @@ def _check(ok, form):
     return lambda v: None if ok(v) else f"must be {form}"
 
 
-def _integer(minimum):
-    return _check(lambda v: _is_int(v) and v >= minimum, f"an integer >= {minimum}")
+def _is_size(v, minimum) -> bool:
+    """A count or extent: every size key has one upper bound, the largest
+    addressable unfolding side."""
+    return _is_int(v) and minimum <= v <= _MAX_SIDE
+
+
+def _size(minimum):
+    form = f"an integer from {minimum} to {_MAX_SIDE}"
+    return _check(lambda v: _is_size(v, minimum), form)
 
 
 def _enum(*choices):
@@ -128,14 +135,15 @@ def _grid(objects, minimum=0):
     def ok(v):
         if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
             start, stop, points = v["start"], v["stop"], v["points"]
-            if not (_is_numbers([start, stop]) and _is_int(points) and points >= 1):
+            if not (_is_numbers([start, stop]) and _is_size(points, 1)):
                 return False
             v = _u_grid(v).tolist()
         return _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
 
     form = f"a nonempty ascending list of numbers >= {minimum}"
     if objects:
-        form += " or an object of numbers start, stop and an integer points >= 1"
+        form += " or an object of numbers start, stop and an integer points"
+        form += f" from 1 to {_MAX_SIDE}"
     return _check(ok, form)
 
 
@@ -159,11 +167,12 @@ def _constants(bound_name):
 
 
 _POSITIVE = _check(lambda v: _is_number(v) and v > 0, "a positive number")
+_NONNEGATIVE = _check(lambda v: _is_int(v) and v >= 0, "an integer >= 0")  # seeds, t0
 _BOOL = _check(lambda v: isinstance(v, bool), "true or false")
 _NAME = _check(lambda v: isinstance(v, str) and v != "", "a nonempty string")
 _DIMS = _check(
-    lambda v: _is_numbers(v) and all(_is_int(d) and d >= 1 for d in v),
-    "a nonempty list of positive integers",
+    lambda v: _is_numbers(v) and all(_is_size(d, 1) for d in v),
+    f"a nonempty list of integers from 1 to {_MAX_SIDE}",
 )
 _ROWS = _check(_is_rows, "a nonempty list of equal-length number lists")
 _POINTS = _check(
@@ -178,17 +187,17 @@ _OPERATOR = _check(
 )
 
 _REQUIRED = object()  # default of a key the config must give
-_SEED = (_integer(0), _REQUIRED)
-_NEXT_SEED = (_integer(0), lambda config: config["seed"] + 1)
+_SEED = (_NONNEGATIVE, _REQUIRED)
+_NEXT_SEED = (_NONNEGATIVE, lambda config: config["seed"] + 1)
 _SAMPLING = {
     "seed": _SEED,
-    "samples": (_integer(1), _REQUIRED),
+    "samples": (_size(1), _REQUIRED),
     "row_modes": (_DIMS, _REQUIRED),
 }
 _PROCESS = {
     **_SAMPLING,
-    "index_count": (_integer(2), _REQUIRED),
-    "basis_count": (_integer(1), _REQUIRED),
+    "index_count": (_size(2), _REQUIRED),
+    "basis_count": (_size(1), _REQUIRED),
     "basis_seed": _NEXT_SEED,
     "coefficients": (_ROWS, None),  # None: uniform on [-1, 1] from the basis stream
     "metric_scale": (_POSITIVE, 2.0),
@@ -201,11 +210,11 @@ _FITTED_GRID = (_grid(True, 1), {"start": 1.0, "stop": 5.0, "points": 10})
 _KEYS = {
     "simulate": {
         **_PROCESS,
-        "samples": (_integer(2), _REQUIRED),
+        "samples": (_size(2), _REQUIRED),
         "family": (_enum(*(f.value for f in ProcessFamily)), "gaussian_linear"),
         "tail_beta": (_POSITIVE, 2.0),
         "gauge": (_enum(*(g.value for g in GaugeNorm)), "spectral"),
-        "t0": (_integer(0), 0),
+        "t0": (_NONNEGATIVE, 0),
         "u_grid": (_grid(True), None),  # None: quantiles of the sampled suprema
         "tail_u_grid": (_grid(True), {"start": 0.5, "stop": 3.0, "points": 6}),
         "fit_exponent": (_BOOL, True),
@@ -222,30 +231,30 @@ _KEYS = {
     "rip": {
         "seed": _SEED,
         "col_dims": (_DIMS, _REQUIRED),
-        "target_size": (_integer(1), _REQUIRED),
-        "xi": (_integer(1), _REQUIRED),
+        "target_size": (_size(1), _REQUIRED),
+        "xi": (_size(1), _REQUIRED),
         "tau": (_POSITIVE, _REQUIRED),
-        "trials": (_integer(1), _REQUIRED),
+        "trials": (_size(1), _REQUIRED),
         "operator": (_OPERATOR, "fourier"),
     },
     "verify-azuma": {
         **_SAMPLING,
-        "steps": (_integer(1), _REQUIRED),
+        "steps": (_size(1), _REQUIRED),
         "difference_seed": _NEXT_SEED,
         "u_sigma_factors": (_numbers(0), [2.0, 3.0, 4.0]),
     },
     "verify-bernstein": {
         **_SAMPLING,
-        "n": (_integer(1), _REQUIRED),
+        "n": (_size(1), _REQUIRED),
         "envelope_seed": _NEXT_SEED,
         "u_grid": (_grid(False), [1.0, 2.0, 3.0]),
     },
     "empirical": {
         **_SAMPLING,
-        "t_count": (_integer(2), _REQUIRED),
-        "n": (_integer(1), _REQUIRED),
+        "t_count": (_size(2), _REQUIRED),
+        "n": (_size(1), _REQUIRED),
         "family_seed": _NEXT_SEED,
-        "noise": (_enum(*_NOISE_LAWS), "rademacher"),
+        "noise": (_enum(*rng_mod.NOISE_LAWS), "rademacher"),
         "u_grid": _FITTED_GRID,
         "constants": _constants("empirical"),
     },
@@ -310,12 +319,17 @@ def _u_grid(grid) -> np.ndarray:
     return np.asarray(grid, dtype=np.float64)
 
 
-def _quantile_grid(sups: np.ndarray, points: int = 12) -> np.ndarray:
-    # survival levels log-spaced through the upper tail, where the
+def _quantile_grid(sups: np.ndarray) -> np.ndarray:
+    # 12 survival levels log-spaced through the upper tail, where the
     # exponential-exponent diagnosis is meaningful
-    levels = np.geomspace(0.5, max(0.005, 2.0 / sups.size), points)
+    levels = np.geomspace(0.5, max(0.005, 2.0 / sups.size), 12)
     grid = np.quantile(sups, 1.0 - levels)
-    return np.unique(grid[grid > 0])
+    grid = np.unique(grid[grid > 0])
+    if grid.size == 0:
+        raise InsufficientDataError(
+            "every sampled supremum is zero, so no quantile grid exists; set u_grid"
+        )
+    return grid
 
 
 def _build_process_spec(p, family, basis_seed, tail_beta) -> ProcessSpec:

@@ -4,12 +4,12 @@ Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Scratch memory of the batched kernels is
 bounded by processing samples, supports, subsets or radii in chunks.
 
-The norm kernels evaluate a ``GaugeNorm`` on stacks of Hermitian matrices:
-the increments of a process or of a family, whose tensors are Hermitian by
-construction.  Spectral and nuclear norms come from the eigenvalues, max |w|
-and sum |w|, and ``np.linalg.eigvalsh`` reads only the lower triangle of each
-matrix.  Ensemble increments are reduced once per a < b pair, in
-``np.triu_indices`` order.
+The package's Hermitian reductions read their spectra here, from stacks
+built of matrices taken through ``tensor.hermitian_part``.  Spectral and
+nuclear norms come from the eigenvalues, max |w| and sum |w|, and
+``np.linalg.eigvalsh`` reads only the lower triangle of each matrix.
+Ensemble increments are reduced once per a < b pair, in ``np.triu_indices``
+order.
 """
 
 import math
@@ -35,7 +35,7 @@ _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
 
 
-def _gauge_norms_stack(mats, gauge):
+def gauge_norms(mats, gauge):
     """Gauge norms of a stack of Hermitian matrices (the last two axes)."""
     gauge = GaugeNorm.coerce(gauge)
     if gauge is GaugeNorm.FROBENIUS:
@@ -57,7 +57,7 @@ def _increment_norms(trajs, a, b, gauge):
         block = trajs[lo : lo + step]
         diff = block[:, a]
         diff -= block[:, b]
-        out[lo : lo + step] = _gauge_norms_stack(diff, gauge)
+        out[lo : lo + step] = gauge_norms(diff, gauge)
     return out
 
 
@@ -80,7 +80,7 @@ def batch_lambda_max(mats):
 def batch_spectral(mats):
     """Spectral norm, max |eigenvalue|, of each Hermitian matrix in a stack;
     ``eigvalsh`` reads the lower triangle."""
-    return _gauge_norms_stack(mats, GaugeNorm.SPECTRAL)
+    return gauge_norms(mats, GaugeNorm.SPECTRAL)
 
 
 def _lex_supports(ncols, xi, limit):

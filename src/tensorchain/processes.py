@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .report import BoundReport, make_rows
-from .tensor import GaugeNorm, fold, is_hermitian, norm, unfold
+from .tensor import GaugeNorm, fold, hermitian_part, unfold
 
 # Complex entries realized at once by sample_mixed_sups.  Smaller than
 # kernels._CHUNK_ENTRIES: a block of that size (64 MB of trajectories, plus
@@ -79,10 +79,10 @@ def _draw_scalars(family: ProcessFamily, gen: np.random.Generator, k: int):
 class ProcessSpec:
     """Generator family plus the coefficient map and Hermitian basis.
 
-    Each accepted basis tensor B is stored as its Hermitian part
-    (B + B^H) / 2, which equals an exactly Hermitian B bit for bit.  So the
-    realized trajectories and their increments are Hermitian, which the
-    norm kernels assume.
+    The basis goes through :func:`~tensorchain.tensor.hermitian_part`, and
+    ``basis_stack`` holds the result, the read-only (K, D, D) Hermitian
+    parts of the unfoldings (``basis`` refolds them).  So the realized
+    trajectories and their increments are Hermitian, as the kernels assume.
     """
 
     family: ProcessFamily
@@ -90,6 +90,7 @@ class ProcessSpec:
     basis: tuple  # K Hermitian DenseTensors with one square shape
     tail_beta: float
     metric_scale: float = 2.0
+    basis_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", ProcessFamily.coerce(self.family))
@@ -104,16 +105,11 @@ class ProcessSpec:
         if len(basis) != coeffs.shape[1]:
             raise ValidationError("basis length must match coefficient dimension")
         shape0 = basis[0].shape
-        if not shape0.is_square:
-            raise ValidationError("basis tensors must be square")
-        for b in basis:
-            if b.shape != shape0:
-                raise ValidationError("basis tensors must share one shape")
-            if not is_hermitian(b):
-                raise ValidationError("basis tensors must be Hermitian")
-        mats = [unfold(b) for b in basis]
-        basis = tuple(fold((m + m.conj().T) / 2.0, shape0) for m in mats)
-        object.__setattr__(self, "basis", basis)
+        if not shape0.is_square or any(b.shape != shape0 for b in basis):
+            raise ValidationError("basis tensors must share one square shape")
+        stack = hermitian_part([unfold(b) for b in basis])
+        object.__setattr__(self, "basis_stack", stack)
+        object.__setattr__(self, "basis", tuple(fold(m, shape0) for m in stack))
         if self.tail_beta <= 0:
             raise ValidationError("tail_beta must be positive")
         if self.metric_scale <= 0:
@@ -127,19 +123,12 @@ class ProcessSpec:
     def order(self) -> int:
         return self.coefficients.shape[1]
 
-    @cached_property
-    def basis_stack(self) -> np.ndarray:
-        stack = np.stack([unfold(b) for b in self.basis])
-        stack.flags.writeable = False
-        return stack
-
 
 def process_metric(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> np.ndarray:
     """Increment pseudo-metric kappa * ||c(t)-c(s)|| * max_k ||B_k||."""
-    gauge = GaugeNorm.coerce(gauge)
-    scale = spec.metric_scale * max(norm(b, gauge) for b in spec.basis)
+    top = kernels.gauge_norms(spec.basis_stack, gauge).max()
     with np.errstate(over="ignore", invalid="ignore"):  # FiniteMetricSpace names it
-        return scale * euclidean_distances(spec.coefficients)
+        return spec.metric_scale * top * euclidean_distances(spec.coefficients)
 
 
 def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> FiniteMetricSpace:
@@ -385,9 +374,9 @@ def sample_mixed_sups(
     seed: int,
     n_samples: int,
     t0: int = 0,
-    gauge=GaugeNorm.SPECTRAL,
 ) -> np.ndarray:
-    """Per-sample suprema for the sum of a gaussian and a subexponential part.
+    """Per-sample spectral-norm suprema for the sum of a gaussian and a
+    subexponential part.
 
     The two components share the index set; each sample draws both scalar
     blocks from the same per-sample stream, gaussian block first.  The
@@ -414,7 +403,7 @@ def sample_mixed_sups(
     for lo in range(0, n_samples, step):
         hi = min(n_samples, lo + step)
         trajs = _realize(specs, seed, lo, hi)
-        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, gauge).max(axis=1)
+        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, GaugeNorm.SPECTRAL).max(axis=1)
     return sups
 
 

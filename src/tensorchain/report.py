@@ -26,11 +26,10 @@ def binomial_margin(prob: float, samples: int) -> float:
 
     The standard error is floored at 1/samples: below that, a frequency
     estimator has no resolution, and an unfloored margin would force
-    verdicts to hinge on single extreme samples.
+    verdicts to hinge on single extreme samples.  ``samples`` is at least
+    1: every sampler and bound check rejects an empty sample.
     """
     p = min(max(prob, 0.0), 1.0)
-    if samples <= 0:
-        return 0.0
     return MARGIN_SIGMAS * max(math.sqrt(p * (1.0 - p) / samples), 1.0 / samples)
 
 

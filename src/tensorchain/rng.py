@@ -17,3 +17,14 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for the `index`-th stream of the given seed."""
     key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# laws of the zero-mean scalars drawn by :func:`noise`
+NOISE_LAWS = ("rademacher", "uniform")
+
+
+def noise(law: str, gen: np.random.Generator, shape) -> np.ndarray:
+    """Random signs ("rademacher") or uniform draws on [-1, 1] ("uniform")."""
+    if law == "rademacher":
+        return gen.integers(0, 2, shape) * 2.0 - 1.0
+    return gen.uniform(-1.0, 1.0, shape)

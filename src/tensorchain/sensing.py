@@ -73,9 +73,9 @@ def sparsity(signal, tol: float = 0.0) -> int:
     return len(SupportSet.of(signal, tol))
 
 
-def coherence(u: DenseTensor, check: bool = True, tol: float | None = None) -> float:
+def coherence(u: DenseTensor) -> float:
     """sqrt(prod J) times the largest entry magnitude of a unitary tensor."""
-    if check and not is_unitary(u, tol):
+    if not is_unitary(u):
         raise DomainError("coherence is defined for unitary measurement tensors")
     return float(math.sqrt(u.shape.col_count) * np.abs(u.data).max())
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, ShapeError, SingularityError, ValidationError
 
 _MAX_SIDE = 1 << 31  # guard against unfoldings that cannot be addressed
+_REL_TOL = 1e-10  # default tolerance, relative to the Frobenius norm
 
 
 class GaugeNorm(enum.Enum):
@@ -202,7 +203,7 @@ def norm(a: DenseTensor, gauge=GaugeNorm.FROBENIUS) -> float:
 
 
 def default_tolerance(a: DenseTensor) -> float:
-    return 1e-10 * norm(a, GaugeNorm.FROBENIUS)
+    return _REL_TOL * norm(a, GaugeNorm.FROBENIUS)
 
 
 def is_hermitian(a: DenseTensor, tol: float | None = None) -> bool:
@@ -227,9 +228,26 @@ def is_unitary(a: DenseTensor, tol: float | None = None) -> bool:
     )
 
 
-def lambda_max(a: DenseTensor, tol: float | None = None) -> float:
+def hermitian_part(mats) -> np.ndarray:
+    """Read-only (M + M^H) / 2 of each M in a (..., D, D) stack, which is M
+    bit for bit when M is exactly Hermitian.  Each M must pass
+    :func:`is_hermitian`'s default rule ||M - M^H||_F <= 1e-10 ||M||_F, else
+    :class:`ValidationError` is raised."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    adjoint = np.conj(np.swapaxes(mats, -1, -2))
+    if mats.shape != adjoint.shape or not np.all(  # a NaN gap fails too
+        np.linalg.norm(mats - adjoint, axis=(-2, -1))
+        <= _REL_TOL * np.linalg.norm(mats, axis=(-2, -1))
+    ):
+        raise ValidationError("matrices must be square and Hermitian")
+    part = (mats + adjoint) / 2.0
+    part.flags.writeable = False
+    return part
+
+
+def lambda_max(a: DenseTensor) -> float:
     """Largest eigenvalue of the Hermitian unfolding."""
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise DomainError("lambda_max requires a Hermitian tensor")
     return float(np.linalg.eigvalsh(unfold(a))[-1])
 

@@ -1,0 +1,60 @@
+"""Write the outputs of every benchmark workload config, for a byte-level
+comparison of two checkouts.
+
+Usage: python tests/golden/workload_outputs.py OUT
+
+For each workload of ``clibench/workloads.py`` and each seed in SEEDS, the
+k-th config runs through ``tensorchain.cli.main`` of this checkout (its
+``src`` comes first on the import path) into
+OUT/<workload>/<seed>/<k>-<experiment>/, with the exit code in the file
+``exit_code``.  Run it in two checkouts, then compare the trees with
+``python tests/golden/compare.py A B``.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+SEEDS = (1, 4242)
+
+sys.path.insert(0, str(ROOT / "src"))
+from tensorchain import cli  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "clibench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def write_workload(out, name: str, seed: int) -> None:
+    """Run every config of one workload at one seed into out/<name>/<seed>/."""
+    root = Path(out) / name / str(seed)
+    root.mkdir(parents=True, exist_ok=True)
+    for k, (experiment, config) in enumerate(workloads.configs(name, seed)):
+        case = root / f"{k}-{experiment}"
+        path = root / f"{case.name}.config.json"
+        path.write_text(json.dumps(config))
+        code = cli.main([experiment, "--config", str(path), "--out", str(case)])
+        path.unlink()
+        case.mkdir(exist_ok=True)
+        (case / "exit_code").write_text(f"{code}\n")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        return 2
+    shutil.rmtree(args[0], ignore_errors=True)
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            write_workload(args[0], name, seed)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -207,7 +207,7 @@ def test_chain_metric_rejects_non_hermitian():
     bad = DenseTensor(
         Shape((2,), (2,)), gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
     )
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         martingale_chain_metric([bad])
 
 
@@ -516,3 +516,21 @@ def test_report_without_tested_points_is_rejected(verify):
 def test_constant_set_positivity():
     with pytest.raises(DomainError):
         ConstantSet(chain_const=0.0)
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_azuma([random_hermitian((2,), trng.stream(24, 0))], 0, seed=1),
+        lambda: verify_bernstein([random_hermitian((2,), trng.stream(25, 0))], 0, seed=1),
+        lambda: fit_constants("exp_tail", [], [1.0], {"beta": 2.0, "gamma": 1.0, "diam": 1.0}),
+        lambda: evaluate_bound(
+            "exp_tail", [], [1.0], {"beta": 2.0, "gamma": 1.0, "diam": 1.0}, ConstantSet()
+        ),
+    ],
+    ids=["azuma", "bernstein", "fit", "evaluate"],
+)
+def test_zero_samples_are_rejected(verify):
+    # no empirical frequency exists over zero samples
+    with pytest.raises(ValidationError, match="at least one sample"):
+        verify()

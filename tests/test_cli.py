@@ -397,6 +397,11 @@ BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
         # a chaining weight 2^(n/beta) that overflows; moments below 1
         ({**GAMMA, "points": [[0.0], [1.0], [3.0], [4.0], [7.0]], "beta": 1e-3}, "beta"),
         ({**GAMMA, "p_values": [0.5]}, "p_values"),
+        # sizes beyond the largest addressable unfolding side
+        ({**EMPIRICAL, "samples": 10**20}, "samples"),
+        ({**MIXED, "samples": 10**20}, "samples"),
+        ({**SIMULATE, "index_count": 10**20}, "index_count"),
+        ({**SIMULATE, "u_grid": {"start": 0, "stop": 1, "points": 10**20}}, "u_grid"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):
@@ -587,3 +592,19 @@ def test_runtime_failure_is_named(tmp_path, capsys, monkeypatch, error, label, c
         assert json.loads(written.read_text()) == diagnostics
     else:
         assert not written.exists()
+
+
+def test_seeds_are_not_size_keys():
+    # seeds are masked to 64 bits, so any nonnegative integer is a seed
+    assert validate({**SIMULATE, "seed": 10**20, "basis_seed": 10**30}) == []
+
+
+def test_all_zero_suprema_without_u_grid_name_the_cause(tmp_path, capsys):
+    config = {**SIMULATE, "coefficients": [[0.0, 0.0]] * 4}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("insufficient data: every sampled supremum is zero")
+    assert "u_grid must be" not in err
+    assert not out.exists()

@@ -20,9 +20,16 @@ from tensorchain import cli
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
-_spec = importlib.util.spec_from_file_location("golden_compare", GOLDEN / "compare.py")
-golden_compare = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_compare)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, GOLDEN / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_compare = _load("compare")
+workload_outputs = _load("workload_outputs")
 
 
 def run_case(name, root):
@@ -79,6 +86,19 @@ def test_comparator_rejects_mutants(tmp_path, mutate):
     mutate(copy)
     assert golden_compare.compare(expected, copy) != []
     assert golden_compare.main([str(expected), str(copy)]) == 1
+
+
+def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):
+    for side in ("a", "b"):
+        workload_outputs.write_workload(tmp_path / side, "rip-scan", 1)
+    cases = sorted(p.name for p in (tmp_path / "a" / "rip-scan" / "1").iterdir())
+    assert cases == ["0-rip", "1-rip", "2-rip"]
+    for case in cases:
+        out = tmp_path / "a" / "rip-scan" / "1" / case
+        assert (out / "exit_code").read_text() == "0\n"
+        assert (out / "rip_report.json").is_file()
+    assert golden_compare.compare(tmp_path / "a", tmp_path / "b") == []
+    assert workload_outputs.main([]) == 2
 
 
 if __name__ == "__main__":

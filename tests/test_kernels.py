@@ -97,7 +97,7 @@ def broadcast_square_norms(trajs, gauge):
     the mirrored lower triangle included: the all-pairs form that
     ``ensemble_pairwise_norms`` reduced before it kept one pair per increment."""
     diff = trajs[:, :, None, :, :] - trajs[:, None, :, :, :]
-    return kernels._gauge_norms_stack(diff, gauge)
+    return kernels.gauge_norms(diff, gauge)
 
 
 def farthest_point_order_loop(dist):
