@@ -320,27 +320,26 @@ def constant_slots(bound_name: str) -> tuple:
 
 
 def _fit_inputs(bound_name: str, sup_samples, u_grid):
-    """(sorted suprema, u grid, slots, formula); neither may be empty."""
+    """(count, samples, u grid, slots, formula); neither may be empty."""
     sups = np.sort(np.asarray(sup_samples, dtype=np.float64))
     u = np.asarray(u_grid, dtype=np.float64)
     if sups.size == 0 or u.size == 0:
         raise ValidationError(f"{bound_name}: need at least one sample and one u")
-    return (sups, u, *_tail_bound(bound_name))
+
+    def count(thresholds):
+        return sups.size - np.searchsorted(sups, thresholds, side="left")
+
+    return (count, sups.size, u, *_tail_bound(bound_name))
 
 
-def _bound_rows(tail, sups: np.ndarray, u_grid):
-    """One verdict row per u of the bound ``tail(u) = (threshold,
-    prob_bound)``, the bound capped at 1, against the sorted sample sups."""
+def _bound_rows(tail, u_grid, samples: int, count):
+    """One verdict row per u of the bound ``tail(u) = (threshold, prob_bound)``,
+    capped at 1, against the frequency ``count(thresholds) / samples``."""
     pairs = [tail(float(u)) for u in u_grid]
     thresholds = [thr for thr, _ in pairs]
     probs = [min(1.0, pb) for _, pb in pairs]
-    empir = [_exceedance(sups, thr) for thr in thresholds]
-    return make_rows(u_grid, thresholds, probs, empir, sups.size)
-
-
-def _exceedance(sorted_sups: np.ndarray, threshold: float) -> float:
-    count = sorted_sups.size - np.searchsorted(sorted_sups, threshold, side="left")
-    return float(count) / sorted_sups.size
+    empir = [float(c) / samples for c in count(thresholds)]
+    return make_rows(u_grid, thresholds, probs, empir, samples)
 
 
 def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> ConstantSet:
@@ -355,12 +354,12 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     with the failing rows as diagnostics, and :class:`ValidationError` for
     an empty u grid or no samples.
     """
-    sups, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
+    count, samples, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
 
     def feasible(s: float) -> bool:
         for uu in u:
             thr, pb = formula(params, uu, s, s)
-            if not row_holds(pb, _exceedance(sups, thr), sups.size):
+            if not row_holds(pb, float(count(thr)) / samples, samples):
                 return False
         return True
 
@@ -368,7 +367,7 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     if feasible(lo):
         return ConstantSet(**{slots[0]: lo, slots[1]: lo})
     if not feasible(hi):
-        rows = _bound_rows(lambda uu: formula(params, uu, hi, hi), sups, u)
+        rows = _bound_rows(lambda uu: formula(params, uu, hi, hi), u, samples, count)
         violations = [r for r in rows if not r.holds]
         diag = {
             "bound": bound_name,
@@ -395,13 +394,13 @@ def evaluate_bound(
     bound_name: str, sup_samples, u_grid, params: dict, constants: ConstantSet
 ) -> BoundReport:
     """Compare the named bound against an empirical supremum sample."""
-    sups, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
+    count, samples, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
     c1 = getattr(constants, slots[0])
     c2 = getattr(constants, slots[1])
     return BoundReport(
         bound_name=bound_name,
-        inputs={**{k: _plain(v) for k, v in params.items()}, "samples": int(sups.size)},
-        rows=_bound_rows(lambda uu: formula(params, uu, c1, c2), sups, u),
+        inputs={**{k: _plain(v) for k, v in params.items()}, "samples": int(samples)},
+        rows=_bound_rows(lambda uu: formula(params, uu, c1, c2), u, samples, count),
         fitted={slots[0]: c1, slots[1]: c2},
     )
 
@@ -424,15 +423,17 @@ def _verify_sums(bound_name, stack, law, n_samples, seed, u_grid, tail, inputs):
 
     The weights w of every sample are drawn under the ``rng.noise`` law
     from the stream (seed, 0); the rows are those of the fitted bounds.
+    Only counts at the bound's thresholds are read: ``kernels.lambda_max_counts``
+    eigensolves only the sums its certified trace bounds leave undecided.
     """
     if n_samples < 1:
         raise ValidationError(f"{bound_name}: need at least one sample")
     weights = rng_mod.noise(law, rng_mod.stream(seed, 0), (n_samples, len(stack)))
-    stats = kernels.batch_lambda_max(np.einsum("sk,kij->sij", weights, stack))
+    sums = np.einsum("sk,kij->sij", weights, stack)
     return BoundReport(
         bound_name=bound_name,
         inputs={**inputs, "samples": n_samples, "seed": seed},
-        rows=_bound_rows(tail, np.sort(stats), u_grid),
+        rows=_bound_rows(tail, u_grid, n_samples, lambda t: kernels.lambda_max_counts(sums, t)),
     )
 
 

@@ -291,8 +291,9 @@ def validate(config: dict) -> list:
         diags.append("coefficients: must have index_count rows of basis_count numbers")
     if "col_dims" in table:
         size = math.prod(config["col_dims"])
-        if config["target_size"] > size:
-            diags.append(f"target_size: must not exceed the source size {size}")
+        for key in ("target_size", "xi"):
+            if config[key] > size:
+                diags.append(f"{key}: must not exceed the source size {size}")
         try:
             sensing.check_scan_capacity(size, config["xi"])
         except CapacityError as exc:

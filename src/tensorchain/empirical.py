@@ -218,8 +218,10 @@ def check_bernstein_condition(family: EmpiricalFamily, seed: int, n_samples: int
     The order check is lambda_min(bound - estimate) >= -margin with the
     margin set to :data:`~tensorchain.report.MARGIN_SIGMAS` spectral
     standard errors of the estimated moment tensor.  Returns one record per
-    (p, t, i).
+    (p, t, i).  The standard errors need at least two samples.
     """
+    if n_samples < 2:
+        raise ValidationError("need at least two samples for a standard error")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, n_samples)
     results = []

@@ -10,6 +10,10 @@ nuclear norms come from the eigenvalues, max |w| and sum |w|, and
 ``np.linalg.eigvalsh`` reads only the lower triangle of each matrix.
 Ensemble increments are reduced once per a < b pair, in ``np.triu_indices``
 order.
+
+Bound first: maxima and threshold counts eigensolve only the matrices the
+padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
+result; callers reading every value (``ensemble.csv``) keep the full path.
 """
 
 import math
@@ -22,9 +26,9 @@ from .tensor import GaugeNorm
 # Cap on per-chunk scratch memory (complex entries).
 _CHUNK_ENTRIES = 1 << 22
 
-# rip_scan: relative slack on a Gershgorin bound, and the size of the first
-# of a chunk's doubling eigensolve batches.
-_RIP_SLACK = 1e-9
+# Relative slack on the certified bounds of rip_scan and _intervals.
+_SLACK = 1e-9
+# rip_scan: the size of the first of a chunk's doubling eigensolve batches.
 _RIP_FIRST_BATCH = 64
 
 # _popcount: shift counts and the SWAR masks of 1-, 2- and 4-bit fields.
@@ -46,19 +50,84 @@ def gauge_norms(mats, gauge):
     return np.abs(w).sum(axis=-1)
 
 
-def _increment_norms(trajs, a, b, gauge):
-    """(samples, len(a)) gauge norms of X_a - X_b; ``b`` is aligned with ``a``
-    or holds one index, which broadcasts.  A chunk's two gathers, X_a (the
+def _intervals(mats, gauge):
+    """Padded [lower, upper] of lambda_max (``gauge`` None) or of a gauge norm
+    of each Hermitian B, as read by ``eigvalsh``: lower triangle, real diagonal.
+
+    With m = tr B / n and s^2 = ||B - m I||_F^2 / n, Wolkowicz and Styan give
+    m + s / sqrt(n - 1) <= lambda_max <= m + s sqrt(n - 1); also
+    max_i B_ii <= lambda_max, ||B||_F / sqrt(n) <= ||B|| <= ||B||_F and
+    ||B||_F <= ||B||_* <= sqrt(n) ||B||_F.  The pad, _SLACK ||B||_F (times
+    sqrt(n) for nuclear), is far above eigvalsh's backward error.
+    """
+    if gauge is GaugeNorm.FROBENIUS:  # exact: the gauge_norms value
+        return (gauge_norms(mats, gauge),) * 2
+    n = mats.shape[-1]
+    diag = mats.diagonal(0, -2, -1).real
+    low = mats[(..., *np.tril_indices(n, -1))]
+    off = 2.0 * (low.real**2 + low.imag**2).sum(axis=-1)
+    m = diag.mean(axis=-1)
+    fro = np.sqrt((diag**2).sum(axis=-1) + off)
+    s = np.sqrt((((diag - m[..., None]) ** 2).sum(axis=-1) + off) / n)
+    wide, narrow = s * math.sqrt(n - 1), s / math.sqrt(max(n - 1, 1))
+    pad = _SLACK * fro
+    if gauge is None:
+        return np.maximum(m + narrow, diag.max(axis=-1)) - pad, m + wide + pad
+    if gauge is GaugeNorm.SPECTRAL:
+        return np.maximum(abs(m) + narrow, fro / math.sqrt(n)) - pad, abs(m) + wide + pad
+    return fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
+
+
+def _counts(mats, thr, gauge):
+    """(k, P) counts over axis 0 of ``mats`` (c, P, n, n) of values >= ``thr``
+    (k, P), eigensolving only matrices with a threshold in their interval."""
+    lo, hi = _intervals(mats, gauge)
+    hit = lo >= thr[:, None]
+    i, j = np.nonzero(~(hit | (hi < thr[:, None])).all(axis=0))
+    vals = batch_lambda_max(mats[i, j]) if gauge is None else gauge_norms(mats[i, j], gauge)
+    hit[:, i, j] = vals >= thr[:, j]
+    return hit.sum(axis=1)
+
+
+def _increment_chunks(trajs, a, b):
+    """Yield X_a - X_b over chunks of samples; ``b`` is aligned with ``a`` or
+    holds one index, which broadcasts.  A chunk's two gathers, X_a (the
     difference buffer) and X_b, hold at most _CHUNK_ENTRIES complex entries."""
     ns, _, d1, d2 = trajs.shape
-    out = np.empty((ns, a.size))
     step = max(1, _CHUNK_ENTRIES // max(1, (a.size + b.size) * d1 * d2))
     for lo in range(0, ns, step):
         block = trajs[lo : lo + step]
         diff = block[:, a]
         diff -= block[:, b]
-        out[lo : lo + step] = gauge_norms(diff, gauge)
-    return out
+        yield diff
+
+
+def _increment_norms(trajs, a, b, gauge):
+    """(samples, len(a)) gauge norms of X_a - X_b."""
+    return np.concatenate([gauge_norms(diff, gauge) for diff in _increment_chunks(trajs, a, b)])
+
+
+def increment_counts(trajs, a, b, thresholds, gauge):
+    """(k, len(a)) counts of samples with ||X_a - X_b|| >= ``thresholds`` (k, len(a))."""
+    thr, gauge = np.asarray(thresholds, np.float64), GaugeNorm.coerce(gauge)
+    return sum(_counts(diff, thr, gauge) for diff in _increment_chunks(trajs, a, b))
+
+
+def sup_norms_vs_ref(trajs, ref):
+    """(samples,) row maxima of ``ensemble_norms_vs_ref(trajs, ref, "spectral")``:
+    per sample, the increment of largest upper bound is eigensolved, then in
+    one batch all whose bound reaches its norm; any other is below its bound."""
+    sups, spectral = [], GaugeNorm.SPECTRAL
+    for diff in _increment_chunks(trajs, np.arange(trajs.shape[1]), np.array([ref])):
+        upper = _intervals(diff, spectral)[1]
+        rows, top = np.arange(len(diff)), upper.argmax(axis=1)
+        vals = np.full(upper.shape, -np.inf)
+        vals[rows, top] = gauge_norms(diff[rows, top], spectral)
+        live = ~(upper < vals[rows, top][:, None])
+        live[rows, top] = False
+        vals[live] = gauge_norms(diff[live], spectral)
+        sups.append(vals.max(axis=1))
+    return np.concatenate(sups)
 
 
 def ensemble_pairwise_norms(trajs, gauge):
@@ -75,6 +144,13 @@ def ensemble_norms_vs_ref(trajs, ref, gauge):
 def batch_lambda_max(mats):
     """Largest eigenvalue of each Hermitian matrix in a stack."""
     return np.linalg.eigvalsh(mats)[..., -1]
+
+
+def lambda_max_counts(mats, thresholds):
+    """(k,) counts of a Hermitian stack's ``batch_lambda_max`` >= each threshold."""
+    thr, step = np.asarray(thresholds, np.float64)[:, None], max(1, _CHUNK_ENTRIES // mats[0].size)
+    chunks = (mats[lo : lo + step, None] for lo in range(0, len(mats), step))
+    return sum(_counts(chunk, thr, None) for chunk in chunks)[:, 0]
 
 
 def batch_spectral(mats):
@@ -119,7 +195,7 @@ def rip_scan(gram, xi):
     computed eigenvalues are exact for some B + E with ||E|| <= c xi eps ||B||
     and ||B|| <= 1 + g, and g itself is summed with relative error below
     xi eps; both stay far below the slack, so a block's computed deviation
-    is at most g + _RIP_SLACK * (1 + g).  Each chunk eigensolves its
+    is at most g + _SLACK * (1 + g).  Each chunk eigensolves its
     supports in decreasing order of that inflated bound, in batches that
     start at _RIP_FIRST_BATCH and double, and stops at the first support
     whose inflated bound is below the running best.  A skipped block's
@@ -140,7 +216,7 @@ def rip_scan(gram, xi):
             rows[a] += off
             rows[b] += off
         bound = rows.max(axis=0)
-        bound += _RIP_SLACK * (1.0 + bound)
+        bound += _SLACK * (1.0 + bound)
         live = np.flatnonzero(bound >= best)
         live = live[np.argsort(-bound[live])]
         ranked = -bound[live]  # ascending

@@ -318,6 +318,9 @@ def verify_increment_tail(
     Pairs at zero distance must have identical realizations; otherwise the
     metric is degenerate for this process.  They are left out, and a space
     with no pair at positive distance has nothing to test.
+
+    Only counts at each u d(s, t) and, to find nonzero increments, at the
+    least subnormal are read, from the bound-first ``kernels.increment_counts``.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
@@ -327,12 +330,13 @@ def verify_increment_tail(
     dist = space.distance_matrix(metric_id)
     if space.size != ensemble.space_size:
         raise ValidationError("ensemble and space disagree on the index count")
-    pair_norms = ensemble.pairwise_norms
     samples = ensemble.sample_count
     idx_s, idx_t = np.triu_indices(space.size, k=1)
     d_pairs = dist[idx_s, idx_t]
     live = d_pairs > 0
-    differ = np.flatnonzero(~live & (pair_norms.max(axis=0, initial=0.0) > 0))
+    thr = np.vstack([u[:, None] * d_pairs, np.full_like(d_pairs, np.nextafter(0.0, 1.0))])
+    counts = kernels.increment_counts(ensemble.trajectories, idx_s, idx_t, thr, ensemble.gauge)
+    differ = np.flatnonzero(~live & (counts[-1] > 0))
     if differ.size:  # name the first in triu order
         raise DegenerateMetricError(
             f"indices {idx_s[differ[0]]} and {idx_t[differ[0]]} are at distance zero "
@@ -343,14 +347,8 @@ def verify_increment_tail(
 
     with np.errstate(over="ignore"):  # u**beta = inf gives the bound 0
         bounds = np.minimum(1.0, 2.0 * np.exp(-(u**beta)))
-    worst_freq = np.zeros_like(u)
-    worst_ratio = 0.0
-    for i, uu in enumerate(u):
-        # a pair at distance zero has zero norms here and is left out
-        freq = (pair_norms >= uu * d_pairs).mean(axis=0)
-        worst_freq[i] = freq[live].max()
-        if bounds[i] > 0:
-            worst_ratio = max(worst_ratio, worst_freq[i] / bounds[i])
+    worst_freq = (counts[:-1, live] / samples).max(axis=1)
+    worst_ratio = (worst_freq[bounds > 0] / bounds[bounds > 0]).max(initial=0.0)
     rows = make_rows(u, u, bounds, worst_freq, samples)
     return BoundReport(
         bound_name="increment_exponential_tail",
@@ -382,6 +380,8 @@ def sample_mixed_sups(
     blocks from the same per-sample stream, gaussian block first.  The
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
+    Only the per-sample maximum is read: ``kernels.sup_norms_vs_ref``, one
+    call per realized block, eigensolves only increments that may reach it.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -403,7 +403,7 @@ def sample_mixed_sups(
     for lo in range(0, n_samples, step):
         hi = min(n_samples, lo + step)
         trajs = _realize(specs, seed, lo, hi)
-        sups[lo:hi] = kernels.ensemble_norms_vs_ref(trajs, t0, GaugeNorm.SPECTRAL).max(axis=1)
+        sups[lo:hi] = kernels.sup_norms_vs_ref(trajs, t0)
     return sups
 
 

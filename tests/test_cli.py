@@ -296,7 +296,7 @@ def test_empirical_and_mixed_tail_hold(tmp_path):
 def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
     # 4 indices of 2x2 unfoldings: 16 complex entries per sample, 64 per block
     monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 16 * 64)
-    calls = count_calls(monkeypatch, "ensemble_norms_vs_ref")
+    calls = count_calls(monkeypatch, "sup_norms_vs_ref")
     cfg = {
         "experiment": "mixed-tail",
         "seed": 10,
@@ -309,6 +309,35 @@ def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
     assert main(["mixed-tail", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(calls) == math.ceil(300 / 64)
     assert [len(args[0]) for args in calls] == [64, 64, 64, 64, 44]
+
+
+# each config with the count of blocks its statistic reduces: samples x
+# index_count increments against t0, or one weighted sum per sample
+@pytest.mark.parametrize(
+    "config, blocks",
+    [
+        ({"experiment": "mixed-tail", "seed": 5, "samples": 2000, "index_count": 16,
+          "basis_count": 4, "row_modes": [2, 2]}, 2000 * 16),
+        ({"experiment": "verify-azuma", "seed": 6, "samples": 4000, "steps": 8,
+          "row_modes": [2, 2]}, 4000),
+        ({"experiment": "verify-bernstein", "seed": 7, "samples": 4000, "n": 8,
+          "row_modes": [2, 2]}, 4000),
+    ],
+    ids=["mixed-tail", "verify-azuma", "verify-bernstein"],
+)
+def test_bound_first_experiments_eigensolve_few_blocks(tmp_path, monkeypatch, config, blocks):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mats, *args, **kwargs):
+        solved.append(math.prod(mats.shape[:-2]))
+        return eigvalsh(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    assert main([kind, "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert 0 < sum(solved) <= blocks / 4
 
 
 SAMPLING = {"seed": 3, "samples": 50, "row_modes": [2]}
@@ -402,6 +431,8 @@ BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
         ({**MIXED, "samples": 10**20}, "samples"),
         ({**SIMULATE, "index_count": 10**20}, "index_count"),
         ({**SIMULATE, "u_grid": {"start": 0, "stop": 1, "points": 10**20}}, "u_grid"),
+        # a support larger than the column count prod(col_dims) = 8
+        ({**RIP, "xi": 9}, "xi"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):

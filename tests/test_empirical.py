@@ -236,3 +236,11 @@ def test_bernstein_moment_condition_uniform_noise():
     fam = diagonal_family((2,), t_count=2, n=3, seed=15, noise="uniform")
     records = check_bernstein_condition(fam, seed=16, n_samples=4000)
     assert all(r["holds"] for r in records)
+
+
+# the standard error of the moment estimate needs two samples
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_bernstein_moment_condition_rejects_fewer_than_two_samples(n_samples):
+    fam = diagonal_family((2,), t_count=2, n=3, seed=15)
+    with pytest.raises(ValidationError, match="two samples"):
+        check_bernstein_condition(fam, seed=16, n_samples=n_samples)

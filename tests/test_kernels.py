@@ -265,6 +265,125 @@ def test_batch_spectral_matches_loop():
     assert np.allclose(kernels.batch_spectral(mats), want, rtol=1e-13, atol=0.0)
 
 
+# ---------------------------------------------------------------------------
+# bound-first kernels against the full eigensolve, by ==
+# ---------------------------------------------------------------------------
+
+
+def adversarial_blocks(seed, n=4):
+    """(kinds, n, n) blocks at the edges of the trace bounds, and two that
+    are not exactly Hermitian where ``eigvalsh`` does not read."""
+    gen = trng.stream(seed, 0)
+    rand = random_hermitian_stack(gen, (3, n, n))
+    q, _ = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    v = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    equi = np.eye(n) + 0.3 * (np.ones((n, n)) - np.eye(n))
+    upper_noise = rand[0].copy()
+    upper_noise[np.triu_indices(n, 1)] += 1e-3  # eigvalsh reads the lower triangle
+    imag_diag = rand[1] + 1e-3j * np.eye(n)  # and the real diagonal
+    blocks = [
+        rand[0],
+        rand[1] - 3.0 * np.eye(n),  # lambda_min dominant
+        np.zeros((n, n)),
+        np.diag(gen.uniform(-1.0, 1.0, n)),
+        np.diag([0.5] * (n - 1) + [-2.0]),  # lambda_min dominant and diagonal
+        2.0 * np.eye(n),
+        -2.0 * np.eye(n),
+        np.eye(n) + 1e-9 * rand[2],  # nearly scalar
+        np.outer(v, v.conj()),  # rank one: lambda_max meets the upper bound
+        -np.outer(v, v.conj()),
+        equi,  # n - 1 equal eigenvalues below lambda_max: the upper bound again
+        q @ np.diag([1.0] * (n - 1) + [-2.0]) @ q.conj().T,  # lambda_max meets the lower
+        upper_noise,
+        imag_diag,
+    ]
+    return np.ascontiguousarray(np.stack(blocks).astype(np.complex128))
+
+
+def adversarial_trajs(seed, n=4):
+    """(samples, index, n, n) trajectories whose increments against index 0
+    are the adversarial blocks, rotated per sample, then four near-ties:
+    one block scaled by 1, 1, 1 + 2^-52 and 1 - 2^-53."""
+    blocks = adversarial_blocks(seed, n)
+    kinds = len(blocks)
+    gen = trng.stream(seed, 1)
+    ties = [blocks[0] * c for c in (1.0, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53)]
+    trajs = np.zeros((kinds, kinds + 5, n, n), np.complex128)
+    for s in range(kinds):
+        trajs[s, 1 : kinds + 1] = np.roll(blocks, s, axis=0)
+        trajs[s, kinds + 1 :] = ties
+        if s % 2:  # X_0 nonzero: the increments are rounded differences
+            trajs[s] += random_hermitian_stack(gen, (n, n))
+    return trajs
+
+
+def edge_thresholds(values, gen):
+    """Thresholds at, just above and just below computed values, and at
+    0, the least subnormal, +-inf, NaN and random points."""
+    flat = values.ravel()
+    pick = flat[gen.integers(0, flat.size, 6)]
+    return np.concatenate([
+        pick,
+        np.nextafter(pick, np.inf),
+        np.nextafter(pick, -np.inf),
+        [0.0, np.nextafter(0.0, 1.0), np.inf, -np.inf, np.nan],
+        gen.uniform(-3.0, 8.0, 6),
+    ])
+
+
+BOUND_GAUGES = [None, *GAUGES]
+
+
+@pytest.mark.parametrize("gauge", BOUND_GAUGES, ids=lambda g: getattr(g, "value", "lambda_max"))
+def test_intervals_hold_every_computed_value(gauge):
+    mats = np.concatenate([adversarial_blocks(20), adversarial_trajs(21).reshape(-1, 4, 4)])
+    mats = np.concatenate([mats, 1e150 * mats[:20], 1e-150 * mats[:20]])
+    want = kernels.batch_lambda_max(mats) if gauge is None else kernels.gauge_norms(mats, gauge)
+    lo, hi = kernels._intervals(mats, gauge)
+    assert (lo <= want).all() and (want <= hi).all()
+
+
+@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("seed", [30, 31])
+def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch):
+    trajs = adversarial_trajs(seed)
+    want = kernels.ensemble_norms_vs_ref(trajs, 0, "spectral").max(axis=1)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    assert np.array_equal(kernels.sup_norms_vs_ref(trajs, 0), want)
+    # a reference in the middle, and random trajectories
+    for trajs, ref in [(trajs, 3), (random_trajs(seed, ns=9, nt=7, d=4), 5)]:
+        want = kernels.ensemble_norms_vs_ref(trajs, ref, "spectral").max(axis=1)
+        assert np.array_equal(kernels.sup_norms_vs_ref(trajs, ref), want)
+
+
+@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+def test_lambda_max_counts_equal_full_counts(chunk_entries, monkeypatch):
+    mats = np.concatenate([adversarial_blocks(40), adversarial_trajs(41).reshape(-1, 4, 4)])
+    full = kernels.batch_lambda_max(mats)
+    thr = edge_thresholds(full, trng.stream(42, 0))
+    want = (full[None, :] >= thr[:, None]).sum(axis=1)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    assert np.array_equal(kernels.lambda_max_counts(mats, thr), want)
+
+
+@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+def test_increment_counts_equal_full_counts(gauge, chunk_entries, monkeypatch):
+    trajs = adversarial_trajs(50)
+    a, b = np.triu_indices(trajs.shape[1], 1)
+    full = kernels.ensemble_pairwise_norms(trajs, gauge)  # (samples, pairs)
+    gen = trng.stream(51, 0)
+    # per pair: a computed norm, its neighbours, and the edge values
+    rows = [full[0], np.nextafter(full[1], np.inf), np.nextafter(full[2], -np.inf)]
+    rows += [np.full(a.size, t) for t in edge_thresholds(full, gen)]
+    rows.append(gen.uniform(0.0, 2.0, a.size) * full.mean(axis=0))
+    thr = np.stack(rows)
+    want = (full[None] >= thr[:, None, :]).sum(axis=1)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge), want)
+    assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge.value), want)
+
+
 def rip_scan_loop(gram, xi):
     best = 0.0
     for comb in itertools.combinations(range(gram.shape[0]), xi):
