@@ -47,7 +47,7 @@ class ConstantSet:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            if not getattr(self, f.name) > 0:  # NaN too
                 raise DomainError(f"{f.name} must be strictly positive")
 
 
@@ -424,16 +424,18 @@ def _verify_sums(bound_name, stack, law, n_samples, seed, u_grid, tail, inputs):
     The weights w of every sample are drawn under the ``rng.noise`` law
     from the stream (seed, 0); the rows are those of the fitted bounds.
     Only counts at the bound's thresholds are read: ``kernels.lambda_max_counts``
-    eigensolves only the sums its certified trace bounds leave undecided.
+    forms the sums chunk by chunk and eigensolves only those its certified
+    trace bounds leave undecided; only the weights grow with ``n_samples``.
     """
     if n_samples < 1:
         raise ValidationError(f"{bound_name}: need at least one sample")
     weights = rng_mod.noise(law, rng_mod.stream(seed, 0), (n_samples, len(stack)))
-    sums = np.einsum("sk,kij->sij", weights, stack)
     return BoundReport(
         bound_name=bound_name,
         inputs={**inputs, "samples": n_samples, "seed": seed},
-        rows=_bound_rows(tail, u_grid, n_samples, lambda t: kernels.lambda_max_counts(sums, t)),
+        rows=_bound_rows(
+            tail, u_grid, n_samples, lambda t: kernels.lambda_max_counts(weights, stack, t)
+        ),
     )
 
 

@@ -67,6 +67,8 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_VERDICT = 4
 
+_MAX_GRID_POINTS = 1000  # of a {"start", "stop", "points"} grid, built to validate it
+
 
 @dataclass
 class RunManifest:
@@ -90,7 +92,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A number that is finite as a float: not NaN, Infinity or 1e400, which
+    ``json.load`` reads as floats, nor an int such as 10**400."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 
 
 def _is_numbers(v) -> bool:
@@ -108,10 +112,10 @@ def _check(ok, form):
     return lambda v: None if ok(v) else f"must be {form}"
 
 
-def _is_size(v, minimum) -> bool:
-    """A count or extent: every size key has one upper bound, the largest
-    addressable unfolding side."""
-    return _is_int(v) and minimum <= v <= _MAX_SIDE
+def _is_size(v, minimum, maximum=_MAX_SIDE) -> bool:
+    """A count or extent; every size key has the largest addressable
+    unfolding side as its upper bound."""
+    return _is_int(v) and minimum <= v <= maximum
 
 
 def _size(minimum):
@@ -135,7 +139,7 @@ def _grid(objects, minimum=0):
     def ok(v):
         if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
             start, stop, points = v["start"], v["stop"], v["points"]
-            if not (_is_numbers([start, stop]) and _is_size(points, 1)):
+            if not (_is_numbers([start, stop]) and _is_size(points, 1, _MAX_GRID_POINTS)):
                 return False
             v = _u_grid(v).tolist()
         return _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
@@ -143,7 +147,7 @@ def _grid(objects, minimum=0):
     form = f"a nonempty ascending list of numbers >= {minimum}"
     if objects:
         form += " or an object of numbers start, stop and an integer points"
-        form += f" from 1 to {_MAX_SIDE}"
+        form += f" from 1 to {_MAX_GRID_POINTS}"
     return _check(ok, form)
 
 

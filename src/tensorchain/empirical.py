@@ -152,15 +152,18 @@ def empirical_sup_moment_bound(gamma2, gamma1, n, sigma, upsilon, p, const=1.0) 
 
 
 def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np.ndarray:
-    """Per-sample sup_t || (1/n) sum_i w_i theta_i(t) ||_spec."""
+    """Per-sample sup_t || (1/n) sum_i w_i theta_i(t) ||_spec; the values are
+    formed and reduced per ``kernels.chunks`` block, one ``batch_spectral``
+    call each, so only the weights w and the suprema grow with ``n_samples``."""
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, (n_samples, family.n))
-    values = np.einsum("si,tiab->stab", w, family.parameters) / family.n
-    flat = np.ascontiguousarray(values.reshape(-1, *values.shape[2:]))
-    norms = kernels.batch_spectral(flat).reshape(n_samples, family.t_count)
-    return norms.max(axis=1)
+    sups = np.empty(n_samples)
+    for sl in kernels.chunks(n_samples, family.parameters[:, 0].size):
+        values = np.einsum("si,tiab->stab", w[sl], family.parameters) / family.n
+        sups[sl] = kernels.batch_spectral(values).max(axis=1)
+    return sups
 
 
 def verify_empirical_bound(

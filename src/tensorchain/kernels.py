@@ -1,8 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
-one against a plain-loop oracle.  Scratch memory of the batched kernels is
-bounded by processing samples, supports, subsets or radii in chunks.
+one against a plain-loop oracle.  Every batched loop in the package, here
+and in the callers that realize or sum per-sample stacks, takes its blocks
+of samples, supports, subsets or radii from :func:`chunks`, under the one
+budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole.
 
 The package's Hermitian reductions read their spectra here, from stacks
 built of matrices taken through ``tensor.hermitian_part``.  Spectral and
@@ -23,8 +25,11 @@ import numpy as np
 
 from .tensor import GaugeNorm
 
-# Cap on per-chunk scratch memory (complex entries).
-_CHUNK_ENTRIES = 1 << 22
+# The one chunk budget in complex entries (8 MB), read only by chunks().  It
+# trades time for memory: on a 2-core AMD EPYC, one BLAS thread, a 100-point
+# greedy_cover curve takes 23.7 ms at 1 << 22, 24.8 at 1 << 20, 27.5 here and
+# 36.2 at 1 << 18; a round of the mc-deep configs peaks at 135, 86, 80, 64 MB.
+_CHUNK_ENTRIES = 1 << 19
 
 # Relative slack on the certified bounds of rip_scan and _intervals.
 _SLACK = 1e-9
@@ -37,6 +42,13 @@ _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
+
+
+def chunks(count, entries):
+    """Slices of range(count), items of ``entries`` complex entries: each holds
+    at most _CHUNK_ENTRIES entries, or one item where that alone is more."""
+    step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def gauge_norms(mats, gauge):
@@ -78,39 +90,36 @@ def _intervals(mats, gauge):
     return fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
 
 
-def _counts(mats, thr, gauge):
-    """(k, P) counts over axis 0 of ``mats`` (c, P, n, n) of values >= ``thr``
-    (k, P), eigensolving only matrices with a threshold in their interval."""
-    lo, hi = _intervals(mats, gauge)
-    hit = lo >= thr[:, None]
-    i, j = np.nonzero(~(hit | (hi < thr[:, None])).all(axis=0))
-    vals = batch_lambda_max(mats[i, j]) if gauge is None else gauge_norms(mats[i, j], gauge)
-    hit[:, i, j] = vals >= thr[:, j]
-    return hit.sum(axis=1)
+def _counts(stacks, thresholds, gauge):
+    """(k, *P) counts over the chunks ``stacks`` (c, *P, n, n) of values (lambda_max
+    for ``gauge`` None) >= ``thresholds`` (k, *P), eigensolving only matrices
+    with a threshold in their interval."""
+    thr, total = np.asarray(thresholds, np.float64)[:, None], 0
+    for mats in stacks:
+        lo, hi = _intervals(mats, gauge)
+        thr_c = np.broadcast_to(thr, (len(thr), *lo.shape))
+        hit = lo >= thr_c
+        sel = np.nonzero(~(hit | (hi < thr_c)).all(axis=0))
+        vals = batch_lambda_max(mats[sel]) if gauge is None else gauge_norms(mats[sel], gauge)
+        hit[(slice(None), *sel)] = vals >= thr_c[(slice(None), *sel)]
+        total = total + hit.sum(axis=1)
+    return total
 
 
 def _increment_chunks(trajs, a, b):
     """Yield X_a - X_b over chunks of samples; ``b`` is aligned with ``a`` or
-    holds one index, which broadcasts.  A chunk's two gathers, X_a (the
-    difference buffer) and X_b, hold at most _CHUNK_ENTRIES complex entries."""
-    ns, _, d1, d2 = trajs.shape
-    step = max(1, _CHUNK_ENTRIES // max(1, (a.size + b.size) * d1 * d2))
-    for lo in range(0, ns, step):
-        block = trajs[lo : lo + step]
+    holds one index, which broadcasts.  The entries ``chunks`` counts are a
+    chunk's two gathers, X_a (the difference buffer) and X_b."""
+    for sl in chunks(trajs.shape[0], (a.size + b.size) * math.prod(trajs.shape[2:])):
+        block = trajs[sl]
         diff = block[:, a]
         diff -= block[:, b]
         yield diff
 
 
-def _increment_norms(trajs, a, b, gauge):
-    """(samples, len(a)) gauge norms of X_a - X_b."""
-    return np.concatenate([gauge_norms(diff, gauge) for diff in _increment_chunks(trajs, a, b)])
-
-
 def increment_counts(trajs, a, b, thresholds, gauge):
     """(k, len(a)) counts of samples with ||X_a - X_b|| >= ``thresholds`` (k, len(a))."""
-    thr, gauge = np.asarray(thresholds, np.float64), GaugeNorm.coerce(gauge)
-    return sum(_counts(diff, thr, gauge) for diff in _increment_chunks(trajs, a, b))
+    return _counts(_increment_chunks(trajs, a, b), thresholds, GaugeNorm.coerce(gauge))
 
 
 def sup_norms_vs_ref(trajs, ref):
@@ -133,12 +142,13 @@ def sup_norms_vs_ref(trajs, ref):
 def ensemble_pairwise_norms(trajs, gauge):
     """(samples, pairs) gauge norms of X_a - X_b, a < b in ``triu_indices`` order."""
     a, b = np.triu_indices(trajs.shape[1], 1)
-    return _increment_norms(trajs, a, b, gauge)
+    return np.concatenate([gauge_norms(d, gauge) for d in _increment_chunks(trajs, a, b)])
 
 
 def ensemble_norms_vs_ref(trajs, ref, gauge):
     """(samples, index) gauge norms of X_a - X_ref."""
-    return _increment_norms(trajs, np.arange(trajs.shape[1]), np.array([ref]), gauge)
+    diffs = _increment_chunks(trajs, np.arange(trajs.shape[1]), np.array([ref]))
+    return np.concatenate([gauge_norms(d, gauge) for d in diffs])
 
 
 def batch_lambda_max(mats):
@@ -146,11 +156,11 @@ def batch_lambda_max(mats):
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def lambda_max_counts(mats, thresholds):
-    """(k,) counts of a Hermitian stack's ``batch_lambda_max`` >= each threshold."""
-    thr, step = np.asarray(thresholds, np.float64)[:, None], max(1, _CHUNK_ENTRIES // mats[0].size)
-    chunks = (mats[lo : lo + step, None] for lo in range(0, len(mats), step))
-    return sum(_counts(chunk, thr, None) for chunk in chunks)[:, 0]
+def lambda_max_counts(weights, stack, thresholds):
+    """(k,) counts of samples s with lambda_max(sum_j weights[s, j] stack[j])
+    >= each threshold; the Hermitian sums are formed one chunk at a time."""
+    blocks = chunks(len(weights), stack[0].size)
+    return _counts((np.einsum("sk,kij->sij", weights[b], stack) for b in blocks), thresholds, None)
 
 
 def batch_spectral(mats):
@@ -159,9 +169,9 @@ def batch_spectral(mats):
     return gauge_norms(mats, GaugeNorm.SPECTRAL)
 
 
-def _lex_supports(ncols, xi, limit):
-    """The xi-subsets of range(ncols) in lexicographic order, as (xi, <= limit)
-    index arrays.
+def _lex_supports(ncols, xi):
+    """The xi-subsets of range(ncols) in lexicographic order, as (xi, chunk)
+    index arrays, one per ``chunks`` slice of the ranks.
 
     The subset of rank r is read off the combinatorial number system:
     C(ncols, xi) - 1 - r = sum_j C(a_j, xi - j) with a_0 > a_1 > ..., each
@@ -174,8 +184,8 @@ def _lex_supports(ncols, xi, limit):
         [[min(math.comb(a, m), total) for a in range(ncols)] for m in range(xi + 1)],
         np.int64,
     )
-    for lo in range(0, total, limit):
-        rest = total - 1 - np.arange(lo, min(total, lo + limit))
+    for ranks in chunks(total, xi * xi):
+        rest = total - 1 - np.arange(ranks.start, ranks.stop)
         cols = np.empty((xi, rest.size), np.int64)
         for j in range(xi):
             a = np.searchsorted(table[xi - j], rest, side="right") - 1
@@ -207,9 +217,8 @@ def rip_scan(gram, xi):
     radius = np.abs(np.tril(gram, -1))
     radius += radius.T
     radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
-    limit = max(1, _CHUNK_ENTRIES // (xi * xi))
     best = 0.0
-    for cols in _lex_supports(ncols, xi, limit):
+    for cols in _lex_supports(ncols, xi):
         rows = radius.diagonal()[cols]
         for a, b in combinations(range(xi), 2):
             off = radius.take(cols[a] * ncols + cols[b])
@@ -265,12 +274,9 @@ def chain_sum(dist, members, offsets, weights):
 
 def gamma2_scan(dist, subs, w1):
     """min over subsets S in subs and roots t0 of sup_t d(t, t0) + w1 * d(t, S)."""
-    n = dist.shape[0]
     best = np.inf
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, subs.shape[0], step):
-        block = subs[lo : lo + step]
-        msub = dist[:, block].min(axis=2).T  # (chunk, n)
+    for sl in chunks(subs.shape[0], dist.size):
+        msub = dist[:, subs[sl]].min(axis=2).T  # (chunk, n)
         vals = (w1 * msub[:, :, None] + dist[None, :, :]).max(axis=1)
         best = min(best, float(vals.min()))
     return best
@@ -300,7 +306,7 @@ def greedy_cover(dist, radii):
     uncovered points, ties to the lowest index.  A radius at or above the
     space radius min_c max_t dist[c, t] counts 1 with no cover run: the ball
     that holds every point is the first pick.  The other radii run in
-    lockstep, in chunks of at most _CHUNK_ENTRIES // n^2 radii, with each
+    lockstep, in ``chunks`` of n^2 entries per radius, with each
     ball packed into ceil(n / 64) uint64 words; a radius leaves the chunk
     once its balls cover every point.  Every radius must be >= 0 and every
     dist[t, t] zero, so that each point lies in its own ball.
@@ -310,9 +316,8 @@ def greedy_cover(dist, radii):
     radii = np.asarray(radii, np.float64)
     counts = np.ones(radii.size, np.int64)
     todo = np.flatnonzero(~(radii >= dist.max(axis=1).min()))  # NaN too
-    step = max(1, _CHUNK_ENTRIES // (n * n))
-    for lo in range(0, todo.size, step):
-        sel = todo[lo : lo + step]
+    for sl in chunks(todo.size, dist.size):
+        sel = todo[sl]
         counts[sel] = 0
         packed = np.zeros((sel.size, n, 8 * words), np.uint8)
         packed[..., : -(-n // 8)] = np.packbits(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +43,6 @@ from .errors import (
 )
 from .report import BoundReport, make_rows
 from .tensor import GaugeNorm, fold, hermitian_part, unfold
-
-# Complex entries realized at once by sample_mixed_sups.  Smaller than
-# kernels._CHUNK_ENTRIES: a block of that size (64 MB of trajectories, plus
-# eigensolver scratch) would outweigh the ensembles the other experiments hold.
-_BLOCK_ENTRIES = 1 << 18
 
 
 class ProcessFamily(enum.Enum):
@@ -141,9 +135,8 @@ def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> FiniteMetricSp
 class Ensemble:
     """Realized trajectories as a read-only (samples, index, D, D) array.
 
-    Gauge norms of the increments are reduced from the trajectories on
-    demand and cached: each a < b pair once, in ``np.triu_indices`` order, in
-    ``pairwise_norms``, and the increments against one index in ``norms_vs``.
+    Gauge norms of the increments against one index are reduced from the
+    trajectories on demand and cached, in ``norms_vs``.
     """
 
     spec: ProcessSpec
@@ -159,10 +152,6 @@ class Ensemble:
     @property
     def space_size(self) -> int:
         return self.trajectories.shape[1]
-
-    @cached_property
-    def pairwise_norms(self) -> np.ndarray:
-        return kernels.ensemble_pairwise_norms(self.trajectories, self.gauge)
 
     def norms_vs(self, t0: int) -> np.ndarray:
         """(samples, index) norms of X_t - X_t0, computed once per t0, read-only."""
@@ -380,8 +369,9 @@ def sample_mixed_sups(
     blocks from the same per-sample stream, gaussian block first.  The
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
-    Only the per-sample maximum is read: ``kernels.sup_norms_vs_ref``, one
-    call per realized block, eigensolves only increments that may reach it.
+    Each ``kernels.chunks`` block of samples is realized and reduced before
+    the next; ``kernels.sup_norms_vs_ref`` eigensolves only the increments
+    that may reach a sample's maximum, the one value read.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -397,13 +387,10 @@ def sample_mixed_sups(
     if not 0 <= t0 < nt:
         raise DomainError(f"reference index {t0} outside the space")
     specs = (spec_subgauss, spec_subexp)
-    side = spec_subgauss.basis[0].shape.row_count
-    step = max(1, _BLOCK_ENTRIES // (nt * side * side))
     sups = np.empty(n_samples)
-    for lo in range(0, n_samples, step):
-        hi = min(n_samples, lo + step)
-        trajs = _realize(specs, seed, lo, hi)
-        sups[lo:hi] = kernels.sup_norms_vs_ref(trajs, t0)
+    # per sample: its trajectories and the component part added to them
+    for sl in kernels.chunks(n_samples, 2 * nt * spec_subgauss.basis_stack[0].size):
+        sups[sl] = kernels.sup_norms_vs_ref(_realize(specs, seed, sl.start, sl.stop), t0)
     return sups
 
 

@@ -4,14 +4,10 @@ A signal lives on the column-mode index space (J_1, ..., J_N); a
 measurement operator is a (rows; J) tensor.  The restricted isometry
 constant of order xi is the worst deviation of a xi-column Gram block of
 the unfolding from the identity.  It is computed exactly by
-:func:`tensorchain.kernels.rip_scan`, which enumerates every support of
-size xi and bounds each block's deviation by Gershgorin's theorem,
-inflated by a relative slack of 1e-9 that covers the eigensolver's
-backward error; only the blocks whose bound could beat the running
-maximum are eigensolved, so the result equals, bit for bit, a scan that
-eigensolves every block.  :data:`SUPPORT_BUDGET` counts every enumerated
-support: a scan over more is refused with :class:`CapacityError` before
-any work.
+:func:`tensorchain.kernels.rip_scan`, whose docstring states how it prunes
+the scan and why the result is that of a scan eigensolving every block.
+:data:`SUPPORT_BUDGET` counts every enumerated support: a scan over more
+is refused with :class:`CapacityError` before any work.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by

@@ -7,8 +7,9 @@ For each workload of ``clibench/workloads.py`` and each seed in SEEDS, the
 k-th config runs through ``tensorchain.cli.main`` of this checkout (its
 ``src`` comes first on the import path) into
 OUT/<workload>/<seed>/<k>-<experiment>/, with the exit code in the file
-``exit_code``.  Run it in two checkouts, then compare the trees with
-``python tests/golden/compare.py A B``.
+``exit_code``.  Every JSON output must parse as strict JSON: a NaN or an
+infinity in a report stops the script with ValueError.  Run it in two
+checkouts, then compare the trees with ``python tests/golden/compare.py A B``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
+def strict_json(path):
+    """The JSON value in ``path``; NaN and the infinities raise ValueError."""
+
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def write_workload(out, name: str, seed: int) -> None:
     """Run every config of one workload at one seed into out/<name>/<seed>/."""
     root = Path(out) / name / str(seed)
@@ -42,6 +52,8 @@ def write_workload(out, name: str, seed: int) -> None:
         path.unlink()
         case.mkdir(exist_ok=True)
         (case / "exit_code").write_text(f"{code}\n")
+        for output in sorted(case.glob("*.json")):
+            strict_json(output)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,35 @@ def test_mixed_sup_bounds():
 # ---------------------------------------------------------------------------
 # Bernstein
 # ---------------------------------------------------------------------------
+
+
+def traced_peak(run):
+    """Peak bytes numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("verify", [verify_azuma, verify_bernstein])
+def test_verify_memory_grows_by_the_weights_not_the_sums(verify):
+    # two 8x8 steps: 16 bytes of weights per sample, 1024 of a weighted sum
+    mats = [random_hermitian((8,), trng.stream(26, k)) for k in range(2)]
+    verify(mats, 100, 27)  # warm caches
+    small, large = 10_000, 50_000
+    grown = traced_peak(lambda: verify(mats, large, 27)) - traced_peak(
+        lambda: verify(mats, small, 27)
+    )
+    weights = (large - small) * len(mats) * 8
+    assert grown <= 4 * weights  # the sums alone would add 64 times the weights
+
+
+def test_constants_must_be_positive_numbers():
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="chain_const"):
+            ConstantSet(chain_const=bad)
 
 
 def test_bernstein_formula_cases():

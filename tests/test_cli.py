@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorchain import cli, kernels, processes
+from tensorchain import cli, kernels
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
@@ -294,8 +294,9 @@ def test_empirical_and_mixed_tail_hold(tmp_path):
 
 
 def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
-    # 4 indices of 2x2 unfoldings: 16 complex entries per sample, 64 per block
-    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 16 * 64)
+    # 4 indices of 2x2 unfoldings: 16 complex entries per sample, held twice
+    # while realized, 64 samples per block
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 16 * 64)
     calls = count_calls(monkeypatch, "sup_norms_vs_ref")
     cfg = {
         "experiment": "mixed-tail",
@@ -442,6 +443,51 @@ def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key
     out = tmp_path / "out"
     assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+# json.load reads NaN, Infinity and 1e400 as floats, and 10**400 as an int
+# no float holds; each replaces "X"
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")]
+)
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({**GAMMA, "p_values": [1, "X"]}, "p_values"),
+        ({**GAMMA, "beta": "X"}, "beta"),
+        ({**GAMMA, "points": [[0.0], ["X"], [3.0]]}, "points"),
+        ({**AZUMA, "u_sigma_factors": [2.0, "X"]}, "u_sigma_factors"),
+        ({**BERNSTEIN, "u_grid": [1.0, "X"]}, "u_grid"),
+        ({**MIXED, "constants": {"mixed_chain_const": "X", "mixed_scale_const": 1.0}},
+         "constants"),
+        ({**SIMULATE, "u_grid": {"start": 0, "stop": "X", "points": 3}}, "u_grid"),
+        ({**SIMULATE, "coefficients": [[0.5, "X"]] * 4}, "coefficients"),
+        ({**RIP, "tau": "X"}, "tau"),
+    ],
+)
+def test_nonfinite_number_exits_with_diagnostic(tmp_path, capsys, config, key, token):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"X"', token))
+    out = tmp_path / "out"
+    assert main([config["experiment"], "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_points_are_bounded_before_the_grid_is_built(tmp_path, capsys, monkeypatch):
+    top = {"start": 0, "stop": 1, "points": cli._MAX_GRID_POINTS}
+    assert validate({**SIMULATE, "u_grid": top}) == []
+
+    def refuse(grid):
+        raise AssertionError(f"built a grid of {grid['points']} points")
+
+    monkeypatch.setattr(cli, "_u_grid", refuse)
+    path = write_config(tmp_path, {**SIMULATE, "u_grid": {**top, "points": 2**31}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "u_grid" in err and f"from 1 to {cli._MAX_GRID_POINTS}" in err
     assert not out.exists()
 
 

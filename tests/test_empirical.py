@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ def test_sups_deterministic():
     a = sample_family_sups(fam, 8, 50)
     b = sample_family_sups(fam, 8, 50)
     assert np.array_equal(a, b)
+
+
+def test_family_sups_memory_grows_by_the_weights_not_the_values():
+    # 8 tuples of 4x4 values: 16 bytes of weights per sample over n = 2
+    # spaces, 2048 bytes of values; both runs span more than one chunk
+    fam = diagonal_family((2, 2), t_count=8, n=2, seed=11)
+    sample_family_sups(fam, 12, 100)  # warm caches
+    small, large = 10_000, 30_000
+    peaks = []
+    for samples in (small, large):
+        tracemalloc.start()
+        try:
+            sample_family_sups(fam, 12, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    weights = (large - small) * fam.n * 8
+    assert peaks[1] - peaks[0] <= 4 * weights  # the values alone add 128 times
 
 
 def test_verify_empirical_bound_fit_and_holds():

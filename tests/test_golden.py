@@ -44,6 +44,8 @@ def run_case(name, root):
     path.unlink()
     out.mkdir(exist_ok=True)
     (out / "exit_code").write_text(f"{code}\n")
+    for output in sorted(out.glob("*.json")):
+        workload_outputs.strict_json(output)  # a NaN or an infinity raises
     return out
 
 
@@ -86,6 +88,16 @@ def test_comparator_rejects_mutants(tmp_path, mutate):
     mutate(copy)
     assert golden_compare.compare(expected, copy) != []
     assert golden_compare.main([str(expected), str(copy)]) == 1
+
+
+def test_strict_json_rejects_nan_and_infinities(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"u": 1.0, "empirical": 0.5}')
+    assert workload_outputs.strict_json(path) == {"u": 1.0, "empirical": 0.5}
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path.write_text(f'{{"u": 1.0, "threshold": {token}}}')
+        with pytest.raises(ValueError, match=token):
+            workload_outputs.strict_json(path)
 
 
 def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):

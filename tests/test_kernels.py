@@ -9,10 +9,27 @@ import pytest
 
 from tensorchain import kernels, sensing
 from tensorchain import rng as trng
-from tensorchain.tensor import GaugeNorm, unfold
+from tensorchain.bounds import verify_azuma, verify_bernstein
+from tensorchain.empirical import EmpiricalFamily, sample_family_sups
+from tensorchain.processes import ProcessSpec, sample_mixed_sups
+from tensorchain.tensor import GaugeNorm, random_hermitian, unfold
 
 GAUGES = list(GaugeNorm)
 GAUGE_IDS = [str(i) for i in range(len(GAUGES))]
+# budgets of kernels._CHUNK_ENTRIES: one that holds every input of these
+# tests in one chunk, as the default does, then ever smaller chunks
+CHUNK_BUDGETS = [1 << 22, 20, 1]
+
+
+def test_chunks_slice_every_item_within_the_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 12)
+    assert list(kernels.chunks(0, 4)) == []
+    assert list(kernels.chunks(3, 4)) == [slice(0, 3)]
+    assert list(kernels.chunks(6, 4)) == [slice(0, 3), slice(3, 6)]  # exact multiples
+    assert list(kernels.chunks(7, 4)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert list(kernels.chunks(12, 1)) == [slice(0, 12)]
+    # an item above the budget is a chunk of its own
+    assert list(kernels.chunks(2, 13)) == [slice(0, 1), slice(1, 2)]
 
 
 def random_hermitian_stack(gen, shape):
@@ -221,7 +238,7 @@ def test_norm_kernels_match_loop_on_every_sign_pattern(gauge):
 
 
 # one chunk for all samples, or one sample per chunk
-@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
 def test_pairwise_norms_equal_broadcast_square_on_triu(
     gauge, chunk_entries, monkeypatch
@@ -343,30 +360,58 @@ def test_intervals_hold_every_computed_value(gauge):
     assert (lo <= want).all() and (want <= hi).all()
 
 
-@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+def mixed_specs(seed):
+    """A gaussian and a subexponential component over 5 indices of 2x2 tensors."""
+    basis = tuple(random_hermitian((2,), trng.stream(seed, j)) for j in range(3))
+    coeffs = trng.stream(seed, 99).uniform(-1.0, 1.0, (5, 3))
+    return (ProcessSpec("gaussian_linear", coeffs, basis, 2.0),
+            ProcessSpec("subexponential_linear", coeffs[:, ::-1], basis, 1.0))
+
+
+def family_sups_oracle(family, seed, n_samples):
+    """Every sample's values stacked at once, then reduced."""
+    w = trng.noise(family.noise, trng.stream(seed, 0), (n_samples, family.n))
+    values = np.einsum("si,tiab->stab", w, family.parameters) / family.n
+    return np.abs(np.linalg.eigvalsh(values)).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("seed", [30, 31])
 def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch):
     trajs = adversarial_trajs(seed)
     want = kernels.ensemble_norms_vs_ref(trajs, 0, "spectral").max(axis=1)
+    specs = mixed_specs(seed)
+    want_mixed = sample_mixed_sups(*specs, seed, 13, t0=2)
+    family = EmpiricalFamily((2, 2), random_trajs(seed + 10, ns=3, nt=5, d=4))
+    want_family = family_sups_oracle(family, seed, 11)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     assert np.array_equal(kernels.sup_norms_vs_ref(trajs, 0), want)
     # a reference in the middle, and random trajectories
     for trajs, ref in [(trajs, 3), (random_trajs(seed, ns=9, nt=7, d=4), 5)]:
         want = kernels.ensemble_norms_vs_ref(trajs, ref, "spectral").max(axis=1)
         assert np.array_equal(kernels.sup_norms_vs_ref(trajs, ref), want)
+    # the callers that realize or form their stacks chunk by chunk
+    assert np.array_equal(sample_mixed_sups(*specs, seed, 13, t0=2), want_mixed)
+    assert np.array_equal(sample_family_sups(family, seed, 11), want_family)
 
 
-@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 def test_lambda_max_counts_equal_full_counts(chunk_entries, monkeypatch):
     mats = np.concatenate([adversarial_blocks(40), adversarial_trajs(41).reshape(-1, 4, 4)])
     full = kernels.batch_lambda_max(mats)
     thr = edge_thresholds(full, trng.stream(42, 0))
     want = (full[None, :] >= thr[:, None]).sum(axis=1)
+    diffs = [random_hermitian((2, 2), trng.stream(43, k)) for k in range(5)]
+    want_reports = [verify_azuma(diffs, 150, 44).to_json(),
+                    verify_bernstein(diffs, 150, 45).to_json()]
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
-    assert np.array_equal(kernels.lambda_max_counts(mats, thr), want)
+    weights = np.eye(len(mats))  # each sum is one of the matrices
+    assert np.array_equal(kernels.lambda_max_counts(weights, mats, thr), want)
+    assert [verify_azuma(diffs, 150, 44).to_json(),
+            verify_bernstein(diffs, 150, 45).to_json()] == want_reports
 
 
-@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
 def test_increment_counts_equal_full_counts(gauge, chunk_entries, monkeypatch):
     trajs = adversarial_trajs(50)
@@ -450,7 +495,7 @@ def equicorrelated(n, rho):
     ],
     ids=["equi+", "equi-", "I", "1.5I", "0.25I", "misleading", "graded"],
 )
-@pytest.mark.parametrize("chunk_entries", [kernels._CHUNK_ENTRIES, 20, 1])
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("xi", [1, 2, 3, 6])
 def test_rip_scan_matches_plain_scan_on_adversarial_grams(
     gram, xi, chunk_entries, monkeypatch
@@ -473,8 +518,9 @@ def test_misleading_gram_bound_and_deviation_disagree():
     "ncols, xi, limit",
     [(9, 1, 4), (9, 3, 7), (9, 9, 3), (12, 6, 100), (70, 69, 5), (5, 7, 2)],
 )
-def test_lex_supports_match_combinations(ncols, xi, limit):
-    chunks = list(kernels._lex_supports(ncols, xi, limit))
+def test_lex_supports_match_combinations(ncols, xi, limit, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", limit * xi * xi)
+    chunks = list(kernels._lex_supports(ncols, xi))
     assert all(c.shape[0] == xi and 0 < c.shape[1] <= limit for c in chunks)
     got = [tuple(int(v) for v in col) for c in chunks for col in c.T]
     assert got == list(itertools.combinations(range(ncols), xi))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tensorchain import kernels, processes
+from tensorchain import kernels
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.errors import (
@@ -154,8 +154,9 @@ def test_rank_one_increment_closed_form():
     seed, samples = 23, 40
     ens = sample_ensemble(spec, seed, samples)
     b_norm = norm(basis[0], GaugeNorm.SPECTRAL)
-    assert ens.pairwise_norms.shape == (samples, 1)  # the one pair (0, 1)
-    got = ens.pairwise_norms[:, 0]
+    pairwise = kernels.ensemble_pairwise_norms(ens.trajectories, ens.gauge)
+    assert pairwise.shape == (samples, 1)  # the one pair (0, 1)
+    got = pairwise[:, 0]
     for s in range(samples):
         g = trng.stream(seed, s).standard_normal(1)[0]
         assert got[s] == pytest.approx(abs(g) * 0.75 * b_norm, rel=1e-10)
@@ -172,8 +173,10 @@ def test_homogeneity_of_statistics_and_exponent():
     )
     scaled = sample_ensemble(scaled_spec, 30, 4000)
     base = sample_ensemble(spec, 30, 4000)
-    assert base.pairwise_norms.shape == (4000, 6 * 5 // 2)
-    assert np.allclose(scaled.pairwise_norms, 3.0 * base.pairwise_norms, rtol=1e-12)
+    base_norms = kernels.ensemble_pairwise_norms(base.trajectories, base.gauge)
+    scaled_norms = kernels.ensemble_pairwise_norms(scaled.trajectories, scaled.gauge)
+    assert base_norms.shape == (4000, 6 * 5 // 2)
+    assert np.allclose(scaled_norms, 3.0 * base_norms, rtol=1e-12)
     sups_a, sups_b = base.sup_samples(0), scaled.sup_samples(0)
     grid_a = np.unique(np.quantile(sups_a, 1 - np.geomspace(0.5, 0.01, 10)))
     fit_a = fit_tail_exponent(empirical_tail(base, 0, grid_a))
@@ -219,9 +222,10 @@ def test_ensemble_matches_per_sample_oracle(family):
 def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
     g = make_spec("gaussian_linear", seed=103, nt=6, k=3)
     e = make_spec("subexponential_linear", seed=104, nt=6, k=2, tail_beta=1.0)
-    # 6 indices of 2x2 unfoldings: 24 entries per sample, 4 samples per block,
-    # so 10 samples span two full blocks and a partial one
-    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 24 * 4)
+    # 6 indices of 2x2 unfoldings: 24 entries per sample, held twice while
+    # realized, 4 samples per block, so 10 samples span two full blocks and
+    # a partial one
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 24 * 4)
     got = sample_mixed_sups(g, e, 7, 10, t0=t0)
     trajs = oracle_trajectories((g, e), 7, 10)
     # the increments are Hermitian: spectral norm is the largest |eigenvalue|
@@ -364,7 +368,7 @@ def test_increment_tail_one_point_space_has_no_pair_to_test():
     spec = make_spec(seed=113, nt=1, k=2)
     space = process_space(spec)
     ens = sample_ensemble(spec, 114, 20)
-    assert ens.pairwise_norms.shape == (20, 0)
+    assert kernels.ensemble_pairwise_norms(ens.trajectories, ens.gauge).shape == (20, 0)
     with pytest.raises(InsufficientDataError, match="positive distance"):
         verify_increment_tail(ens, space, "increment", 2.0, [1.0])
 
@@ -383,7 +387,7 @@ def test_increment_tail_leaves_out_coincident_indices():
     a, b = np.triu_indices(6, 1)
     dist = space.distance_matrix("increment")[a, b]
     live = dist > 0
-    norms = ens.pairwise_norms[:, live]
+    norms = kernels.ensemble_pairwise_norms(ens.trajectories, ens.gauge)[:, live]
     want = [(norms >= uu * dist[live]).mean(axis=0).max() for uu in u]
     assert [row.empirical for row in report.rows] == want
 
