@@ -132,23 +132,37 @@ def _numbers(minimum):
     return _check(lambda v: _is_numbers(v) and min(v) >= minimum, form)
 
 
+def _spacing_overflows(start, stop, points) -> bool:
+    """Whether ``np.linspace(start, stop, points)`` meets a value beyond the
+    float range: its span stop - start, or its last value as it spaces it,
+    (points - 1) * step + start, which bounds every other."""
+    span = float(stop) - float(start)
+    if points > 1:
+        span = (points - 1) * (span / (points - 1)) + float(start)
+    return not math.isfinite(span)
+
+
 def _grid(objects, minimum=0):
     """Nonempty, ascending and at least ``minimum``; with ``objects`` also
-    the ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly."""
-
-    def ok(v):
-        if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
-            start, stop, points = v["start"], v["stop"], v["points"]
-            if not (_is_numbers([start, stop]) and _is_size(points, 1, _MAX_GRID_POINTS)):
-                return False
-            v = _u_grid(v).tolist()
-        return _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
-
+    the ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly,
+    once its size and its spacing are known to be in range."""
     form = f"a nonempty ascending list of numbers >= {minimum}"
     if objects:
         form += " or an object of numbers start, stop and an integer points"
         form += f" from 1 to {_MAX_GRID_POINTS}"
-    return _check(ok, form)
+
+    def check(v):
+        if objects and isinstance(v, dict) and set(v) == {"start", "stop", "points"}:
+            start, stop, points = v["start"], v["stop"], v["points"]
+            if not (_is_numbers([start, stop]) and _is_size(points, 1, _MAX_GRID_POINTS)):
+                return f"must be {form}"
+            if _spacing_overflows(start, stop, points):
+                return "spacing start to stop overflows the float range; narrow it"
+            v = _u_grid(v).tolist()
+        ok = _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
+        return None if ok else f"must be {form}"
+
+    return check
 
 
 def _constants(bound_name):
@@ -298,8 +312,10 @@ def validate(config: dict) -> list:
         for key in ("target_size", "xi"):
             if config[key] > size:
                 diags.append(f"{key}: must not exceed the source size {size}")
+        # a Fourier operator's scan bounds one support per translation orbit
+        group = config["col_dims"] if _settings(config)["operator"] == "fourier" else None
         try:
-            sensing.check_scan_capacity(size, config["xi"])
+            sensing.check_scan_capacity(size, config["xi"], group)
         except CapacityError as exc:
             diags.append(f"capacity: xi/col_dims: {exc}; shrink xi or col_dims")
     return diags
@@ -408,11 +424,12 @@ def _run_gamma(config, p, outputs):
 def _run_rip(config, p, outputs):
     col_dims = tuple(p["col_dims"])
     if p["operator"] == "fourier":
-        u = fourier_unitary(col_dims)
+        u, group = fourier_unitary(col_dims), col_dims
     else:
-        u = random_unitary(col_dims, rng_mod.stream(p["operator"]["seed"], 0))
+        u, group = random_unitary(col_dims, rng_mod.stream(p["operator"]["seed"], 0)), None
     rep = rip_monte_carlo(
-        u, p["xi"], p["tau"], p["trials"], p["seed"], target_size=p["target_size"]
+        u, p["xi"], p["tau"], p["trials"], p["seed"], target_size=p["target_size"],
+        group=group,
     )
     payload = rep.to_dict()
     payload["experiment_config"] = config

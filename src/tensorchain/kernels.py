@@ -194,51 +194,147 @@ def _lex_supports(ncols, xi):
         yield cols
 
 
-def rip_scan(gram, xi):
+def _gershgorin(radius, cols):
+    """Gershgorin bound max_i (|H_ii - 1| + sum_{j != i} |H_ij|) of the block
+    on each support of ``cols`` (xi, k); ``radius`` holds |H| off the
+    diagonal and |H_ii - 1| on it."""
+    ncols = radius.shape[0]
+    rows = radius.diagonal()[cols]
+    for a, b in combinations(range(cols.shape[0]), 2):
+        off = radius.take(cols[a] * ncols + cols[b])
+        rows[a] += off
+        rows[b] += off
+    return rows.max(axis=0)
+
+
+def _minus(a, b, group):
+    """Row-major index of a - b in Z_{d_1} x ... x Z_{d_k}, ``group`` the d's;
+    a and b broadcast."""
+    parts = zip(np.unravel_index(a, group), np.unravel_index(b, group), group)
+    return np.ravel_multi_index([(x - y) % d for x, y, d in parts], group)
+
+
+def _circulant_gap(gram, group):
+    """delta = max_{j, k} |H[j, k] - H[j - k, 0]| over ``group``, H the
+    Hermitian matrix eigvalsh reads from gram; in row chunks."""
+    ncols = gram.shape[0]
+    first = gram[:, 0].copy()  # H[:, 0]
+    first[0] = first[0].real
+    gap = 0.0
+    for sl in chunks(ncols, ncols):
+        j, k = np.arange(sl.start, sl.stop)[:, None], np.arange(ncols)
+        h = np.where(j > k, gram[sl], gram[:, sl].T.conj())
+        h[j == k] = h[j == k].real
+        gap = max(gap, float(np.abs(h - first[_minus(j, k, group)]).max()))
+    return gap
+
+
+def _canonical(cols, group):
+    """Whether each support of ``cols`` (xi, k), all holding 0, is the
+    lexicographically least of its orbit's supports holding 0, S - s for s in S."""
+    back = _minus(cols[None], cols[:, None], group)  # (xi shifts, xi, k)
+    back.sort(axis=1)
+    diff = back - cols[None]
+    first = (diff != 0).argmax(axis=1)
+    return (np.take_along_axis(diff, first[:, None], axis=1) >= 0).all(axis=(0, 1))
+
+
+def _deviations(gram, subs):
+    """max |eigenvalue - 1| of the block on each support, a row of ``subs``."""
+    w = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])
+    return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
+
+
+def _orbit_max(gram, cols, group):
+    """Largest deviation over the translates S - s of each support S of
+    ``cols`` (xi, k) that leave 0 out, in chunks; -inf if none (xi = N)."""
+    ncols, xi = gram.shape[0], cols.shape[0]
+    out = []
+    for sl in chunks(cols.shape[1], ncols * xi * xi):
+        moved = _minus(cols[:, sl].T[:, None], np.arange(ncols)[:, None], group)
+        moved.sort(axis=-1)  # (k, N, xi); N - xi per support leave 0 out
+        devs = _deviations(gram, moved[moved[..., 0] != 0])
+        out.append(devs.reshape(len(moved), ncols - xi).max(axis=1, initial=-np.inf))
+    return np.concatenate(out)
+
+
+def _descend(bound, solve, best):
+    """The running best over the items solved by ``solve`` in decreasing
+    ``bound`` order, in batches that start at _RIP_FIRST_BATCH and double,
+    until the next bound is below it; also each item's value, NaN if unsolved."""
+    vals = np.full(bound.shape, np.nan)
+    live = np.flatnonzero(bound >= best)
+    live = live[np.argsort(-bound[live])]
+    ranked = -bound[live]  # ascending
+    done, batch = 0, _RIP_FIRST_BATCH
+    while (stop := min(done + batch, np.searchsorted(ranked, -best, side="right"))) > done:
+        sel = live[done:stop]
+        vals[sel] = solve(sel)
+        best = max(best, float(vals[sel].max()))
+        done, batch = stop, 2 * batch
+    return best, vals
+
+
+def rip_scan(gram, xi, group=None):
     """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram.
 
-    Every support is enumerated, in lexicographic chunks, but only the
-    blocks that could beat the running maximum are eigensolved.  For the
-    Hermitian matrix B that ``eigvalsh`` reads (the lower triangle of a
-    block, real diagonal), Gershgorin's theorem gives
-    |lambda - 1| <= g = max_i (|B_ii - 1| + sum_{j != i} |B_ij|).  The
-    computed eigenvalues are exact for some B + E with ||E|| <= c xi eps ||B||
-    and ||B|| <= 1 + g, and g itself is summed with relative error below
-    xi eps; both stay far below the slack, so a block's computed deviation
-    is at most g + _SLACK * (1 + g).  Each chunk eigensolves its
-    supports in decreasing order of that inflated bound, in batches that
-    start at _RIP_FIRST_BATCH and double, and stops at the first support
-    whose inflated bound is below the running best.  A skipped block's
-    computed deviation is below the best already found, so the result is the
-    maximum over the same per-block ``eigvalsh`` values as a scan that
-    eigensolves every block, to the last bit.
+    A block is eigensolved as ``eigvalsh`` reads it with its columns sorted:
+    the Hermitian H of its lower triangle and real diagonal.  Gershgorin's
+    theorem gives |lambda - 1| <= g = max_i (|H_ii - 1| + sum_{j != i} |H_ij|).
+    The computed eigenvalues are exact for some H + E with
+    ||E|| <= c xi eps ||H||, ||H|| <= 1 + g, and g is summed with relative
+    error below xi eps; both stay far below the slack, so a computed
+    deviation is at most its bound padded to b + _SLACK * (1 + b).
+    Each chunk's supports are eigensolved in decreasing order of that bound,
+    in batches that start at _RIP_FIRST_BATCH and double, until the next
+    bound is below the running best.  A skipped block's computed deviation
+    is below the best already found, so the result is the maximum over the
+    same per-block ``eigvalsh`` values as a scan that eigensolves every
+    block, to the last bit.
+
+    Without ``group`` every support is bounded, in lexicographic chunks.
+    With ``group`` = (d_1, ..., d_k), prod d = N, the columns are the
+    row-major elements of Z_{d_1} x ... x Z_{d_k}, and the bound comes from
+    the group-circulant C[j, k] = H[j - k, 0] that H is near, for a
+    row-subsampled mode-wise DFT up to rounding: delta = max |H - C|.  On a
+    support S and its translate r = S - s, the blocks of H are each within
+    xi delta of the one circulant block C[r, r] in spectral norm, so by Weyl
+    dev(S) <= dev(r) + 2 xi delta.  Every orbit {S - s} has members holding
+    0, so only those C(N - 1, xi - 1) representatives are bounded (by
+    g + 2 xi delta) and eigensolved; an orbit is expanded, its members
+    without 0 eigensolved, only while its representative's deviation plus
+    2 xi delta, padded, reaches the best, and only from its lexicographically
+    least representative.  No support is then eigensolved twice, save the
+    repeated translates of a periodic support.  The inequality holds for any
+    gram, so a wrong group can slow the scan but not change its value.
     """
     ncols = gram.shape[0]
     radius = np.abs(np.tril(gram, -1))
     radius += radius.T
     radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
-    best = 0.0
-    for cols in _lex_supports(ncols, xi):
-        rows = radius.diagonal()[cols]
-        for a, b in combinations(range(xi), 2):
-            off = radius.take(cols[a] * ncols + cols[b])
-            rows[a] += off
-            rows[b] += off
-        bound = rows.max(axis=0)
+    head = 0 if group is None else 1
+    spread = 0.0 if group is None else 2.0 * xi * _circulant_gap(gram, group)
+
+    def pad(bound):
+        bound += spread
         bound += _SLACK * (1.0 + bound)
-        live = np.flatnonzero(bound >= best)
-        live = live[np.argsort(-bound[live])]
-        ranked = -bound[live]  # ascending
-        done, batch = 0, _RIP_FIRST_BATCH
-        while True:
-            stop = min(done + batch, np.searchsorted(ranked, -best, side="right"))
-            if stop <= done:
-                break
-            subs = cols[:, live[done:stop]].T
-            w = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])
-            dev = max(float((w[:, -1] - 1.0).max()), float((1.0 - w[:, 0]).max()))
-            best = max(best, dev)
-            done, batch = stop, 2 * batch
+        return bound
+
+    best = 0.0
+    for cols in _lex_supports(ncols - head, xi - head):
+        if head:  # 0, then xi - 1 of the columns 1 .. N - 1
+            cols = np.vstack([np.zeros((1, cols.shape[1]), np.int64), cols + 1])
+        best, dev = _descend(
+            pad(_gershgorin(radius, cols)), lambda sel: _deviations(gram, cols[:, sel].T), best
+        )
+        if group is None:
+            continue
+        bound = pad(dev)
+        orbits = np.flatnonzero(bound >= best)  # NaN (not eigensolved): below
+        orbits = orbits[_canonical(cols[:, orbits], group)]
+        best = _descend(
+            bound[orbits], lambda sel: _orbit_max(gram, cols[:, orbits[sel]], group), best
+        )[0]
     return best
 
 

@@ -6,8 +6,11 @@ constant of order xi is the worst deviation of a xi-column Gram block of
 the unfolding from the identity.  It is computed exactly by
 :func:`tensorchain.kernels.rip_scan`, whose docstring states how it prunes
 the scan and why the result is that of a scan eigensolving every block.
-:data:`SUPPORT_BUDGET` counts every enumerated support: a scan over more
-is refused with :class:`CapacityError` before any work.
+For a mode-wise Fourier operator, passed with its column dims as ``group``,
+the scan bounds one support per translation orbit: the C(N - 1, xi - 1)
+supports holding column 0 in place of all C(N, xi).
+:data:`SUPPORT_BUDGET` counts the supports the scan bounds: a scan over
+more is refused with :class:`CapacityError` before any work.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by
@@ -155,37 +158,43 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def check_scan_capacity(ncols: int, xi: int) -> None:
+def check_scan_capacity(ncols: int, xi: int, group=None) -> None:
     """Refuse an exact scan of more than :data:`SUPPORT_BUDGET` supports.
 
-    The scan enumerates and bounds every support of size min(xi, ncols)
-    among ``ncols`` columns, eigensolved or not, so all of them count;
-    :class:`CapacityError` names the count and the budget.
+    The scan bounds every support of size k = min(xi, ncols) among
+    ``ncols`` columns, eigensolved or not, so all C(ncols, k) of them count;
+    with a translation ``group`` it bounds only the C(ncols - 1, k - 1) that
+    hold column 0.  :class:`CapacityError` names the count and the budget.
     """
-    count = math.comb(ncols, min(xi, ncols))
+    k = min(xi, ncols)
+    count = math.comb(ncols, k) if group is None else math.comb(ncols - 1, k - 1)
     if count > SUPPORT_BUDGET:
         raise CapacityError(
             f"{count} supports exceed the exact-scan budget of {SUPPORT_BUDGET}"
         )
 
 
-def rip_exact(a: DenseTensor, xi: int) -> float:
+def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     """Exact isometry constant: worst eigenvalue deviation of a Gram block.
 
     Deviations only grow as supports grow (eigenvalue interlacing), so only
-    supports of size min(xi, #columns) are scanned.  Every one of them is
-    enumerated and bounded, but only the blocks whose slack-inflated
-    Gershgorin bound reaches the running maximum are eigensolved (see
-    :func:`tensorchain.kernels.rip_scan`); the value is the one a scan that
-    eigensolves every block returns.
+    supports of size min(xi, #columns) are scanned.  Only the blocks whose
+    slack-inflated bound reaches the running maximum are eigensolved.
+    ``group``, the column dims of a mode-wise Fourier operator, lets the
+    scan bound one support per translation orbit, certified against how far
+    the computed Gram matrix is from a group-circulant (see
+    :func:`tensorchain.kernels.rip_scan`).  Either way the value is the one a
+    scan that eigensolves every block returns, to the last bit.
     """
     if xi < 1:
         raise DomainError("xi must be at least 1")
     ncols = a.shape.col_count
-    check_scan_capacity(ncols, xi)
+    if group is not None and math.prod(group) != ncols:
+        raise DomainError(f"group {tuple(group)} does not act on {ncols} columns")
+    check_scan_capacity(ncols, xi, group)
     mat = unfold(a)
     gram = mat.conj().T @ mat
-    return float(kernels.rip_scan(gram, min(xi, ncols)))
+    return float(kernels.rip_scan(gram, min(xi, ncols), group))
 
 
 @dataclass(frozen=True)
@@ -235,26 +244,27 @@ def rip_monte_carlo(
     trials: int,
     seed: int,
     target_size: int,
+    group=None,
 ) -> RipReport:
     """Frequency of tau_xi(sampled operator) >= tau over seeded trials.
 
     Each trial draws its pattern from stream (seed, trial), so reports merge
-    deterministically by trial index.  Every tau value is exact; a scan over
-    :data:`SUPPORT_BUDGET` supports raises :class:`CapacityError` before the
-    first pattern is drawn.
+    deterministically by trial index.  Every tau value is exact, scanned with
+    ``group`` as in :func:`rip_exact`; a scan over :data:`SUPPORT_BUDGET`
+    supports raises :class:`CapacityError` before the first pattern is drawn.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if xi < 1:
         raise DomainError("xi must be at least 1")
-    check_scan_capacity(u.shape.col_count, xi)
+    check_scan_capacity(u.shape.col_count, xi, group)
     source_dims = u.shape.row_modes
     values = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOperatorWarning)
         for trial in range(trials):
             pattern = draw_pattern(source_dims, target_size, seed, stream_index=trial)
-            values.append(rip_exact(sample_operator(u, pattern), xi))
+            values.append(rip_exact(sample_operator(u, pattern), xi, group))
     arr = np.array(values)
     eta_hat = float((arr >= tau).mean())
     half = 1.96 * math.sqrt(max(eta_hat * (1.0 - eta_hat), 0.0) / trials)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,24 @@ def test_rip_experiment_outputs(tmp_path):
     assert lines[0] == "trial,tau_value" and len(lines) == 21
 
 
+def test_fourier_rip_scans_xi_5_on_64_columns(tmp_path):
+    # 595 665 orbit representatives are within the budget; all C(64, 5) are not
+    taus = {}
+    for xi in (4, 5):
+        cfg = {**RIP, "col_dims": [64], "target_size": 32, "xi": xi, "trials": 2}
+        assert validate(cfg) == []
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / f"out{xi}"
+        assert main(["rip", "--config", path, "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "rip_report.json").read_text())
+        assert rep["method"] == "exact"
+        taus[xi] = rep["tau_values"]
+    # interlacing: a larger support deviates at least as far
+    assert all(t5 >= t4 for t4, t5 in zip(taus[4], taus[5]))
+    unitary = {**RIP, "col_dims": [64], "target_size": 32, "xi": 5, "operator": {"seed": 1}}
+    assert any("capacity" in d for d in validate(unitary))
+
+
 def test_verify_experiments_hold(tmp_path):
     for kind, extra in (
         ("verify-azuma", {"steps": 10, "row_modes": [2]}),
@@ -489,6 +508,30 @@ def test_grid_points_are_bounded_before_the_grid_is_built(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "u_grid" in err and f"from 1 to {cli._MAX_GRID_POINTS}" in err
     assert not out.exists()
+
+
+# stop - start overflows, at 3 points and at 1; a finite span whose last
+# spaced value, 3 * (max / 3), overflows
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"start": -1e308, "stop": 1e308, "points": 3},
+        {"start": -1e308, "stop": 1e308, "points": 1},
+        {"start": 0, "stop": sys.float_info.max, "points": 4},
+    ],
+)
+def test_grid_spacing_that_overflows_exits_with_diagnostic(tmp_path, capsys, grid):
+    path = write_config(tmp_path, {**SIMULATE, "u_grid": grid})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "u_grid" in err and "overflows" in err
+    assert not out.exists()
+
+
+def test_grid_spacing_up_to_the_float_range_is_accepted():
+    grid = {"start": 0, "stop": sys.float_info.max, "points": 3}
+    assert validate({**SIMULATE, "u_grid": grid}) == []
 
 
 def test_unusable_out_exits_with_diagnostic(tmp_path, capsys):

@@ -544,6 +544,117 @@ def test_rip_scan_eigensolves_few_fourier_blocks(monkeypatch):
     assert tau == rip_scan_loop(gram, 3)
 
 
+def fourier_gram(dims, selected):
+    """Gram matrix of the rows ``selected`` of the mode-wise DFT on ``dims``,
+    rescaled as ``sensing.sample_operator`` does; zero if none is selected."""
+    mat = unfold(sensing.fourier_unitary(dims))
+    rows = mat[list(selected)] * math.sqrt(mat.shape[0] / max(len(selected), 1))
+    return rows.conj().T @ rows
+
+
+def fourier_patterns(n, seed):
+    """Row selections: none, one, all, and random ones of several densities."""
+    gen = trng.stream(seed, 0)
+    picks = [gen.random(n) < p for p in (0.15, 0.3, 0.5, 0.5, 0.7, 0.9)]
+    return [(), (n // 3,), tuple(range(n))] + [tuple(np.flatnonzero(k)) for k in picks]
+
+
+ORBIT_DIMS = [(8,), (12,), (3, 4), (2, 2, 3)]
+
+
+@pytest.mark.parametrize("dims", ORBIT_DIMS, ids=str)
+def test_orbit_scan_equals_plain_scan_on_fourier_grams(dims):
+    n = math.prod(dims)
+    for selected in fourier_patterns(n, 31):
+        gram = fourier_gram(dims, selected)
+        for xi in sorted({1, 2, 3, 4, n}):
+            assert kernels.rip_scan(gram, xi, dims) == rip_scan_loop(gram, xi)
+
+
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
+@pytest.mark.parametrize("dims", [(12,), (3, 4)], ids=str)
+def test_orbit_scan_equals_plain_scan_in_small_chunks(dims, chunk_entries, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    for selected in fourier_patterns(12, 32)[:5]:
+        gram = fourier_gram(dims, selected)
+        for xi in (1, 3, 12):
+            assert kernels.rip_scan(gram, xi, dims) == rip_scan_loop(gram, xi)
+
+
+@pytest.mark.parametrize("dims", ORBIT_DIMS, ids=str)
+def test_orbit_scan_equals_plain_scan_off_circulant(dims):
+    # pushed 1e-13 off circulant (and off Hermitian), or no circulant at all:
+    # delta grows, the answer does not move
+    n = math.prod(dims)
+    gen = trng.stream(33, 0)
+    near = fourier_gram(dims, fourier_patterns(n, 34)[4])
+    near = near + 1e-13 * (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    assert kernels._circulant_gap(near, dims) > 1e-14
+    for gram in (near, random_hermitian_stack(gen, (n, n)) + np.eye(n)):
+        for xi in sorted({1, 2, 3, n}):
+            assert kernels.rip_scan(gram, xi, dims) == rip_scan_loop(gram, xi)
+
+
+# one support per batch: {0, 1, 2} comes after a running best of eps + 2 delta
+@pytest.mark.parametrize("first_batch", [64, 1])
+def test_orbit_scan_finds_the_worst_translate_of_a_near_perfect_representative(
+    first_batch, monkeypatch
+):
+    # (1 + eps) I plus delta on the block of {3, 4, 5}: gap delta, and that
+    # support deviates by eps + 3 delta, while every support holding 0
+    # deviates by at most eps + 2 delta.  Its orbit's least representative,
+    # {0, 1, 2}, deviates by eps only and must still be eigensolved and expanded.
+    monkeypatch.setattr(kernels, "_RIP_FIRST_BATCH", first_batch)
+    delta, eps = 1e-3, 1e-2
+    gram = (1.0 + eps) * np.eye(8, dtype=np.complex128)
+    gram[3:6, 3:6] += delta
+    assert kernels._circulant_gap(gram, (8,)) == pytest.approx(delta)
+    tau = kernels.rip_scan(gram, 3, (8,))
+    assert tau == rip_scan_loop(gram, 3) == pytest.approx(eps + 3 * delta)
+
+
+@pytest.mark.parametrize("dims", ORBIT_DIMS, ids=str)
+def test_circulant_gap_of_an_exact_circulant_is_zero(dims):
+    n = math.prod(dims)
+    gen = trng.stream(35, 0)
+    f = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    first = f + f[kernels._minus(0, np.arange(n), dims)].conj()  # first[-m] = conj first[m]
+    j, k = np.arange(n)[:, None], np.arange(n)
+    circ = first[kernels._minus(j, k, dims)]
+    assert kernels._circulant_gap(circ, dims) == 0.0
+    circ[1, 0] += 1e-12
+    assert kernels._circulant_gap(circ, dims) > 0.0
+
+
+@pytest.mark.parametrize("dims, xi", [((12,), 3), ((3, 4), 4), ((2, 2, 3), 2), ((6,), 6)])
+def test_one_canonical_representative_per_orbit(dims, xi):
+    n = math.prod(dims)
+    reps = np.array([c for c in itertools.combinations(range(n), xi) if c[0] == 0]).T
+    canon = reps[:, kernels._canonical(reps, dims)]
+    orbits = {
+        frozenset(tuple(sorted(kernels._minus(r, s, dims))) for s in range(n)) for r in reps.T
+    }
+    assert canon.shape[1] == len(orbits)
+    assert {frozenset(tuple(sorted(kernels._minus(r, s, dims))) for s in range(n))
+            for r in canon.T} == orbits
+
+
+def test_orbit_scan_bounds_one_support_per_orbit_representative(monkeypatch):
+    u = sensing.fourier_unitary((64,))
+    a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))
+    gram = a.conj().T @ a
+    bounded, gershgorin = [], kernels._gershgorin
+
+    def counting(radius, cols):
+        bounded.append(cols.shape[1])
+        return gershgorin(radius, cols)
+
+    monkeypatch.setattr(kernels, "_gershgorin", counting)
+    tau = kernels.rip_scan(gram, 3, (64,))
+    assert sum(bounded) <= math.comb(63, 2) == 1953
+    assert tau == rip_scan_loop(gram, 3)
+
+
 def test_farthest_point_order_matches_loop():
     dist = random_dist(6)
     assert np.array_equal(kernels.farthest_point_order(dist), farthest_point_order_loop(dist))

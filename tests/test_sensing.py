@@ -219,20 +219,44 @@ def test_rip_exact_equals_matrix_view():
     assert rip_exact(a, 2) == pytest.approx(rip_exact(b, 2), rel=1e-14)
 
 
+@pytest.mark.parametrize("dims", [(8,), (2, 4), (2, 2, 2)])
+def test_rip_exact_with_its_group_equals_the_full_scan(dims):
+    u = fourier_unitary(dims)
+    for trial in range(4):
+        a = sample_operator(u, draw_pattern(dims, 4, 21, stream_index=trial))
+        for xi in (1, 2, 3, 8):
+            assert rip_exact(a, xi, group=dims) == rip_exact(a, xi)
+
+
 def test_rip_exact_budget():
-    # C(64, 5) = 7 624 512 supports exceed the budget
+    # a Fourier scan bounds C(63, 5) = 7 028 847 orbit representatives at xi 6
     u = fourier_unitary((64,))
     with pytest.raises(CapacityError):
-        rip_exact(u, 5)
+        rip_exact(u, 6, group=(64,))
 
 
 def test_rip_monte_carlo_refuses_before_drawing(monkeypatch):
+    # a random unitary's scan bounds every one of C(64, 5) = 7 624 512 supports
     drawn = []
     monkeypatch.setattr(sensing, "draw_pattern", lambda *a, **k: drawn.append(a))
-    u = fourier_unitary((64,))
+    u = random_unitary((64,), trng.stream(3, 0))
     with pytest.raises(CapacityError, match="budget of 1000000"):
         rip_monte_carlo(u, 5, 0.5, trials=3, seed=1, target_size=32)
     assert drawn == []
+
+
+@pytest.mark.parametrize("xi, count", [(1, 1), (5, math.comb(63, 4)), (64, 1)])
+def test_scan_capacity_counts_orbit_representatives(xi, count, monkeypatch):
+    monkeypatch.setattr(sensing, "SUPPORT_BUDGET", count)
+    sensing.check_scan_capacity(64, xi, (64,))
+    monkeypatch.setattr(sensing, "SUPPORT_BUDGET", count - 1)
+    with pytest.raises(CapacityError, match=f"{count} supports"):
+        sensing.check_scan_capacity(64, xi, (8, 8))
+
+
+def test_rip_exact_rejects_a_group_of_another_size():
+    with pytest.raises(DomainError, match="group"):
+        rip_exact(fourier_unitary((8,)), 2, group=(4,))
 
 
 def test_rip_monte_carlo_trivial_thresholds():
