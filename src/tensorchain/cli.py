@@ -282,6 +282,35 @@ _KEYS = {
 EXPERIMENTS = tuple(_KEYS)
 
 
+# The budget on what a run holds at once, in entries: the samples x
+# index_count x D^2 trajectories simulate realizes, the samples x K weights
+# the Monte Carlo sums draw, mixed-tail's per-sample suprema (its
+# trajectories are realized and reduced chunk by chunk), and empirical's
+# t_count x n x D^2 parameter tensor and t_count x t_count metrics.  The
+# largest workload config, index-wide's simulate, holds 1 280 000.
+_ENTRY_BUDGET = 1 << 26
+
+
+def _trajectory_entries(config) -> int:
+    side = math.prod(config["row_modes"])
+    return config["samples"] * config["index_count"] * side * side
+
+
+def _empirical_entries(config) -> int:
+    side = math.prod(config["row_modes"])
+    t_count = config["t_count"]
+    return max(config["samples"] * config["n"], t_count * config["n"] * side * side, t_count**2)
+
+
+_ENTRIES = {
+    "simulate": _trajectory_entries,
+    "mixed-tail": lambda config: config["samples"],
+    "empirical": _empirical_entries,
+    "verify-azuma": lambda config: config["samples"] * config["steps"],
+    "verify-bernstein": lambda config: config["samples"] * config["n"],
+}
+
+
 def validate(config: dict) -> list:
     """All config violations at once, as human-readable diagnostics.
 
@@ -307,6 +336,10 @@ def validate(config: dict) -> list:
     coeffs = config.get("coefficients")
     if coeffs and np.shape(coeffs) != (config["index_count"], config["basis_count"]):
         diags.append("coefficients: must have index_count rows of basis_count numbers")
+    if kind in _ENTRIES and (entries := _ENTRIES[kind](config)) > _ENTRY_BUDGET:
+        diags.append(
+            f"capacity: the run holds {entries} entries, over the budget of {_ENTRY_BUDGET}"
+        )
     if "col_dims" in table:
         size = math.prod(config["col_dims"])
         for key in ("target_size", "xi"):

@@ -4,7 +4,9 @@ Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Every batched loop in the package, here
 and in the callers that realize or sum per-sample stacks, takes its blocks
 of samples, supports, subsets or radii from :func:`chunks`, under the one
-budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole.
+budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole,
+and the increment and weighted-sum chunks here are each dropped before the
+next is formed.
 
 The package's Hermitian reductions read their spectra here, from stacks
 built of matrices taken through ``tensor.hermitian_part``.  Spectral and
@@ -16,6 +18,9 @@ order.
 Bound first: maxima and threshold counts eigensolve only the matrices the
 padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
+Diagonal blocks, given by their real diagonals, are bounded by max |diag|
+padded by ``_SLACK``; per sample, ``_top_then_ties`` eigensolves the block
+of largest bound, then only those whose bound reaches its norm.
 """
 
 import math
@@ -23,6 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import CapacityError
 from .tensor import GaugeNorm
 
 # The one chunk budget in complex entries (8 MB), read only by chunks().  It
@@ -35,6 +41,9 @@ _CHUNK_ENTRIES = 1 << 19
 _SLACK = 1e-9
 # rip_scan: the size of the first of a chunk's doubling eigensolve batches.
 _RIP_FIRST_BATCH = 64
+# The exact-scan budget in supports: sensing.check_scan_capacity refuses a
+# scan that bounds more, and rip_scan raises before it eigensolves more.
+SUPPORT_BUDGET = 1_000_000
 
 # _popcount: shift counts and the SWAR masks of 1-, 2- and 4-bit fields.
 _U1, _U2, _U4, _U56 = (np.uint64(s) for s in (1, 2, 4, 56))
@@ -90,65 +99,100 @@ def _intervals(mats, gauge):
     return fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
 
 
-def _counts(stacks, thresholds, gauge):
-    """(k, *P) counts over the chunks ``stacks`` (c, *P, n, n) of values (lambda_max
-    for ``gauge`` None) >= ``thresholds`` (k, *P), eigensolving only matrices
-    with a threshold in their interval."""
-    thr, total = np.asarray(thresholds, np.float64)[:, None], 0
-    for mats in stacks:
-        lo, hi = _intervals(mats, gauge)
-        thr_c = np.broadcast_to(thr, (len(thr), *lo.shape))
-        hit = lo >= thr_c
-        sel = np.nonzero(~(hit | (hi < thr_c)).all(axis=0))
-        vals = batch_lambda_max(mats[sel]) if gauge is None else gauge_norms(mats[sel], gauge)
-        hit[(slice(None), *sel)] = vals >= thr_c[(slice(None), *sel)]
-        total = total + hit.sum(axis=1)
-    return total
+def _count(mats, thr, gauge):
+    """(k, *P) counts of the values (lambda_max for ``gauge`` None) of the
+    chunk ``mats`` (c, *P, n, n) >= ``thr`` (k, 1, *P), eigensolving only
+    matrices with a threshold in their interval."""
+    lo, hi = _intervals(mats, gauge)
+    thr_c = np.broadcast_to(thr, (len(thr), *lo.shape))
+    hit = lo >= thr_c
+    sel = np.nonzero(~(hit | (hi < thr_c)).all(axis=0))
+    vals = batch_lambda_max(mats[sel]) if gauge is None else gauge_norms(mats[sel], gauge)
+    hit[(slice(None), *sel)] = vals >= thr_c[(slice(None), *sel)]
+    return hit.sum(axis=1)
 
 
-def _increment_chunks(trajs, a, b):
-    """Yield X_a - X_b over chunks of samples; ``b`` is aligned with ``a`` or
-    holds one index, which broadcasts.  The entries ``chunks`` counts are a
-    chunk's two gathers, X_a (the difference buffer) and X_b."""
-    for sl in chunks(trajs.shape[0], (a.size + b.size) * math.prod(trajs.shape[2:])):
-        block = trajs[sl]
-        diff = block[:, a]
-        diff -= block[:, b]
-        yield diff
+def _increments(block, a, b):
+    """X_a - X_b of a block of samples, formed in the gather of a."""
+    diff = block[:, a]
+    diff -= block[:, b]
+    return diff
+
+
+def _map_increments(trajs, a, b, reduce):
+    """[reduce(X_a - X_b)] over chunks of samples; ``b`` is aligned with ``a``
+    or holds one index, which broadcasts.  The entries ``chunks`` counts are
+    a chunk's two gathers, X_a (the difference buffer) and X_b.  Each chunk
+    is dropped once reduced, before the next is formed."""
+    step = (a.size + b.size) * math.prod(trajs.shape[2:])
+    return [reduce(_increments(trajs[sl], a, b)) for sl in chunks(trajs.shape[0], step)]
 
 
 def increment_counts(trajs, a, b, thresholds, gauge):
     """(k, len(a)) counts of samples with ||X_a - X_b|| >= ``thresholds`` (k, len(a))."""
-    return _counts(_increment_chunks(trajs, a, b), thresholds, GaugeNorm.coerce(gauge))
+    thr, gauge = np.asarray(thresholds, np.float64)[:, None], GaugeNorm.coerce(gauge)
+    return sum(_map_increments(trajs, a, b, lambda diff: _count(diff, thr, gauge)))
+
+
+def _top_then_ties(upper, solve):
+    """Row maxima of values bounded above by ``upper`` (rows, items): per row
+    the item of largest bound is solved, then, in one more call if any is
+    left, every item whose bound reaches that value; any other is below its
+    bound.  ``solve(rows, items)`` returns the values at those indices."""
+    rows, top = np.arange(len(upper)), upper.argmax(axis=1)
+    vals = np.full(upper.shape, -np.inf)
+    vals[rows, top] = solve(rows, top)
+    live = ~(upper < vals[rows, top][:, None])
+    live[rows, top] = False
+    if live.any():
+        vals[live] = solve(*np.nonzero(live))
+    return vals.max(axis=1)
 
 
 def sup_norms_vs_ref(trajs, ref):
-    """(samples,) row maxima of ``ensemble_norms_vs_ref(trajs, ref, "spectral")``:
-    per sample, the increment of largest upper bound is eigensolved, then in
-    one batch all whose bound reaches its norm; any other is below its bound."""
-    sups, spectral = [], GaugeNorm.SPECTRAL
-    for diff in _increment_chunks(trajs, np.arange(trajs.shape[1]), np.array([ref])):
+    """(samples,) row maxima of ``ensemble_norms_vs_ref(trajs, ref, "spectral")``,
+    the increments selected by ``_top_then_ties`` on their upper bounds."""
+    spectral = GaugeNorm.SPECTRAL
+
+    def sups(diff):
         upper = _intervals(diff, spectral)[1]
-        rows, top = np.arange(len(diff)), upper.argmax(axis=1)
-        vals = np.full(upper.shape, -np.inf)
-        vals[rows, top] = gauge_norms(diff[rows, top], spectral)
-        live = ~(upper < vals[rows, top][:, None])
-        live[rows, top] = False
-        vals[live] = gauge_norms(diff[live], spectral)
-        sups.append(vals.max(axis=1))
-    return np.concatenate(sups)
+        return _top_then_ties(upper, lambda r, c: gauge_norms(diff[r, c], spectral))
+
+    return np.concatenate(
+        _map_increments(trajs, np.arange(trajs.shape[1]), np.array([ref]), sups)
+    )
+
+
+def sup_norms_of_diagonals(diags):
+    """(samples,) maxima over t of ``batch_spectral`` of the diagonal blocks
+    with real diagonals ``diags`` (samples, t, D), each eigensolved as the
+    complex block of that diagonal and zeros.
+
+    In exact arithmetic a block's norm is max |diag|.  ``eigvalsh`` returns
+    the diagonal as it is inside LAPACK's unscaled range (about 1e-146 to
+    1e146) and within a few ulps of it outside, where ``zheevd`` scales the
+    block, so max |diag| padded by _SLACK bounds the computed norm; the
+    blocks are selected by ``_top_then_ties`` on that bound."""
+    side = np.arange(diags.shape[-1])
+
+    def spectral(rows, cols):
+        blocks = np.zeros((rows.size, side.size, side.size), np.complex128)
+        blocks[:, side, side] = diags[rows, cols]
+        return batch_spectral(blocks)
+
+    return _top_then_ties(np.abs(diags).max(axis=-1) * (1.0 + _SLACK), spectral)
 
 
 def ensemble_pairwise_norms(trajs, gauge):
     """(samples, pairs) gauge norms of X_a - X_b, a < b in ``triu_indices`` order."""
     a, b = np.triu_indices(trajs.shape[1], 1)
-    return np.concatenate([gauge_norms(d, gauge) for d in _increment_chunks(trajs, a, b)])
+    return np.concatenate(_map_increments(trajs, a, b, lambda d: gauge_norms(d, gauge)))
 
 
 def ensemble_norms_vs_ref(trajs, ref, gauge):
     """(samples, index) gauge norms of X_a - X_ref."""
-    diffs = _increment_chunks(trajs, np.arange(trajs.shape[1]), np.array([ref]))
-    return np.concatenate([gauge_norms(d, gauge) for d in diffs])
+    a, b = np.arange(trajs.shape[1]), np.array([ref])
+    return np.concatenate(_map_increments(trajs, a, b, lambda d: gauge_norms(d, gauge)))
 
 
 def batch_lambda_max(mats):
@@ -159,8 +203,9 @@ def batch_lambda_max(mats):
 def lambda_max_counts(weights, stack, thresholds):
     """(k,) counts of samples s with lambda_max(sum_j weights[s, j] stack[j])
     >= each threshold; the Hermitian sums are formed one chunk at a time."""
+    thr = np.asarray(thresholds, np.float64)[:, None]
     blocks = chunks(len(weights), stack[0].size)
-    return _counts((np.einsum("sk,kij->sij", weights[b], stack) for b in blocks), thresholds, None)
+    return sum(_count(np.einsum("sk,kij->sij", weights[b], stack), thr, None) for b in blocks)
 
 
 def batch_spectral(mats):
@@ -245,15 +290,16 @@ def _deviations(gram, subs):
     return np.maximum(w[:, -1] - 1.0, 1.0 - w[:, 0])
 
 
-def _orbit_max(gram, cols, group):
+def _orbit_max(deviations, cols, group):
     """Largest deviation over the translates S - s of each support S of
-    ``cols`` (xi, k) that leave 0 out, in chunks; -inf if none (xi = N)."""
-    ncols, xi = gram.shape[0], cols.shape[0]
+    ``cols`` (xi, k) that leave 0 out, in chunks; -inf if none (xi = N).
+    ``deviations`` eigensolves a stack of supports."""
+    ncols, xi = math.prod(group), cols.shape[0]
     out = []
     for sl in chunks(cols.shape[1], ncols * xi * xi):
         moved = _minus(cols[:, sl].T[:, None], np.arange(ncols)[:, None], group)
         moved.sort(axis=-1)  # (k, N, xi); N - xi per support leave 0 out
-        devs = _deviations(gram, moved[moved[..., 0] != 0])
+        devs = deviations(moved[moved[..., 0] != 0])
         out.append(devs.reshape(len(moved), ncols - xi).max(axis=1, initial=-np.inf))
     return np.concatenate(out)
 
@@ -307,6 +353,11 @@ def rip_scan(gram, xi, group=None):
     least representative.  No support is then eigensolved twice, save the
     repeated translates of a periodic support.  The inequality holds for any
     gram, so a wrong group can slow the scan but not change its value.
+
+    The scan counts the supports it eigensolves and raises
+    :class:`CapacityError` before a batch would take the count past
+    :data:`SUPPORT_BUDGET`: a Gram matrix near a multiple of the identity
+    ties every bound with the best and leaves nothing to prune.
     """
     ncols = gram.shape[0]
     radius = np.abs(np.tril(gram, -1))
@@ -320,12 +371,24 @@ def rip_scan(gram, xi, group=None):
         bound += _SLACK * (1.0 + bound)
         return bound
 
+    solved = 0
+
+    def deviations(subs):
+        nonlocal solved
+        solved += len(subs)
+        if solved > SUPPORT_BUDGET:
+            raise CapacityError(
+                "the scan eigensolves more than the exact-scan budget of"
+                f" {SUPPORT_BUDGET} supports"
+            )
+        return _deviations(gram, subs)
+
     best = 0.0
     for cols in _lex_supports(ncols - head, xi - head):
         if head:  # 0, then xi - 1 of the columns 1 .. N - 1
             cols = np.vstack([np.zeros((1, cols.shape[1]), np.int64), cols + 1])
         best, dev = _descend(
-            pad(_gershgorin(radius, cols)), lambda sel: _deviations(gram, cols[:, sel].T), best
+            pad(_gershgorin(radius, cols)), lambda sel: deviations(cols[:, sel].T), best
         )
         if group is None:
             continue
@@ -333,7 +396,7 @@ def rip_scan(gram, xi, group=None):
         orbits = np.flatnonzero(bound >= best)  # NaN (not eigensolved): below
         orbits = orbits[_canonical(cols[:, orbits], group)]
         best = _descend(
-            bound[orbits], lambda sel: _orbit_max(gram, cols[:, orbits[sel]], group), best
+            bound[orbits], lambda sel: _orbit_max(deviations, cols[:, orbits[sel]], group), best
         )[0]
     return best
 

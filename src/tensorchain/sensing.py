@@ -9,8 +9,9 @@ the scan and why the result is that of a scan eigensolving every block.
 For a mode-wise Fourier operator, passed with its column dims as ``group``,
 the scan bounds one support per translation orbit: the C(N - 1, xi - 1)
 supports holding column 0 in place of all C(N, xi).
-:data:`SUPPORT_BUDGET` counts the supports the scan bounds: a scan over
-more is refused with :class:`CapacityError` before any work.
+:data:`tensorchain.kernels.SUPPORT_BUDGET` binds both the supports the scan
+bounds, refused with :class:`CapacityError` before any work, and those it
+eigensolves, the scan raising it once that count would pass the budget.
 
 Sampled operators follow the standard recipe: keep each output index of a
 square unitary independently with probability target/source and rescale by
@@ -34,8 +35,6 @@ import numpy as np
 from . import kernels, rng as rng_mod
 from .errors import CapacityError, DegenerateOperatorWarning, DomainError
 from .tensor import DenseTensor, Shape, fold, is_unitary, unfold
-
-SUPPORT_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 
 
 def check_scan_capacity(ncols: int, xi: int, group=None) -> None:
-    """Refuse an exact scan of more than :data:`SUPPORT_BUDGET` supports.
+    """Refuse an exact scan of more than ``kernels.SUPPORT_BUDGET`` supports.
 
     The scan bounds every support of size k = min(xi, ncols) among
     ``ncols`` columns, eigensolved or not, so all C(ncols, k) of them count;
@@ -168,9 +167,9 @@ def check_scan_capacity(ncols: int, xi: int, group=None) -> None:
     """
     k = min(xi, ncols)
     count = math.comb(ncols, k) if group is None else math.comb(ncols - 1, k - 1)
-    if count > SUPPORT_BUDGET:
+    if count > kernels.SUPPORT_BUDGET:
         raise CapacityError(
-            f"{count} supports exceed the exact-scan budget of {SUPPORT_BUDGET}"
+            f"{count} supports exceed the exact-scan budget of {kernels.SUPPORT_BUDGET}"
         )
 
 
@@ -184,7 +183,9 @@ def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     scan bound one support per translation orbit, certified against how far
     the computed Gram matrix is from a group-circulant (see
     :func:`tensorchain.kernels.rip_scan`).  Either way the value is the one a
-    scan that eigensolves every block returns, to the last bit.
+    scan that eigensolves every block returns, to the last bit.  A scan that
+    would eigensolve more than ``kernels.SUPPORT_BUDGET`` supports raises
+    :class:`CapacityError`.
     """
     if xi < 1:
         raise DomainError("xi must be at least 1")
@@ -250,7 +251,7 @@ def rip_monte_carlo(
 
     Each trial draws its pattern from stream (seed, trial), so reports merge
     deterministically by trial index.  Every tau value is exact, scanned with
-    ``group`` as in :func:`rip_exact`; a scan over :data:`SUPPORT_BUDGET`
+    ``group`` as in :func:`rip_exact`; a scan over ``kernels.SUPPORT_BUDGET``
     supports raises :class:`CapacityError` before the first pattern is drawn.
     """
     if trials < 1:

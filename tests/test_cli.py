@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorchain import cli, kernels
+from tensorchain import cli, kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
@@ -342,8 +342,10 @@ def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
           "row_modes": [2, 2]}, 4000),
         ({"experiment": "verify-bernstein", "seed": 7, "samples": 4000, "n": 8,
           "row_modes": [2, 2]}, 4000),
+        ({"experiment": "empirical", "seed": 8, "samples": 4000, "t_count": 8, "n": 8,
+          "row_modes": [2, 2]}, 4000 * 8),
     ],
-    ids=["mixed-tail", "verify-azuma", "verify-bernstein"],
+    ids=["mixed-tail", "verify-azuma", "verify-bernstein", "empirical"],
 )
 def test_bound_first_experiments_eigensolve_few_blocks(tmp_path, monkeypatch, config, blocks):
     solved = []
@@ -376,6 +378,66 @@ RIP = {
 }
 AZUMA = {"experiment": "verify-azuma", "steps": 4, **SAMPLING}
 BERNSTEIN = {"experiment": "verify-bernstein", "n": 4, **SAMPLING}
+
+
+def test_rip_scan_refuses_past_its_eigensolve_budget(tmp_path, capsys, monkeypatch):
+    # every row kept: G = I up to rounding ties every bound with the best, so
+    # the scan eigensolves every support it bounds and every orbit
+    cfg = {**RIP, "col_dims": [16], "target_size": 16, "xi": 3, "trials": 2}
+    path = write_config(tmp_path, cfg)
+    assert main(["rip", "--config", path, "--out", str(tmp_path / "full")]) == EXIT_OK
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", 200)  # bounds C(15, 2) = 105
+    assert validate(cfg) == []
+    out = tmp_path / "out"
+    assert main(["rip", "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and "budget of 200" in err
+    assert not out.exists()
+
+
+# each experiment over the held-entry budget, with the key that brings it
+# within: samples x index_count x D^2 trajectory entries, samples x K
+# weights, mixed-tail's suprema, empirical's t_count x n x D^2 parameters and
+# t_count x t_count metrics
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({**SIMULATE, "samples": 2**23, "row_modes": [4]}, "samples"),
+        ({**MIXED, "samples": 2**27}, "samples"),
+        ({**EMPIRICAL, "samples": 2**25}, "samples"),
+        ({**EMPIRICAL, "t_count": 2**12, "n": 2**20}, "t_count"),
+        ({**EMPIRICAL, "t_count": 2**14, "n": 1}, "t_count"),
+        ({**AZUMA, "samples": 2**25}, "samples"),
+        ({**BERNSTEIN, "samples": 2**25}, "samples"),
+    ],
+    ids=["simulate", "mixed-tail", "empirical-weights", "empirical-parameters",
+         "empirical-metrics", "verify-azuma", "verify-bernstein"],
+)
+def test_held_entries_are_bounded_before_anything_is_drawn(
+    tmp_path, capsys, monkeypatch, config, key
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew past the entry budget")
+
+    monkeypatch.setattr(processes, "_realize", refuse)
+    monkeypatch.setattr(trng, "noise", refuse)
+    monkeypatch.setattr(cli, "diagonal_family", refuse)
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: the run holds" in err and f"budget of {cli._ENTRY_BUDGET}" in err
+    assert not out.exists()
+    # scaled down to the budget the config passes
+    entries = cli._ENTRIES[kind](config)
+    assert validate({**config, key: config[key] * cli._ENTRY_BUDGET // entries}) == []
+
+
+def test_entry_budget_counts_what_a_run_holds_not_its_work():
+    # mixed-tail realizes 600 000 x 16 x 16 trajectory entries, a chunk at a
+    # time, and holds only its 600 000 suprema
+    assert validate({**MIXED, "samples": 600_000, "index_count": 16, "row_modes": [2, 2]}) == []
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tensorchain import rng as trng
 from tensorchain.bounds import ConstantSet
 from tensorchain.empirical import (
     EmpiricalFamily,
@@ -19,6 +20,7 @@ from tensorchain.empirical import (
 )
 from tensorchain.errors import DomainError, ValidationError
 from tensorchain.tensor import DenseTensor, Shape
+from test_kernels import diagonal_blocks, family_sups_oracle
 
 
 def diag_tensor(values):
@@ -222,6 +224,96 @@ def test_family_sups_memory_grows_by_the_weights_not_the_values():
             tracemalloc.stop()
     weights = (large - small) * fam.n * 8
     assert peaks[1] - peaks[0] <= 4 * weights  # the values alone add 128 times
+
+
+# ---------------------------------------------------------------------------
+# diagonal families against the dense path, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def family_of_diagonals(diags, noise="rademacher"):
+    """The family whose (t, i) parameter blocks are diag(diags[t, i])."""
+    return EmpiricalFamily((diags.shape[-1],), diagonal_blocks(diags), noise)
+
+
+def test_diagonals_are_the_read_only_real_diagonals():
+    fam = diagonal_family((2, 2), t_count=5, n=3, seed=20)
+    diags = fam.diagonals
+    assert diags.shape == (5, 3, 4) and diags.dtype == np.float64
+    assert not diags.flags.writeable
+    assert np.array_equal(diags, fam.parameters.diagonal(0, -2, -1).real)
+    assert fam.diagonals is diags  # decided once
+
+
+def test_one_subnormal_off_diagonal_entry_takes_the_dense_path():
+    fam = diagonal_family((2,), t_count=4, n=3, seed=21)
+    params = fam.parameters.copy()
+    params[2, 1, 0, 1] = params[2, 1, 1, 0] = 5e-324
+    nearly = EmpiricalFamily((2,), params)
+    assert nearly.diagonals is None
+    assert_same_bits(sample_family_sups(nearly, 22, 300), family_sups_oracle(nearly, 22, 300))
+
+
+# every n from 1 to 17 pins the scaling: a real / n differs in the last bit
+# from einsum's complex division for n = 3, 5, 6, 7, 9, ...
+@pytest.mark.parametrize("noise", ["rademacher", "uniform"])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_diagonal_family_sups_equal_the_dense_path(n, noise):
+    fam = diagonal_family((2, 2), t_count=7, n=n, seed=30 + n, noise=noise)
+    assert fam.diagonals is not None
+    assert_same_bits(sample_family_sups(fam, n, 400), family_sups_oracle(fam, n, 400))
+
+
+def adversarial_diagonals(seed):
+    """(t, n, D) diagonals with exact ties between blocks, zero blocks, a
+    zero tuple, and a tuple per scale near 1e+-150, where zheevd scales."""
+    gen = trng.stream(seed, 0)
+    diags = gen.uniform(-1.0, 1.0, (12, 3, 4))
+    diags[1] = diags[0]  # equal blocks
+    diags[2] = -diags[0][:, ::-1]  # equal max |diag|, other signs and order
+    diags[3, :, 2] = -diags[3, :, 1]  # a tie inside each block
+    diags[4] = 0.0  # a zero tuple
+    diags[5, 1] = 0.0  # a zero block
+    diags[6] *= 1e150
+    diags[7] *= 1e-150
+    diags[8] = diags[6] * (1.0 - 2.0**-52)
+    diags[9] = 1e-150 * diags[0]
+    diags[10] = 1e150 * diags[0]
+    diags[11] = np.nextafter(diags[6], 0.0)
+    return diags
+
+
+@pytest.mark.parametrize("scales", [slice(None), slice(0, 6), slice(6, 12), slice(7, 8)])
+@pytest.mark.parametrize("noise", ["rademacher", "uniform"])
+def test_adversarial_diagonal_families_equal_the_dense_path(noise, scales):
+    fam = family_of_diagonals(adversarial_diagonals(40)[scales], noise)
+    assert_same_bits(sample_family_sups(fam, 41, 500), family_sups_oracle(fam, 41, 500))
+
+
+def test_zero_diagonal_families_equal_the_dense_path():
+    for noise in ("rademacher", "uniform"):
+        fam = family_of_diagonals(np.zeros((3, 4, 2)), noise)
+        assert fam.diagonals is not None
+        assert_same_bits(sample_family_sups(fam, 42, 50), family_sups_oracle(fam, 42, 50))
+
+
+def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch):
+    fam = diagonal_family((2, 2), t_count=32, n=8, seed=43)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mats, *args, **kwargs):
+        solved.append(math.prod(mats.shape[:-2]))
+        return eigvalsh(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    samples = 3000
+    sample_family_sups(fam, 44, samples)
+    assert samples <= sum(solved) <= 1.05 * samples  # the dense path: 32 per sample
 
 
 def test_verify_empirical_bound_fit_and_holds():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tensorchain import kernels, sensing
 from tensorchain import rng as trng
 from tensorchain.bounds import verify_azuma, verify_bernstein
 from tensorchain.empirical import EmpiricalFamily, sample_family_sups
+from tensorchain.errors import CapacityError
 from tensorchain.processes import ProcessSpec, sample_mixed_sups
 from tensorchain.tensor import GaugeNorm, random_hermitian, unfold
 
@@ -368,6 +370,14 @@ def mixed_specs(seed):
             ProcessSpec("subexponential_linear", coeffs[:, ::-1], basis, 1.0))
 
 
+def diagonal_blocks(diags):
+    """The complex blocks with real diagonals ``diags`` (..., D) and zeros."""
+    side = diags.shape[-1]
+    blocks = np.zeros((*diags.shape, side), np.complex128)
+    blocks[..., np.arange(side), np.arange(side)] = diags
+    return blocks
+
+
 def family_sups_oracle(family, seed, n_samples):
     """Every sample's values stacked at once, then reduced."""
     w = trng.noise(family.noise, trng.stream(seed, 0), (n_samples, family.n))
@@ -384,6 +394,16 @@ def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch
     want_mixed = sample_mixed_sups(*specs, seed, 13, t0=2)
     family = EmpiricalFamily((2, 2), random_trajs(seed + 10, ns=3, nt=5, d=4))
     want_family = family_sups_oracle(family, seed, 11)
+    # a diagonal family, which takes the diagonal path: ties, a zero block,
+    # and tuples near 1e+-150, under each noise law
+    diags = trng.stream(seed + 20, 0).uniform(-1.0, 1.0, (6, 5, 4))
+    diags[1] = -diags[0]
+    diags[2, 3] = 0.0
+    diags[4] *= 1e150
+    diags[5] *= 1e-150
+    noise = ("rademacher", "uniform")[seed % 2]
+    diagonal = EmpiricalFamily((2, 2), diagonal_blocks(diags), noise)
+    want_diagonal = family_sups_oracle(diagonal, seed, 37)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     assert np.array_equal(kernels.sup_norms_vs_ref(trajs, 0), want)
     # a reference in the middle, and random trajectories
@@ -393,6 +413,33 @@ def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch
     # the callers that realize or form their stacks chunk by chunk
     assert np.array_equal(sample_mixed_sups(*specs, seed, 13, t0=2), want_mixed)
     assert np.array_equal(sample_family_sups(family, seed, 11), want_family)
+    assert diagonal.diagonals is not None
+    assert np.array_equal(sample_family_sups(diagonal, seed, 37), want_diagonal)
+
+
+def test_sup_norms_of_diagonals_equal_full_row_maxima():
+    gen = trng.stream(32, 0)
+    diags = gen.uniform(-1.0, 1.0, (40, 9, 4))
+    diags[:, 1] = diags[:, 0]  # exact ties between blocks
+    diags[:, 2] = -diags[:, 0, ::-1]
+    diags[:, 3] = 0.0  # a zero block in every sample
+    diags[0] = 0.0  # a zero sample
+    diags[1:4, :, 0] = 2.0  # every block tied at the top
+    # blocks where zheevd scales: near 1e+-150, at the edges of its
+    # unscaled range, one ulp apart, and subnormal
+    for rows, scale in [(slice(4, 12), 1e150), (slice(12, 20), 1e-150),
+                        (slice(20, 24), 1e146), (slice(24, 28), 1e-146),
+                        (slice(28, 32), 1e-310)]:
+        diags[rows, 4:] *= scale
+        diags[rows, 5] = np.nextafter(diags[rows, 4], 0.0)
+    diags[32:36, 6:] *= 1e150  # one sample, two scales
+    diags[36:, 6:] *= 1e-150
+    want = kernels.batch_spectral(diagonal_blocks(diags)).max(axis=1)
+    got = kernels.sup_norms_of_diagonals(diags)
+    assert got.tobytes() == want.tobytes()
+    # samples last in memory, as sample_family_sups forms them
+    view = np.ascontiguousarray(diags.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert kernels.sup_norms_of_diagonals(view).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
@@ -427,6 +474,33 @@ def test_increment_counts_equal_full_counts(gauge, chunk_entries, monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge), want)
     assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge.value), want)
+
+
+def test_each_chunk_is_dropped_before_the_next_is_formed(monkeypatch):
+    # the increment chunks and the weighted sums: none is alive when the
+    # next is formed, so a loop holds one chunk at a time
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 200)
+    trajs = random_trajs(61, ns=40, nt=5, d=3)
+    alive, held = [], []
+
+    def tracking(make):
+        def formed(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in alive))
+            out = make(*args, **kwargs)
+            alive.append(weakref.ref(out))
+            return out
+
+        return formed
+
+    monkeypatch.setattr(kernels, "_increments", tracking(kernels._increments))
+    monkeypatch.setattr(np, "einsum", tracking(np.einsum))
+    a, b = np.triu_indices(5, 1)
+    kernels.sup_norms_vs_ref(trajs, 2)
+    kernels.ensemble_norms_vs_ref(trajs, 2, "nuclear")
+    kernels.ensemble_pairwise_norms(trajs, "spectral")
+    kernels.increment_counts(trajs, a, b, np.ones((2, a.size)), "spectral")
+    kernels.lambda_max_counts(np.ones((40, 5)), trajs[0], [0.0, 1.0])
+    assert len(held) > 5 * 4 and max(held) == 0
 
 
 def rip_scan_loop(gram, xi):
@@ -653,6 +727,31 @@ def test_orbit_scan_bounds_one_support_per_orbit_representative(monkeypatch):
     tau = kernels.rip_scan(gram, 3, (64,))
     assert sum(bounded) <= math.comb(63, 2) == 1953
     assert tau == rip_scan_loop(gram, 3)
+
+
+@pytest.mark.parametrize("group", [None, (16,)], ids=["plain", "orbit"])
+def test_rip_scan_budget_binds_the_supports_it_eigensolves(group, monkeypatch):
+    # every row of the DFT on 16 columns: G = I up to rounding ties every
+    # bound with the best, so nothing is pruned
+    gram = fourier_gram((16,), range(16))
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(blocks, *args, **kwargs):
+        solved.append(blocks.shape[0])
+        return eigvalsh(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    tau = kernels.rip_scan(gram, 3, group)
+    spent = sum(solved)
+    assert spent >= math.comb(15, 2)  # at least every support holding 0
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", spent)
+    assert kernels.rip_scan(gram, 3, group) == tau
+    solved.clear()
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", spent - 1)
+    with pytest.raises(CapacityError, match=f"budget of {spent - 1} supports"):
+        kernels.rip_scan(gram, 3, group)
+    assert sum(solved) < spent  # refused before the batch that passes it
 
 
 def test_farthest_point_order_matches_loop():

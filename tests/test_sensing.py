@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorchain import rng as trng, sensing
+from tensorchain import kernels, rng as trng, sensing
 from tensorchain.chaining import FiniteMetricSpace, dudley_integral
 from tensorchain.errors import CapacityError, DegenerateOperatorWarning, DomainError
 from tensorchain.sensing import (
@@ -247,9 +247,9 @@ def test_rip_monte_carlo_refuses_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("xi, count", [(1, 1), (5, math.comb(63, 4)), (64, 1)])
 def test_scan_capacity_counts_orbit_representatives(xi, count, monkeypatch):
-    monkeypatch.setattr(sensing, "SUPPORT_BUDGET", count)
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count)
     sensing.check_scan_capacity(64, xi, (64,))
-    monkeypatch.setattr(sensing, "SUPPORT_BUDGET", count - 1)
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count - 1)
     with pytest.raises(CapacityError, match=f"{count} supports"):
         sensing.check_scan_capacity(64, xi, (8, 8))
 
