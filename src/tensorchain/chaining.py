@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DomainError, ValidationError
+from .report import csv_text
 
 _TRIANGLE_TOL = 1e-9
 EXACT_COVER_LIMIT = 20
@@ -361,10 +362,7 @@ class CoveringCurve:
         return total
 
     def to_csv(self) -> str:
-        lines = ["u,covering_number"]
-        for u, count in zip(self.radii[1:], self.counts[1:]):
-            lines.append(f"{float(u)!r},{count}")
-        return "\n".join(lines) + "\n"
+        return csv_text("u,covering_number", self.radii[1:], self.counts[1:])
 
 
 def covering_curve(space, metric_id) -> CoveringCurve:

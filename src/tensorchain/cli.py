@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, rng as rng_mod, sensing
+from . import __version__, kernels, rng as rng_mod
 from .bounds import (
     ConstantSet,
     constant_slots,
@@ -59,6 +59,7 @@ from .processes import (
     sample_mixed_sups,
     verify_increment_tail,
 )
+from .report import dumps
 from .sensing import fourier_unitary, rip_monte_carlo
 from .tensor import _MAX_SIDE, GaugeNorm, random_hermitian, random_unitary
 
@@ -77,9 +78,6 @@ class RunManifest:
     stage_seconds: dict
     digests: dict
     verdicts: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +130,11 @@ def _numbers(minimum):
     return _check(lambda v: _is_numbers(v) and min(v) >= minimum, form)
 
 
-def _spacing_overflows(start, stop, points) -> bool:
-    """Whether ``np.linspace(start, stop, points)`` meets a value beyond the
-    float range: its span stop - start, or its last value as it spaces it,
-    (points - 1) * step + start, which bounds every other."""
-    span = float(stop) - float(start)
-    if points > 1:
-        span = (points - 1) * (span / (points - 1)) + float(start)
-    return not math.isfinite(span)
-
-
 def _grid(objects, minimum=0):
     """Nonempty, ascending and at least ``minimum``; with ``objects`` also
     the ``{"start", "stop", "points"}`` form that ``_u_grid`` spaces linearly,
-    once its size and its spacing are known to be in range."""
+    once its size is known to be in range, refused where numpy reports an
+    overflow while spacing it."""
     form = f"a nonempty ascending list of numbers >= {minimum}"
     if objects:
         form += " or an object of numbers start, stop and an integer points"
@@ -156,9 +145,11 @@ def _grid(objects, minimum=0):
             start, stop, points = v["start"], v["stop"], v["points"]
             if not (_is_numbers([start, stop]) and _is_size(points, 1, _MAX_GRID_POINTS)):
                 return f"must be {form}"
-            if _spacing_overflows(start, stop, points):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    v = _u_grid(v).tolist()
+            except FloatingPointError:
                 return "spacing start to stop overflows the float range; narrow it"
-            v = _u_grid(v).tolist()
         ok = _is_numbers(v) and v[0] >= minimum and all(a < b for a, b in zip(v, v[1:]))
         return None if ok else f"must be {form}"
 
@@ -348,7 +339,7 @@ def validate(config: dict) -> list:
         # a Fourier operator's scan bounds one support per translation orbit
         group = config["col_dims"] if _settings(config)["operator"] == "fourier" else None
         try:
-            sensing.check_scan_capacity(size, config["xi"], group)
+            kernels.check_scan_capacity(size, config["xi"], group)
         except CapacityError as exc:
             diags.append(f"capacity: xi/col_dims: {exc}; shrink xi or col_dims")
     return diags
@@ -420,7 +411,7 @@ def _run_simulate(config, p, outputs):
         verdicts.append(tail_report.verdict)
     outputs["ensemble.csv"] = ensemble_to_csv(ensemble, p["t0"])
     outputs["tail_curve.csv"] = curve.to_csv()
-    outputs["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    outputs["report.json"] = dumps(report)
     return verdicts
 
 
@@ -450,7 +441,7 @@ def _run_gamma(config, p, outputs):
         for q in p["p_values"]
     }
     outputs["covering.csv"] = curve.to_csv()
-    outputs["report.json"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    outputs["report.json"] = dumps(report)
     return []
 
 
@@ -464,17 +455,13 @@ def _run_rip(config, p, outputs):
         u, p["xi"], p["tau"], p["trials"], p["seed"], target_size=p["target_size"],
         group=group,
     )
-    payload = rep.to_dict()
-    payload["experiment_config"] = config
-    outputs["rip_report.json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    outputs["rip_report.json"] = dumps({**rep.to_dict(), "experiment_config": config})
     outputs["rip_trials.csv"] = rep.to_csv()
     return []
 
 
 def _emit_bound_report(config, outputs, report):
-    payload = report.to_dict()
-    payload["experiment_config"] = config
-    outputs["bound_report.json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    outputs["bound_report.json"] = dumps({**report.to_dict(), "experiment_config": config})
     outputs["bound_report.csv"] = report.to_csv()
     return [report.verdict]
 
@@ -554,34 +541,46 @@ _RUNNERS = {
 def run(config: dict, out_dir) -> RunManifest:
     """Execute the configured experiment and write its outputs.
 
-    The output directory is created once the experiment has run, so a run
-    that fails leaves none behind.
+    Nothing is written until the experiment has run, so a run that fails
+    creates no output directory and leaves an existing one as it was.
     """
     outputs = {}
-    stages = {}
     start = time.perf_counter()
     verdicts = _RUNNERS[config["experiment"]](config, _settings(config), outputs)
-    stages["run"] = time.perf_counter() - start
+    stages = {"run": time.perf_counter() - start}
+    manifest = RunManifest(config, __version__, stages, digests={}, verdicts=verdicts)
+    _write_run(out_dir, outputs, manifest)
+    return manifest
+
+
+def _write_run(out_dir, outputs, manifest=None):
+    """Write ``outputs`` (name -> text) into out_dir, created if missing,
+    then ``manifest`` with their digests and write time; a fit failure
+    passes its diagnostics alone.  First remove what an earlier run left:
+    fit_diagnostics.json, manifest.json and the plain file names in that
+    manifest's digests, if it can be read.  Nothing else is touched."""
     os.makedirs(out_dir, exist_ok=True)
-    digests = {}
+    earlier = ["fit_diagnostics.json", "manifest.json"]
+    try:
+        with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+            earlier += [n for n in json.load(fh)["digests"].keys() if os.path.basename(n) == n]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        pass
+    for name in earlier:
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):  # not "", "." or ".."
+            os.remove(path)
     start = time.perf_counter()
     for name, text in sorted(outputs.items()):
-        path = os.path.join(out_dir, name)
         data = text.encode("ascii")
-        with open(path, "wb") as fh:
+        with open(os.path.join(out_dir, name), "wb") as fh:
             fh.write(data)
-        digests[name] = hashlib.sha256(data).hexdigest()
-    stages["write"] = time.perf_counter() - start
-    manifest = RunManifest(
-        config=config,
-        version=__version__,
-        stage_seconds=stages,
-        digests=digests,
-        verdicts=verdicts,
-    )
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="ascii") as fh:
-        fh.write(manifest.to_json())
-    return manifest
+        if manifest is not None:
+            manifest.digests[name] = hashlib.sha256(data).hexdigest()
+    if manifest is not None:
+        manifest.stage_seconds["write"] = time.perf_counter() - start
+        with open(os.path.join(out_dir, "manifest.json"), "wb") as fh:
+            fh.write(dumps(asdict(manifest)).encode("ascii"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -628,9 +627,7 @@ def main(argv=None) -> int:
         except TensorChainError as exc:
             print(f"{exc.label}: {exc}", file=sys.stderr)
             if isinstance(exc, FitFailureError):
-                os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, "fit_diagnostics.json"), "w") as fh:
-                    fh.write(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
+                _write_run(args.out, {"fit_diagnostics.json": dumps(exc.diagnostics)})
             return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {args.out}: {exc.strerror or exc}", file=sys.stderr)

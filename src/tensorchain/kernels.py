@@ -41,8 +41,8 @@ _CHUNK_ENTRIES = 1 << 19
 _SLACK = 1e-9
 # rip_scan: the size of the first of a chunk's doubling eigensolve batches.
 _RIP_FIRST_BATCH = 64
-# The exact-scan budget in supports: sensing.check_scan_capacity refuses a
-# scan that bounds more, and rip_scan raises before it eigensolves more.
+# The exact-scan budget in supports: check_scan_capacity refuses a scan that
+# bounds more, and rip_scan raises before it eigensolves more.
 SUPPORT_BUDGET = 1_000_000
 
 # _popcount: shift counts and the SWAR masks of 1-, 2- and 4-bit fields.
@@ -239,6 +239,22 @@ def _lex_supports(ncols, xi):
         yield cols
 
 
+def check_scan_capacity(ncols, xi, group=None):
+    """Refuse a :func:`rip_scan` that bounds more than :data:`SUPPORT_BUDGET`
+    supports, naming the count, and return ``head``: the scan takes its
+    supports of k = min(xi, ncols) columns from ``_lex_supports(ncols - head,
+    k - head)``, all C(ncols, k) of them, or with a translation ``group``
+    (head 1) the C(ncols - 1, k - 1) that hold column 0."""
+    head = 0 if group is None else 1
+    k = min(xi, ncols)
+    count = math.comb(ncols - head, k - head)
+    if count > SUPPORT_BUDGET:
+        raise CapacityError(
+            f"{count} supports exceed the exact-scan budget of {SUPPORT_BUDGET} supports"
+        )
+    return head
+
+
 def _gershgorin(radius, cols):
     """Gershgorin bound max_i (|H_ii - 1| + sum_{j != i} |H_ij|) of the block
     on each support of ``cols`` (xi, k); ``radius`` holds |H| off the
@@ -354,16 +370,17 @@ def rip_scan(gram, xi, group=None):
     repeated translates of a periodic support.  The inequality holds for any
     gram, so a wrong group can slow the scan but not change its value.
 
-    The scan counts the supports it eigensolves and raises
-    :class:`CapacityError` before a batch would take the count past
-    :data:`SUPPORT_BUDGET`: a Gram matrix near a multiple of the identity
-    ties every bound with the best and leaves nothing to prune.
+    :func:`check_scan_capacity` refuses to bound more than
+    :data:`SUPPORT_BUDGET` supports, and the scan raises
+    :class:`CapacityError` before a batch would take the count of supports
+    it eigensolves past the budget: a Gram matrix near a multiple of the
+    identity ties every bound with the best and leaves nothing to prune.
     """
     ncols = gram.shape[0]
+    head = check_scan_capacity(ncols, xi, group)
     radius = np.abs(np.tril(gram, -1))
     radius += radius.T
     radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
-    head = 0 if group is None else 1
     spread = 0.0 if group is None else 2.0 * xi * _circulant_gap(gram, group)
 
     def pad(bound):

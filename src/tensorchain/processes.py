@@ -41,7 +41,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .report import BoundReport, make_rows
+from .report import BoundReport, csv_text, make_rows
 from .tensor import GaugeNorm, fold, hermitian_part, unfold
 
 
@@ -256,10 +256,9 @@ class TailCurve:
         return cls(np.asarray(u_grid, dtype=np.float64), np.asarray(survival, dtype=np.float64), 0)
 
     def to_csv(self) -> str:
-        lines = ["u,survival,count"]
-        for u, s in zip(self.u_grid, self.survival):
-            lines.append(f"{float(u)!r},{float(s)!r},{float(s * self.sample_count)!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "u,survival,count", self.u_grid, self.survival, self.survival * self.sample_count
+        )
 
 
 def empirical_tail(ensemble: Ensemble, t0: int, u_grid) -> TailCurve:
@@ -396,7 +395,6 @@ def sample_mixed_sups(
 
 def ensemble_to_csv(ensemble: Ensemble, t0: int = 0) -> str:
     """Per-(sample, index) gauge norms of X_t - X_t0 as CSV."""
-    lines = ["sample,t_index,norm"]
-    for s, row in enumerate(ensemble.norms_vs(t0).tolist()):
-        lines.extend(f"{s},{t},{v!r}" for t, v in enumerate(row))
-    return "\n".join(lines) + "\n"
+    norms = ensemble.norms_vs(t0)
+    samples, indices = np.indices(norms.shape)
+    return csv_text("sample,t_index,norm", samples.ravel(), indices.ravel(), norms.ravel())

@@ -4,17 +4,46 @@ A report records, per tested point, the evaluated threshold, the claimed
 probability bound, the empirical exceedance frequency, and the binomial
 margin used for the verdict.  The verdict is "holds" only when every row
 satisfies empirical <= bound + margin, so a report has at least one row:
-over zero rows it would hold vacuously.  Serialization is deterministic:
-reruns with identical inputs produce identical bytes.
+over zero rows it would hold vacuously.
+
+This module owns the one output format: every JSON file a run writes is
+:func:`dumps` of its payload and every CSV file :func:`csv_text` of its
+columns, so reruns with identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import chain
 
+import numpy as np
+
+from . import kernels
 from .errors import ValidationError
+
+
+def dumps(obj) -> str:
+    """The JSON form of every report: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(header: str, *columns) -> str:
+    """The CSV form of every table: ``header``, then one line per row.
+
+    A cell is the ``repr`` of the Python scalar ``tolist`` gives for its
+    entry, never ``np.float64(x)``.  Rows are formatted in ``kernels.chunks``
+    blocks, a cell counted as the 4 complex entries (64 bytes) its scalar
+    and text take, so no column is held whole as Python objects."""
+    columns = [np.asarray(column) for column in columns]
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    parts = [header + "\n"]
+    for rows in kernels.chunks(len(columns[0]), 4 * len(columns)):
+        cells = [column[rows].tolist() for column in columns]
+        block = line * len(cells[0])  # one format for the block's rows
+        parts.append(block % tuple(chain.from_iterable(zip(*cells))))
+    return "".join(parts)
 
 
 # binomial standard errors of slack every verdict allows
@@ -60,26 +89,15 @@ class BoundReport:
         return "holds" if all(r.holds for r in self.rows) else "violated"
 
     def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "inputs": self.inputs,
-            "rows": [asdict(r) for r in self.rows],
-            "fitted": self.fitted,
-            "extras": self.extras,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["u,threshold,prob_bound,empirical,margin,holds"]
-        for r in self.rows:
-            lines.append(
-                f"{r.u!r},{r.threshold!r},{r.prob_bound!r},"
-                f"{r.empirical!r},{r.margin!r},{int(r.holds)}"
-            )
-        return "\n".join(lines) + "\n"
+        *values, holds = zip(*map(astuple, self.rows))
+        header = ",".join(f.name for f in fields(BoundRow))
+        return csv_text(header, *values, np.array(holds, int))  # holds as 1 or 0
 
 
 def row_holds(prob_bound, empirical, samples) -> bool:

@@ -25,15 +25,15 @@ predicate's docstring).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels, rng as rng_mod
-from .errors import CapacityError, DegenerateOperatorWarning, DomainError
+from .errors import DegenerateOperatorWarning, DomainError
+from .report import csv_text, dumps
 from .tensor import DenseTensor, Shape, fold, is_unitary, unfold
 
 
@@ -157,22 +157,6 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def check_scan_capacity(ncols: int, xi: int, group=None) -> None:
-    """Refuse an exact scan of more than ``kernels.SUPPORT_BUDGET`` supports.
-
-    The scan bounds every support of size k = min(xi, ncols) among
-    ``ncols`` columns, eigensolved or not, so all C(ncols, k) of them count;
-    with a translation ``group`` it bounds only the C(ncols - 1, k - 1) that
-    hold column 0.  :class:`CapacityError` names the count and the budget.
-    """
-    k = min(xi, ncols)
-    count = math.comb(ncols, k) if group is None else math.comb(ncols - 1, k - 1)
-    if count > kernels.SUPPORT_BUDGET:
-        raise CapacityError(
-            f"{count} supports exceed the exact-scan budget of {kernels.SUPPORT_BUDGET}"
-        )
-
-
 def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     """Exact isometry constant: worst eigenvalue deviation of a Gram block.
 
@@ -184,15 +168,14 @@ def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     the computed Gram matrix is from a group-circulant (see
     :func:`tensorchain.kernels.rip_scan`).  Either way the value is the one a
     scan that eigensolves every block returns, to the last bit.  A scan that
-    would eigensolve more than ``kernels.SUPPORT_BUDGET`` supports raises
-    :class:`CapacityError`.
+    would bound or eigensolve more than ``kernels.SUPPORT_BUDGET`` supports
+    raises :class:`CapacityError`.
     """
     if xi < 1:
         raise DomainError("xi must be at least 1")
     ncols = a.shape.col_count
     if group is not None and math.prod(group) != ncols:
         raise DomainError(f"group {tuple(group)} does not act on {ncols} columns")
-    check_scan_capacity(ncols, xi, group)
     mat = unfold(a)
     gram = mat.conj().T @ mat
     return float(kernels.rip_scan(gram, min(xi, ncols), group))
@@ -215,27 +198,13 @@ class RipReport:
     eta_ci: tuple  # normal-approximation 95% interval, clipped to [0, 1]
 
     def to_dict(self) -> dict:
-        return {
-            "xi": self.xi,
-            "tau": self.tau,
-            "trials": self.trials,
-            "seed": self.seed,
-            "target_size": self.target_size,
-            "source_dims": list(self.source_dims),
-            "method": self.method,
-            "tau_values": list(self.tau_values),
-            "eta_hat": self.eta_hat,
-            "eta_ci": list(self.eta_ci),
-        }
+        return {**asdict(self), "method": self.method}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["trial,tau_value"]
-        for i, t in enumerate(self.tau_values):
-            lines.append(f"{i},{t!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text("trial,tau_value", range(len(self.tau_values)), self.tau_values)
 
 
 def rip_monte_carlo(
@@ -258,7 +227,7 @@ def rip_monte_carlo(
         raise DomainError("need at least one trial")
     if xi < 1:
         raise DomainError("xi must be at least 1")
-    check_scan_capacity(u.shape.col_count, xi, group)
+    kernels.check_scan_capacity(u.shape.col_count, xi, group)
     source_dims = u.shape.row_modes
     values = []
     with warnings.catch_warnings():

@@ -8,8 +8,12 @@ k-th config runs through ``tensorchain.cli.main`` of this checkout (its
 ``src`` comes first on the import path) into
 OUT/<workload>/<seed>/<k>-<experiment>/, with the exit code in the file
 ``exit_code``.  Every JSON output must parse as strict JSON: a NaN or an
-infinity in a report stops the script with ValueError.  Run it in two
-checkouts, then compare the trees with ``python tests/golden/compare.py A B``.
+infinity in a report stops the script with ValueError.
+
+The contract is byte identity: CI runs this script in the base branch and
+in the change and requires ``diff -r -x manifest.json A B`` to find no
+difference.  When it does, ``python tests/golden/compare.py A B`` tells
+whether values moved (beyond a relative 1e-12) or only their text.
 """
 
 from __future__ import annotations

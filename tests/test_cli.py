@@ -776,6 +776,70 @@ def test_runtime_failure_is_named(tmp_path, capsys, monkeypatch, error, label, c
         assert not written.exists()
 
 
+def run_into(tmp_path, config, out):
+    path = write_config(tmp_path, config, name=f"{config['experiment']}.json")
+    return main([config["experiment"], "--config", path, "--out", str(out)])
+
+
+def test_a_run_replaces_the_outputs_of_an_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    assert run_into(tmp_path, SIMULATE, out) == EXIT_OK
+    assert {"ensemble.csv", "tail_curve.csv"} < {p.name for p in out.iterdir()}
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["covering.csv", "manifest.json", "report.json"]
+
+
+def test_a_fit_failure_leaves_only_its_diagnostics(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    diagnostics = {"bound": "mixed", "violations": []}
+
+    def failing_fit(*args, **kwargs):
+        raise FitFailureError("no feasible constants", diagnostics)
+
+    monkeypatch.setattr(cli, "fit_constants", failing_fit)
+    assert run_into(tmp_path, MIXED, out) == EXIT_CONFIG
+    assert [p.name for p in out.iterdir()] == ["fit_diagnostics.json"]
+    monkeypatch.undo()
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    assert not (out / "fit_diagnostics.json").exists()
+
+
+def test_a_run_keeps_other_files_and_a_failed_run_changes_nothing(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert before["notes.txt"] == b"mine"
+    zero = {**SIMULATE, "coefficients": [[0.0, 0.0]] * 4}  # insufficient data
+    assert run_into(tmp_path, zero, out) == EXIT_CONFIG
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"digests": {"../x": "0", "/tmp": "0", ".": "0", "..": "0", "": "0"}},
+        {"digests": ["notes.txt"]},
+        {"version": "0"},
+        "not json",
+    ],
+    ids=["escaping", "list", "no-digests", "unreadable"],
+)
+def test_an_earlier_manifest_removes_nothing_outside_its_outputs(tmp_path, manifest):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "x").write_text("outside")
+    (out / "notes.txt").write_text("mine")
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (out / "manifest.json").write_text(text)
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    assert (tmp_path / "x").read_text() == "outside"
+    assert (out / "notes.txt").read_text() == "mine"
+    assert json.loads((out / "manifest.json").read_text())["config"] == GAMMA
+
+
 def test_seeds_are_not_size_keys():
     # seeds are masked to 64 bits, so any nonnegative integer is a seed
     assert validate({**SIMULATE, "seed": 10**20, "basis_seed": 10**30}) == []

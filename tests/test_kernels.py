@@ -600,6 +600,26 @@ def test_lex_supports_match_combinations(ncols, xi, limit, monkeypatch):
     assert got == list(itertools.combinations(range(ncols), xi))
 
 
+@pytest.mark.parametrize("group, count", [((64,), math.comb(63, 2)), (None, math.comb(64, 3))])
+def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeypatch):
+    # 1 953 orbit representatives on a Fourier [64] at xi 3, 41 664 without a group
+    yielded, lex_supports = [], kernels._lex_supports
+
+    def counting(ncols, xi):
+        for cols in lex_supports(ncols, xi):
+            yielded.append(cols.shape[1])
+            yield cols
+
+    monkeypatch.setattr(kernels, "_lex_supports", counting)
+    kernels.rip_scan(fourier_gram((64,), range(0, 64, 3)), 3, group)
+    assert sum(yielded) == count
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count)
+    kernels.check_scan_capacity(64, 3, group)
+    monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count - 1)
+    with pytest.raises(CapacityError, match=f"{count} supports exceed"):
+        kernels.check_scan_capacity(64, 3, group)
+
+
 def test_rip_scan_eigensolves_few_fourier_blocks(monkeypatch):
     u = sensing.fourier_unitary((64,))
     a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))

@@ -248,10 +248,10 @@ def test_rip_monte_carlo_refuses_before_drawing(monkeypatch):
 @pytest.mark.parametrize("xi, count", [(1, 1), (5, math.comb(63, 4)), (64, 1)])
 def test_scan_capacity_counts_orbit_representatives(xi, count, monkeypatch):
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count)
-    sensing.check_scan_capacity(64, xi, (64,))
+    kernels.check_scan_capacity(64, xi, (64,))
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count - 1)
     with pytest.raises(CapacityError, match=f"{count} supports"):
-        sensing.check_scan_capacity(64, xi, (8, 8))
+        kernels.check_scan_capacity(64, xi, (8, 8))
 
 
 def test_rip_exact_rejects_a_group_of_another_size():
