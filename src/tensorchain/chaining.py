@@ -25,6 +25,8 @@ from . import kernels
 from .errors import CapacityError, DomainError, ValidationError
 from .report import csv_text
 
+# Triangle-inequality tolerance relative to the largest distance (absolute
+# below 1): computed distances break the inequality by rounding alone.
 _TRIANGLE_TOL = 1e-9
 EXACT_COVER_LIMIT = 20
 EXHAUSTIVE_LIMIT = 16
@@ -68,7 +70,7 @@ class FiniteMetricSpace:
                 np.fill_diagonal(arr, 0.0)
             if np.abs(arr - arr.T).max() > 1e-12:
                 raise ValidationError(f"metric {name!r} is not symmetric")
-            if kernels.max_triangle_violation(arr) > _TRIANGLE_TOL:
+            if kernels.max_triangle_violation(arr) > _TRIANGLE_TOL * max(1.0, arr.max()):
                 raise ValidationError(f"metric {name!r} violates the triangle inequality")
             arr.flags.writeable = False
             frozen[str(name)] = arr

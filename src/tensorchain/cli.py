@@ -276,15 +276,39 @@ EXPERIMENTS = tuple(_KEYS)
 # The budget on what a run holds at once, in entries: the samples x
 # index_count x D^2 trajectories simulate realizes, the samples x K weights
 # the Monte Carlo sums draw, mixed-tail's per-sample suprema (its
-# trajectories are realized and reduced chunk by chunk), and empirical's
-# t_count x n x D^2 parameter tensor and t_count x t_count metrics.  The
-# largest workload config, index-wide's simulate, holds 1 280 000.
+# trajectories are realized and reduced chunk by chunk), empirical's
+# t_count x n x D^2 parameter tensor and t_count x t_count metrics, the
+# two n x n x (dim or basis_count) arrays of differences and their squares
+# of a Euclidean metric on n points or indices, and for verify_tail the
+# one-sample chunk of all n(n - 1) / 2 pair increments (X_a and X_b, both
+# gathered) and its threshold rows.  The largest workload config,
+# index-wide's simulate, holds 1 280 000.
 _ENTRY_BUDGET = 1 << 26
 
 
 def _trajectory_entries(config) -> int:
     side = math.prod(config["row_modes"])
     return config["samples"] * config["index_count"] * side * side
+
+
+def _distance_entries(config) -> int:
+    return 2 * config["index_count"] ** 2 * config["basis_count"]
+
+
+def _simulate_entries(config) -> int:
+    p = _settings(config)
+    if not p["verify_tail"]:
+        return _trajectory_entries(config)
+    side = math.prod(config["row_modes"])
+    pairs = config["index_count"] * (config["index_count"] - 1) // 2
+    rows = _u_grid(p["tail_u_grid"]).size + 1  # one more for the degeneracy check
+    increments = 2 * pairs * side * side
+    return max(_trajectory_entries(config), _distance_entries(config), increments, rows * pairs)
+
+
+def _gamma_entries(config) -> int:
+    shape = np.shape(config.get("points", []))  # a matrix is held as given
+    return 2 * shape[0] ** 2 * math.prod(shape[1:])
 
 
 def _empirical_entries(config) -> int:
@@ -294,8 +318,9 @@ def _empirical_entries(config) -> int:
 
 
 _ENTRIES = {
-    "simulate": _trajectory_entries,
-    "mixed-tail": lambda config: config["samples"],
+    "simulate": _simulate_entries,
+    "gamma": _gamma_entries,
+    "mixed-tail": lambda config: max(config["samples"], _distance_entries(config)),
     "empirical": _empirical_entries,
     "verify-azuma": lambda config: config["samples"] * config["steps"],
     "verify-bernstein": lambda config: config["samples"] * config["n"],

@@ -168,35 +168,31 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     formed and reduced per ``kernels.chunks`` block, so only the weights w
     and the suprema grow with ``n_samples``.
 
-    A family with ``diagonals`` forms only the real diagonals of its values:
-    acc = 0 + w_0 d_0 + w_1 d_1 + ... in the order of i, then acc *= 1.0 / n.
-    Those are bit for bit the real parts that ``einsum`` sums from zero and
-    scales by its complex division by n + 0j, which numpy computes as a
-    product with 1 / n (a real / n differs in the last bit for some n).
-    ``kernels.sup_norms_of_diagonals`` then eigensolves, per sample, the
-    block of largest max |diag| and only the blocks whose bound
-    max |diag| (1 + _SLACK) reaches its norm: nearly one block per sample,
-    with the suprema of the dense path.  Other families reduce every dense
-    ``einsum`` block, one ``batch_spectral`` call per chunk."""
+    Every family forms its values in one ordered loop, samples last:
+    acc = 0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense
+    blocks are divided by n and reduced by ``kernels.sup_norms``.  A family
+    with ``diagonals`` forms only those and scales by acc *= 1.0 / n, bit
+    for bit the real parts of the dense blocks: numpy divides by n + 0j as a
+    product with 1 / n (a real / n differs in the last bit for some n);
+    ``kernels.sup_norms_of_diagonals`` reduces them.  Both are bound first,
+    with the suprema of a full eigensolve to the last bit."""
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, (n_samples, family.n))
-    sups = np.empty(n_samples)
-    entries = family.parameters[:, 0].size  # per sample: both paths chunk alike
-    diags = family.diagonals
-    if diags is None:
-        for sl in kernels.chunks(n_samples, entries):
-            values = np.einsum("si,tiab->stab", w[sl], family.parameters) / family.n
-            sups[sl] = kernels.batch_spectral(values).max(axis=1)
-        return sups
     w = np.ascontiguousarray(w.T)  # (n, samples): samples last, as in acc
-    for sl in kernels.chunks(n_samples, entries):
-        acc = np.zeros((*diags[:, 0].shape, sl.stop - sl.start))  # (t, D, chunk)
+    sups = np.empty(n_samples)
+    diags = family.diagonals
+    theta = family.parameters if diags is None else diags  # (t, n, ...)
+    for sl in kernels.chunks(n_samples, family.parameters[:, 0].size):
+        acc = np.zeros((*theta[:, 0].shape, sl.stop - sl.start), theta.dtype)
         for i in range(family.n):
-            acc += diags[:, i, :, None] * w[i, sl]
-        acc *= 1.0 / family.n
-        sups[sl] = kernels.sup_norms_of_diagonals(acc.transpose(2, 0, 1))
+            acc += theta[:, i, ..., None] * w[i, sl]
+        if diags is None:
+            sups[sl] = kernels.sup_norms(np.moveaxis(acc / family.n, -1, 0))
+        else:
+            acc *= 1.0 / family.n
+            sups[sl] = kernels.sup_norms_of_diagonals(np.moveaxis(acc, -1, 0))
     return sups
 
 

@@ -18,9 +18,10 @@ order.
 Bound first: maxima and threshold counts eigensolve only the matrices the
 padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
-Diagonal blocks, given by their real diagonals, are bounded by max |diag|
-padded by ``_SLACK``; per sample, ``_top_then_ties`` eigensolves the block
-of largest bound, then only those whose bound reaches its norm.
+Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
+bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
+by ``_SLACK``): per sample, ``_top_then_ties`` eigensolves the block of
+largest bound, then only those whose bound reaches its norm.
 """
 
 import math
@@ -39,6 +40,10 @@ _CHUNK_ENTRIES = 1 << 19
 
 # Relative slack on the certified bounds of rip_scan and _intervals.
 _SLACK = 1e-9
+# _intervals: the ||B||_F for which its squares are exact to the slack.  Below,
+# an underflowed square changes s by at most n * 1.5e-154, far under the pad
+# _SLACK * 1e-140; above, no square of an entry reaches 1e280.
+_FRO_RANGE = (1e-140, 1e140)
 # rip_scan: the size of the first of a chunk's doubling eigensolve batches.
 _RIP_FIRST_BATCH = 64
 # The exact-scan budget in supports: check_scan_capacity refuses a scan that
@@ -79,24 +84,33 @@ def _intervals(mats, gauge):
     m + s / sqrt(n - 1) <= lambda_max <= m + s sqrt(n - 1); also
     max_i B_ii <= lambda_max, ||B||_F / sqrt(n) <= ||B|| <= ||B||_F and
     ||B||_F <= ||B||_* <= sqrt(n) ||B||_F.  The pad, _SLACK ||B||_F (times
-    sqrt(n) for nuclear), is far above eigvalsh's backward error.
+    sqrt(n) for nuclear), is far above eigvalsh's backward error.  Outside
+    _FRO_RANGE the squares may under- or overflow, so a nonzero B whose
+    computed ||B||_F falls there (or is not finite) gets [-inf, inf].
     """
     if gauge is GaugeNorm.FROBENIUS:  # exact: the gauge_norms value
         return (gauge_norms(mats, gauge),) * 2
     n = mats.shape[-1]
     diag = mats.diagonal(0, -2, -1).real
     low = mats[(..., *np.tril_indices(n, -1))]
-    off = 2.0 * (low.real**2 + low.imag**2).sum(axis=-1)
-    m = diag.mean(axis=-1)
-    fro = np.sqrt((diag**2).sum(axis=-1) + off)
-    s = np.sqrt((((diag - m[..., None]) ** 2).sum(axis=-1) + off) / n)
-    wide, narrow = s * math.sqrt(n - 1), s / math.sqrt(max(n - 1, 1))
-    pad = _SLACK * fro
-    if gauge is None:
-        return np.maximum(m + narrow, diag.max(axis=-1)) - pad, m + wide + pad
-    if gauge is GaugeNorm.SPECTRAL:
-        return np.maximum(abs(m) + narrow, fro / math.sqrt(n)) - pad, abs(m) + wide + pad
-    return fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
+    with np.errstate(over="ignore", invalid="ignore"):  # the wild B, reset below
+        off = 2.0 * (low.real**2 + low.imag**2).sum(axis=-1)
+        m = diag.mean(axis=-1)
+        fro = np.sqrt((diag**2).sum(axis=-1) + off)
+        s = np.sqrt((((diag - m[..., None]) ** 2).sum(axis=-1) + off) / n)
+        wide, narrow = s * math.sqrt(n - 1), s / math.sqrt(max(n - 1, 1))
+        pad = _SLACK * fro
+        if gauge is None:
+            lo, hi = np.maximum(m + narrow, diag.max(axis=-1)) - pad, m + wide + pad
+        elif gauge is GaugeNorm.SPECTRAL:
+            lo, hi = np.maximum(abs(m) + narrow, fro / math.sqrt(n)) - pad, abs(m) + wide + pad
+        else:
+            lo, hi = fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
+    wild = ~((fro >= _FRO_RANGE[0]) & (fro <= _FRO_RANGE[1]))
+    if wild.any():  # a zero B keeps its exact [0, 0]
+        wild[wild] = (diag[wild] != 0).any(axis=-1) | (low[wild] != 0).any(axis=-1)
+        lo[wild], hi[wild] = -np.inf, np.inf
+    return lo, hi
 
 
 def _count(mats, thr, gauge):
@@ -149,18 +163,19 @@ def _top_then_ties(upper, solve):
     return vals.max(axis=1)
 
 
+def sup_norms(mats):
+    """(rows,) maxima over items of the spectral norms of ``mats`` (rows,
+    items, n, n), selected by ``_top_then_ties`` on ``_intervals`` bounds."""
+    spectral = GaugeNorm.SPECTRAL
+    upper = _intervals(mats, spectral)[1]
+    return _top_then_ties(upper, lambda rows, items: gauge_norms(mats[rows, items], spectral))
+
+
 def sup_norms_vs_ref(trajs, ref):
     """(samples,) row maxima of ``ensemble_norms_vs_ref(trajs, ref, "spectral")``,
-    the increments selected by ``_top_then_ties`` on their upper bounds."""
-    spectral = GaugeNorm.SPECTRAL
-
-    def sups(diff):
-        upper = _intervals(diff, spectral)[1]
-        return _top_then_ties(upper, lambda r, c: gauge_norms(diff[r, c], spectral))
-
-    return np.concatenate(
-        _map_increments(trajs, np.arange(trajs.shape[1]), np.array([ref]), sups)
-    )
+    by :func:`sup_norms` on each chunk of increments."""
+    a, b = np.arange(trajs.shape[1]), np.array([ref])
+    return np.concatenate(_map_increments(trajs, a, b, sup_norms))
 
 
 def sup_norms_of_diagonals(diags):

@@ -176,6 +176,7 @@ def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     ncols = a.shape.col_count
     if group is not None and math.prod(group) != ncols:
         raise DomainError(f"group {tuple(group)} does not act on {ncols} columns")
+    kernels.check_scan_capacity(ncols, min(xi, ncols), group)  # before the Gram
     mat = unfold(a)
     gram = mat.conj().T @ mat
     return float(kernels.rip_scan(gram, min(xi, ncols), group))

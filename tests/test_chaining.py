@@ -105,6 +105,23 @@ def test_space_requires_triangle_inequality():
         FiniteMetricSpace(3, {"d": bad})
 
 
+def test_triangle_tolerance_scales_with_the_largest_distance():
+    line = np.array([0.0, 0.5, 1.0])
+    exact = np.abs(line[:, None] - line[None, :])
+
+    def violated(by):
+        d = exact.copy()
+        d[0, 2] = d[2, 0] = 1.0 + by
+        return d
+
+    # violations below 1e-9 of the largest distance pass: 5e-3 at scale 1e7
+    FiniteMetricSpace(3, {"d": 1e7 * violated(5e-10)})
+    # at scale 1 the tolerance stays 1e-9, and a relative 1e-6 always fails
+    for bad in (violated(1.5e-9), 1e7 * violated(1e-6)):
+        with pytest.raises(ValidationError, match="triangle"):
+            FiniteMetricSpace(3, {"d": bad})
+
+
 def test_space_requires_symmetry_and_zero_diagonal():
     asym = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):

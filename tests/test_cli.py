@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorchain import cli, kernels, processes
+from tensorchain import chaining, cli, kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.cli import (
@@ -438,6 +438,55 @@ def test_entry_budget_counts_what_a_run_holds_not_its_work():
     # mixed-tail realizes 600 000 x 16 x 16 trajectory entries, a chunk at a
     # time, and holds only its 600 000 suprema
     assert validate({**MIXED, "samples": 600_000, "index_count": 16, "row_modes": [2, 2]}) == []
+    # simulate builds its metric and pair increments only under verify_tail
+    assert validate({**SIMULATE, "index_count": 100_000}) == []
+
+
+# the n x n x (dim or basis_count) differences of a Euclidean metric, and
+# under verify_tail the one-sample chunk of all pair increments and its
+# threshold rows
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**MIXED, "index_count": 20_000},
+        {**SIMULATE, "index_count": 100_000, "verify_tail": True},
+        {**GAMMA, "points": [[float(k), 0.0, 1.0] for k in range(5000)]},
+    ],
+    ids=["mixed-tail", "simulate-verify-tail", "gamma"],
+)
+def test_metric_and_pair_arrays_are_bounded_before_they_are_built(
+    tmp_path, capsys, monkeypatch, config
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the entry budget")
+
+    monkeypatch.setattr(chaining, "euclidean_distances", refuse)
+    monkeypatch.setattr(processes, "euclidean_distances", refuse)
+    monkeypatch.setattr(processes, "_realize", refuse)
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: the run holds" in err and f"budget of {cli._ENTRY_BUDGET}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, key, largest",
+    [
+        ({**MIXED, "basis_count": 4}, "index_count", 2896),  # 2 x n^2 x 4
+        ({**SIMULATE, "verify_tail": True}, "index_count", 4096),  # 2 x pairs x 2^2
+        ({**GAMMA, "points": None}, "points", 4096),  # 2 x 4096^2 x 2 = 2^26
+    ],
+    ids=["mixed-tail", "simulate-verify-tail", "gamma"],
+)
+def test_metric_and_pair_arrays_fill_the_budget_exactly(config, key, largest):
+    def sized(n):
+        return [[0.0, 0.0]] * n if key == "points" else n
+
+    assert validate({**config, key: sized(largest)}) == []
+    assert validate({**config, key: sized(largest + 1)})[0].startswith("capacity:")
 
 
 @pytest.mark.parametrize(
@@ -637,6 +686,25 @@ def test_simulate_without_a_pair_at_positive_distance_is_rejected(tmp_path, caps
     assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CONFIG
     assert "positive distance" in capsys.readouterr().err
     assert not out.exists()
+
+
+# collinear points and coefficient rows far from the origin: their computed
+# distances break the triangle inequality by rounding alone, about 1e-8
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "gamma", "seed": 0,
+         "points": [[1e7 * x, 2e7 * x] for x in (np.linspace(0.0, 1.0, 30) ** 2).tolist()]},
+        {**MIXED, "index_count": 20, "basis_count": 3,
+         "coefficients": [[1e6 * x, -2e6 * x, 3e6 * x]
+                          for x in (np.linspace(-1.0, 1.0, 20) ** 3).tolist()],
+         "constants": {"mixed_chain_const": 1.0, "mixed_scale_const": 1.0}},
+    ],
+    ids=["gamma", "mixed-tail"],
+)
+def test_distances_far_from_the_origin_are_metrics(tmp_path, config):
+    path = write_config(tmp_path, config)
+    assert main([config["experiment"], "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 # a numpy overflow warning would print to stderr ahead of the diagnostic

@@ -20,7 +20,7 @@ from tensorchain.empirical import (
 )
 from tensorchain.errors import DomainError, ValidationError
 from tensorchain.tensor import DenseTensor, Shape
-from test_kernels import diagonal_blocks, family_sups_oracle
+from test_kernels import diagonal_blocks, family_sups_oracle, random_hermitian_stack
 
 
 def diag_tensor(values):
@@ -314,6 +314,24 @@ def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch)
     samples = 3000
     sample_family_sups(fam, 44, samples)
     assert samples <= sum(solved) <= 1.05 * samples  # the dense path: 32 per sample
+
+
+def test_dense_family_sups_eigensolve_a_third_of_the_blocks(monkeypatch):
+    params = random_hermitian_stack(trng.stream(45, 0), (32, 8, 4, 4))
+    fam = EmpiricalFamily((2, 2), params)
+    assert fam.diagonals is None
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mats, *args, **kwargs):
+        solved.append(math.prod(mats.shape[:-2]))
+        return eigvalsh(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    samples = 2000
+    sample_family_sups(fam, 46, samples)
+    # 9.4 per sample here; every one of the 32 blocks when each is solved
+    assert samples <= sum(solved) <= 32 * samples / 3
 
 
 def test_verify_empirical_bound_fit_and_holds():

@@ -29,6 +29,7 @@ def _load(name):
 
 
 golden_compare = _load("compare")
+same_bytes = _load("same_bytes")
 workload_outputs = _load("workload_outputs")
 
 
@@ -111,6 +112,23 @@ def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):
         assert (out / "rip_report.json").is_file()
     assert golden_compare.compare(tmp_path / "a", tmp_path / "b") == []
     assert workload_outputs.main([]) == 2
+
+
+def test_same_bytes_lists_what_differs(tmp_path, capfd):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        shutil.copytree(GOLDEN / "expected", side / "golden")
+    (change / "golden" / "rip-fourier" / "manifest.json").write_text("{}\n")
+    assert same_bytes.same_tree(base, change, "golden")
+    report = change / "golden" / "gamma-small" / "report.json"
+    report.write_text(report.read_text() + "\n")  # text only
+    assert not same_bytes.same_tree(base, change, "golden")
+    assert "every value agrees to 1e-12; only the text differs" in capfd.readouterr().out
+    mutate_float(change / "golden")
+    assert not same_bytes.same_tree(base, change, "golden")
+    out = capfd.readouterr().out
+    assert "gamma-small/report.json.diameter:" in out and "only the text" not in out
+    assert same_bytes.main([]) == 2
 
 
 if __name__ == "__main__":

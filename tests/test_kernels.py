@@ -356,7 +356,11 @@ BOUND_GAUGES = [None, *GAUGES]
 @pytest.mark.parametrize("gauge", BOUND_GAUGES, ids=lambda g: getattr(g, "value", "lambda_max"))
 def test_intervals_hold_every_computed_value(gauge):
     mats = np.concatenate([adversarial_blocks(20), adversarial_trajs(21).reshape(-1, 4, 4)])
-    mats = np.concatenate([mats, 1e150 * mats[:20], 1e-150 * mats[:20]])
+    # near 1e+-150 the squares of the bounds are exact; near 1e+-170 they
+    # under- and overflow (the frobenius bound is its value, whose squares
+    # overflow too)
+    scales = (1e150, 1e-150, 1e-170) + (() if gauge is GaugeNorm.FROBENIUS else (1e170,))
+    mats = np.concatenate([mats, *(c * mats[:20] for c in scales)])
     want = kernels.batch_lambda_max(mats) if gauge is None else kernels.gauge_norms(mats, gauge)
     lo, hi = kernels._intervals(mats, gauge)
     assert (lo <= want).all() and (want <= hi).all()
@@ -415,6 +419,62 @@ def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch
     assert np.array_equal(sample_family_sups(family, seed, 11), want_family)
     assert diagonal.diagonals is not None
     assert np.array_equal(sample_family_sups(diagonal, seed, 37), want_diagonal)
+
+
+def tiny_rows(seed, n=4):
+    """(2, 2, n, n) rows that a bound from underflowed squares misorders: a
+    zero-trace off-diagonal block near 1e-170 beside a diagonal one near
+    1e-171, in both orders."""
+    gen = trng.stream(seed, 2)
+    off = random_hermitian_stack(gen, (n, n))
+    off[np.arange(n), np.arange(n)] = 0.0
+    diag = np.diag(gen.uniform(0.5, 1.0, n)).astype(np.complex128)
+    pair = np.stack([1e-170 * off, 1e-171 * diag])
+    return np.stack([pair, pair[::-1]])
+
+
+@pytest.mark.parametrize("seed", [30, 31])
+def test_sup_norms_equal_full_row_maxima(seed):
+    # the increments of adversarial_trajs: ties, zero and scalar blocks; the
+    # same rows near 1e+-150 and 1e+-170; and the rows of tiny_rows
+    trajs = adversarial_trajs(seed)
+    mats = trajs - trajs[:, :1]
+    mats = np.concatenate([mats, *(c * mats for c in (1e150, 1e-150, 1e170, 1e-170))])
+    for mats in (mats, tiny_rows(seed)):
+        want = kernels.gauge_norms(mats, "spectral").max(axis=1)
+        assert kernels.sup_norms(mats).tobytes() == want.tobytes()
+        # samples last in memory, as sample_family_sups forms them
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
+        assert kernels.sup_norms(view).tobytes() == want.tobytes()
+
+
+def adversarial_family(seed, noise):
+    """A dense family (t, n, 4, 4) with tuples tied exactly and up to sign,
+    a zero tuple, a scalar tuple, tuples near 1e+-150, and last the two
+    tuples of ``tiny_rows``, near 1e-170 and 1e-171."""
+    params = random_hermitian_stack(trng.stream(seed, 0), (10, 3, 4, 4))
+    params[1] = params[0]
+    params[2] = -params[0]
+    params[3] = 0.0
+    params[4] = 2.0 * np.eye(4)
+    params[5, 1] = 0.0  # a zero block
+    params[6] *= 1e150
+    params[7] *= 1e-150
+    params[8:] = tiny_rows(seed)[0][:, None]
+    return EmpiricalFamily((2, 2), params, noise)
+
+
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
+@pytest.mark.parametrize("noise", ["rademacher", "uniform"])
+def test_dense_family_sups_equal_the_full_eigensolve(noise, chunk_entries, monkeypatch):
+    fams = [adversarial_family(50, noise)]
+    fams += [EmpiricalFamily((2, 2), fams[0].parameters[sl], noise)
+             for sl in (slice(0, 6), slice(6, 7), slice(7, 8), slice(8, 10))]
+    wants = [family_sups_oracle(fam, 51, 40) for fam in fams]
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    for fam, want in zip(fams, wants):
+        assert fam.diagonals is None
+        assert sample_family_sups(fam, 51, 40).tobytes() == want.tobytes()
 
 
 def test_sup_norms_of_diagonals_equal_full_row_maxima():

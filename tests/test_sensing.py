@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,19 @@ def test_rip_exact_budget():
     u = fourier_unitary((64,))
     with pytest.raises(CapacityError):
         rip_exact(u, 6, group=(64,))
+
+
+def test_rip_exact_refuses_before_it_forms_the_gram():
+    # C(2048, 3) = 1 429 559 296 supports; the 2048^2 complex Gram is 64 MB
+    a = DenseTensor(Shape((16,), (2048,)), np.ones((16, 2048), np.complex128))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="1429559296 supports"):
+            rip_exact(a, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_rip_monte_carlo_refuses_before_drawing(monkeypatch):
