@@ -275,20 +275,28 @@ EXPERIMENTS = tuple(_KEYS)
 
 # The budget on what a run holds at once, in entries: the samples x
 # index_count x D^2 trajectories simulate realizes, the samples x K weights
-# the Monte Carlo sums draw, mixed-tail's per-sample suprema (its
-# trajectories are realized and reduced chunk by chunk), empirical's
-# t_count x n x D^2 parameter tensor and t_count x t_count metrics, the
-# two n x n x (dim or basis_count) arrays of differences and their squares
-# of a Euclidean metric on n points or indices, and for verify_tail the
-# one-sample chunk of all n(n - 1) / 2 pair increments (X_a and X_b, both
-# gathered) and its threshold rows.  The largest workload config,
-# index-wide's simulate, holds 1 280 000.
+# the Monte Carlo sums draw, mixed-tail's per-sample suprema and the
+# one-sample chunk its trajectories are realized and reduced in (the
+# trajectories and a component's part, 2 x index_count x D^2), the
+# basis_count x D^2 basis of a process, the steps x D^2 and n x D^2 stacks
+# of verify-azuma and verify-bernstein, empirical's t_count x n x D^2
+# parameter tensor and t_count x t_count metrics, the two n x n x (dim or
+# basis_count) arrays of differences and their squares of a Euclidean
+# metric on n points or indices, and for verify_tail the one-sample chunk
+# of all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
+# threshold rows.  The largest workload config, index-wide's simulate,
+# holds 1 280 000.
 _ENTRY_BUDGET = 1 << 26
 
 
-def _trajectory_entries(config) -> int:
+def _stack_entries(config, count) -> int:
+    """Entries of a stack of ``count`` D x D unfoldings."""
     side = math.prod(config["row_modes"])
-    return config["samples"] * config["index_count"] * side * side
+    return count * side * side
+
+
+def _trajectory_entries(config) -> int:
+    return _stack_entries(config, config["samples"] * config["index_count"])
 
 
 def _distance_entries(config) -> int:
@@ -297,13 +305,13 @@ def _distance_entries(config) -> int:
 
 def _simulate_entries(config) -> int:
     p = _settings(config)
+    held = max(_trajectory_entries(config), _stack_entries(config, config["basis_count"]))
     if not p["verify_tail"]:
-        return _trajectory_entries(config)
-    side = math.prod(config["row_modes"])
+        return held
     pairs = config["index_count"] * (config["index_count"] - 1) // 2
     rows = _u_grid(p["tail_u_grid"]).size + 1  # one more for the degeneracy check
-    increments = 2 * pairs * side * side
-    return max(_trajectory_entries(config), _distance_entries(config), increments, rows * pairs)
+    increments = _stack_entries(config, 2 * pairs)
+    return max(held, _distance_entries(config), increments, rows * pairs)
 
 
 def _gamma_entries(config) -> int:
@@ -312,18 +320,31 @@ def _gamma_entries(config) -> int:
 
 
 def _empirical_entries(config) -> int:
-    side = math.prod(config["row_modes"])
     t_count = config["t_count"]
-    return max(config["samples"] * config["n"], t_count * config["n"] * side * side, t_count**2)
+    parameters = _stack_entries(config, t_count * config["n"])
+    return max(config["samples"] * config["n"], parameters, t_count**2)
+
+
+def _mixed_tail_entries(config) -> int:
+    chunk = _stack_entries(config, 2 * config["index_count"])
+    basis = _stack_entries(config, config["basis_count"])
+    return max(config["samples"], _distance_entries(config), chunk, basis)
+
+
+def _sums_entries(config, count_key) -> int:
+    """The samples x count weights and the count x D^2 stack of a Monte
+    Carlo sum of ``count_key`` terms."""
+    count = config[count_key]
+    return max(config["samples"] * count, _stack_entries(config, count))
 
 
 _ENTRIES = {
     "simulate": _simulate_entries,
     "gamma": _gamma_entries,
-    "mixed-tail": lambda config: max(config["samples"], _distance_entries(config)),
+    "mixed-tail": _mixed_tail_entries,
     "empirical": _empirical_entries,
-    "verify-azuma": lambda config: config["samples"] * config["steps"],
-    "verify-bernstein": lambda config: config["samples"] * config["n"],
+    "verify-azuma": lambda config: _sums_entries(config, "steps"),
+    "verify-bernstein": lambda config: _sums_entries(config, "n"),
 }
 
 

@@ -168,11 +168,11 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     formed and reduced per ``kernels.chunks`` block, so only the weights w
     and the suprema grow with ``n_samples``.
 
-    Every family forms its values in one ordered loop, samples last:
-    acc = 0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense
-    blocks are divided by n and reduced by ``kernels.sup_norms``.  A family
-    with ``diagonals`` forms only those and scales by acc *= 1.0 / n, bit
-    for bit the real parts of the dense blocks: numpy divides by n + 0j as a
+    Every family forms its values by ``kernels.contract``, samples first:
+    0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense blocks
+    are divided by n and reduced by ``kernels.sup_norms``.  A family with
+    ``diagonals`` forms only those and scales by values *= 1.0 / n, bit for
+    bit the real parts of the dense blocks: numpy divides by n + 0j as a
     product with 1 / n (a real / n differs in the last bit for some n);
     ``kernels.sup_norms_of_diagonals`` reduces them.  Both are bound first,
     with the suprema of a full eigensolve to the last bit."""
@@ -180,19 +180,17 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
         raise ValidationError("need at least one sample")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, (n_samples, family.n))
-    w = np.ascontiguousarray(w.T)  # (n, samples): samples last, as in acc
     sups = np.empty(n_samples)
     diags = family.diagonals
     theta = family.parameters if diags is None else diags  # (t, n, ...)
+    stack = np.ascontiguousarray(np.moveaxis(theta, 1, 0))  # (n, t, ...)
     for sl in kernels.chunks(n_samples, family.parameters[:, 0].size):
-        acc = np.zeros((*theta[:, 0].shape, sl.stop - sl.start), theta.dtype)
-        for i in range(family.n):
-            acc += theta[:, i, ..., None] * w[i, sl]
+        values = kernels.contract(w[sl], stack)  # (samples, t, ...)
         if diags is None:
-            sups[sl] = kernels.sup_norms(np.moveaxis(acc / family.n, -1, 0))
+            sups[sl] = kernels.sup_norms(values / family.n)
         else:
-            acc *= 1.0 / family.n
-            sups[sl] = kernels.sup_norms_of_diagonals(np.moveaxis(acc, -1, 0))
+            values *= 1.0 / family.n
+            sups[sl] = kernels.sup_norms_of_diagonals(values)
     return sups
 
 

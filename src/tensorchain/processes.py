@@ -22,7 +22,8 @@ exponent ``tail_beta`` is verified on it empirically by
 Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
 are bit-reproducible regardless of scheduling.  :func:`_realize` is the one
 place trajectories are built: it draws every component's scalars for a block
-of samples and contracts each component once for the whole block.
+of samples from one re-keyed generator and contracts each component once for
+the whole block with ``kernels.contract``.
 """
 
 from __future__ import annotations
@@ -173,14 +174,17 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, T, D, D) trajectories of samples lo..hi-1 of a sum of processes.
 
     Sample s draws the scalars of every component from the stream (seed, s),
-    in component order; each component is then contracted once for the block.
+    in component order, into one (samples, K) weight array per component;
+    ``rng.streams`` re-keys one generator per sample.  Each component is then
+    contracted once for the block by ``kernels.contract``.
     """
-    gens = [rng_mod.stream(seed, s) for s in range(lo, hi)]
+    weights = [np.empty((hi - lo, spec.order)) for spec in specs]
+    for row, gen in enumerate(rng_mod.streams(seed, lo, hi)):
+        for spec, w in zip(specs, weights):
+            w[row] = _draw_scalars(spec.family, gen, spec.order)
     trajs = None
-    for spec in specs:
-        w = np.array([_draw_scalars(spec.family, gen, spec.order) for gen in gens])
-        weighted = spec.coefficients[None] * w[:, None, :]
-        part = np.einsum("stk,kij->stij", weighted, spec.basis_stack)
+    for spec, w in zip(specs, weights):
+        part = kernels.contract(spec.coefficients * w[:, None, :], spec.basis_stack)
         if trajs is None:
             trajs = part
         else:

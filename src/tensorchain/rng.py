@@ -6,6 +6,12 @@ seed and a 64-bit stream index (trajectory number, trial number, ...).
 Streams are independent by construction and do not depend on how work is
 scheduled across workers, so results are reproducible from (seed, index)
 alone.
+
+A stream is fixed by its key and counter (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), so ``streams(seed, lo, hi)`` builds
+one generator for a block of indices and re-keys it per index: the same
+draws as a new ``stream`` per index, without building one.  Both key
+through ``_rekey``, the one keying rule.
 """
 
 import numpy as np
@@ -13,10 +19,34 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _rekey(bitgen: np.random.Philox, seed: int, index: int) -> None:
+    """Reset ``bitgen`` to the start of stream (seed, index): key (seed,
+    index) masked to 64 bits, counter 0, an empty buffer, no half-word.
+    The state setter reads the words one at a time, so tuples serve and
+    no array is built per reset."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, index & _MASK64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def streams(seed: int, lo: int, hi: int):
+    """The generators of streams lo..hi-1 of the given seed, in order: one
+    generator, re-keyed before each is yielded, so each is valid only until
+    the next is taken."""
+    gen = np.random.Generator(np.random.Philox(0))  # a fixed seed: no entropy read
+    for index in range(lo, hi):
+        _rekey(gen.bit_generator, seed, index)
+        yield gen
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for the `index`-th stream of the given seed."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(streams(seed, index, index + 1))
 
 
 # laws of the zero-mean scalars drawn by :func:`noise`

@@ -472,6 +472,36 @@ def test_metric_and_pair_arrays_are_bounded_before_they_are_built(
     assert not out.exists()
 
 
+# the D x D stacks held whatever the sample count: mixed-tail's one-sample
+# trajectory chunk, a process basis, and the steps and n stacks of the Monte
+# Carlo sums; row_modes [64, 64] makes D^2 = 2^24
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**MIXED, "index_count": 5, "row_modes": [64, 64]},
+        {**MIXED, "basis_count": 5, "row_modes": [64, 64]},
+        {**SIMULATE, "samples": 2, "index_count": 2, "basis_count": 5, "row_modes": [64, 64]},
+        {**AZUMA, "samples": 1, "steps": 8, "row_modes": [64, 64]},
+        {**BERNSTEIN, "samples": 1, "n": 8, "row_modes": [64, 64]},
+    ],
+    ids=["mixed-tail-chunk", "mixed-tail-basis", "simulate-basis", "verify-azuma",
+         "verify-bernstein"],
+)
+def test_dense_stacks_are_bounded_before_they_are_built(tmp_path, capsys, monkeypatch, config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the entry budget")
+
+    monkeypatch.setattr(cli, "random_hermitian", refuse)
+    monkeypatch.setattr(processes, "_realize", refuse)
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([kind, "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: the run holds" in err and f"budget of {cli._ENTRY_BUDGET}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, key, largest",
     [

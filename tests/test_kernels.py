@@ -357,13 +357,33 @@ BOUND_GAUGES = [None, *GAUGES]
 def test_intervals_hold_every_computed_value(gauge):
     mats = np.concatenate([adversarial_blocks(20), adversarial_trajs(21).reshape(-1, 4, 4)])
     # near 1e+-150 the squares of the bounds are exact; near 1e+-170 they
-    # under- and overflow (the frobenius bound is its value, whose squares
-    # overflow too)
-    scales = (1e150, 1e-150, 1e-170) + (() if gauge is GaugeNorm.FROBENIUS else (1e170,))
+    # under- and overflow (the frobenius bound is its value, rescaled there)
+    scales = (1e150, 1e-150, 1e-170, 1e170)
     mats = np.concatenate([mats, *(c * mats[:20] for c in scales)])
     want = kernels.batch_lambda_max(mats) if gauge is None else kernels.gauge_norms(mats, gauge)
     lo, hi = kernels._intervals(mats, gauge)
     assert (lo <= want).all() and (want <= hi).all()
+
+
+def frobenius_oracle(mats):
+    """||B||_F of each matrix by hypot over the |entries|, which scales."""
+    return np.array([math.hypot(*np.abs(m).ravel()) for m in mats.reshape(-1, *mats.shape[-2:])])
+
+
+def test_frobenius_rescales_only_the_blocks_outside_its_range():
+    mats = np.concatenate([adversarial_blocks(22), adversarial_trajs(23).reshape(-1, 4, 4)])
+    direct = np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
+    assert kernels.gauge_norms(mats, "frobenius").tobytes() == direct.tobytes()
+    for scale in (1e170, 1e-170, 1e300, 1e-300):
+        scaled = scale * mats[:20]
+        got = kernels.gauge_norms(scaled, "frobenius")
+        assert np.allclose(got, frobenius_oracle(scaled), rtol=1e-14, atol=0.0)
+        assert ((got > 0) == (np.abs(scaled) > 0).any(axis=(-2, -1))).all()
+    # a zero block stays 0; a block with inf or NaN keeps its direct value
+    wild = np.zeros((3, 2, 2), np.complex128)
+    wild[1, 0, 0], wild[2, 1, 1] = np.inf, np.nan
+    got = kernels.gauge_norms(wild, "frobenius")
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
 
 
 def mixed_specs(seed):
@@ -536,6 +556,73 @@ def test_increment_counts_equal_full_counts(gauge, chunk_entries, monkeypatch):
     assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge.value), want)
 
 
+def contract_weights(gen, law, shape):
+    """Signs, uniform or normal weights, with +-0 entries."""
+    if law == "sign":
+        w = gen.integers(0, 2, shape) * 2.0 - 1.0
+    elif law == "uniform":
+        w = gen.uniform(-1.0, 1.0, shape)
+    else:
+        w = gen.standard_normal(shape)
+    flat = w.reshape(-1)
+    flat[::7], flat[3::11] = 0.0, -0.0
+    return w
+
+
+def signed_zero_stack(gen, shape, dtype):
+    """A stack with random entries, +-0 real and imaginary parts, and one
+    all-zero term."""
+    stack = gen.standard_normal(shape)
+    if dtype is np.complex128:
+        stack = stack + 1j * gen.standard_normal(shape)
+        stack.imag.reshape(-1)[1::5] = -0.0
+    stack.real.reshape(-1)[::6] = 0.0
+    stack.real.reshape(-1)[2::9] = -0.0
+    stack[0] = -0.0 if len(stack) > 1 else stack[0]
+    return np.ascontiguousarray(stack)
+
+
+def assert_same_values_and_signs(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    parts = [(got, want)]
+    if np.iscomplexobj(got):
+        parts = [(got.real, want.real), (got.imag, want.imag)]
+    for a, b in parts:
+        assert (np.signbit(a) == np.signbit(b)).all()
+
+
+@pytest.mark.parametrize("budget", [1 << 19, 3 * 32 * 16])  # blocks of 1024 and 3 rows
+@pytest.mark.parametrize("law", ["sign", "uniform", "normal"])
+@pytest.mark.parametrize(
+    "spec, wshape, sshape",
+    [
+        ("sk,kij->sij", (2500, 8), (8, 4, 4)),
+        ("stk,kij->stij", (157, 16, 4), (4, 4, 4)),
+        ("sk,kij->sij", (1030, 1), (1, 4, 4)),  # K = 1
+        ("stk,kij->stij", (31, 5, 1), (1, 3, 3)),
+    ],
+    ids=["sk,kij", "stk,kij", "sk,kij-K1", "stk,kij-K1"],
+)
+def test_contract_equals_einsum_bit_for_bit(spec, wshape, sshape, law, budget, monkeypatch):
+    # row counts that are not multiples of either block
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", budget)
+    gen = trng.stream(71, len(wshape))
+    w = contract_weights(gen, law, wshape)
+    stack = signed_zero_stack(gen, sshape, np.complex128)
+    assert_same_values_and_signs(kernels.contract(w, stack), np.einsum(spec, w, stack))
+
+
+@pytest.mark.parametrize("law", ["sign", "uniform", "normal"])
+def test_contract_takes_a_real_stack(law, monkeypatch):
+    # the diagonals of an empirical family: (n, t, D) real terms
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 7 * 32 * 12)
+    gen = trng.stream(72, 0)
+    w = contract_weights(gen, law, (503, 6))
+    stack = signed_zero_stack(gen, (6, 3, 4), np.float64)
+    assert_same_values_and_signs(kernels.contract(w, stack), np.einsum("si,itd->std", w, stack))
+
+
 def test_each_chunk_is_dropped_before_the_next_is_formed(monkeypatch):
     # the increment chunks and the weighted sums: none is alive when the
     # next is formed, so a loop holds one chunk at a time
@@ -553,7 +640,7 @@ def test_each_chunk_is_dropped_before_the_next_is_formed(monkeypatch):
         return formed
 
     monkeypatch.setattr(kernels, "_increments", tracking(kernels._increments))
-    monkeypatch.setattr(np, "einsum", tracking(np.einsum))
+    monkeypatch.setattr(kernels, "contract", tracking(kernels.contract))
     a, b = np.triu_indices(5, 1)
     kernels.sup_norms_vs_ref(trajs, 2)
     kernels.ensemble_norms_vs_ref(trajs, 2, "nuclear")
