@@ -25,9 +25,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels, rng as rng_mod
-from .errors import DomainError, FitFailureError, ShapeError, ValidationError
+from .errors import DomainError, FitFailureError, ValidationError
 from .report import BoundReport, make_rows, row_holds
-from .tensor import hermitian_part, unfold
+from .tensor import hermitian_stack
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,11 @@ def azuma_tail(sigma: float, u: float, row_modes) -> float:
         raise DomainError("sigma must be positive")
     if u < 0:
         raise DomainError("u must be nonnegative")
-    return math.prod(row_modes) * math.exp(-(u**2) / (8.0 * sigma**2))
-
-
-def _hermitian_stack(tensors, what: str):
-    """(shape, :func:`~tensorchain.tensor.hermitian_part` of the unfoldings)
-    of a nonempty sequence of tensors of one square shape."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValidationError(f"need at least one {what} tensor")
-    shape = tensors[0].shape
-    if not shape.is_square or any(t.shape != shape for t in tensors):
-        raise ShapeError(f"{what} tensors must share one square shape")
-    return shape, hermitian_part([unfold(t) for t in tensors])
+    try:
+        exponent = u**2 / (8.0 * sigma**2)
+    except (OverflowError, ZeroDivisionError):  # a square outside the float range
+        exponent = (u / sigma) * (u / sigma) / 8.0
+    return math.prod(row_modes) * math.exp(-exponent)
 
 
 def _sigma(stack, n=1) -> float:
@@ -150,7 +142,7 @@ def martingale_chain_metric(diff_paths) -> float:
     """sqrt ||sum_k D_k^2|| over the Hermitian parts of the differences D_k;
     0 for no differences."""
     diffs = list(diff_paths)
-    return _sigma(_hermitian_stack(diffs, "difference")[1]) if diffs else 0.0
+    return _sigma(hermitian_stack(diffs, "difference")[1]) if diffs else 0.0
 
 
 def martingale_sup_tail_bound(gamma2, diam, u, chain_const, diam_const):
@@ -357,7 +349,7 @@ def fit_constants(bound_name: str, sup_samples, u_grid, params: dict) -> Constan
     count, samples, u, slots, formula = _fit_inputs(bound_name, sup_samples, u_grid)
 
     def feasible(s: float) -> bool:
-        for uu in u:
+        for uu in u.tolist():
             thr, pb = formula(params, uu, s, s)
             if not row_holds(pb, float(count(thr)) / samples, samples):
                 return False
@@ -454,7 +446,7 @@ def verify_azuma(
     hypothesis holds exactly.  All signs come from one counter-based stream
     (the harness is a single vectorized pass).
     """
-    shape, stack = _hermitian_stack(diffs, "difference")
+    shape, stack = hermitian_stack(diffs, "difference")
     sigma = _sigma(stack)
     inputs = {"sigma": sigma, "steps": len(stack), "row_modes": list(shape.row_modes)}
     return _verify_sums(
@@ -477,7 +469,7 @@ def verify_bernstein(
     so the hypothesis holds with envelopes A_i = B_i.  The statistic is
     lambda_max of the average (1/n) sum_i X_i.
     """
-    shape, stack = _hermitian_stack(envelopes, "envelope")
+    shape, stack = hermitian_stack(envelopes, "envelope")
     n = len(stack)
     sigma, upsilon = _sigma(stack, n), float(kernels.batch_spectral(stack).max())
     inputs = {"sigma": sigma, "upsilon": upsilon, "n": n, "row_modes": list(shape.row_modes)}

@@ -24,6 +24,7 @@ import numpy as np
 from . import kernels
 from .errors import CapacityError, DomainError, ValidationError
 from .report import csv_text
+from .tensor import root_sum_squares
 
 # Triangle-inequality tolerance relative to the largest distance (absolute
 # below 1): computed distances break the inequality by rounding alone.
@@ -36,11 +37,12 @@ def euclidean_distances(points: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean distances between the rows of a 2-D array.
 
     Exactly symmetric with a zero diagonal, as p_i - p_j is exactly -(p_j - p_i).
-    An overflow leaves a non-finite entry for FiniteMetricSpace to reject.
+    Each is ``tensor.root_sum_squares`` of a difference, range-safe, so only a
+    difference beyond the float range is non-finite, for FiniteMetricSpace to reject.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         diff = points[:, None, :] - points[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+    return root_sum_squares(diff, 1)
 
 
 @dataclass(frozen=True)

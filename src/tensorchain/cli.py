@@ -282,10 +282,10 @@ EXPERIMENTS = tuple(_KEYS)
 # of verify-azuma and verify-bernstein, empirical's t_count x n x D^2
 # parameter tensor and t_count x t_count metrics, the two n x n x (dim or
 # basis_count) arrays of differences and their squares of a Euclidean
-# metric on n points or indices, and for verify_tail the one-sample chunk
-# of all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
-# threshold rows.  The largest workload config, index-wide's simulate,
-# holds 1 280 000.
+# metric on n points or indices, for verify_tail the one-sample chunk of
+# all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
+# threshold rows, and the N x N arrays of a rip trial on N columns.  The
+# largest workload config, index-wide's simulate, holds 1 280 000.
 _ENTRY_BUDGET = 1 << 26
 
 
@@ -338,9 +338,16 @@ def _sums_entries(config, count_key) -> int:
     return max(config["samples"] * count, _stack_entries(config, count))
 
 
+def _rip_entries(config) -> int:
+    """Three N x N arrays: the unitary, and a trial's kept rows and their
+    Gram; fourier_unitary holds as many while it builds (index grids, DFT)."""
+    return 3 * math.prod(config["col_dims"]) ** 2
+
+
 _ENTRIES = {
     "simulate": _simulate_entries,
     "gamma": _gamma_entries,
+    "rip": _rip_entries,
     "mixed-tail": _mixed_tail_entries,
     "empirical": _empirical_entries,
     "verify-azuma": lambda config: _sums_entries(config, "steps"),

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError
-from .tensor import GaugeNorm
+from .tensor import _FRO_RANGE, GaugeNorm, root_sum_squares
 
 # The one chunk budget in complex entries (8 MB), read only by chunks().  It
 # trades time for memory: on a 2-core AMD EPYC, one BLAS thread, a 100-point
@@ -48,10 +48,6 @@ _CONTRACT_SHARE = 32
 
 # Relative slack on the certified bounds of rip_scan and _intervals.
 _SLACK = 1e-9
-# _intervals: the ||B||_F for which its squares are exact to the slack.  Below,
-# an underflowed square changes s by at most n * 1.5e-154, far under the pad
-# _SLACK * 1e-140; above, no square of an entry reaches 1e280.
-_FRO_RANGE = (1e-140, 1e140)
 # rip_scan: the size of the first of a chunk's doubling eigensolve batches.
 _RIP_FIRST_BATCH = 64
 # The exact-scan budget in supports: check_scan_capacity refuses a scan that
@@ -77,29 +73,11 @@ def gauge_norms(mats, gauge):
     """Gauge norms of a stack of Hermitian matrices (the last two axes)."""
     gauge = GaugeNorm.coerce(gauge)
     if gauge is GaugeNorm.FROBENIUS:
-        return _frobenius(mats)
+        return root_sum_squares(mats, 2)
     w = np.linalg.eigvalsh(mats)  # ascending
     if gauge is GaugeNorm.SPECTRAL:
         return np.maximum(-w[..., 0], w[..., -1])
     return np.abs(w).sum(axis=-1)
-
-
-def _frobenius(mats):
-    """||B||_F of each matrix of a stack: the root of the sum of squares, and
-    where that is outside _FRO_RANGE or not finite, so a square may have
-    under- or overflowed, that of B scaled by its largest |entry| (unless
-    that is 0, infinite or NaN), times that entry."""
-    with np.errstate(over="ignore"):
-        fro = np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
-    wild = ~((fro >= _FRO_RANGE[0]) & (fro <= _FRO_RANGE[1]))
-    if wild.any():
-        top = np.abs(mats[wild]).max(axis=(-2, -1))
-        fine = (top > 0) & np.isfinite(top)
-        wild[wild] = fine
-        blocks, top = mats[wild], top[fine]
-        re, im = blocks.real / top[:, None, None], blocks.imag / top[:, None, None]
-        fro[wild] = top * np.sqrt((re**2 + im**2).sum(axis=(-2, -1)))
-    return fro
 
 
 def _intervals(mats, gauge):
@@ -589,7 +567,8 @@ def greedy_cover(dist, radii):
 def max_triangle_violation(dist):
     """max over i, j, k of d(i, j) - d(i, k) - d(k, j)."""
     worst = -np.inf
-    for k in range(dist.shape[0]):
-        v = dist - dist[:, k : k + 1] - dist[k : k + 1, :]
-        worst = max(worst, float(v.max()))
+    with np.errstate(over="ignore"):  # only toward -inf, which breaks nothing
+        for k in range(dist.shape[0]):
+            v = dist - dist[:, k : k + 1] - dist[k : k + 1, :]
+            worst = max(worst, float(v.max()))
     return worst

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .report import BoundReport, csv_text, make_rows
-from .tensor import GaugeNorm, fold, hermitian_part, unfold
+from .tensor import GaugeNorm, fold, hermitian_stack
 
 
 class ProcessFamily(enum.Enum):
@@ -74,7 +74,7 @@ def _draw_scalars(family: ProcessFamily, gen: np.random.Generator, k: int):
 class ProcessSpec:
     """Generator family plus the coefficient map and Hermitian basis.
 
-    The basis goes through :func:`~tensorchain.tensor.hermitian_part`, and
+    The basis goes through :func:`~tensorchain.tensor.hermitian_stack`, and
     ``basis_stack`` holds the result, the read-only (K, D, D) Hermitian
     parts of the unfoldings (``basis`` refolds them).  So the realized
     trajectories and their increments are Hermitian, as the kernels assume.
@@ -99,10 +99,7 @@ class ProcessSpec:
         basis = tuple(self.basis)
         if len(basis) != coeffs.shape[1]:
             raise ValidationError("basis length must match coefficient dimension")
-        shape0 = basis[0].shape
-        if not shape0.is_square or any(b.shape != shape0 for b in basis):
-            raise ValidationError("basis tensors must share one square shape")
-        stack = hermitian_part([unfold(b) for b in basis])
+        shape0, stack = hermitian_stack(basis, "basis")
         object.__setattr__(self, "basis_stack", stack)
         object.__setattr__(self, "basis", tuple(fold(m, shape0) for m in stack))
         if self.tail_beta <= 0:
@@ -326,7 +323,8 @@ def verify_increment_tail(
     idx_s, idx_t = np.triu_indices(space.size, k=1)
     d_pairs = dist[idx_s, idx_t]
     live = d_pairs > 0
-    thr = np.vstack([u[:, None] * d_pairs, np.full_like(d_pairs, np.nextafter(0.0, 1.0))])
+    with np.errstate(over="ignore"):  # no finite norm reaches an infinite threshold
+        thr = np.vstack([u[:, None] * d_pairs, np.full_like(d_pairs, np.nextafter(0.0, 1.0))])
     counts = kernels.increment_counts(ensemble.trajectories, idx_s, idx_t, thr, ensemble.gauge)
     differ = np.flatnonzero(~live & (counts[-1] > 0))
     if differ.size:  # name the first in triu order

@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 
 def dumps(obj) -> str:
@@ -106,8 +106,12 @@ def row_holds(prob_bound, empirical, samples) -> bool:
 
 
 def make_rows(u_grid, thresholds, prob_bounds, empiricals, samples):
+    """One verdict row per u; a threshold or bound that is not finite, one
+    beyond the float range, is refused with :class:`DomainError`."""
     rows = []
     for u, thr, pb, emp in zip(u_grid, thresholds, prob_bounds, empiricals):
+        if not (math.isfinite(thr) and math.isfinite(pb)):
+            raise DomainError(f"u = {float(u)!r}: the threshold or bound is not finite")
         rows.append(
             BoundRow(
                 u=float(u),

@@ -24,6 +24,10 @@ from .errors import DomainError, ShapeError, SingularityError, ValidationError
 
 _MAX_SIDE = 1 << 31  # guard against unfoldings that cannot be addressed
 _REL_TOL = 1e-10  # default tolerance, relative to the Frobenius norm
+# root_sum_squares and kernels._intervals: the values whose squares are exact
+# to the slack.  Below, an underflowed square changes s by at most n * 1.5e-154,
+# far under the pad _SLACK * 1e-140; above, no square of an entry reaches 1e280.
+_FRO_RANGE = (1e-140, 1e140)
 
 
 class GaugeNorm(enum.Enum):
@@ -192,10 +196,30 @@ def inner_product(a: DenseTensor, b: DenseTensor) -> complex:
     return complex(np.vdot(a.data, b.data))
 
 
+def root_sum_squares(x, trailing: int):
+    """sqrt(sum |x|^2) over the last ``trailing`` axes (a 0-d array for one block).
+    A block whose direct value is outside _FRO_RANGE or not finite, where a
+    square may under- or overflow, is summed again divided by its largest |entry|
+    (unless 0, infinite or NaN), then multiplied by it: Blue's scaled 2-norm (ACM
+    TOMS 4, 1978).  Every other block keeps the direct value's bits."""
+    lead = x.shape[: x.ndim - trailing]
+    with np.errstate(over="ignore"):
+        sq = x.real**2 + x.imag**2 if np.iscomplexobj(x) else x**2
+        rss = np.sqrt(sq.sum(axis=tuple(range(-trailing, 0)), keepdims=True)).reshape(lead)
+    flat, wild = rss.reshape(-1), ~((rss >= _FRO_RANGE[0]) & (rss <= _FRO_RANGE[1])).ravel()
+    if wild.any():
+        mags = np.abs(x.reshape(wild.size, math.prod(x.shape[len(lead) :]))[wild])
+        top = mags.max(axis=1, initial=0.0)  # divided by it, a block is in range
+        fine = (top > 0) & np.isfinite(top)
+        wild[wild] = fine
+        flat[wild] = top[fine] * root_sum_squares(mags[fine] / top[fine, None], 1)
+    return rss
+
+
 def norm(a: DenseTensor, gauge=GaugeNorm.FROBENIUS) -> float:
     gauge = GaugeNorm.coerce(gauge)
     if gauge is GaugeNorm.FROBENIUS:
-        return float(np.linalg.norm(a.data))
+        return float(root_sum_squares(a.entries, 1))
     singular = np.linalg.svd(unfold(a), compute_uv=False)
     if gauge is GaugeNorm.SPECTRAL:
         return float(singular[0])
@@ -212,7 +236,7 @@ def is_hermitian(a: DenseTensor, tol: float | None = None) -> bool:
     if tol is None:
         tol = default_tolerance(a)
     mat = unfold(a)
-    return float(np.linalg.norm(mat - mat.conj().T)) <= tol
+    return float(root_sum_squares(mat - mat.conj().T, 2)) <= tol
 
 
 def is_unitary(a: DenseTensor, tol: float | None = None) -> bool:
@@ -223,8 +247,8 @@ def is_unitary(a: DenseTensor, tol: float | None = None) -> bool:
     mat = unfold(a)
     eye = np.eye(mat.shape[0])
     return (
-        float(np.linalg.norm(mat.conj().T @ mat - eye)) <= tol
-        and float(np.linalg.norm(mat @ mat.conj().T - eye)) <= tol
+        float(root_sum_squares(mat.conj().T @ mat - eye, 2)) <= tol
+        and float(root_sum_squares(mat @ mat.conj().T - eye, 2)) <= tol
     )
 
 
@@ -236,13 +260,23 @@ def hermitian_part(mats) -> np.ndarray:
     mats = np.asarray(mats, dtype=np.complex128)
     adjoint = np.conj(np.swapaxes(mats, -1, -2))
     if mats.shape != adjoint.shape or not np.all(  # a NaN gap fails too
-        np.linalg.norm(mats - adjoint, axis=(-2, -1))
-        <= _REL_TOL * np.linalg.norm(mats, axis=(-2, -1))
+        root_sum_squares(mats - adjoint, 2) <= _REL_TOL * root_sum_squares(mats, 2)
     ):
         raise ValidationError("matrices must be square and Hermitian")
     part = (mats + adjoint) / 2.0
     part.flags.writeable = False
     return part
+
+
+def hermitian_stack(tensors, what: str):
+    """(shape, :func:`hermitian_part` of the unfoldings) of nonempty square tensors."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ValidationError(f"need at least one {what} tensor")
+    shape = tensors[0].shape
+    if not shape.is_square or any(t.shape != shape for t in tensors):
+        raise ShapeError(f"{what} tensors must share one square shape")
+    return shape, hermitian_part([unfold(t) for t in tensors])
 
 
 def lambda_max(a: DenseTensor) -> float:

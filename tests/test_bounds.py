@@ -189,6 +189,15 @@ def test_azuma_formula_cases():
         azuma_tail(0.0, 1.0, (2,))
 
 
+@pytest.mark.parametrize(
+    "sigma, u, ratio",
+    [(1.0, 1e200, math.inf), (1e200, 2e200, 2.0), (1e-170, 1e-170, 1.0), (1e-170, 1.0, math.inf)],
+)
+def test_azuma_tail_where_a_square_leaves_the_float_range(sigma, u, ratio):
+    # u^2 or sigma^2 over- or underflows; u / sigma does not, or is beyond the range
+    assert azuma_tail(sigma, u, (2,)) == pytest.approx(2.0 * math.exp(-(ratio**2) / 8.0))
+
+
 def test_chain_metric_cases():
     assert martingale_chain_metric([]) == 0.0
     d = random_hermitian((2,), trng.stream(7, 0))

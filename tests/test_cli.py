@@ -502,6 +502,28 @@ def test_dense_stacks_are_bounded_before_they_are_built(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("operator", ["fourier", {"seed": 5}])
+def test_rip_unitary_and_gram_are_bounded_before_they_are_built(
+    tmp_path, capsys, monkeypatch, operator
+):
+    # three N x N arrays: 3 x 4729^2 fits the budget of 2^26, 3 x 4730^2 not
+    config = {**RIP, "xi": 1, "operator": operator}
+    assert validate({**config, "col_dims": [4729]}) == []
+    assert validate({**config, "col_dims": [4730]})[0].startswith("capacity:")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the entry budget")
+
+    monkeypatch.setattr(cli, "fourier_unitary", refuse)
+    monkeypatch.setattr(cli, "random_unitary", refuse)
+    path = write_config(tmp_path, {**config, "col_dims": [65536]})
+    out = tmp_path / "out"
+    assert main(["rip", "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: the run holds" in err and f"budget of {cli._ENTRY_BUDGET}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, key, largest",
     [
@@ -784,13 +806,8 @@ def test_overflowing_tail_beta_prints_only_the_verdict(tmp_path, capfd):
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_reads_the_metric_only_to_verify_the_tail(tmp_path, capfd):
-    # distances of 1e200 overflow; the realizations and their norms do not
-    config = {
-        **SIMULATE,
-        "index_count": 3,
-        "coefficients": [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]],
-        "fit_exponent": False,
-    }
+    # distances scaled by 1e308 overflow; the realizations and their norms do not
+    config = {**SIMULATE, "index_count": 3, "metric_scale": 1e308, "fit_exponent": False}
     path = write_config(tmp_path, config)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "a")]) == EXIT_OK
     path = write_config(tmp_path, {**config, "verify_tail": True})
@@ -798,6 +815,72 @@ def test_simulate_reads_the_metric_only_to_verify_the_tail(tmp_path, capfd):
     assert code == EXIT_CONFIG
     err = capfd.readouterr().err
     assert err == "config error: metric 'increment' has non-finite entries\n"
+
+
+# the squares of these distances under- or overflow; the distances do not
+POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_gamma_of_points_whose_squares_leave_the_float_range(tmp_path, scale):
+    reports = {}
+    for factor in (1.0, scale):
+        points = (factor * np.array(POINTS)).tolist()
+        path = write_config(tmp_path, {"experiment": "gamma", "seed": 0, "points": points})
+        out = tmp_path / str(factor)
+        assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_OK
+        reports[factor] = json.loads((out / "report.json").read_text())
+    for key in ("diameter", "dudley_integral", "gamma_greedy"):
+        assert reports[scale][key] == pytest.approx(scale * reports[1.0][key], rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_tail_at_coefficients_whose_squares_underflow(tmp_path):
+    # distance 1e-200 between two distinct indices, not zero
+    config = {
+        **SIMULATE,
+        "index_count": 2,
+        "basis_count": 1,
+        "coefficients": [[1e-200], [2e-200]],
+        "verify_tail": True,
+        "fit_exponent": False,
+    }
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_OK
+    tail = json.loads((out / "report.json").read_text())["increment_tail"]
+    assert tail["inputs"]["pairs_tested"] == 1
+
+
+# a row is finite or refused: no traceback, no Infinity, no numpy warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "config, refused",
+    [
+        ({**AZUMA, "u_sigma_factors": [1e200]}, None),
+        ({**BERNSTEIN, "u_grid": [1e308]}, 1e308),
+        ({**MIXED, "u_grid": [1e308]}, 1e308),
+        ({**MIXED, "metric_scale": 3e307}, 1.0),
+        ({**SIMULATE, "verify_tail": True, "tail_u_grid": [1e308]}, None),
+    ],
+    ids=["verify-azuma", "verify-bernstein", "mixed-tail-u", "mixed-tail-scale", "simulate"],
+)
+def test_huge_grid_values_give_finite_rows_or_a_diagnostic(tmp_path, capfd, config, refused):
+    kind = config["experiment"]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([kind, "--config", path, "--out", str(out)])
+    err = capfd.readouterr().err
+    if refused is not None:
+        assert code == EXIT_CONFIG and not out.exists()
+        assert err == f"config error: u = {refused!r}: the threshold or bound is not finite\n"
+        return
+    assert code == EXIT_OK and err == ""
+    report = json.loads(next(out.glob("*report.json")).read_text())
+    rows = report.get("increment_tail", report)["rows"]
+    assert rows[-1]["prob_bound"] == 0.0
+    assert all(math.isfinite(row["threshold"]) for row in rows)
 
 
 def drop_config_echo(out):

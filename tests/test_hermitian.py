@@ -21,10 +21,19 @@ from tensorchain.empirical import (
     sample_family_sups,
     verify_empirical_bound,
 )
-from tensorchain.errors import ValidationError
+from tensorchain.errors import ShapeError, ValidationError
 from tensorchain.processes import ProcessSpec, process_metric, sample_ensemble
 from tensorchain.report import MARGIN_SIGMAS
-from tensorchain.tensor import fold, hermitian_part, norm, random_hermitian, unfold
+from tensorchain.tensor import (
+    Shape,
+    fold,
+    hermitian_part,
+    hermitian_stack as tensor_stack,
+    norm,
+    random_hermitian,
+    random_tensor,
+    unfold,
+)
 
 # relative size of the anti-Hermitian nudge, well inside the 1e-10 tolerance
 NUDGE = 1e-12
@@ -87,6 +96,35 @@ def test_hermitian_part_tolerance_is_relative():
 def test_hermitian_part_rejects(mats):
     with pytest.raises(ValidationError):
         hermitian_part(mats)
+
+
+# ---------------------------------------------------------------------------
+# hermitian_stack: the one intake of a sequence of tensors
+# ---------------------------------------------------------------------------
+
+
+def test_hermitian_stack_is_the_shape_and_the_hermitian_part():
+    shape, stack = hermitian_stack(4, 3)
+    off = nudged(stack)
+    got_shape, got = tensor_stack(tensors(off, shape), "difference")
+    assert got_shape == shape and np.array_equal(got, hermitian_part(off))
+    with pytest.raises(ValidationError, match="need at least one envelope tensor"):
+        tensor_stack([], "envelope")
+
+
+def test_every_consumer_refuses_tensors_of_two_shapes():
+    mixed = [random_hermitian((2,), trng.stream(6, 0)), random_hermitian((3,), trng.stream(6, 1))]
+    square_not = [random_tensor(Shape((2,), (3,)), trng.stream(6, 2))]
+    message = "tensors must share one square shape"
+    for tensors_ in (mixed, square_not):
+        with pytest.raises(ShapeError, match="basis " + message):
+            ProcessSpec("gaussian_linear", np.ones((3, len(tensors_))), tensors_, 2.0)
+        with pytest.raises(ShapeError, match="difference " + message):
+            verify_azuma(tensors_, 10, 1)
+        with pytest.raises(ShapeError, match="difference " + message):
+            martingale_chain_metric(tensors_)
+        with pytest.raises(ShapeError, match="envelope " + message):
+            verify_bernstein(tensors_, 10, 1)
 
 
 # ---------------------------------------------------------------------------

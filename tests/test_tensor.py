@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from tensorchain.tensor import (
     conjugate_transpose,
     einstein_product,
     fold,
+    hermitian_part,
     identity,
     inner_product,
     inverse,
@@ -28,6 +31,7 @@ from tensorchain.tensor import (
     random_hermitian,
     random_tensor,
     random_unitary,
+    root_sum_squares,
     save_tensor,
     tensor_from_text,
     tensor_to_text,
@@ -426,6 +430,83 @@ def test_tolerance_semantics():
 def test_non_square_predicates_false():
     t = rand(Shape((2,), (3,)), 30)
     assert not is_hermitian(t) and not is_unitary(t)
+
+
+# ---------------------------------------------------------------------------
+# root-sum-of-squares
+# ---------------------------------------------------------------------------
+
+
+def direct_rss(x, trailing):
+    """sqrt(sum |x|^2) over the last ``trailing`` axes, squares unguarded."""
+    with np.errstate(over="ignore"):
+        squares = x.real**2 + x.imag**2 if np.iscomplexobj(x) else x**2
+    return np.sqrt(squares.sum(axis=tuple(range(-trailing, 0))))
+
+
+def hypot_rss(x, trailing):
+    """The same by math.hypot over the |entries| of each block, which scales."""
+    lead = x.shape[: x.ndim - trailing]
+    blocks = np.abs(x).reshape(math.prod(lead), -1)
+    return np.array([math.hypot(*b) for b in blocks]).reshape(lead)
+
+
+def rss_inputs(seed):
+    """(array, trailing): real and complex, stacks and single blocks."""
+    gen = trng.stream(seed, 0)
+    cplx = gen.standard_normal((3, 4, 3, 3)) + 1j * gen.standard_normal((3, 4, 3, 3))
+    real = gen.standard_normal((6, 5, 4))
+    return [
+        (cplx, 2), (cplx[0], 2), (cplx[0, 0], 2), (cplx, 4), (cplx[0, 0, 0], 1),
+        (real, 1), (real[0], 1), (real[0, 0], 1), (real, 2), (real[0], 2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_root_sum_squares_is_the_direct_value_inside_its_range(case):
+    x, trailing = rss_inputs(40)[case]
+    got, want = root_sum_squares(x, trailing), direct_rss(x, trailing)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+def test_root_sum_squares_rescales_outside_its_range(case, scale):
+    x, trailing = rss_inputs(41)[case]
+    got = root_sum_squares(scale * x, trailing)
+    assert np.allclose(got, hypot_rss(scale * x, trailing), rtol=1e-14, atol=0.0)
+    # a stack with one block out of range keeps the others' direct bits
+    if x.ndim > trailing:
+        mixed = x.copy()
+        mixed[0] *= scale
+        got, want = root_sum_squares(mixed, trailing), direct_rss(mixed, trailing)
+        assert got[1:].tobytes() == want[1:].tobytes()
+        assert np.allclose(got[0], hypot_rss(mixed, trailing)[0], rtol=1e-14, atol=0.0)
+
+
+def test_root_sum_squares_keeps_zero_infinite_and_nan_blocks():
+    wild = np.zeros((3, 2, 2), np.complex128)
+    wild[1, 0, 0], wild[2, 1, 1] = np.inf, np.nan
+    got = root_sum_squares(wild, 2)
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+    assert np.isnan(root_sum_squares(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2))
+    assert root_sum_squares(np.zeros(4), 1) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_hermitian_rule_holds_where_squares_leave_the_float_range(scale):
+    far = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValidationError):
+        hermitian_part(far)
+    t = fold(far, Shape((2,), (2,)))
+    assert not is_hermitian(t)
+    assert norm(t) == pytest.approx(1.5 * scale, rel=1e-15, abs=0.0)
+    exact = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(hermitian_part(exact), exact)
+    assert is_hermitian(fold(exact, Shape((2,), (2,))))
 
 
 # ---------------------------------------------------------------------------
