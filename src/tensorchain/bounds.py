@@ -63,6 +63,14 @@ def exp_tail_sup_moment_bound(gamma_trunc: float, sup_moment: float, chain_const
     return chain_const * gamma_trunc + 2.0 * sup_moment
 
 
+def _tail_decay(u: float, beta: float) -> float:
+    """exp(-u^beta / beta); 0.0 where u^beta overflows the float range."""
+    try:
+        return math.exp(-(u**beta) / beta)
+    except OverflowError:  # from the Python-float power
+        return 0.0
+
+
 def exp_tail_sup_tail_bound(gamma_trunc, diam, u, beta, chain_const, diam_const):
     """Tail bound for the supremum of a process with exponent-beta tails.
 
@@ -76,7 +84,7 @@ def exp_tail_sup_tail_bound(gamma_trunc, diam, u, beta, chain_const, diam_const)
     if beta <= 0:
         raise DomainError("beta must be positive")
     threshold = math.exp(1.0 / beta) * (chain_const * gamma_trunc + u * diam_const * diam)
-    return threshold, math.exp(-(u**beta) / beta)
+    return threshold, _tail_decay(u, beta)
 
 
 def moment_to_tail(a: float, b: float, beta: float, u: float):
@@ -88,7 +96,7 @@ def moment_to_tail(a: float, b: float, beta: float, u: float):
         raise DomainError("u must be at least 1")
     if beta <= 0 or a < 0 or b < 0:
         raise DomainError("a, b must be nonnegative and beta positive")
-    return math.exp(1.0 / beta) * (a * u + b), math.exp(-(u**beta) / beta)
+    return math.exp(1.0 / beta) * (a * u + b), _tail_decay(u, beta)
 
 
 def tail_to_moment(a: float, b: float, beta: float, p: float) -> float:
@@ -150,7 +158,7 @@ def martingale_sup_tail_bound(gamma2, diam, u, chain_const, diam_const):
     if u < 1:
         raise DomainError("u must be at least 1")
     threshold = math.sqrt(math.e) * (chain_const * gamma2 + diam_const * diam * u)
-    return threshold, math.exp(-(u**2) / 2.0)
+    return threshold, _tail_decay(u, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,20 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import CapacityError, DomainError, ValidationError
 from .report import csv_text
-from .tensor import root_sum_squares
+from .tensor import _FRO_RANGE, root_sum_squares
 
 # Triangle-inequality tolerance relative to the largest distance (absolute
 # below 1): computed distances break the inequality by rounding alone.
 _TRIANGLE_TOL = 1e-9
+_UNIT = 2.0**-53  # unit roundoff of float64
+_TINY = float(np.finfo(np.float64).tiny)  # least normal float64
 EXACT_COVER_LIMIT = 20
 EXHAUSTIVE_LIMIT = 16
 
@@ -45,9 +48,63 @@ def euclidean_distances(points: np.ndarray) -> np.ndarray:
     return root_sum_squares(diff, 1)
 
 
+class _Certified(NamedTuple):
+    """A metric the library built, with a bound on the value
+    ``kernels.max_triangle_violation`` computes on it (inf: no bound)."""
+
+    matrix: np.ndarray
+    bound: float
+
+
+def _certify(dist: np.ndarray, dim: int, scale=None) -> _Certified:
+    """``dist``, the ``euclidean_distances`` of points with ``dim`` coordinates,
+    times ``scale`` if given, with the rounding certificate of its triangle check.
+
+    Let sigma be the computed scale (1 unscaled) and D the exact Euclidean
+    distances: sigma * D is a metric, so sigma's own error cannot break the
+    inequality.  Each computed entry is d = sigma * D * (1 + phi) with
+    |phi| <= gamma_c = c u / (1 - c u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), u = 2^-53 and c = (dim + 4) / 2:
+
+    - a squared difference carries (1 + u)^3: the difference, twice, and the square;
+    - the dim-term sum adds at most (1 + u)^(dim - 1), so d^2 carries (1 + u)^(dim + 2);
+    - the square root halves that exponent and rounds once: (dim + 2) / 2 + 1;
+    - ``scale`` rounds once more: c = (dim + 6) / 2.
+
+    Then d_ij - d_ik - d_kj <= gamma_c (D'_ij + D'_ik + D'_kj) <= 3 gamma_c /
+    (1 - gamma_c) max d, for D' = sigma * D.  The check's two subtractions add at
+    most u max d, times 1 + u.  With c u <= 2^-30 the total is under
+    (3c + 1.1) u max d.  The bound returned is (3c + 2) u max d: (3c + 2) u is
+    exact and one rounding keeps the product above (3c + 1.1) u max d.
+
+    The model needs every entry off the rescaled path of ``root_sum_squares``
+    and, scaled, in the normal range; otherwise the bound is inf and the check
+    runs.  An unscaled positive distance inside [2 lo, hi / 2] of ``_FRO_RANGE``
+    is a direct value: the two paths agree to a relative 2c u, far under the
+    factor 2.  Inside that range, squares that underflow move a distance by a
+    relative dim * 2^-1075 / 4e-280, far under u.  A 0 is exact: a nonzero
+    difference whose square underflows takes the rescaled path.
+    """
+    c = (dim + 4) / 2 if scale is None else (dim + 6) / 2
+    lo = np.min(dist, where=dist > 0, initial=np.inf)
+    direct = 2 * _FRO_RANGE[0] <= lo and dist.max(initial=0.0) <= _FRO_RANGE[1] / 2
+    if scale is not None:
+        dist = scale * dist
+        direct = direct and scale * lo >= _TINY  # fl(scale * x) is monotone in x
+    exact = direct and c * _UNIT <= 2.0**-30
+    return _Certified(dist, (3 * c + 2) * _UNIT * dist.max(initial=0.0) if exact else math.inf)
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Index set {0, ..., size-1} with one or more named distance matrices."""
+    """Index set {0, ..., size-1} with one or more named distance matrices.
+
+    Every matrix must be finite, non-negative and symmetric with a zero
+    diagonal, and break the triangle inequality by at most ``_TRIANGLE_TOL``
+    times max(1, its largest distance).  The O(n^3) triangle check is skipped
+    only for a metric the library built with a rounding certificate
+    (``_certify``) whose bound is within that tolerance.
+    """
 
     size: int
     metrics: dict
@@ -59,6 +116,7 @@ class FiniteMetricSpace:
             raise ValidationError("metric space needs at least one metric")
         frozen = {}
         for name, mat in self.metrics.items():
+            mat, bound = mat if isinstance(mat, _Certified) else (mat, math.inf)
             arr = np.array(mat, dtype=np.float64, order="C")  # a copy, frozen below
             if arr.shape != (self.size, self.size):
                 raise ValidationError(f"metric {name!r} has shape {arr.shape}")
@@ -72,7 +130,8 @@ class FiniteMetricSpace:
                 np.fill_diagonal(arr, 0.0)
             if np.abs(arr - arr.T).max() > 1e-12:
                 raise ValidationError(f"metric {name!r} is not symmetric")
-            if kernels.max_triangle_violation(arr) > _TRIANGLE_TOL * max(1.0, arr.max()):
+            limit = _TRIANGLE_TOL * max(1.0, arr.max())
+            if bound > limit and kernels.max_triangle_violation(arr) > limit:
                 raise ValidationError(f"metric {name!r} violates the triangle inequality")
             arr.flags.writeable = False
             frozen[str(name)] = arr
@@ -83,7 +142,7 @@ class FiniteMetricSpace:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
             pts = pts.T
-        return cls(pts.shape[0], {name: euclidean_distances(pts)})
+        return cls(pts.shape[0], {name: _certify(euclidean_distances(pts), pts.shape[1])})
 
     def distance_matrix(self, metric_id: str) -> np.ndarray:
         try:
@@ -489,50 +548,3 @@ def gamma_prime_value(space, metric_id, n, parts: PartitionSequence) -> float:
             diam = float(dist[np.ix_(sel, sel)].max()) if len(cell) > 1 else 0.0
             per_point[sel] += w * diam
     return float(per_point.max())
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_SPACE_HEADER = "tensorchain-metric-space 1"
-
-
-def space_to_text(space: FiniteMetricSpace) -> str:
-    lines = [_SPACE_HEADER, f"size {space.size}"]
-    for name in sorted(space.metrics):
-        lines.append(f"metric {name}")
-        for row in space.metrics[name]:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def space_from_text(text: str) -> FiniteMetricSpace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _SPACE_HEADER:
-        raise ValidationError("not a metric-space record")
-    if not lines[1].startswith("size "):
-        raise ValidationError("malformed metric-space header")
-    size = int(lines[1].split()[1])
-    metrics = {}
-    pos = 2
-    while pos < len(lines):
-        if not lines[pos].startswith("metric "):
-            raise ValidationError(f"expected a metric header at line {pos}")
-        name = lines[pos].split(None, 1)[1]
-        rows = lines[pos + 1 : pos + 1 + size]
-        if len(rows) != size:
-            raise ValidationError(f"metric {name!r} is truncated")
-        metrics[name] = np.array([[float(v) for v in r.split()] for r in rows])
-        pos += 1 + size
-    return FiniteMetricSpace(size, metrics)
-
-
-def save_space(space: FiniteMetricSpace, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(space_to_text(space))
-
-
-def load_space(path) -> FiniteMetricSpace:
-    with open(path, "r", encoding="ascii") as fh:
-        return space_from_text(fh.read())

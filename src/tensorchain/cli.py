@@ -50,10 +50,10 @@ from .errors import CapacityError, FitFailureError, InsufficientDataError, Tenso
 from .processes import (
     ProcessFamily,
     ProcessSpec,
+    _increment_metric,
     empirical_tail,
     ensemble_to_csv,
     fit_tail_exponent,
-    process_metric,
     process_space,
     sample_ensemble,
     sample_mixed_sups,
@@ -558,7 +558,7 @@ def _run_mixed_tail(config, p, outputs):
     spec_g = _build_process_spec(p, "gaussian_linear", basis_seed, 2.0)
     spec_e = _build_process_spec(p, "subexponential_linear", basis_seed + 1000, 1.0)
     sups = sample_mixed_sups(spec_g, spec_e, p["seed"], p["samples"])
-    metrics = {"d1": process_metric(spec_e), "d2": process_metric(spec_g)}
+    metrics = {"d1": _increment_metric(spec_e), "d2": _increment_metric(spec_g)}
     space = FiniteMetricSpace(spec_g.index_count, metrics)
     gamma1 = gamma_value(space, "d1", 1.0, build_admissible_greedy(space, "d1", 1.0))
     gamma2 = gamma_value(space, "d2", 2.0, build_admissible_greedy(space, "d2", 2.0))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, rng as rng_mod
-from .chaining import FiniteMetricSpace, euclidean_distances
+from .chaining import FiniteMetricSpace, _Certified, _certify, euclidean_distances
 from .errors import (
     DegenerateMetricError,
     DomainError,
@@ -116,17 +116,22 @@ class ProcessSpec:
         return self.coefficients.shape[1]
 
 
-def process_metric(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> np.ndarray:
-    """Increment pseudo-metric kappa * ||c(t)-c(s)|| * max_k ||B_k||."""
+def _increment_metric(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> _Certified:
+    """:func:`process_metric` with the rounding certificate of its triangle check."""
     top = kernels.gauge_norms(spec.basis_stack, gauge).max()
     with np.errstate(over="ignore", invalid="ignore"):  # FiniteMetricSpace names it
-        return spec.metric_scale * top * euclidean_distances(spec.coefficients)
+        return _certify(euclidean_distances(spec.coefficients), spec.order,
+                        spec.metric_scale * top)
+
+
+def process_metric(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> np.ndarray:
+    """Increment pseudo-metric kappa * ||c(t)-c(s)|| * max_k ||B_k||."""
+    return _increment_metric(spec, gauge).matrix
 
 
 def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> FiniteMetricSpace:
     """The index set under :func:`process_metric`, named ``"increment"``."""
-    metric = process_metric(spec, gauge)
-    return FiniteMetricSpace(spec.index_count, {"increment": metric})
+    return FiniteMetricSpace(spec.index_count, {"increment": _increment_metric(spec, gauge)})
 
 
 @dataclass(frozen=True, eq=False)

@@ -229,6 +229,52 @@ def test_martingale_tail_formula():
         martingale_sup_tail_bound(1.0, 1.0, 0.9, 1.0, 1.0)
 
 
+# (threshold, prob_bound) pinned at the values the three bounds gave before
+# their overflow guard, at u where u^2 stays in the float range
+TAIL_BOUNDS = {
+    "exp_tail": (
+        lambda u: exp_tail_sup_tail_bound(2.0, 3.0, u, 2.0, 0.5, 2.0),
+        {1.0: (11.541048894900896, 0.6065306597126334),
+         2.5: (26.37954033120205, 0.04393693362340742),
+         10.0: (100.57199751270782, 1.9287498479639178e-22),
+         1e3: (9893.976345471468, 0.0),
+         1e150: (9.892327624200769e150, 0.0)},
+    ),
+    "moment_to_tail": (
+        lambda u: moment_to_tail(1.5, 0.5, 2.0, u),
+        {1.0: (3.2974425414002564, 0.6065306597126334),
+         2.5: (7.007065400475545, 0.04393693362340742),
+         10.0: (25.555179695851987, 1.9287498479639178e-22),
+         1e3: (2473.9062666855425, 0.0),
+         1e150: (2.4730819060501922e150, 0.0)},
+    ),
+    "martingale": (
+        lambda u: martingale_sup_tail_bound(2.0, 3.0, u, 0.5, 2.0),
+        {1.0: (11.541048894900896, 0.6065306597126334),
+         2.5: (26.37954033120205, 0.04393693362340742),
+         10.0: (100.57199751270782, 1.9287498479639178e-22),
+         1e3: (9893.976345471468, 0.0),
+         1e150: (9.892327624200769e150, 0.0)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_BOUNDS)
+def test_tail_bounds_keep_their_values_where_u_squared_is_in_range(name):
+    bound, pinned = TAIL_BOUNDS[name]
+    for u, want in pinned.items():
+        assert bound(u) == want
+
+
+@pytest.mark.parametrize("name", TAIL_BOUNDS)
+def test_tail_bounds_where_u_squared_overflows(name):
+    # u^2 = 1e400 is beyond the float range; exp(-u^2 / 2) is 0.0 there
+    bound, pinned = TAIL_BOUNDS[name]
+    threshold, prob = bound(1e200)
+    assert threshold == pytest.approx(1e50 * pinned[1e150][0], rel=1e-12)
+    assert prob == 0.0
+
+
 def test_verify_azuma_holds():
     steps = 20
     diffs = [

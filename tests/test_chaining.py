@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorchain import kernels
+from tensorchain import chaining, kernels
 from tensorchain import rng as trng
 from tensorchain.chaining import (
     EXACT_COVER_LIMIT,
@@ -26,12 +26,11 @@ from tensorchain.chaining import (
     gamma_value,
     intersect_partitions,
     level_cap,
-    load_space,
-    save_space,
-    space_from_text,
-    space_to_text,
 )
+from tensorchain.empirical import diagonal_family, family_space
 from tensorchain.errors import CapacityError, DomainError, ValidationError
+from tensorchain.processes import ProcessSpec, _increment_metric, process_space
+from tensorchain.tensor import random_hermitian
 
 LINE = FiniteMetricSpace.from_points([[0.0], [1.0], [3.0]])
 TWO = FiniteMetricSpace.from_points([[0.0], [5.0]])
@@ -141,6 +140,97 @@ def test_space_stores_an_accepted_near_zero_diagonal_as_zero():
     assert near[0, 0] == 1e-13  # the caller's array is not changed
     curve = covering_curve(space, "d")
     assert curve.counts == covering_curve(FiniteMetricSpace(3, {"d": exact}), "d").counts
+
+
+# ---------------------------------------------------------------------------
+# the rounding certificate of the triangle check
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def triangle_checks(monkeypatch):
+    """The point count of every kernels.max_triangle_violation call."""
+    sizes = []
+    check = kernels.max_triangle_violation
+
+    def counted(dist):
+        sizes.append(dist.shape[0])
+        return check(dist)
+
+    monkeypatch.setattr(kernels, "max_triangle_violation", counted)
+    return sizes
+
+
+def make_spec(coefficients, seed=3, metric_scale=2.0):
+    """A process over 2x2 row modes, one basis term per coefficient column."""
+    basis = tuple(
+        random_hermitian((2, 2), trng.stream(seed, j)) for j in range(coefficients.shape[1])
+    )
+    return ProcessSpec("gaussian_linear", coefficients, basis, 2.0, metric_scale)
+
+
+def test_built_metrics_skip_the_triangle_scan(triangle_checks):
+    gen = trng.stream(5, 0)
+    FiniteMetricSpace.from_points(gen.uniform(0.0, 1.0, (1000, 2)))
+    process_space(make_spec(gen.uniform(-1.0, 1.0, (400, 4))))
+    assert triangle_checks == []
+
+
+def test_other_metrics_keep_the_triangle_scan(triangle_checks):
+    FiniteMetricSpace(3, {"d": LINE.distance_matrix("euclidean")})
+    assert triangle_checks == [3]
+    LINE.scaled(2.0)
+    assert triangle_checks == [3, 3]
+    LINE.with_metric("twice", 2.0 * LINE.distance_matrix("euclidean"))
+    assert triangle_checks == [3, 3, 3, 3]
+    family_space(diagonal_family((2,), 5, 3, 1))
+    assert triangle_checks == [3, 3, 3, 3, 5, 5]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_the_certificate_declines_far_from_unit_scale(triangle_checks, scale):
+    # distances outside _FRO_RANGE come from the rescaled path of
+    # root_sum_squares, which the certificate does not model
+    pts = scale * trng.stream(6, 0).uniform(-1.0, 1.0, (12, 3))
+    dist = chaining.euclidean_distances(pts)
+    assert chaining._certify(dist, 3).bound == math.inf
+    space = FiniteMetricSpace.from_points(pts)
+    assert triangle_checks == [12]  # the check ran, and accepted as it decides
+    assert kernels.max_triangle_violation(dist) <= chaining._TRIANGLE_TOL * dist.max()
+    assert np.array_equal(space.distance_matrix("euclidean"), dist)
+
+
+def test_the_certificate_declines_a_scale_that_leaves_the_normal_range(triangle_checks):
+    # 1e-306 * 1e-3: scaled distances below the least normal float
+    spec = make_spec(1e-3 * np.eye(6, 4), metric_scale=1e-306)
+    assert _increment_metric(spec).bound == math.inf
+    process_space(spec)
+    assert triangle_checks == [6]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 12),
+    dim=st.integers(1, 8),
+    exponent=st.integers(-100, 100),
+    shape=st.sampled_from(["scattered", "collinear", "duplicates"]),
+)
+def test_certificate_bounds_the_computed_violation(seed, n, dim, exponent, shape):
+    gen = trng.stream(seed, 0)
+    pts = gen.uniform(-1.0, 1.0, (n, dim))
+    if shape == "collinear":
+        pts = pts[:1] + gen.uniform(-1.0, 1.0, (n, 1)) * pts[1:2]
+    elif shape == "duplicates":
+        pts = pts[gen.integers(0, n // 2, n)]
+    pts = 10.0**exponent * pts
+    euclid = chaining._certify(chaining.euclidean_distances(pts), dim)
+    process = _increment_metric(make_spec(pts, seed))
+    for metric in (euclid, process):
+        assert math.isfinite(metric.bound)
+        assert kernels.max_triangle_violation(metric.matrix) <= metric.bound
+        limit = chaining._TRIANGLE_TOL * max(1.0, metric.matrix.max())
+        assert metric.bound <= limit  # so the skipped check would have accepted
 
 
 def test_unknown_metric_id():
@@ -574,23 +664,6 @@ def test_gamma_prime_two_level_hand_sum():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def test_space_text_round_trip():
-    space = LINE.with_metric("taxi", LINE.distance_matrix("euclidean") * 2.0)
-    back = space_from_text(space_to_text(space))
-    assert back.size == space.size
-    for name in space.metrics:
-        assert np.array_equal(back.metrics[name], space.metrics[name])
-
-
-def test_space_file_round_trip(tmp_path):
-    path = tmp_path / "space.txt"
-    save_space(LINE, path)
-    assert np.array_equal(
-        load_space(path).distance_matrix("euclidean"),
-        LINE.distance_matrix("euclidean"),
-    )
 
 
 def test_sequence_json_round_trip():

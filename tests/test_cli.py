@@ -723,6 +723,41 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gamma_on_a_matrix_that_breaks_the_triangle_inequality(tmp_path, capsys):
+    matrix = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    path = write_config(tmp_path, {"experiment": "gamma", "seed": 0, "matrix": matrix})
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: metric 'euclidean' violates the triangle inequality\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, checked",
+    [
+        ({**MIXED, "index_count": 400, "basis_count": 4, "row_modes": [2, 2]}, []),
+        ({**SIMULATE, "index_count": 16, "basis_count": 4, "verify_tail": True}, []),
+        ({**GAMMA, "points": trng.stream(4, 0).uniform(0, 1, (100, 2)).tolist()}, []),
+        ({"experiment": "gamma", "seed": 0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}, [2]),
+        ({**EMPIRICAL, "t_count": 6}, [6, 6]),
+    ],
+    ids=["mixed-tail", "simulate", "gamma-points", "gamma-matrix", "empirical"],
+)
+def test_triangle_scans_run_only_on_metrics_without_a_certificate(
+    tmp_path, monkeypatch, config, checked
+):
+    sizes = []
+    check = kernels.max_triangle_violation
+    monkeypatch.setattr(
+        kernels, "max_triangle_violation", lambda d: sizes.append(len(d)) or check(d)
+    )
+    path = write_config(tmp_path, config)
+    out = str(tmp_path / "o")
+    assert main([config["experiment"], "--config", path, "--out", out]) == EXIT_OK
+    assert sizes == checked
+
+
 def test_simulate_without_a_pair_at_positive_distance_is_rejected(tmp_path, capsys):
     # three equal coefficient rows: every increment is zero, nothing to test
     config = {

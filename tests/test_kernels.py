@@ -1018,13 +1018,11 @@ def test_popcount_counts_set_bits():
 
 
 def test_triangle_violation_matches_loop():
-    dist = random_dist(10)
-    assert kernels.max_triangle_violation(dist) == pytest.approx(
-        max_triangle_violation_loop(dist), abs=1e-15
-    )
-    bad = dist.copy()
-    bad[0, 1] = bad[1, 0] = dist.max() * 10
-    assert kernels.max_triangle_violation(bad) == pytest.approx(
-        max_triangle_violation_loop(bad), abs=1e-15
-    )
-    assert kernels.max_triangle_violation(bad) > 0
+    # both round each triple's two subtractions alike, and a max is exact
+    for scale in (1.0, 1e170, 1e-170):
+        dist = scale * random_dist(10)
+        assert kernels.max_triangle_violation(dist) == max_triangle_violation_loop(dist)
+        bad = dist.copy()
+        bad[0, 1] = bad[1, 0] = dist.max() * 10
+        assert kernels.max_triangle_violation(bad) == max_triangle_violation_loop(bad)
+        assert kernels.max_triangle_violation(bad) > 0
