@@ -15,7 +15,6 @@ every point; the formally infinite tail contributes zero from there on.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,11 +149,6 @@ class FiniteMetricSpace:
         except KeyError:
             raise KeyError(f"unknown metric id {metric_id!r}") from None
 
-    def with_metric(self, name: str, matrix) -> "FiniteMetricSpace":
-        merged = dict(self.metrics)
-        merged[name] = matrix
-        return FiniteMetricSpace(self.size, merged)
-
     def scaled(self, factor: float) -> "FiniteMetricSpace":
         return FiniteMetricSpace(
             self.size, {k: v * float(factor) for k, v in self.metrics.items()}
@@ -202,13 +196,6 @@ class AdmissibleSequence:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def to_json(self) -> str:
-        return json.dumps([list(lev) for lev in self.levels])
-
-    @classmethod
-    def from_json(cls, text: str, size: int) -> "AdmissibleSequence":
-        return cls(size, tuple(tuple(lev) for lev in json.loads(text)))
 
 
 def _level_arrays(seq: AdmissibleSequence):
@@ -310,28 +297,6 @@ def gamma_exhaustive(space, metric_id, beta) -> float:
     with np.errstate(over="ignore"):  # _finite names beta instead
         value = float(kernels.gamma2_scan(dist, subs, w1))
     return _finite(value, beta)
-
-
-@dataclass(frozen=True)
-class ChainMaps:
-    """Nearest-point projections onto each level of a sequence."""
-
-    seq: AdmissibleSequence
-    projections: tuple  # per level, int array of length size
-
-
-def chain_maps(space, metric_id, seq: AdmissibleSequence) -> ChainMaps:
-    _check_pair(space, seq)
-    dist = space.distance_matrix(metric_id)
-    projections = []
-    for lev in seq.levels:
-        members = np.array(lev, dtype=np.int64)
-        # ties break toward the lowest point index: members are sorted and
-        # argmin returns the first minimum
-        nearest = members[np.argmin(dist[:, members], axis=1)]
-        nearest.flags.writeable = False
-        projections.append(nearest)
-    return ChainMaps(seq, tuple(projections))
 
 
 # ---------------------------------------------------------------------------

@@ -617,7 +617,7 @@ def _write_run(out_dir, outputs, manifest=None):
     try:
         with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
             earlier += [n for n in json.load(fh)["digests"].keys() if os.path.basename(n) == n]
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError):
         pass
     for name in earlier:
         path = os.path.join(out_dir, name)
@@ -654,7 +654,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not isinstance(config, dict):

@@ -26,7 +26,7 @@ from . import kernels, rng as rng_mod
 from .chaining import FiniteMetricSpace, build_admissible_greedy, gamma_value
 from .errors import DomainError, ValidationError
 from .report import MARGIN_SIGMAS, BoundReport
-from .tensor import DenseTensor, hermitian_part
+from .tensor import hermitian_part
 from .bounds import ConstantSet, evaluate_bound, fit_constants
 # the empirical-process tail bound is declared with the other bounds
 from .bounds import empirical_sup_tail_bound  # noqa: F401
@@ -102,27 +102,6 @@ class EmpiricalFamily:
         """Variance proxy: sqrt of || (1/n) sum_i A_i^2 ||.  The A_i^2 are
         multiples of I, so the norm is the (0, 0) entry of their mean."""
         return math.sqrt(self.envelope_squares.mean(axis=0)[0, 0].real)
-
-
-def empirical_value(samples, means=None) -> DenseTensor:
-    """Average of the centered draws (1/n) sum_i (X_i - E X_i).
-
-    ``means`` supplies the analytic expectations; omitted means are zero
-    (the zero-mean convention of the built-in families).
-    """
-    samples = list(samples)
-    if not samples or any(s is None for s in samples):
-        raise ValidationError("every probability space needs one realized sample")
-    shape = samples[0].shape
-    if means is None:
-        means = [None] * len(samples)
-    if len(means) != len(samples):
-        raise ValidationError("means must align with samples")
-    total = np.zeros(shape.row_modes + shape.col_modes, np.complex128)
-    for s, m in zip(samples, means):
-        centered = s.data if m is None else s.data - m.data
-        total = total + centered
-    return DenseTensor(shape, total / len(samples))
 
 
 def family_metrics(family: EmpiricalFamily, s_idx: int, t_idx: int):

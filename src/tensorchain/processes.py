@@ -63,10 +63,10 @@ def _draw_scalars(family: ProcessFamily, gen: np.random.Generator, k: int):
     if family is ProcessFamily.GAUSSIAN_LINEAR:
         return gen.standard_normal(k)
     if family is ProcessFamily.SUBEXPONENTIAL_LINEAR:
-        signs = gen.integers(0, 2, k) * 2.0 - 1.0
+        signs = rng_mod.noise("rademacher", gen, k)
         return signs * gen.standard_exponential(k)
     if family is ProcessFamily.RADEMACHER_MARTINGALE:
-        return gen.integers(0, 2, k) * 2.0 - 1.0
+        return rng_mod.noise("rademacher", gen, k)
     return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), k)
 
 

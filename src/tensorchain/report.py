@@ -91,9 +91,6 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {**asdict(self), "verdict": self.verdict}
 
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
-
     def to_csv(self) -> str:
         *values, holds = zip(*map(astuple, self.rows))
         header = ",".join(f.name for f in fields(BoundRow))

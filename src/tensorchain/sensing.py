@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels, rng as rng_mod
 from .errors import DegenerateOperatorWarning, DomainError
-from .report import csv_text, dumps
+from .report import csv_text
 from .tensor import DenseTensor, Shape, fold, is_unitary, unfold
 
 
@@ -200,9 +200,6 @@ class RipReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "method": self.method}
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
     def to_csv(self) -> str:
         return csv_text("trial,tau_value", range(len(self.tau_values)), self.tau_values)

@@ -330,57 +330,3 @@ def random_unitary(row_modes, rng: np.random.Generator) -> DenseTensor:
     q, r = np.linalg.qr(raw)
     q = q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
     return fold(q, shape)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_HEADER = "tensorchain-tensor 1"
-
-
-def tensor_to_text(a: DenseTensor) -> str:
-    """Self-describing text record: shape lists, then one entry per line.
-
-    Entries are written as ``real imag`` pairs with shortest round-trip
-    float formatting, in the documented row-major index order.
-    """
-    lines = [
-        _HEADER,
-        "rows " + " ".join(str(e) for e in a.shape.row_modes),
-        "cols " + " ".join(str(e) for e in a.shape.col_modes),
-    ]
-    for z in a.entries:
-        lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def tensor_from_text(text: str) -> DenseTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _HEADER:
-        raise ValidationError("not a tensor record")
-    if not lines[1].startswith("rows ") or not lines[2].startswith("cols "):
-        raise ValidationError("malformed tensor header")
-    shape = Shape(
-        tuple(int(v) for v in lines[1].split()[1:]),
-        tuple(int(v) for v in lines[2].split()[1:]),
-    )
-    count = shape.row_count * shape.col_count
-    body = lines[3:]
-    if len(body) != count:
-        raise ValidationError(f"expected {count} entries, found {len(body)}")
-    flat = np.empty(count, np.complex128)
-    for i, ln in enumerate(body):
-        re, im = ln.split()
-        flat[i] = complex(float(re), float(im))
-    return DenseTensor(shape, flat.reshape(shape.row_modes + shape.col_modes))
-
-
-def save_tensor(a: DenseTensor, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(tensor_to_text(a))
-
-
-def load_tensor(path) -> DenseTensor:
-    with open(path, "r", encoding="ascii") as fh:
-        return tensor_from_text(fh.read())

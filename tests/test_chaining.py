@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -11,11 +10,9 @@ from tensorchain import rng as trng
 from tensorchain.chaining import (
     EXACT_COVER_LIMIT,
     AdmissibleSequence,
-    ChainMaps,
     FiniteMetricSpace,
     PartitionSequence,
     build_admissible_greedy,
-    chain_maps,
     covering_curve,
     covering_number,
     diameter,
@@ -181,10 +178,8 @@ def test_other_metrics_keep_the_triangle_scan(triangle_checks):
     assert triangle_checks == [3]
     LINE.scaled(2.0)
     assert triangle_checks == [3, 3]
-    LINE.with_metric("twice", 2.0 * LINE.distance_matrix("euclidean"))
-    assert triangle_checks == [3, 3, 3, 3]
     family_space(diagonal_family((2,), 5, 3, 1))
-    assert triangle_checks == [3, 3, 3, 3, 5, 5]
+    assert triangle_checks == [3, 3, 5, 5]
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -413,21 +408,6 @@ def test_exhaustive_capacity_limit():
     space = FiniteMetricSpace.from_points(gen.uniform(-1, 1, (17, 2)))
     with pytest.raises(CapacityError):
         gamma_exhaustive(space, "euclidean", 2.0)
-
-
-def test_chain_maps_nearest_with_low_index_ties():
-    # points 0 and 2 both at distance 1 from point 1; tie goes to index 0
-    space = FiniteMetricSpace.from_points([[0.0], [1.0], [2.0]])
-    seq = AdmissibleSequence(3, ((1,), (0, 2), (0, 1, 2)))
-    maps = chain_maps(space, "euclidean", seq)
-    assert isinstance(maps, ChainMaps)
-    assert maps.projections[1][1] == 0
-    dist = space.distance_matrix("euclidean")
-    for lev, proj in zip(seq.levels, maps.projections):
-        for t in range(space.size):
-            assert dist[t, proj[t]] == pytest.approx(
-                min(dist[t, s] for s in lev)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +639,3 @@ def test_gamma_prime_two_level_hand_sum():
     assert gamma_prime_value(LINE, "euclidean", 2, parts) == pytest.approx(
         max(per_point), rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_sequence_json_round_trip():
-    seq = AdmissibleSequence(3, ((1,), (0, 2), (0, 1, 2)))
-    back = AdmissibleSequence.from_json(seq.to_json(), 3)
-    assert back.levels == seq.levels
-    assert json.loads(seq.to_json()) == [[1], [0, 2], [0, 1, 2]]

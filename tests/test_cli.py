@@ -100,11 +100,17 @@ def test_subcommand_must_match_config(tmp_path):
     assert main(["rip", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
-def test_unreadable_config(tmp_path):
-    assert (
-        main(["gamma", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)])
-        == EXIT_CONFIG
-    )
+def test_unreadable_config(tmp_path, capsys):
+    # a missing file, a byte that is not UTF-8, and nesting past the decoder's recursion limit
+    (tmp_path / "latin1.json").write_bytes(b'{"experiment": "gamma\xff"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for name in ("none.json", "latin1.json", "deep.json"):
+        out = tmp_path / f"out-{name}"
+        code = main(["gamma", "--config", str(tmp_path / name), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, name
+        assert err.startswith("config error: ") and err.count("\n") == 1, (name, err)
+        assert not out.exists(), name
 
 
 def test_gamma_experiment_report_value(tmp_path):
@@ -1040,8 +1046,9 @@ def test_a_run_keeps_other_files_and_a_failed_run_changes_nothing(tmp_path):
         {"digests": ["notes.txt"]},
         {"version": "0"},
         "not json",
+        "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["escaping", "list", "no-digests", "unreadable"],
+    ids=["escaping", "list", "no-digests", "unreadable", "too-deep"],
 )
 def test_an_earlier_manifest_removes_nothing_outside_its_outputs(tmp_path, manifest):
     out = tmp_path / "out"

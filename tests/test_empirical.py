@@ -12,22 +12,13 @@ from tensorchain.empirical import (
     diagonal_family,
     empirical_sup_moment_bound,
     empirical_sup_tail_bound,
-    empirical_value,
     family_metrics,
     family_space,
     sample_family_sups,
     verify_empirical_bound,
 )
 from tensorchain.errors import DomainError, ValidationError
-from tensorchain.tensor import DenseTensor, Shape
 from test_kernels import diagonal_blocks, family_sups_oracle, random_hermitian_stack
-
-
-def diag_tensor(values):
-    return DenseTensor(
-        Shape((len(values),), (len(values),)),
-        np.diag(np.asarray(values, dtype=np.complex128)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -58,37 +49,6 @@ def test_family_scale_and_variance_proxy():
     assert fam.sigma == pytest.approx(
         math.sqrt(float(np.mean(per_space_tops**2))), rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# the averaged process
-# ---------------------------------------------------------------------------
-
-
-def test_empirical_value_zero_when_samples_equal_means():
-    samples = [diag_tensor([1.0, 2.0]), diag_tensor([3.0, -1.0])]
-    means = list(samples)
-    out = empirical_value(samples, means)
-    assert np.all(out.data == 0)
-
-
-def test_empirical_value_single_space_centers():
-    s = diag_tensor([2.0, 4.0])
-    out = empirical_value([s], [diag_tensor([1.0, 1.0])])
-    assert np.allclose(np.diag(out.data), [1.0, 3.0])
-
-
-def test_empirical_value_matches_entrywise_average():
-    draws = [diag_tensor([1.0, 0.0]), diag_tensor([0.0, 3.0]), diag_tensor([2.0, 3.0])]
-    out = empirical_value(draws)
-    assert np.allclose(np.diag(out.data), [1.0, 2.0])
-
-
-def test_empirical_value_rejects_missing_sample():
-    with pytest.raises(ValidationError):
-        empirical_value([diag_tensor([1.0]), None])
-    with pytest.raises(ValidationError):
-        empirical_value([])
 
 
 # ---------------------------------------------------------------------------

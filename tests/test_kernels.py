@@ -14,6 +14,7 @@ from tensorchain.bounds import verify_azuma, verify_bernstein
 from tensorchain.empirical import EmpiricalFamily, sample_family_sups
 from tensorchain.errors import CapacityError
 from tensorchain.processes import ProcessSpec, sample_mixed_sups
+from tensorchain.report import dumps
 from tensorchain.tensor import GaugeNorm, random_hermitian, unfold
 
 GAUGES = list(GaugeNorm)
@@ -529,13 +530,13 @@ def test_lambda_max_counts_equal_full_counts(chunk_entries, monkeypatch):
     thr = edge_thresholds(full, trng.stream(42, 0))
     want = (full[None, :] >= thr[:, None]).sum(axis=1)
     diffs = [random_hermitian((2, 2), trng.stream(43, k)) for k in range(5)]
-    want_reports = [verify_azuma(diffs, 150, 44).to_json(),
-                    verify_bernstein(diffs, 150, 45).to_json()]
+    want_reports = [dumps(verify_azuma(diffs, 150, 44).to_dict()),
+                    dumps(verify_bernstein(diffs, 150, 45).to_dict())]
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     weights = np.eye(len(mats))  # each sum is one of the matrices
     assert np.array_equal(kernels.lambda_max_counts(weights, mats, thr), want)
-    assert [verify_azuma(diffs, 150, 44).to_json(),
-            verify_bernstein(diffs, 150, 45).to_json()] == want_reports
+    assert [dumps(verify_azuma(diffs, 150, 44).to_dict()),
+            dumps(verify_bernstein(diffs, 150, 45).to_dict())] == want_reports
 
 
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)

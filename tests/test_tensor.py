@@ -26,15 +26,11 @@ from tensorchain.tensor import (
     is_hermitian,
     is_unitary,
     lambda_max,
-    load_tensor,
     norm,
     random_hermitian,
     random_tensor,
     random_unitary,
     root_sum_squares,
-    save_tensor,
-    tensor_from_text,
-    tensor_to_text,
     trace,
     unfold,
     zero,
@@ -567,27 +563,3 @@ def test_invariant_unitary_isometry(seed):
         x, GaugeNorm.FROBENIUS
     )
     assert abs(ratio - 1.0) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_text_round_trip_bit_exact():
-    a = rand(Shape((2, 3), (2,)), 34)
-    back = tensor_from_text(tensor_to_text(a))
-    assert back.shape == a.shape
-    assert np.array_equal(back.data, a.data)
-
-
-def test_file_round_trip(tmp_path):
-    a = rand(Shape((2,), (2, 2)), 35)
-    path = tmp_path / "t.txt"
-    save_tensor(a, path)
-    assert np.array_equal(load_tensor(path).data, a.data)
-
-
-def test_malformed_record_rejected():
-    with pytest.raises(ValidationError):
-        tensor_from_text("nonsense\n")
