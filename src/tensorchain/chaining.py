@@ -149,11 +149,6 @@ class FiniteMetricSpace:
         except KeyError:
             raise KeyError(f"unknown metric id {metric_id!r}") from None
 
-    def scaled(self, factor: float) -> "FiniteMetricSpace":
-        return FiniteMetricSpace(
-            self.size, {k: v * float(factor) for k, v in self.metrics.items()}
-        )
-
 
 def diameter(space: FiniteMetricSpace, metric_id: str) -> float:
     return float(space.distance_matrix(metric_id).max())

@@ -606,22 +606,21 @@ def run(config: dict, out_dir) -> RunManifest:
     return manifest
 
 
+# every name a run writes into --out: outputs, manifest, a fit failure's diagnostics
+_OUTPUT_NAMES = ("ensemble.csv", "tail_curve.csv", "report.json", "covering.csv",
+                 "rip_report.json", "rip_trials.csv", "bound_report.json",
+                 "bound_report.csv", "manifest.json", "fit_diagnostics.json")
+
+
 def _write_run(out_dir, outputs, manifest=None):
     """Write ``outputs`` (name -> text) into out_dir, created if missing,
     then ``manifest`` with their digests and write time; a fit failure
-    passes its diagnostics alone.  First remove what an earlier run left:
-    fit_diagnostics.json, manifest.json and the plain file names in that
-    manifest's digests, if it can be read.  Nothing else is touched."""
+    passes its diagnostics alone.  First remove what an earlier run left,
+    the files of _OUTPUT_NAMES; nothing else is read or touched."""
     os.makedirs(out_dir, exist_ok=True)
-    earlier = ["fit_diagnostics.json", "manifest.json"]
-    try:
-        with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
-            earlier += [n for n in json.load(fh)["digests"].keys() if os.path.basename(n) == n]
-    except (OSError, ValueError, RecursionError, KeyError, TypeError, AttributeError):
-        pass
-    for name in earlier:
+    for name in _OUTPUT_NAMES:
         path = os.path.join(out_dir, name)
-        if os.path.isfile(path):  # not "", "." or ".."
+        if os.path.isfile(path):
             os.remove(path)
     start = time.perf_counter()
     for name, text in sorted(outputs.items()):

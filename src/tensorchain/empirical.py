@@ -28,8 +28,6 @@ from .errors import DomainError, ValidationError
 from .report import MARGIN_SIGMAS, BoundReport
 from .tensor import hermitian_part
 from .bounds import ConstantSet, evaluate_bound, fit_constants
-# the empirical-process tail bound is declared with the other bounds
-from .bounds import empirical_sup_tail_bound  # noqa: F401
 
 # the moment orders p that check_bernstein_condition tests
 BERNSTEIN_ORDERS = (2, 3, 4)

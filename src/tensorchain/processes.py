@@ -13,11 +13,11 @@ the theory being exercised):
 * iid_bernstein            w_k i.i.d. uniform on [-sqrt(3), sqrt(3)]
                            (bounded, unit variance)
 
-Each family carries the increment pseudo-metric
-d(s, t) = kappa * ||c(t) - c(s)||_2 * max_k ||B_k||  with kappa a per-family
-calibration scale.  Sampling never reads it; the claimed exponential tail with
-exponent ``tail_beta`` is verified on it empirically by
-:func:`verify_increment_tail`, never assumed.
+Each process carries the increment pseudo-metric
+d(s, t) = kappa * ||c(t) - c(s)||_2 * max_k ||B_k||, with kappa the one
+``ProcessSpec.metric_scale`` of every family.  Sampling never reads it; the
+claimed exponential tail with exponent ``tail_beta`` is verified on it
+empirically by :func:`verify_increment_tail`, never assumed.
 
 Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
 are bit-reproducible regardless of scheduling.  :func:`_realize` is the one
@@ -179,18 +179,27 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
     in component order, into one (samples, K) weight array per component;
     ``rng.streams`` re-keys one generator per sample.  Each component is then
     contracted once for the block by ``kernels.contract``.
+
+    The block, formed with numpy's overflow warnings off, is refused with a
+    :class:`DomainError` unless each real or imaginary part r of its entries
+    has 4 |r| D^(3/2) <= the largest float.  Then an increment X_a - X_b has
+    parts within 2 |r|, Frobenius and spectral norms at most 2 sqrt(2) |r| D
+    and a nuclear norm sqrt(D) times that: all finite, with room for rounding.
     """
     weights = [np.empty((hi - lo, spec.order)) for spec in specs]
     for row, gen in enumerate(rng_mod.streams(seed, lo, hi)):
         for spec, w in zip(specs, weights):
             w[row] = _draw_scalars(spec.family, gen, spec.order)
     trajs = None
-    for spec, w in zip(specs, weights):
-        part = kernels.contract(spec.coefficients * w[:, None, :], spec.basis_stack)
-        if trajs is None:
-            trajs = part
-        else:
-            trajs += part
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for spec, w in zip(specs, weights):
+            part = kernels.contract(spec.coefficients * w[:, None, :], spec.basis_stack)
+            trajs = part if trajs is None else np.add(trajs, part, out=trajs)
+        parts = trajs.view(np.float64)
+        top = max(parts.max(), -parts.min())
+    limit = np.finfo(np.float64).max / (4.0 * trajs.shape[-1] ** 1.5)
+    if not top <= limit:  # also NaN
+        raise DomainError(f"realized trajectories overflow: an entry passes {limit:.3g}")
     return trajs
 
 
@@ -256,10 +265,6 @@ class TailCurve:
     def from_counts(cls, u_grid, counts, sample_count: int) -> "TailCurve":
         counts = np.asarray(counts, dtype=np.float64)
         return cls(np.asarray(u_grid, dtype=np.float64), counts / sample_count, sample_count)
-
-    @classmethod
-    def exact(cls, u_grid, survival) -> "TailCurve":
-        return cls(np.asarray(u_grid, dtype=np.float64), np.asarray(survival, dtype=np.float64), 0)
 
     def to_csv(self) -> str:
         return csv_text(

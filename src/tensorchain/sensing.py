@@ -38,37 +38,8 @@ from .tensor import DenseTensor, Shape, fold, is_unitary, unfold
 
 
 # ---------------------------------------------------------------------------
-# sparsity and coherence
+# coherence
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Nonzero positions of a signal over column-mode bounds."""
-
-    dims: tuple
-    indices: frozenset  # of flat row-major indices
-
-    @classmethod
-    def of(cls, signal, tol: float = 0.0) -> "SupportSet":
-        arr = np.asarray(signal)
-        flat = np.abs(arr.reshape(-1))
-        idx = np.flatnonzero(flat > tol)
-        return cls(tuple(arr.shape), frozenset(int(i) for i in idx))
-
-    @property
-    def tuples(self):
-        return frozenset(
-            tuple(int(v) for v in np.unravel_index(i, self.dims)) for i in self.indices
-        )
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def sparsity(signal, tol: float = 0.0) -> int:
-    """Number of entries with magnitude strictly above ``tol``."""
-    return len(SupportSet.of(signal, tol))
 
 
 def coherence(u: DenseTensor) -> float:
@@ -99,13 +70,6 @@ class SamplingPattern:
     @property
     def source_count(self) -> int:
         return math.prod(self.source_dims)
-
-    @property
-    def tuples(self):
-        return tuple(
-            tuple(int(v) for v in np.unravel_index(i, self.source_dims))
-            for i in self.selected
-        )
 
     def __len__(self):
         return len(self.selected)

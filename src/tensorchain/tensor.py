@@ -206,6 +206,7 @@ def root_sum_squares(x, trailing: int):
     with np.errstate(over="ignore"):
         sq = x.real**2 + x.imag**2 if np.iscomplexobj(x) else x**2
         rss = np.sqrt(sq.sum(axis=tuple(range(-trailing, 0)), keepdims=True)).reshape(lead)
+    # a copy, not a view, where x (so rss) is not C-contiguous: flat is returned
     flat, wild = rss.reshape(-1), ~((rss >= _FRO_RANGE[0]) & (rss <= _FRO_RANGE[1])).ravel()
     if wild.any():
         mags = np.abs(x.reshape(wild.size, math.prod(x.shape[len(lead) :]))[wild])
@@ -213,7 +214,7 @@ def root_sum_squares(x, trailing: int):
         fine = (top > 0) & np.isfinite(top)
         wild[wild] = fine
         flat[wild] = top[fine] * root_sum_squares(mags[fine] / top[fine, None], 1)
-    return rss
+    return flat.reshape(lead)
 
 
 def norm(a: DenseTensor, gauge=GaugeNorm.FROBENIUS) -> float:

@@ -176,10 +176,8 @@ def test_built_metrics_skip_the_triangle_scan(triangle_checks):
 def test_other_metrics_keep_the_triangle_scan(triangle_checks):
     FiniteMetricSpace(3, {"d": LINE.distance_matrix("euclidean")})
     assert triangle_checks == [3]
-    LINE.scaled(2.0)
-    assert triangle_checks == [3, 3]
     family_space(diagonal_family((2,), 5, 3, 1))
-    assert triangle_checks == [3, 3, 5, 5]
+    assert triangle_checks == [3, 5, 5]
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -526,7 +524,7 @@ def test_dudley_invariant_under_relabeling():
 @settings(max_examples=15, deadline=None)
 def test_scaling_the_metric_scales_functionals(c, seed):
     space = random_space(seed, max_points=8)
-    scaled = space.scaled(c)
+    scaled = FiniteMetricSpace(space.size, {"euclidean": c * space.distance_matrix("euclidean")})
     seq = build_admissible_greedy(space, "euclidean", 2.0)
     assert diameter(scaled, "euclidean") == pytest.approx(
         c * diameter(space, "euclidean"), rel=1e-12

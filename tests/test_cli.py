@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -858,6 +860,26 @@ def test_simulate_reads_the_metric_only_to_verify_the_tail(tmp_path, capfd):
     assert err == "config error: metric 'increment' has non-finite entries\n"
 
 
+# coefficients that pass validation, whose realizations overflow
+HUGE = {"index_count": 2, "basis_count": 1, "coefficients": [[1e308], [-1e308]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "config",
+    [{**SIMULATE, **HUGE}, {**SIMULATE, **HUGE, "verify_tail": True}, {**MIXED, **HUGE}],
+    ids=["simulate", "simulate-verify-tail", "mixed-tail"],
+)
+def test_overflowing_realizations_print_only_the_diagnostic(tmp_path, capfd, config):
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main([config["experiment"], "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert err.startswith("config error: realized trajectories overflow: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # the squares of these distances under- or overflow; the distances do not
 POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]
 
@@ -1044,11 +1066,12 @@ def test_a_run_keeps_other_files_and_a_failed_run_changes_nothing(tmp_path):
     [
         {"digests": {"../x": "0", "/tmp": "0", ".": "0", "..": "0", "": "0"}},
         {"digests": ["notes.txt"]},
+        {"digests": {"notes.txt": "0"}},
         {"version": "0"},
         "not json",
         "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["escaping", "list", "no-digests", "unreadable", "too-deep"],
+    ids=["escaping", "list", "foreign-name", "no-digests", "unreadable", "too-deep"],
 )
 def test_an_earlier_manifest_removes_nothing_outside_its_outputs(tmp_path, manifest):
     out = tmp_path / "out"
@@ -1061,6 +1084,43 @@ def test_an_earlier_manifest_removes_nothing_outside_its_outputs(tmp_path, manif
     assert (tmp_path / "x").read_text() == "outside"
     assert (out / "notes.txt").read_text() == "mine"
     assert json.loads((out / "manifest.json").read_text())["config"] == GAMMA
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+
+
+def test_every_file_a_run_leaves_is_a_declared_output(tmp_path):
+    assert {c["experiment"] for c in GOLDEN_CASES.values()} == set(cli.EXPERIMENTS)
+    left = set()
+    for name, config in GOLDEN_CASES.items():
+        out = tmp_path / name
+        run_into(tmp_path, config, out)
+        if out.exists():
+            left |= {p.name for p in out.iterdir()}
+    # the last name is written only by a fit failure (see the test above)
+    assert left | {"fit_diagnostics.json"} == set(cli._OUTPUT_NAMES)
+
+
+def run_module(*args):
+    """``python -m tensorchain`` on this checkout's source."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-m", "tensorchain", *args]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_module_entry_point_runs_as_cli_main(tmp_path):
+    path = write_config(tmp_path, GAMMA)
+    assert main(["gamma", "--config", path, "--out", str(tmp_path / "main")]) == EXIT_OK
+    done = run_module("gamma", "--config", path, "--out", str(tmp_path / "module"))
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    written = [
+        {p.name: p.read_bytes() for p in (tmp_path / side).iterdir() if p.name != "manifest.json"}
+        for side in ("main", "module")
+    ]
+    assert written[0] == written[1] and written[0]
+    done = run_module("gamma", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x"))
+    assert done.returncode == EXIT_CONFIG and done.stderr.startswith("config error: ")
 
 
 def test_seeds_are_not_size_keys():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from tensorchain import rng as trng
-from tensorchain.bounds import ConstantSet
+from tensorchain.bounds import ConstantSet, empirical_sup_tail_bound
 from tensorchain.empirical import (
     EmpiricalFamily,
     check_bernstein_condition,
     diagonal_family,
     empirical_sup_moment_bound,
-    empirical_sup_tail_bound,
     family_metrics,
     family_space,
     sample_family_sups,

@@ -380,6 +380,10 @@ def test_frobenius_rescales_only_the_blocks_outside_its_range():
         got = kernels.gauge_norms(scaled, "frobenius")
         assert np.allclose(got, frobenius_oracle(scaled), rtol=1e-14, atol=0.0)
         assert ((got > 0) == (np.abs(scaled) > 0).any(axis=(-2, -1))).all()
+        # laid out as gathered increments are, not C-contiguous
+        strided = scaled.reshape(4, 5, 4, 4).swapaxes(0, 1)
+        assert np.allclose(kernels.gauge_norms(strided, "frobenius"), got.reshape(4, 5).T,
+                           rtol=1e-14, atol=0.0)
     # a zero block stays 0; a block with inf or NaN keeps its direct value
     wild = np.zeros((3, 2, 2), np.complex128)
     wild[1, 0, 0], wild[2, 1, 1] = np.inf, np.nan

@@ -27,6 +27,7 @@ from tensorchain.tensor import (
     GaugeNorm,
     Shape,
     fold,
+    identity,
     norm,
     random_hermitian,
     unfold,
@@ -97,8 +98,8 @@ def test_spec_rejects_bad_scale_and_beta():
         (1.0 - np.eye(2), lambda a: FiniteMetricSpace(2, {"d": a}).metrics["d"]),
         (np.ones((2, 1)), lambda a: ProcessSpec(
             "gaussian_linear", a, make_spec(k=1).basis, 2.0).coefficients),
-        (np.array([1.0, 2.0]), lambda a: TailCurve.exact(a, [0.5, 0.25]).u_grid),
-        (np.array([0.5, 0.25]), lambda a: TailCurve.exact([1.0, 2.0], a).survival),
+        (np.array([1.0, 2.0]), lambda a: TailCurve(a, [0.5, 0.25], 0).u_grid),
+        (np.array([0.5, 0.25]), lambda a: TailCurve([1.0, 2.0], a, 0).survival),
         (np.eye(2, dtype=complex), lambda a: DenseTensor(Shape((2,), (2,)), a).data),
     ],
     ids=["FiniteMetricSpace", "ProcessSpec", "TailCurve.u_grid", "TailCurve.survival",
@@ -233,6 +234,21 @@ def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.filterwarnings("error")
+def test_realize_refuses_entries_whose_increments_overflow():
+    # signs on the 2x2 identity: entries +-c, increments +-2c times the identity
+    limit = np.finfo(np.float64).max / (4.0 * 2**1.5)
+    basis = (identity(Shape((2,), (2,))),)
+    huge = ProcessSpec("rademacher_martingale", [[limit], [-limit]], basis, 2.0)
+    trajs = sample_ensemble(huge, 0, 4).trajectories
+    for gauge in ("spectral", "frobenius", "nuclear"):
+        assert np.isfinite(kernels.ensemble_norms_vs_ref(trajs, 0, gauge)).all()
+    past = np.nextafter(limit, np.inf)
+    spec = ProcessSpec("rademacher_martingale", [[past], [-past]], basis, 2.0)
+    with pytest.raises(DomainError, match="realized trajectories overflow"):
+        sample_ensemble(spec, 0, 4)
+
+
 # ---------------------------------------------------------------------------
 # supremum statistics
 # ---------------------------------------------------------------------------
@@ -332,20 +348,20 @@ def test_tail_curve_validation():
         TailCurve(np.array([1.0, 2.0]), np.array([0.2, 0.5]), 10)  # increasing
     with pytest.raises(ValidationError):
         TailCurve(np.array([1.0, 2.0]), np.array([0.51, 0.2]), 10)  # non-integral
-    TailCurve.exact(np.array([1.0, 2.0]), np.array([0.51, 0.2]))  # synthetic ok
+    TailCurve(np.array([1.0, 2.0]), np.array([0.51, 0.2]), 0)  # synthetic ok
 
 
 def test_fit_exponent_recovers_exact_laws():
     u = np.linspace(0.5, 3.0, 12)
     for beta in (1.0, 2.0):
-        curve = TailCurve.exact(u, np.exp(-(u**beta)))
+        curve = TailCurve(u, np.exp(-(u**beta)), 0)
         beta_hat, r2 = fit_tail_exponent(curve)
         assert beta_hat == pytest.approx(beta, abs=1e-6)
         assert r2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fit_exponent_needs_enough_points():
-    curve = TailCurve.exact(np.array([1.0, 2.0, 3.0]), np.exp(-np.array([1.0, 2.0, 3.0])))
+    curve = TailCurve(np.array([1.0, 2.0, 3.0]), np.exp(-np.array([1.0, 2.0, 3.0])), 0)
     with pytest.raises(InsufficientDataError):
         fit_tail_exponent(curve)
 

@@ -12,7 +12,6 @@ from tensorchain.report import dumps
 from tensorchain.sensing import (
     RipReport,
     SamplingPattern,
-    SupportSet,
     coherence,
     draw_pattern,
     entropy_bound,
@@ -22,7 +21,6 @@ from tensorchain.sensing import (
     rip_sampling_condition,
     rip_tau_threshold,
     sample_operator,
-    sparsity,
 )
 from tensorchain.tensor import (
     DenseTensor,
@@ -48,35 +46,8 @@ def brute_rip(a: DenseTensor, xi: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sparsity and coherence
+# coherence
 # ---------------------------------------------------------------------------
-
-
-def test_sparsity_cases():
-    assert sparsity(np.zeros((2, 3))) == 0
-    x = np.zeros((2, 3), complex)
-    x[1, 2] = 1.0
-    assert sparsity(x) == 1
-
-
-def test_sparsity_random_mask():
-    gen = trng.stream(1, 0)
-    x = np.zeros(24, complex)
-    idx = gen.choice(24, 7, replace=False)
-    x[idx] = gen.standard_normal(7)
-    assert sparsity(x.reshape(4, 6)) == 7
-
-
-def test_sparsity_tolerance_variant():
-    x = np.array([1.0, 1e-13, 0.5])
-    assert sparsity(x) == 3
-    assert sparsity(x, tol=1e-12) == 2
-
-
-def test_support_set_tuples():
-    x = np.zeros((2, 3))
-    x[1, 2] = 4.0
-    assert SupportSet.of(x).tuples == frozenset({(1, 2)})
 
 
 def test_coherence_fourier_is_one():
@@ -109,7 +80,7 @@ def test_coherence_rejects_non_unitary():
 def test_pattern_full_probability_selects_everything():
     pat = draw_pattern((2, 4), 8, seed=3)
     assert len(pat) == 8
-    assert pat.tuples[0] == (0, 0)
+    assert pat.selected == tuple(range(8))
 
 
 def test_pattern_seed_reproducible():
