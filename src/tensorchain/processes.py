@@ -59,17 +59,6 @@ class ProcessFamily(enum.Enum):
         return cls(str(value).lower())
 
 
-def _draw_scalars(family: ProcessFamily, gen: np.random.Generator, k: int):
-    if family is ProcessFamily.GAUSSIAN_LINEAR:
-        return gen.standard_normal(k)
-    if family is ProcessFamily.SUBEXPONENTIAL_LINEAR:
-        signs = rng_mod.noise("rademacher", gen, k)
-        return signs * gen.standard_exponential(k)
-    if family is ProcessFamily.RADEMACHER_MARTINGALE:
-        return rng_mod.noise("rademacher", gen, k)
-    return gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), k)
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """Generator family plus the coefficient map and Hermitian basis.
@@ -176,9 +165,20 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
     """(hi - lo, T, D, D) trajectories of samples lo..hi-1 of a sum of processes.
 
     Sample s draws the scalars of every component from the stream (seed, s),
-    in component order, into one (samples, K) weight array per component;
-    ``rng.streams`` re-keys one generator per sample.  Each component is then
-    contracted once for the block by ``kernels.contract``.
+    in component order, into row s - lo of one (samples, K) weight array per
+    component; ``rng.streams`` re-keys one generator per sample.  Normals and
+    exponentials are written in place.  A component with signs stores only
+    their raw words (``rng.sign_words``) per sample, and after the loop
+    ``rng.signs`` turns the whole block into +-1.0 factors of its weights, an
+    exact product: the bits a per-sample ``integers(0, 2, K)`` draw gives.
+    Each component is then contracted once for the block by
+    ``kernels.contract``.
+
+    The sign words skip the 32-bit half-word that ``integers`` would leave
+    buffered after an odd K, and nothing reads it: ``specs`` is one process
+    or a gaussian and a subexponential component, so a sample draws signs at
+    most once; only ``standard_exponential`` follows them, and it reads whole
+    64-bit words; and ``rng.streams`` clears the buffer at each re-key.
 
     The block, formed with numpy's overflow warnings off, is refused with a
     :class:`DomainError` unless each real or imaginary part r of its entries
@@ -186,13 +186,30 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
     parts within 2 |r|, Frobenius and spectral norms at most 2 sqrt(2) |r| D
     and a nuclear norm sqrt(D) times that: all finite, with room for rounding.
     """
-    weights = [np.empty((hi - lo, spec.order)) for spec in specs]
+    n = hi - lo
+    signed = (ProcessFamily.SUBEXPONENTIAL_LINEAR, ProcessFamily.RADEMACHER_MARTINGALE)
+    draws = []  # per component: its family, weights and sign words (or None)
+    for spec in specs:
+        family, k = spec.family, spec.order
+        # rademacher weights are their signs alone: +-1.0 times ones
+        w = (np.ones if family is ProcessFamily.RADEMACHER_MARTINGALE else np.empty)((n, k))
+        words = np.empty((n, (k + 1) // 2), np.uint64) if family in signed else None
+        draws.append((family, w, words))
     for row, gen in enumerate(rng_mod.streams(seed, lo, hi)):
-        for spec, w in zip(specs, weights):
-            w[row] = _draw_scalars(spec.family, gen, spec.order)
+        for family, w, words in draws:
+            if family is ProcessFamily.GAUSSIAN_LINEAR:
+                gen.standard_normal(out=w[row])
+            elif family is ProcessFamily.IID_BERNSTEIN:
+                w[row] = gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), w.shape[1])
+            else:
+                words[row] = rng_mod.sign_words(gen, w.shape[1])
+                if family is ProcessFamily.SUBEXPONENTIAL_LINEAR:
+                    gen.standard_exponential(out=w[row])
     trajs = None
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for spec, w in zip(specs, weights):
+        for spec, (_, w, words) in zip(specs, draws):
+            if words is not None:
+                w *= rng_mod.signs(words, spec.order)
             part = kernels.contract(spec.coefficients * w[:, None, :], spec.basis_stack)
             trajs = part if trajs is None else np.add(trajs, part, out=trajs)
         parts = trajs.view(np.float64)

@@ -12,9 +12,22 @@ numbers: as easy as 1, 2, 3", SC 2011), so ``streams(seed, lo, hi)`` builds
 one generator for a block of indices and re-keys it per index: the same
 draws as a new ``stream`` per index, without building one.  Both key
 through ``_rekey``, the one keying rule.
+
+Signs have one rule, the one numpy's ``Generator.integers(0, 2, k)`` follows
+on a generator with no buffered half-word: it reads ceil(k/2) 64-bit words
+and splits each into two 32-bit halves, low half first, and Lemire's
+bounded-integer method (Lemire, ACM TOMACS 2019) maps a half h to h >> 31,
+with no rejection for the range {0, 1}.  So ``sign_words`` draws those words
+with ``random_raw`` and ``signs`` reads the top bit of each half as -1.0 or
++1.0, through a little-endian view so the half order does not depend on the
+host.  For an odd k, ``integers`` keeps the unread high half of its last word
+buffered for the next 32-bit draw and ``random_raw`` does not; every later
+draw of the stream is otherwise the same, and a re-key clears that buffer.
 """
 
 import numpy as np
+
+from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,12 +62,29 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return next(streams(seed, index, index + 1))
 
 
+def sign_words(gen: np.random.Generator, k: int) -> np.ndarray:
+    """The ceil(k/2) raw 64-bit words that ``gen.integers(0, 2, k)`` reads."""
+    return gen.bit_generator.random_raw((k + 1) // 2)
+
+
+def signs(words, k: int) -> np.ndarray:
+    """The k signs, -1.0 or +1.0, spelled by rows of ``sign_words`` words
+    (shape (..., ceil(k/2))): the top bit of each 32-bit half, low half
+    first, as ``integers(0, 2, k) * 2.0 - 1.0`` reads them."""
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4")[..., :k]
+    return (halves >> 31) * 2.0 - 1.0
+
+
 # laws of the zero-mean scalars drawn by :func:`noise`
 NOISE_LAWS = ("rademacher", "uniform")
 
 
 def noise(law: str, gen: np.random.Generator, shape) -> np.ndarray:
-    """Random signs ("rademacher") or uniform draws on [-1, 1] ("uniform")."""
+    """Random signs ("rademacher") or uniform draws on [-1, 1] ("uniform");
+    any other law is refused with a :class:`ValidationError`."""
     if law == "rademacher":
-        return gen.integers(0, 2, shape) * 2.0 - 1.0
-    return gen.uniform(-1.0, 1.0, shape)
+        count = int(np.prod(shape))
+        return signs(sign_words(gen, count), count).reshape(shape)
+    if law == "uniform":
+        return gen.uniform(-1.0, 1.0, shape)
+    raise ValidationError(f"noise law {law!r} is not one of {NOISE_LAWS}")

@@ -213,25 +213,29 @@ def oracle_trajectories(specs, seed, n_samples):
     ["gaussian_linear", "subexponential_linear", "rademacher_martingale", "iid_bernstein"],
 )
 def test_ensemble_matches_per_sample_oracle(family):
-    spec = make_spec(family=family, seed=31, nt=5, k=4)
-    ens = sample_ensemble(spec, 37, 25)
-    assert np.array_equal(ens.trajectories, oracle_trajectories((spec,), 37, 25))
-    assert (ens.sample_count, ens.space_size) == (25, 5)
+    # an odd order draws an odd number of signs, whose last word integers
+    # leaves half read
+    for k in (1, 3, 4, 5):
+        spec = make_spec(family=family, seed=31, nt=5, k=k)
+        ens = sample_ensemble(spec, 37, 25)
+        assert np.array_equal(ens.trajectories, oracle_trajectories((spec,), 37, 25))
+        assert (ens.sample_count, ens.space_size) == (25, 5)
 
 
 @pytest.mark.parametrize("t0", [0, 4])
 def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch, t0):
-    g = make_spec("gaussian_linear", seed=103, nt=6, k=3)
-    e = make_spec("subexponential_linear", seed=104, nt=6, k=2, tail_beta=1.0)
     # 6 indices of 2x2 unfoldings: 24 entries per sample, held twice while
     # realized, 4 samples per block, so 10 samples span two full blocks and
     # a partial one
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 24 * 4)
-    got = sample_mixed_sups(g, e, 7, 10, t0=t0)
-    trajs = oracle_trajectories((g, e), 7, 10)
-    # the increments are Hermitian: spectral norm is the largest |eigenvalue|
-    want = [np.abs(np.linalg.eigvalsh(traj - traj[t0])).max() for traj in trajs]
-    assert np.array_equal(got, want)
+    g = make_spec("gaussian_linear", seed=103, nt=6, k=3)
+    for k in (2, 3):  # subexponential orders, even and odd
+        e = make_spec("subexponential_linear", seed=104, nt=6, k=k, tail_beta=1.0)
+        got = sample_mixed_sups(g, e, 7, 10, t0=t0)
+        trajs = oracle_trajectories((g, e), 7, 10)
+        # the increments are Hermitian: spectral norm is the largest |eigenvalue|
+        want = [np.abs(np.linalg.eigvalsh(traj - traj[t0])).max() for traj in trajs]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.filterwarnings("error")
