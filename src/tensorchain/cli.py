@@ -158,8 +158,8 @@ def _grid(objects, minimum=0):
 
 def _constants(bound_name):
     """The ``constants`` key of an experiment whose tail bound is
-    ``bound_name``: numbers for the ConstantSet slots that bound reads, or
-    None (the default) to fit them to the sampled suprema."""
+    ``bound_name``: positive numbers for the ConstantSet slots that bound
+    reads (an omitted slot is 1.0), or None (the default) to fit them."""
     slots = constant_slots(bound_name)
 
     def check(v):
@@ -168,8 +168,8 @@ def _constants(bound_name):
         unknown = sorted(set(v) - set(slots))
         if unknown:
             return f"unknown keys {', '.join(unknown)}; allowed: {', '.join(slots)}"
-        if not all(_is_number(x) for x in v.values()):
-            return "every value must be a number"
+        if not all(_is_number(x) and x > 0 for x in v.values()):
+            return "every value must be a positive number"
         return None
 
     return check, None
@@ -381,8 +381,10 @@ def validate(config: dict) -> list:
     if coeffs and np.shape(coeffs) != (config["index_count"], config["basis_count"]):
         diags.append("coefficients: must have index_count rows of basis_count numbers")
     if kind in _ENTRIES and (entries := _ENTRIES[kind](config)) > _ENTRY_BUDGET:
+        bits = entries.bit_length()  # str() refuses ints of over 4 300 digits
+        held = entries if bits <= 64 else f"at least 2^{bits - 1}"
         diags.append(
-            f"capacity: the run holds {entries} entries, over the budget of {_ENTRY_BUDGET}"
+            f"capacity: the run holds {held} entries, over the budget of {_ENTRY_BUDGET}"
         )
     if "col_dims" in table:
         size = math.prod(config["col_dims"])

@@ -146,8 +146,8 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     and the suprema grow with ``n_samples``.
 
     Every family forms its values by ``kernels.contract``, samples first:
-    0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense blocks
-    are divided by n and reduced by ``kernels.sup_norms``.  A family with
+    0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense blocks are
+    divided by n in place and reduced by ``kernels.sup_norms``.  A family with
     ``diagonals`` forms only those and scales by values *= 1.0 / n, bit for
     bit the real parts of the dense blocks: numpy divides by n + 0j as a
     product with 1 / n (a real / n differs in the last bit for some n);
@@ -164,7 +164,8 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     for sl in kernels.chunks(n_samples, family.parameters[:, 0].size):
         values = kernels.contract(w[sl], stack)  # (samples, t, ...)
         if diags is None:
-            sups[sl] = kernels.sup_norms(values / family.n)
+            values /= family.n
+            sups[sl] = kernels.sup_norms(values)
         else:
             values *= 1.0 / family.n
             sups[sl] = kernels.sup_norms_of_diagonals(values)

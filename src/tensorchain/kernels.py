@@ -23,8 +23,8 @@ padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
 Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
 bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
-by ``_SLACK``): per sample, ``_top_then_ties`` eigensolves the block of
-largest bound, then only those whose bound reaches its norm.
+by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
+eigensolves the block of largest bound, then those whose bound reaches it.
 """
 
 import math
@@ -175,13 +175,6 @@ def sup_norms(mats):
     return _top_then_ties(upper, lambda rows, items: gauge_norms(mats[rows, items], spectral))
 
 
-def sup_norms_vs_ref(trajs, ref):
-    """(samples,) row maxima of ``ensemble_norms_vs_ref(trajs, ref, "spectral")``,
-    by :func:`sup_norms` on each chunk of increments."""
-    a, b = np.arange(trajs.shape[1]), np.array([ref])
-    return np.concatenate(_map_increments(trajs, a, b, sup_norms))
-
-
 def sup_norms_of_diagonals(diags):
     """(samples,) maxima over t of ``batch_spectral`` of the diagonal blocks
     with real diagonals ``diags`` (samples, t, D), each eigensolved as the
@@ -284,16 +277,21 @@ def _lex_supports(ncols, xi):
 
 def check_scan_capacity(ncols, xi, group=None):
     """Refuse a :func:`rip_scan` that bounds more than :data:`SUPPORT_BUDGET`
-    supports, naming the count, and return ``head``: the scan takes its
-    supports of k = min(xi, ncols) columns from ``_lex_supports(ncols - head,
-    k - head)``, all C(ncols, k) of them, or with a translation ``group``
-    (head 1) the C(ncols - 1, k - 1) that hold column 0."""
+    supports, and return ``head``: the scan takes its supports of
+    k = min(xi, ncols) columns from ``_lex_supports(ncols - head, k - head)``,
+    all C(ncols, k) of them, or with a translation ``group`` (head 1) the
+    C(ncols - 1, k - 1) that hold column 0.  That count C(n, m), n = ncols -
+    head and m = k - head, may have millions of digits: it is built by
+    C(n, i + 1) = C(n, i) (n - i) / (i + 1), rising for i < min(m, n - m),
+    only until it passes the budget."""
     head = 0 if group is None else 1
-    k = min(xi, ncols)
-    count = math.comb(ncols - head, k - head)
+    n, m = ncols - head, min(xi, ncols) - head
+    count, i = 1, 0
+    while count <= SUPPORT_BUDGET and i < min(m, n - m):
+        count, i = count * (n - i) // (i + 1), i + 1
     if count > SUPPORT_BUDGET:
         raise CapacityError(
-            f"{count} supports exceed the exact-scan budget of {SUPPORT_BUDGET} supports"
+            f"the scan bounds more than the exact-scan budget of {SUPPORT_BUDGET} supports"
         )
     return head
 

@@ -384,22 +384,19 @@ def verify_increment_tail(
 
 
 def sample_mixed_sups(
-    spec_subgauss: ProcessSpec,
-    spec_subexp: ProcessSpec,
-    seed: int,
-    n_samples: int,
-    t0: int = 0,
+    spec_subgauss: ProcessSpec, spec_subexp: ProcessSpec, seed: int, n_samples: int
 ) -> np.ndarray:
-    """Per-sample spectral-norm suprema for the sum of a gaussian and a
-    subexponential part.
+    """Per-sample suprema over t of the spectral norm of X_t - X_0 for the
+    sum of a gaussian and a subexponential part.
 
     The two components share the index set; each sample draws both scalar
     blocks from the same per-sample stream, gaussian block first.  The
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
-    Each ``kernels.chunks`` block of samples is realized and reduced before
-    the next; ``kernels.sup_norms_vs_ref`` eigensolves only the increments
-    that may reach a sample's maximum, the one value read.
+    Each ``kernels.chunks`` block of samples is realized, made its increments
+    in place (numpy copies the overlapping X_0 slice first: X_t - X_0 bit for
+    bit) and reduced before the next by ``kernels.sup_norms``, which
+    eigensolves only the increments that may reach a sample's maximum.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -412,13 +409,13 @@ def sample_mixed_sups(
         raise ValidationError("components must share one index set")
     if spec_subgauss.basis[0].shape != spec_subexp.basis[0].shape:
         raise ValidationError("components must share one tensor shape")
-    if not 0 <= t0 < nt:
-        raise DomainError(f"reference index {t0} outside the space")
     specs = (spec_subgauss, spec_subexp)
     sups = np.empty(n_samples)
     # per sample: its trajectories and the component part added to them
     for sl in kernels.chunks(n_samples, 2 * nt * spec_subgauss.basis_stack[0].size):
-        sups[sl] = kernels.sup_norms_vs_ref(_realize(specs, seed, sl.start, sl.stop), t0)
+        block = _realize(specs, seed, sl.start, sl.stop)
+        block -= block[:, :1]
+        sups[sl] = kernels.sup_norms(block)
     return sups
 
 

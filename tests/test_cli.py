@@ -324,7 +324,7 @@ def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
     # 4 indices of 2x2 unfoldings: 16 complex entries per sample, held twice
     # while realized, 64 samples per block
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 16 * 64)
-    calls = count_calls(monkeypatch, "sup_norms_vs_ref")
+    calls = count_calls(monkeypatch, "sup_norms")
     cfg = {
         "experiment": "mixed-tail",
         "seed": 10,
@@ -532,6 +532,36 @@ def test_rip_unitary_and_gram_are_bounded_before_they_are_built(
     assert not out.exists()
 
 
+# support counts of thousands or millions of digits: C(299 999, 149 999),
+# C(20 000, 10 000) and C(3 999 999, 1 999 999), the last slow to form in full
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**RIP, "col_dims": [300_000], "xi": 150_000},
+        {**RIP, "col_dims": [20_000], "xi": 10_000, "operator": {"seed": 1}},
+        {**RIP, "col_dims": [2000, 2000], "xi": 2_000_000},
+    ],
+    ids=["fourier", "random-unitary", "fourier-2d"],
+)
+def test_huge_support_counts_exit_with_a_capacity_diagnostic(tmp_path, capsys, config):
+    path = write_config(tmp_path, {**config, "target_size": 1})
+    out = tmp_path / "out"
+    assert main(["rip", "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: xi/col_dims: the scan bounds more than" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_huge_entry_counts_exit_with_a_capacity_diagnostic(tmp_path, capsys):
+    # D^2 = 2^18 600: an int of 5 600 digits, past what Python writes out
+    path = write_config(tmp_path, {**SIMULATE, "row_modes": [2**31] * 300})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "capacity: the run holds at least 2^" in err
+    assert f"budget of {cli._ENTRY_BUDGET}" in err and not out.exists()
+
+
 @pytest.mark.parametrize(
     "config, key, largest",
     [
@@ -624,6 +654,11 @@ def test_metric_and_pair_arrays_fill_the_budget_exactly(config, key, largest):
         ({**SIMULATE, "u_grid": {"start": 0, "stop": 1, "points": 10**20}}, "u_grid"),
         # a support larger than the column count prod(col_dims) = 8
         ({**RIP, "xi": 9}, "xi"),
+        # nonpositive constants, refused by validate, not after sampling
+        ({**MIXED, "constants": {"mixed_chain_const": 0}}, "constants"),
+        ({**MIXED, "constants": {"mixed_scale_const": -1.0}}, "constants"),
+        ({**EMPIRICAL, "constants": {"mixed_chain_const": 0}}, "constants"),
+        ({**EMPIRICAL, "constants": {"mixed_scale_const": -1.0}}, "constants"),
     ],
 )
 def test_bad_sampling_config_exits_with_diagnostic(tmp_path, capsys, config, key):

@@ -417,10 +417,13 @@ def family_sups_oracle(family, seed, n_samples):
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("seed", [30, 31])
 def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch):
-    trajs = adversarial_trajs(seed)
-    want = kernels.ensemble_norms_vs_ref(trajs, 0, "spectral").max(axis=1)
+    # sup_norms on increments against a reference, adversarial and random
+    # trajectories: the full row maxima
+    adversarial = adversarial_trajs(seed)
+    cases = [(adversarial, 0), (adversarial, 3), (random_trajs(seed, ns=9, nt=7, d=4), 5)]
+    wants = [kernels.ensemble_norms_vs_ref(t, ref, "spectral").max(axis=1) for t, ref in cases]
     specs = mixed_specs(seed)
-    want_mixed = sample_mixed_sups(*specs, seed, 13, t0=2)
+    want_mixed = sample_mixed_sups(*specs, seed, 13)
     family = EmpiricalFamily((2, 2), random_trajs(seed + 10, ns=3, nt=5, d=4))
     want_family = family_sups_oracle(family, seed, 11)
     # a diagonal family, which takes the diagonal path: ties, a zero block,
@@ -434,13 +437,10 @@ def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch
     diagonal = EmpiricalFamily((2, 2), diagonal_blocks(diags), noise)
     want_diagonal = family_sups_oracle(diagonal, seed, 37)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
-    assert np.array_equal(kernels.sup_norms_vs_ref(trajs, 0), want)
-    # a reference in the middle, and random trajectories
-    for trajs, ref in [(trajs, 3), (random_trajs(seed, ns=9, nt=7, d=4), 5)]:
-        want = kernels.ensemble_norms_vs_ref(trajs, ref, "spectral").max(axis=1)
-        assert np.array_equal(kernels.sup_norms_vs_ref(trajs, ref), want)
+    for (trajs, ref), want in zip(cases, wants):
+        assert np.array_equal(kernels.sup_norms(trajs - trajs[:, ref : ref + 1]), want)
     # the callers that realize or form their stacks chunk by chunk
-    assert np.array_equal(sample_mixed_sups(*specs, seed, 13, t0=2), want_mixed)
+    assert np.array_equal(sample_mixed_sups(*specs, seed, 13), want_mixed)
     assert np.array_equal(sample_family_sups(family, seed, 11), want_family)
     assert diagonal.diagonals is not None
     assert np.array_equal(sample_family_sups(diagonal, seed, 37), want_diagonal)
@@ -647,7 +647,6 @@ def test_each_chunk_is_dropped_before_the_next_is_formed(monkeypatch):
     monkeypatch.setattr(kernels, "_increments", tracking(kernels._increments))
     monkeypatch.setattr(kernels, "contract", tracking(kernels.contract))
     a, b = np.triu_indices(5, 1)
-    kernels.sup_norms_vs_ref(trajs, 2)
     kernels.ensemble_norms_vs_ref(trajs, 2, "nuclear")
     kernels.ensemble_pairwise_norms(trajs, "spectral")
     kernels.increment_counts(trajs, a, b, np.ones((2, a.size)), "spectral")
@@ -768,7 +767,8 @@ def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeyp
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count)
     kernels.check_scan_capacity(64, 3, group)
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count - 1)
-    with pytest.raises(CapacityError, match=f"{count} supports exceed"):
+    refused = f"bounds more than the exact-scan budget of {count - 1} supports"
+    with pytest.raises(CapacityError, match=refused):
         kernels.check_scan_capacity(64, 3, group)
 
 
