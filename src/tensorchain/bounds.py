@@ -424,8 +424,10 @@ def _verify_sums(bound_name, stack, law, n_samples, seed, u_grid, tail, inputs):
     The weights w of every sample are drawn under the ``rng.noise`` law
     from the stream (seed, 0); the rows are those of the fitted bounds.
     Only counts at the bound's thresholds are read: ``kernels.lambda_max_counts``
-    forms the sums chunk by chunk and eigensolves only those its certified
-    trace bounds leave undecided; only the weights grow with ``n_samples``.
+    bounds each sum from its weights, chunk by chunk, forms only the sums
+    those certified trace bounds leave undecided, and eigensolves only those
+    the trace bounds of the formed sums leave undecided; only the weights
+    grow with ``n_samples``.
     """
     if n_samples < 1:
         raise ValidationError(f"{bound_name}: need at least one sample")

@@ -152,16 +152,35 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     bit the real parts of the dense blocks: numpy divides by n + 0j as a
     product with 1 / n (a real / n differs in the last bit for some n);
     ``kernels.sup_norms_of_diagonals`` reduces them.  Both are bound first,
-    with the suprema of a full eigensolve to the last bit."""
+    with the suprema of a full eigensolve to the last bit.
+
+    A sample's supremum depends on its row of w alone: ``contract`` forms
+    each row on its own and both reductions decide row by row.  So under
+    ``rademacher`` noise with 2^n <= ``n_samples``, each row is keyed by its
+    sign bits into a ``bincount`` table of 2^n entries, one exact +-1.0 row
+    is rebuilt and reduced per key present, and each sample takes its key's
+    supremum: at most 2^n rows are formed, with the same bits."""
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, (n_samples, family.n))
-    sups = np.empty(n_samples)
+    if family.noise != "rademacher" or 2**family.n > n_samples:
+        return _family_sups(family, w)
+    bits = 1 << np.arange(family.n)
+    keys = (w < 0) @ bits  # bit i set where w_i = -1.0
+    present = np.flatnonzero(np.bincount(keys))
+    table = np.empty(2**family.n)
+    table[present] = _family_sups(family, 1.0 - 2.0 * ((present[:, None] & bits) != 0))
+    return table[keys]
+
+
+def _family_sups(family, w):
+    """The suprema of ``sample_family_sups`` for the weight rows ``w``."""
+    sups = np.empty(len(w))
     diags = family.diagonals
     theta = family.parameters if diags is None else diags  # (t, n, ...)
     stack = np.ascontiguousarray(np.moveaxis(theta, 1, 0))  # (n, t, ...)
-    for sl in kernels.chunks(n_samples, family.parameters[:, 0].size):
+    for sl in kernels.chunks(len(w), family.parameters[:, 0].size):
         values = kernels.contract(w[sl], stack)  # (samples, t, ...)
         if diags is None:
             values /= family.n

@@ -6,10 +6,13 @@ and in the callers that realize or sum per-sample stacks, takes its blocks
 of samples, supports, subsets or radii from :func:`chunks`, under the one
 budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole,
 and the increment and weighted-sum chunks here are each dropped before the
-next is formed.  Every weighted sum of a stack, realized trajectories and
-empirical values included, is formed by :func:`contract`: one ordered
-multiply-add over k on real views, bit for bit ``einsum``, in row blocks of
-a chunk's 1 / _CONTRACT_SHARE so that its product temporary stays in cache.
+next is formed.  Every weighted sum of a stack that is formed, realized
+trajectories and empirical values included, is formed by :func:`contract`:
+one ordered multiply-add over k on real views, bit for bit ``einsum``, in
+row blocks of a chunk's 1 / _CONTRACT_SHARE so that its product temporary
+stays in cache.  ``lambda_max_counts`` first bounds each sum from its
+weights (``_sum_intervals``) and forms only the sums those bounds leave
+undecided.
 
 The package's Hermitian reductions read their spectra here, from stacks
 built of matrices taken through ``tensor.hermitian_part``.  Spectral and
@@ -21,6 +24,7 @@ order.
 Bound first: maxima and threshold counts eigensolve only the matrices the
 padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
+Both interval kernels share one Wolkowicz-Styan body, ``_trace_bounds``.
 Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
 bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
 by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
@@ -80,17 +84,42 @@ def gauge_norms(mats, gauge):
     return np.abs(w).sum(axis=-1)
 
 
+def _trace_bounds(diag, off, gauge, pad=None):
+    """Padded [lower, upper] of lambda_max (``gauge`` None) or of the spectral
+    or nuclear norm of each Hermitian B with real diagonal ``diag`` (..., n)
+    and off = 2 sum_{i > j} |B_ij|^2, and ||B||_F; ``pad`` defaults to
+    _SLACK ||B||_F.
+
+    With m = tr B / n and s^2 = ||B - m I||_F^2 / n, read from diag - m and
+    ``off`` (not from ||B||_F^2 - n m^2, which cancels), Wolkowicz and Styan
+    give m + s / sqrt(n - 1) <= lambda_max <= m + s sqrt(n - 1); also
+    max_i B_ii <= lambda_max, ||B||_F / sqrt(n) <= ||B|| <= ||B||_F and
+    ||B||_F <= ||B||_* <= sqrt(n) ||B||_F.  The nuclear pad is sqrt(n) pad.
+    """
+    n = diag.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the wild B: callers widen them
+        m = diag.mean(axis=-1)
+        fro = np.sqrt((diag**2).sum(axis=-1) + off)
+        s = np.sqrt((((diag - m[..., None]) ** 2).sum(axis=-1) + off) / n)
+        wide, narrow = s * math.sqrt(n - 1), s / math.sqrt(max(n - 1, 1))
+        pad = _SLACK * fro if pad is None else pad
+        if gauge is None:
+            lo, hi = np.maximum(m + narrow, diag.max(axis=-1)) - pad, m + wide + pad
+        elif gauge is GaugeNorm.SPECTRAL:
+            lo, hi = np.maximum(abs(m) + narrow, fro / math.sqrt(n)) - pad, abs(m) + wide + pad
+        else:
+            lo, hi = fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
+    return lo, hi, fro
+
+
 def _intervals(mats, gauge):
     """Padded [lower, upper] of lambda_max (``gauge`` None) or of a gauge norm
     of each Hermitian B, as read by ``eigvalsh``: lower triangle, real diagonal.
 
-    With m = tr B / n and s^2 = ||B - m I||_F^2 / n, Wolkowicz and Styan give
-    m + s / sqrt(n - 1) <= lambda_max <= m + s sqrt(n - 1); also
-    max_i B_ii <= lambda_max, ||B||_F / sqrt(n) <= ||B|| <= ||B||_F and
-    ||B||_F <= ||B||_* <= sqrt(n) ||B||_F.  The pad, _SLACK ||B||_F (times
-    sqrt(n) for nuclear), is far above eigvalsh's backward error.  Outside
-    _FRO_RANGE the squares may under- or overflow, so a nonzero B whose
-    computed ||B||_F falls there (or is not finite) gets [-inf, inf].
+    The bounds are those of ``_trace_bounds``.  The pad, _SLACK ||B||_F
+    (times sqrt(n) for nuclear), is far above eigvalsh's backward error.
+    Outside _FRO_RANGE the squares may under- or overflow, so a nonzero B
+    whose computed ||B||_F falls there (or is not finite) gets [-inf, inf].
     """
     if gauge is GaugeNorm.FROBENIUS:  # exact: the gauge_norms value
         return (gauge_norms(mats, gauge),) * 2
@@ -99,17 +128,7 @@ def _intervals(mats, gauge):
     low = mats[(..., *np.tril_indices(n, -1))]
     with np.errstate(over="ignore", invalid="ignore"):  # the wild B, reset below
         off = 2.0 * (low.real**2 + low.imag**2).sum(axis=-1)
-        m = diag.mean(axis=-1)
-        fro = np.sqrt((diag**2).sum(axis=-1) + off)
-        s = np.sqrt((((diag - m[..., None]) ** 2).sum(axis=-1) + off) / n)
-        wide, narrow = s * math.sqrt(n - 1), s / math.sqrt(max(n - 1, 1))
-        pad = _SLACK * fro
-        if gauge is None:
-            lo, hi = np.maximum(m + narrow, diag.max(axis=-1)) - pad, m + wide + pad
-        elif gauge is GaugeNorm.SPECTRAL:
-            lo, hi = np.maximum(abs(m) + narrow, fro / math.sqrt(n)) - pad, abs(m) + wide + pad
-        else:
-            lo, hi = fro - math.sqrt(n) * pad, math.sqrt(n) * (fro + pad)
+    lo, hi, fro = _trace_bounds(diag, off, gauge)
     wild = ~((fro >= _FRO_RANGE[0]) & (fro <= _FRO_RANGE[1]))
     if wild.any():  # a zero B keeps its exact [0, 0]
         wild[wild] = (diag[wild] != 0).any(axis=-1) | (low[wild] != 0).any(axis=-1)
@@ -236,12 +255,75 @@ def contract(weights, stack):
     return out
 
 
+def _coordinates(stack):
+    """(K, n * n) real coordinates of each matrix of ``stack`` (K, n, n) as
+    ``eigvalsh`` reads it: the real diagonal, then the real and the
+    imaginary parts of the strict lower triangle in ``tril_indices`` order."""
+    low = stack[(slice(None), *np.tril_indices(stack.shape[-1], -1))]
+    return np.concatenate([stack.diagonal(0, -2, -1).real, low.real, low.imag], axis=1)
+
+
+def _sum_intervals(w, coords, fro):
+    """Padded [lower, upper] of lambda_max, as ``eigvalsh`` computes it, of
+    each sum B = sum_k w_k S_k that ``contract`` forms from the rows of ``w``
+    (c, K), read off the weights: ``coords`` (K, n * n) holds the
+    ``_coordinates`` of the S_k and ``fro`` (K,) their Frobenius norms.
+
+    One BLAS product of coords and w gives the coordinates of a Hermitian
+    Y, and ``_trace_bounds`` bounds lambda_max(Y), padded by
+    (_SLACK + 8 (K + n^2) eps) A with A = sum_k |w_k| ||S_k||_F as computed.
+    The pad covers every gap to the computed value:
+
+    - each coordinate of Y, and of B, is a dot product of length K; in any
+      summation order, with or without FMA, it is within gamma_K = K u /
+      (1 - K u) <= K eps of the sum of its |products| (Higham, Accuracy and
+      Stability of Numerical Algorithms, 3.1), so ||B - Y||_F <= 2 K eps A;
+    - by Weyl, lambda_max(B) and lambda_max(Y) differ by at most that;
+    - ``eigvalsh`` returns lambda_max(B + E) with ||E|| <= c n eps ||B||,
+      ||B||_F <= (1 + K eps) A, and the trace sums of ``_trace_bounds``
+      round within c n^2 eps A: both lie far under _SLACK A / 2, as in
+      ``_intervals``;
+    - the computed A is within (K + n^2 + 3) eps of A, relatively, so the
+      pad is at least (_SLACK / 2 + 4 (K + n^2) eps) A.
+
+    The argument needs normal-range squares and products, so a row whose
+    computed A falls outside _FRO_RANGE (below it, the square of a
+    cancelled coordinate of Y underflows and s collapses), or whose bounds
+    are not finite, gets [-inf, inf].
+    """
+    n = math.isqrt(coords.shape[1])
+    slack = _SLACK + 8 * (w.shape[1] + n * n) * np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):  # the wild rows, reset below
+        y = coords.T @ w.T  # (n * n, c): each coordinate's sums contiguous
+        scale = np.abs(w) @ fro
+        off = 2.0 * (y[n:] ** 2).sum(axis=0)
+    lo, hi, _ = _trace_bounds(y[:n].T, off, None, slack * scale)
+    sure = (scale >= _FRO_RANGE[0]) & (scale <= _FRO_RANGE[1])
+    wild = ~(sure & np.isfinite(lo) & np.isfinite(hi))
+    lo[wild], hi[wild] = -np.inf, np.inf
+    return lo, hi
+
+
 def lambda_max_counts(weights, stack, thresholds):
     """(k,) counts of samples s with lambda_max(sum_j weights[s, j] stack[j])
-    >= each threshold; the Hermitian sums are formed one chunk at a time."""
+    >= each threshold, as ``eigvalsh`` computes it on the sum ``contract``
+    forms.  Per ``chunks`` block of weights, ``_sum_intervals`` bounds each
+    sum from its weights alone, and only the rows with a threshold inside
+    their interval are formed and decided by ``_count``."""
     thr = np.asarray(thresholds, np.float64)[:, None]
-    blocks = chunks(len(weights), stack[0].size)
-    return sum(_count(contract(weights[b], stack), thr, None) for b in blocks)
+    n = stack.shape[-1]
+    coords = _coordinates(stack)
+    fro = root_sum_squares(coords * np.repeat([1.0, math.sqrt(2.0)], [n, n * n - n]), 1)
+    counts = np.zeros(len(thr), np.int64)
+    for b in chunks(len(weights), stack[0].size):
+        w = weights[b]
+        lo, hi = _sum_intervals(w, coords, fro)
+        hit = lo >= thr
+        todo = ~(hit | (hi < thr)).all(axis=0)
+        counts += hit[:, ~todo].sum(axis=1)
+        if todo.any():
+            counts += _count(contract(w[todo], stack), thr, None)
+    return counts
 
 
 def batch_spectral(mats):

@@ -24,9 +24,10 @@ from .errors import DomainError, ShapeError, SingularityError, ValidationError
 
 _MAX_SIDE = 1 << 31  # guard against unfoldings that cannot be addressed
 _REL_TOL = 1e-10  # default tolerance, relative to the Frobenius norm
-# root_sum_squares and kernels._intervals: the values whose squares are exact
-# to the slack.  Below, an underflowed square changes s by at most n * 1.5e-154,
-# far under the pad _SLACK * 1e-140; above, no square of an entry reaches 1e280.
+# root_sum_squares, kernels._intervals and kernels._sum_intervals: the values
+# whose squares are exact to the slack.  Below, an underflowed square changes s
+# by at most n * 1.5e-154, far under the pad _SLACK * 1e-140; above, no square
+# of an entry reaches 1e280.
 _FRO_RANGE = (1e-140, 1e140)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tensorchain import rng as trng
+from tensorchain import kernels, rng as trng
 from tensorchain.bounds import ConstantSet, empirical_sup_tail_bound
 from tensorchain.empirical import (
     EmpiricalFamily,
@@ -260,8 +260,8 @@ def test_zero_diagonal_families_equal_the_dense_path():
         assert_same_bits(sample_family_sups(fam, 42, 50), family_sups_oracle(fam, 42, 50))
 
 
-def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch):
-    fam = diagonal_family((2, 2), t_count=32, n=8, seed=43)
+def count_solves(monkeypatch):
+    """The matrices each later ``np.linalg.eigvalsh`` call solves, appended."""
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -270,27 +270,79 @@ def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch)
         return eigvalsh(mats, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def distinct_sign_rows(seed, samples, n):
+    """The distinct rows of the rademacher weights sample_family_sups draws."""
+    w = trng.noise("rademacher", trng.stream(seed, 0), (samples, n))
+    return len({row.tobytes() for row in w})
+
+
+# 2^n just above, at and below the sample count: under rademacher noise the
+# sign-row path runs once 2^n <= samples and forms one row per distinct row
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_sign_row_sups_equal_the_per_sample_path(n, dense, monkeypatch):
+    gen = trng.stream(60 + n, 0)
+    if dense:
+        fam = EmpiricalFamily((2,), random_hermitian_stack(gen, (3, n, 2, 2)))
+    else:
+        fam = family_of_diagonals(gen.uniform(-1.0, 1.0, (3, n, 2)))
+    assert (fam.diagonals is None) == dense
+    formed = []
+    contract = kernels.contract
+    monkeypatch.setattr(kernels, "contract", lambda w, st: formed.append(len(w)) or contract(w, st))
+    for samples in {min(2**n - 1, 3000), 2**n, min(4 * 2**n, 3000)}:
+        want = family_sups_oracle(fam, 70 + n, samples)
+        formed.clear()
+        assert_same_bits(sample_family_sups(fam, 70 + n, samples), want)
+        rows = distinct_sign_rows(70 + n, samples, n) if 2**n <= samples else samples
+        assert sum(formed) == rows
+
+
+# uniform noise repeats no row, so each sample is reduced: the per-sample path
+def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch):
+    fam = diagonal_family((2, 2), t_count=32, n=8, seed=43, noise="uniform")
+    solved = count_solves(monkeypatch)
     samples = 3000
     sample_family_sups(fam, 44, samples)
     assert samples <= sum(solved) <= 1.05 * samples  # the dense path: 32 per sample
 
 
-def test_dense_family_sups_eigensolve_a_third_of_the_blocks(monkeypatch):
-    params = random_hermitian_stack(trng.stream(45, 0), (32, 8, 4, 4))
-    fam = EmpiricalFamily((2, 2), params)
+def test_diagonal_family_sups_eigensolve_about_one_block_per_sign_row(monkeypatch):
+    fam = diagonal_family((2, 2), t_count=32, n=8, seed=43)
+    samples = 3000
+    rows = distinct_sign_rows(44, samples, fam.n)
+    solved = count_solves(monkeypatch)
+    sample_family_sups(fam, 44, samples)
+    assert rows == 2**fam.n  # every sign row occurs at this sample count
+    assert rows <= sum(solved) <= 1.05 * rows
+
+
+def dense_family(noise):
+    fam = EmpiricalFamily((2, 2), random_hermitian_stack(trng.stream(45, 0), (32, 8, 4, 4)), noise)
     assert fam.diagonals is None
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
+    return fam
 
-    def counting(mats, *args, **kwargs):
-        solved.append(math.prod(mats.shape[:-2]))
-        return eigvalsh(mats, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+def test_dense_family_sups_eigensolve_a_third_of_the_blocks(monkeypatch):
+    fam = dense_family("uniform")
+    solved = count_solves(monkeypatch)
     samples = 2000
     sample_family_sups(fam, 46, samples)
     # 9.4 per sample here; every one of the 32 blocks when each is solved
     assert samples <= sum(solved) <= 32 * samples / 3
+
+
+def test_dense_family_sups_eigensolve_a_third_of_the_blocks_per_sign_row(monkeypatch):
+    fam = dense_family("rademacher")
+    samples = 2000
+    rows = distinct_sign_rows(46, samples, fam.n)
+    solved = count_solves(monkeypatch)
+    sample_family_sups(fam, 46, samples)
+    assert rows == 2**fam.n
+    assert rows <= sum(solved) <= 32 * rows / 3
 
 
 def test_verify_empirical_bound_fit_and_holds():

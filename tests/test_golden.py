@@ -5,6 +5,8 @@ tests/golden/expected/<case>/ (see tests/golden/compare.py for the rule).
 To regenerate the stored outputs (say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py tests/golden/expected
+
+which runs :func:`regenerate`: the stored tree holds no ``manifest.json``.
 """
 
 import importlib.util
@@ -48,6 +50,24 @@ def run_case(name, root):
     for output in sorted(out.glob("*.json")):
         workload_outputs.strict_json(output)  # a NaN or an infinity raises
     return out
+
+
+def regenerate(target, names=tuple(sorted(CASES))):
+    """Replace ``target`` with the outputs of the cases ``names``, less the
+    ``manifest.json`` each run writes (wall times, never compared)."""
+    target = Path(target)
+    shutil.rmtree(target, ignore_errors=True)
+    for name in names:
+        (run_case(name, target) / "manifest.json").unlink(missing_ok=True)
+
+
+def test_regeneration_writes_the_stored_files_and_no_manifest(tmp_path):
+    names = ("gamma-small", "verify-azuma")
+    regenerate(tmp_path, names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        stored = sorted(p.name for p in (GOLDEN / "expected" / name).iterdir())
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == stored
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -132,7 +152,4 @@ def test_same_bytes_lists_what_differs(tmp_path, capfd):
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1])
-    shutil.rmtree(target, ignore_errors=True)
-    for case in sorted(CASES):
-        run_case(case, target)
+    regenerate(sys.argv[1])

@@ -539,8 +539,56 @@ def test_lambda_max_counts_equal_full_counts(chunk_entries, monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     weights = np.eye(len(mats))  # each sum is one of the matrices
     assert np.array_equal(kernels.lambda_max_counts(weights, mats, thr), want)
+    # a NaN threshold leaves every row undecided; without it the weights decide
+    keep = ~np.isnan(thr)
+    assert np.array_equal(kernels.lambda_max_counts(weights, mats, thr[keep]), want[keep])
     assert [dumps(verify_azuma(diffs, 150, 44).to_dict()),
             dumps(verify_bernstein(diffs, 150, 45).to_dict())] == want_reports
+
+
+def weighted_stacks(gen, k, d):
+    """(name, stack) of k Hermitian d x d terms: random; near multiples of I
+    (1e-9 perturbations); and terms repeated, as is and negated, so that
+    some sign rows cancel them exactly."""
+    rand = random_hermitian_stack(gen, (k, d, d))
+    near = gen.uniform(-1.0, 1.0, (k, 1, 1)) * np.eye(d) + 1e-9 * rand
+    half = rand[: (k + 1) // 2]
+    repeated = np.concatenate([half, -half[::-1]])[:k]
+    repeated[k // 2 :: 3] = rand[0]
+    return [("random", rand), ("near_identity", near), ("repeated", repeated)]
+
+
+# 1e+-140 bound _FRO_RANGE: inside it the weights decide most rows; outside,
+# where squares of the coordinates under- or overflow, every row is formed
+SUM_SCALES = (1.0, 1e100, 1e-100, 1e140, 1e-140, 1e150, 1e-150, 1e170, 1e-170)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", range(1, 17))
+def test_lambda_max_counts_equal_counts_of_every_formed_sum(k, d, monkeypatch):
+    gen = trng.stream(80 + k, d)
+    formed = []
+    contract = kernels.contract
+    monkeypatch.setattr(kernels, "contract", lambda w, st: formed.append(len(w)) or contract(w, st))
+    for law in trng.NOISE_LAWS:
+        weights = trng.noise(law, gen, (64, k))
+        for name, stack in weighted_stacks(gen, k, d):
+            for scale in SUM_SCALES:
+                scaled = np.ascontiguousarray(scale * stack)
+                full = np.linalg.eigvalsh(np.einsum("sk,kij->sij", weights, scaled))[:, -1]
+                pick = full[gen.integers(0, full.size, 5)]
+                thr = np.concatenate([pick, np.nextafter(pick, np.inf),
+                                      np.nextafter(pick, -np.inf), [0.0, -np.inf, np.inf]])
+                want = (full[None, :] >= thr[:, None]).sum(axis=1)
+                formed.clear()
+                got = kernels.lambda_max_counts(weights, scaled, thr)
+                assert np.array_equal(got, want), (law, name, scale)
+                if not 1e-140 <= scale <= 1e140:  # every row is formed
+                    assert sum(formed) == len(weights), (law, name, scale)
+                elif 1e-100 <= scale <= 1e100:  # the weights alone decide +-inf
+                    formed.clear()
+                    got = kernels.lambda_max_counts(weights, scaled, [-np.inf, np.inf])
+                    assert list(got) == [len(weights), 0] and formed == []
 
 
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
