@@ -36,15 +36,22 @@ EXHAUSTIVE_LIMIT = 16
 
 
 def euclidean_distances(points: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances between the rows of a 2-D array.
+    """(n, n) Euclidean distances between the rows of a real 2-D array.
 
     Exactly symmetric with a zero diagonal, as p_i - p_j is exactly -(p_j - p_i).
     Each is ``tensor.root_sum_squares`` of a difference, range-safe, so only a
     difference beyond the float range is non-finite, for FiniteMetricSpace to reject.
+    The differences are formed in ``kernels.chunks`` of rows, each reduced into
+    the result before the next is formed; a distance reads only its own
+    difference, so the bits are those of one (n, n, dim) pass.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = points[:, None, :] - points[None, :, :]
-    return root_sum_squares(diff, 1)
+    n = points.shape[0]
+    dist = np.empty((n, n))
+    for rows in kernels.chunks(n, n * points.shape[1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = points[rows, None, :] - points[None, :, :]
+        dist[rows] = root_sum_squares(diff, 1)
+    return dist
 
 
 class _Certified(NamedTuple):

@@ -282,7 +282,8 @@ EXPERIMENTS = tuple(_KEYS)
 # of verify-azuma and verify-bernstein, empirical's t_count x n x D^2
 # parameter tensor and t_count x t_count metrics, the two n x n x (dim or
 # basis_count) arrays of differences and their squares of a Euclidean
-# metric on n points or indices, for verify_tail the one-sample chunk of
+# metric on n points or indices (an upper count: they are formed in row
+# chunks), for verify_tail the one-sample chunk of
 # all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
 # threshold rows, and the N x N arrays of a rip trial on N columns.  The
 # largest workload config, index-wide's simulate, holds 1 280 000.
@@ -340,7 +341,9 @@ def _sums_entries(config, count_key) -> int:
 
 def _rip_entries(config) -> int:
     """Three N x N arrays: the unitary, and a trial's kept rows and their
-    Gram; fourier_unitary holds as many while it builds (index grids, DFT)."""
+    Gram; fourier_unitary holds as many while it builds (index grids, DFT).
+    The supports and Gershgorin indices a sweep keeps between trials are
+    one ``kernels.chunks`` slice, within the chunk budget, not counted here."""
     return 3 * math.prod(config["col_dims"]) ** 2
 
 

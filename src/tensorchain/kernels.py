@@ -32,7 +32,7 @@ eigensolves the block of largest bound, then those whose bound reaches it.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -332,9 +332,9 @@ def batch_spectral(mats):
     return gauge_norms(mats, GaugeNorm.SPECTRAL)
 
 
-def _lex_supports(ncols, xi):
+def _lex_supports(ncols, xi, start=0):
     """The xi-subsets of range(ncols) in lexicographic order, as (xi, chunk)
-    index arrays, one per ``chunks`` slice of the ranks.
+    index arrays, one per ``chunks`` slice of the ranks from the ``start``-th on.
 
     The subset of rank r is read off the combinatorial number system:
     C(ncols, xi) - 1 - r = sum_j C(a_j, xi - j) with a_0 > a_1 > ..., each
@@ -347,7 +347,7 @@ def _lex_supports(ncols, xi):
         [[min(math.comb(a, m), total) for a in range(ncols)] for m in range(xi + 1)],
         np.int64,
     )
-    for ranks in chunks(total, xi * xi):
+    for ranks in islice(chunks(total, xi * xi), start, None):
         rest = total - 1 - np.arange(ranks.start, ranks.stop)
         cols = np.empty((xi, rest.size), np.int64)
         for j in range(xi):
@@ -378,17 +378,59 @@ def check_scan_capacity(ncols, xi, group=None):
     return head
 
 
-def _gershgorin(radius, cols):
+def _gershgorin(radius, cols, pairs):
     """Gershgorin bound max_i (|H_ii - 1| + sum_{j != i} |H_ij|) of the block
-    on each support of ``cols`` (xi, k); ``radius`` holds |H| off the
-    diagonal and |H_ii - 1| on it."""
-    ncols = radius.shape[0]
+    on each support of ``cols`` (xi, k), whose a < b pairs have the flat
+    indices ``pairs`` in ``combinations`` order; ``radius`` holds |H| off
+    the diagonal and |H_ii - 1| on it."""
     rows = radius.diagonal()[cols]
-    for a, b in combinations(range(cols.shape[0]), 2):
-        off = radius.take(cols[a] * ncols + cols[b])
+    for (a, b), flat in zip(combinations(range(cols.shape[0]), 2), pairs):
+        off = radius.take(flat)
         rows[a] += off
         rows[b] += off
     return rows.max(axis=0)
+
+
+class ScanSupports:
+    """What a :func:`rip_scan` of ``xi`` of ``ncols`` columns, with ``group``
+    or without, bounds whatever its Gram matrix: refused past the budget by
+    :func:`check_scan_capacity`, then per ``_lex_supports`` chunk the supports
+    ``cols`` (xi, k), column 0 put first for a group scan, and the flat
+    indices ``pairs`` (xi (xi - 1) / 2, k) of their Gershgorin pairs,
+    cols[a] * ncols + cols[b] for a < b in ``combinations`` order.
+
+    One object serves every scan of a sweep.  It keeps the first chunk, so
+    a scan of one chunk enumerates its supports once per sweep, and it
+    rebuilds every later chunk on each scan: between scans it holds at most
+    one chunk, read-only, within the ``chunks`` budget."""
+
+    def __init__(self, ncols, xi, group=None):
+        self._head = check_scan_capacity(ncols, xi, group)
+        self.key = (ncols, xi, None if group is None else tuple(group))
+        self._count = math.comb(ncols - self._head, xi - self._head)
+        self._first = None
+
+    def _chunk(self, cols):
+        if self._head:  # 0, then xi - 1 of the columns 1 .. N - 1
+            cols = np.vstack([np.zeros((1, cols.shape[1]), np.int64), cols + 1])
+        a, b = np.triu_indices(cols.shape[0], 1)  # the combinations order
+        pairs = cols[a] * self.key[0] + cols[b]
+        cols.flags.writeable = pairs.flags.writeable = False
+        return cols, pairs
+
+    def __iter__(self):
+        """(cols, pairs) per chunk, in lexicographic order."""
+        (ncols, xi, _), kept = self.key, self._first
+        if kept is not None:
+            yield kept
+            if kept[0].shape[1] == self._count:  # the only chunk
+                return
+        start = 0 if kept is None else 1
+        for cols in _lex_supports(ncols - self._head, xi - self._head, start):
+            chunk = self._chunk(cols)
+            if self._first is None:
+                self._first = chunk
+            yield chunk
 
 
 def _minus(a, b, group):
@@ -445,10 +487,21 @@ def _orbit_max(deviations, cols, group):
 
 def _descend(bound, solve, best):
     """The running best over the items solved by ``solve`` in decreasing
-    ``bound`` order, in batches that start at _RIP_FIRST_BATCH and double,
-    until the next bound is below it; also each item's value, NaN if unsolved."""
+    ``bound`` order, until the next bound is below it; also each item's
+    value, NaN if unsolved.  The item of largest bound is solved first, on
+    its own; then only the items whose bound reaches the best so far are
+    sorted, and solved in batches that start at _RIP_FIRST_BATCH and double.
+    A NaN bound fails ``bound >= best``, so its item is never solved."""
     vals = np.full(bound.shape, np.nan)
     live = np.flatnonzero(bound >= best)
+    if live.size:
+        pos = bound[live].argmax()
+        top = live[pos : pos + 1]
+        vals[top] = solve(top)
+        best = max(best, float(vals[top[0]]))
+        keep = bound[live] >= best
+        keep[pos] = False
+        live = live[keep]
     live = live[np.argsort(-bound[live])]
     ranked = -bound[live]  # ascending
     done, batch = 0, _RIP_FIRST_BATCH
@@ -460,8 +513,13 @@ def _descend(bound, solve, best):
     return best, vals
 
 
-def rip_scan(gram, xi, group=None):
+def rip_scan(gram, xi, group=None, supports=None):
     """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram.
+
+    ``supports``, a :class:`ScanSupports` built for (N, xi, group), holds
+    what no Gram matrix changes: the capacity check, the supports and their
+    Gershgorin pair indices.  A sweep builds one and passes it to each scan;
+    by default each call builds its own.
 
     A block is eigensolved as ``eigvalsh`` reads it with its columns sorted:
     the Hermitian H of its lower triangle and real diagonal.  Gershgorin's
@@ -470,12 +528,13 @@ def rip_scan(gram, xi, group=None):
     ||E|| <= c xi eps ||H||, ||H|| <= 1 + g, and g is summed with relative
     error below xi eps; both stay far below the slack, so a computed
     deviation is at most its bound padded to b + _SLACK * (1 + b).
-    Each chunk's supports are eigensolved in decreasing order of that bound,
-    in batches that start at _RIP_FIRST_BATCH and double, until the next
-    bound is below the running best.  A skipped block's computed deviation
-    is below the best already found, so the result is the maximum over the
-    same per-block ``eigvalsh`` values as a scan that eigensolves every
-    block, to the last bit.
+    Each chunk's supports are eigensolved in decreasing order of that bound
+    (``_descend``: the largest alone, then only those whose bound still
+    reaches the best are sorted), in batches that start at _RIP_FIRST_BATCH
+    and double, until the next bound is below the running best.  A skipped
+    block's computed deviation is below the best already found, so the
+    result is the maximum over the same per-block ``eigvalsh`` values as a
+    scan that eigensolves every block, to the last bit.
 
     Without ``group`` every support is bounded, in lexicographic chunks.
     With ``group`` = (d_1, ..., d_k), prod d = N, the columns are the
@@ -493,14 +552,17 @@ def rip_scan(gram, xi, group=None):
     repeated translates of a periodic support.  The inequality holds for any
     gram, so a wrong group can slow the scan but not change its value.
 
-    :func:`check_scan_capacity` refuses to bound more than
-    :data:`SUPPORT_BUDGET` supports, and the scan raises
+    :func:`check_scan_capacity`, run when ``supports`` is built, refuses
+    to bound more than :data:`SUPPORT_BUDGET` supports, and the scan raises
     :class:`CapacityError` before a batch would take the count of supports
     it eigensolves past the budget: a Gram matrix near a multiple of the
     identity ties every bound with the best and leaves nothing to prune.
     """
     ncols = gram.shape[0]
-    head = check_scan_capacity(ncols, xi, group)
+    if supports is None:
+        supports = ScanSupports(ncols, xi, group)
+    elif supports.key != (ncols, xi, None if group is None else tuple(group)):
+        raise ValueError(f"supports built for {supports.key}, not this scan")
     radius = np.abs(np.tril(gram, -1))
     radius += radius.T
     radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
@@ -524,11 +586,9 @@ def rip_scan(gram, xi, group=None):
         return _deviations(gram, subs)
 
     best = 0.0
-    for cols in _lex_supports(ncols - head, xi - head):
-        if head:  # 0, then xi - 1 of the columns 1 .. N - 1
-            cols = np.vstack([np.zeros((1, cols.shape[1]), np.int64), cols + 1])
+    for cols, pairs in supports:
         best, dev = _descend(
-            pad(_gershgorin(radius, cols)), lambda sel: deviations(cols[:, sel].T), best
+            pad(_gershgorin(radius, cols, pairs)), lambda sel: deviations(cols[:, sel].T), best
         )
         if group is None:
             continue

@@ -27,7 +27,7 @@ from tensorchain.chaining import (
 from tensorchain.empirical import diagonal_family, family_space
 from tensorchain.errors import CapacityError, DomainError, ValidationError
 from tensorchain.processes import ProcessSpec, _increment_metric, process_space
-from tensorchain.tensor import random_hermitian
+from tensorchain.tensor import random_hermitian, root_sum_squares
 
 LINE = FiniteMetricSpace.from_points([[0.0], [1.0], [3.0]])
 TWO = FiniteMetricSpace.from_points([[0.0], [5.0]])
@@ -191,6 +191,27 @@ def test_the_certificate_declines_far_from_unit_scale(triangle_checks, scale):
     assert triangle_checks == [12]  # the check ran, and accepted as it decides
     assert kernels.max_triangle_violation(dist) <= chaining._TRIANGLE_TOL * dist.max()
     assert np.array_equal(space.distance_matrix("euclidean"), dist)
+
+
+def one_pass_distances(pts):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return root_sum_squares(pts[:, None, :] - pts[None, :, :], 1)
+
+
+# 64 entries hold one row of 40 x 2 or less, 1 entry one row of any
+@pytest.mark.parametrize("chunk_entries", [1 << 22, 64, 1])
+@pytest.mark.parametrize(
+    "n, dim, scale", [(40, 2, 1.0), (30, 5, 1e200), (30, 3, 1e-200), (25, 1, 1.0), (4, 1, None)]
+)
+def test_distances_in_row_blocks_equal_one_pass(n, dim, scale, chunk_entries, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    if scale is None:  # one difference overflows to inf, one squares past the range
+        pts = np.array([[1e308], [-1e308], [0.0], [5.0]])
+    else:
+        pts = scale * trng.stream(7, 0).uniform(-1.0, 1.0, (n, dim))
+    want = one_pass_distances(pts)
+    got = chaining.euclidean_distances(pts)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_the_certificate_declines_a_scale_that_leaves_the_normal_range(triangle_checks):

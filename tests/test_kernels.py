@@ -799,19 +799,30 @@ def test_lex_supports_match_combinations(ncols, xi, limit, monkeypatch):
     assert got == list(itertools.combinations(range(ncols), xi))
 
 
-@pytest.mark.parametrize("group, count", [((64,), math.comb(63, 2)), (None, math.comb(64, 3))])
-def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeypatch):
-    # 1 953 orbit representatives on a Fourier [64] at xi 3, 41 664 without a group
+def counting_lex_supports(monkeypatch):
+    """The support counts of every chunk ``kernels._lex_supports`` yields."""
     yielded, lex_supports = [], kernels._lex_supports
 
-    def counting(ncols, xi):
-        for cols in lex_supports(ncols, xi):
+    def counting(*args):
+        for cols in lex_supports(*args):
             yielded.append(cols.shape[1])
             yield cols
 
     monkeypatch.setattr(kernels, "_lex_supports", counting)
+    return yielded
+
+
+@pytest.mark.parametrize("group, count", [((64,), math.comb(63, 2)), (None, math.comb(64, 3))])
+def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeypatch):
+    # 1 953 orbit representatives on a Fourier [64] at xi 3, 41 664 without a
+    # group; one chunk, which a sweep of three trials enumerates once
+    yielded = counting_lex_supports(monkeypatch)
     kernels.rip_scan(fourier_gram((64,), range(0, 64, 3)), 3, group)
     assert sum(yielded) == count
+    yielded.clear()
+    u = sensing.fourier_unitary((64,))
+    rep = sensing.rip_monte_carlo(u, 3, 0.5, trials=3, seed=9, target_size=32, group=group)
+    assert len(rep.tau_values) == 3 and yielded == [count]
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count)
     kernels.check_scan_capacity(64, 3, group)
     monkeypatch.setattr(kernels, "SUPPORT_BUDGET", count - 1)
@@ -939,9 +950,9 @@ def test_orbit_scan_bounds_one_support_per_orbit_representative(monkeypatch):
     gram = a.conj().T @ a
     bounded, gershgorin = [], kernels._gershgorin
 
-    def counting(radius, cols):
+    def counting(radius, cols, pairs):
         bounded.append(cols.shape[1])
-        return gershgorin(radius, cols)
+        return gershgorin(radius, cols, pairs)
 
     monkeypatch.setattr(kernels, "_gershgorin", counting)
     tau = kernels.rip_scan(gram, 3, (64,))
@@ -972,6 +983,90 @@ def test_rip_scan_budget_binds_the_supports_it_eigensolves(group, monkeypatch):
     with pytest.raises(CapacityError, match=f"budget of {spent - 1} supports"):
         kernels.rip_scan(gram, 3, group)
     assert sum(solved) < spent  # refused before the batch that passes it
+
+
+def test_descend_solves_the_top_bound_alone_and_never_a_nan_bound():
+    # values bound - 1: the top item (bound 3) gives 2, which leaves only the
+    # item of bound 2 to solve; the NaN bounds are never solved
+    bound = np.array([np.nan, 3.0, np.nan, 2.0, 0.5, 1.5])
+    calls = []
+
+    def solve(sel):
+        calls.append(sel.tolist())
+        return bound[sel] - 1.0
+
+    best, vals = kernels._descend(bound, solve, 0.0)
+    assert calls == [[1], [3]] and best == 2.0
+    assert np.array_equal(vals, [np.nan, 2.0, np.nan, 1.0, np.nan, np.nan], equal_nan=True)
+    assert kernels._descend(np.full(3, np.nan), solve, 0.0)[0] == 0.0 and len(calls) == 2
+
+
+def sweep_grams(dims):
+    """Gram matrices on prod(dims) columns that one sweep may meet in a row:
+    Fourier ones of several selections, one pushed off circulant, a random
+    Hermitian one, equicorrelated ones, a misleading one and scaled identities."""
+    n = math.prod(dims)
+    gen = trng.stream(36, 0)
+    fourier = [fourier_gram(dims, selected) for selected in fourier_patterns(n, 37)[2:7]]
+    near = fourier[2] + 1e-13 * (gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))
+    misleading = np.eye(n, dtype=np.complex128)
+    misleading[:6, :6] = misleading_gram()
+    return fourier + [
+        near,
+        random_hermitian_stack(gen, (n, n)) + np.eye(n),
+        equicorrelated(n, 0.2),
+        equicorrelated(n, -0.1),
+        misleading,
+        1.5 * np.eye(n, dtype=np.complex128),
+        0.25 * np.eye(n, dtype=np.complex128),
+    ]
+
+
+@functools.cache
+def sweep_taus(dims):
+    """{xi: the plain scan of each of sweep_grams(dims)} at xi 1 to 4 and N."""
+    n = math.prod(dims)
+    grams = sweep_grams(dims)
+    return {xi: [rip_scan_loop(g, xi) for g in grams] for xi in sorted({1, 2, 3, 4, n})}
+
+
+# 1 << 22 holds each scan in one chunk, which the supports keep; at 20 the
+# scans of xi >= 2 take several, the first kept and the others rebuilt
+@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS[:2])
+@pytest.mark.parametrize("orbits", [False, True], ids=["plain", "orbit"])
+@pytest.mark.parametrize("dims", [(8,), (3, 4)], ids=str)
+def test_one_support_set_scans_a_sweep_of_grams(dims, orbits, chunk_entries, monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    n, group = math.prod(dims), dims if orbits else None
+    for xi, want in sweep_taus(dims).items():
+        supports = kernels.ScanSupports(n, xi, group)
+        got = [kernels.rip_scan(gram, xi, group, supports) for gram in sweep_grams(dims)]
+        assert got == want
+
+
+def test_a_sweep_enumerates_only_the_chunks_after_the_first_again(monkeypatch):
+    # 41 664 supports at xi 3 in chunks of 10 000: the first scan enumerates
+    # them all, each later one all but the kept first chunk
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 9 * 10_000)
+    yielded = counting_lex_supports(monkeypatch)
+    supports = kernels.ScanSupports(64, 3)
+    for seed in (7, 8, 9):
+        selected = sensing.draw_pattern((64,), 32, seed).selected
+        gram = fourier_gram((64,), selected)
+        tau = kernels.rip_scan(gram, 3, None, supports)
+        assert tau == kernels.rip_scan(gram, 3)  # its own supports, built afresh
+    whole = [10_000] * 4 + [1_664]
+    assert yielded == whole + whole + whole[1:] + whole + whole[1:] + whole
+
+
+def test_rip_scan_refuses_supports_built_for_another_scan():
+    gram = fourier_gram((8,), range(0, 8, 2))
+    for ncols, xi, group in [(8, 2, None), (8, 3, (8,)), (12, 3, None)]:
+        with pytest.raises(ValueError, match="supports built for"):
+            kernels.rip_scan(gram, 3, None, kernels.ScanSupports(ncols, xi, group))
+    assert kernels.rip_scan(gram, 3, [8], kernels.ScanSupports(8, 3, (8,))) == rip_scan_loop(
+        gram, 3
+    )
 
 
 def test_farthest_point_order_matches_loop():

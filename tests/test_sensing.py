@@ -272,6 +272,18 @@ def test_rip_monte_carlo_eta_monotone_in_tau():
     assert all(a >= b for a, b in zip(etas, etas[1:]))
 
 
+
+@pytest.mark.parametrize("group", [None, (3, 4)], ids=["plain", "orbit"])
+def test_rip_monte_carlo_equals_brute_force_on_every_trial(group):
+    # the trials share one ScanSupports; each is still the unpruned scan
+    u = fourier_unitary((3, 4))
+    rep = rip_monte_carlo(u, 3, 0.5, trials=6, seed=18, target_size=5, group=group)
+    want = [
+        brute_rip(sample_operator(u, draw_pattern((3, 4), 5, 18, stream_index=t)), 3)
+        for t in range(6)
+    ]
+    assert list(rep.tau_values) == want
+
 # ---------------------------------------------------------------------------
 # sampling condition, thresholds, entropy
 # ---------------------------------------------------------------------------
