@@ -342,8 +342,9 @@ def _sums_entries(config, count_key) -> int:
 def _rip_entries(config) -> int:
     """Three N x N arrays: the unitary, and a trial's kept rows and their
     Gram; fourier_unitary holds as many while it builds (index grids, DFT).
-    The supports and Gershgorin indices a sweep keeps between trials are
-    one ``kernels.chunks`` slice, within the chunk budget, not counted here."""
+    The first chunk of supports and Gershgorin indices that
+    ``kernels.rip_scan`` keeps between scans is one ``kernels.chunks`` slice,
+    within the chunk budget, not counted here."""
     return 3 * math.prod(config["col_dims"]) ** 2
 
 

@@ -11,8 +11,8 @@ trajectories and empirical values included, is formed by :func:`contract`:
 one ordered multiply-add over k on real views, bit for bit ``einsum``, in
 row blocks of a chunk's 1 / _CONTRACT_SHARE so that its product temporary
 stays in cache.  ``lambda_max_counts`` first bounds each sum from its
-weights (``_sum_intervals``) and forms only the sums those bounds leave
-undecided.
+weights (``_sum_intervals``) and forms and eigensolves only the sums those
+bounds leave undecided.
 
 The package's Hermitian reductions read their spectra here, from stacks
 built of matrices taken through ``tensor.hermitian_part``.  Spectral and
@@ -31,6 +31,7 @@ by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
 eigensolves the block of largest bound, then those whose bound reaches it.
 """
 
+import functools
 import math
 from itertools import combinations, islice
 
@@ -113,10 +114,12 @@ def _trace_bounds(diag, off, gauge, pad=None):
 
 
 def _intervals(mats, gauge):
-    """Padded [lower, upper] of lambda_max (``gauge`` None) or of a gauge norm
-    of each Hermitian B, as read by ``eigvalsh``: lower triangle, real diagonal.
+    """Padded [lower, upper] of a gauge norm of each Hermitian B, as read by
+    ``eigvalsh``: lower triangle, real diagonal.
 
-    The bounds are those of ``_trace_bounds``.  The pad, _SLACK ||B||_F
+    The bounds are those of ``_trace_bounds``; ``gauge`` None, which no
+    kernel passes, gives its lambda_max bounds, the ones ``_sum_intervals``
+    pads, for the tests to check against ``eigvalsh``.  The pad, _SLACK ||B||_F
     (times sqrt(n) for nuclear), is far above eigvalsh's backward error.
     Outside _FRO_RANGE the squares may under- or overflow, so a nonzero B
     whose computed ||B||_F falls there (or is not finite) gets [-inf, inf].
@@ -137,15 +140,14 @@ def _intervals(mats, gauge):
 
 
 def _count(mats, thr, gauge):
-    """(k, *P) counts of the values (lambda_max for ``gauge`` None) of the
-    chunk ``mats`` (c, *P, n, n) >= ``thr`` (k, 1, *P), eigensolving only
-    matrices with a threshold in their interval."""
+    """(k, *P) counts of the ``gauge`` norms of the chunk ``mats`` (c, *P,
+    n, n) >= ``thr`` (k, 1, *P), eigensolving only matrices with a
+    threshold in their interval."""
     lo, hi = _intervals(mats, gauge)
     thr_c = np.broadcast_to(thr, (len(thr), *lo.shape))
     hit = lo >= thr_c
     sel = np.nonzero(~(hit | (hi < thr_c)).all(axis=0))
-    vals = batch_lambda_max(mats[sel]) if gauge is None else gauge_norms(mats[sel], gauge)
-    hit[(slice(None), *sel)] = vals >= thr_c[(slice(None), *sel)]
+    hit[(slice(None), *sel)] = gauge_norms(mats[sel], gauge) >= thr_c[(slice(None), *sel)]
     return hit.sum(axis=1)
 
 
@@ -309,7 +311,7 @@ def lambda_max_counts(weights, stack, thresholds):
     >= each threshold, as ``eigvalsh`` computes it on the sum ``contract``
     forms.  Per ``chunks`` block of weights, ``_sum_intervals`` bounds each
     sum from its weights alone, and only the rows with a threshold inside
-    their interval are formed and decided by ``_count``."""
+    their interval are formed and eigensolved."""
     thr = np.asarray(thresholds, np.float64)[:, None]
     n = stack.shape[-1]
     coords = _coordinates(stack)
@@ -322,7 +324,7 @@ def lambda_max_counts(weights, stack, thresholds):
         todo = ~(hit | (hi < thr)).all(axis=0)
         counts += hit[:, ~todo].sum(axis=1)
         if todo.any():
-            counts += _count(contract(w[todo], stack), thr, None)
+            counts += (batch_lambda_max(contract(w[todo], stack)) >= thr).sum(axis=1)
     return counts
 
 
@@ -391,46 +393,41 @@ def _gershgorin(radius, cols, pairs):
     return rows.max(axis=0)
 
 
-class ScanSupports:
-    """What a :func:`rip_scan` of ``xi`` of ``ncols`` columns, with ``group``
-    or without, bounds whatever its Gram matrix: refused past the budget by
-    :func:`check_scan_capacity`, then per ``_lex_supports`` chunk the supports
-    ``cols`` (xi, k), column 0 put first for a group scan, and the flat
-    indices ``pairs`` (xi (xi - 1) / 2, k) of their Gershgorin pairs,
-    cols[a] * ncols + cols[b] for a < b in ``combinations`` order.
-
-    One object serves every scan of a sweep.  It keeps the first chunk, so
-    a scan of one chunk enumerates its supports once per sweep, and it
-    rebuilds every later chunk on each scan: between scans it holds at most
-    one chunk, read-only, within the ``chunks`` budget."""
-
-    def __init__(self, ncols, xi, group=None):
-        self._head = check_scan_capacity(ncols, xi, group)
-        self.key = (ncols, xi, None if group is None else tuple(group))
-        self._count = math.comb(ncols - self._head, xi - self._head)
-        self._first = None
-
-    def _chunk(self, cols):
-        if self._head:  # 0, then xi - 1 of the columns 1 .. N - 1
+def _support_chunks(ncols, xi, head, start=0):
+    """(cols, pairs) per ``_lex_supports`` chunk from the ``start``-th on of
+    the supports a :func:`rip_scan` of ``xi`` of ``ncols`` columns bounds
+    (``head`` from :func:`check_scan_capacity`): ``cols`` (xi, k), column 0
+    put first for a group scan, and the flat indices ``pairs`` (xi (xi - 1)
+    / 2, k) of their Gershgorin pairs, cols[a] * ncols + cols[b] for a < b in
+    ``combinations`` order; both read-only."""
+    for cols in _lex_supports(ncols - head, xi - head, start):
+        if head:  # 0, then xi - 1 of the columns 1 .. N - 1
             cols = np.vstack([np.zeros((1, cols.shape[1]), np.int64), cols + 1])
-        a, b = np.triu_indices(cols.shape[0], 1)  # the combinations order
-        pairs = cols[a] * self.key[0] + cols[b]
+        a, b = np.triu_indices(xi, 1)  # the combinations order
+        pairs = cols[a] * ncols + cols[b]
         cols.flags.writeable = pairs.flags.writeable = False
-        return cols, pairs
+        yield cols, pairs
 
-    def __iter__(self):
-        """(cols, pairs) per chunk, in lexicographic order."""
-        (ncols, xi, _), kept = self.key, self._first
-        if kept is not None:
-            yield kept
-            if kept[0].shape[1] == self._count:  # the only chunk
-                return
-        start = 0 if kept is None else 1
-        for cols in _lex_supports(ncols - self._head, xi - self._head, start):
-            chunk = self._chunk(cols)
-            if self._first is None:
-                self._first = chunk
-            yield chunk
+
+@functools.lru_cache(maxsize=1)
+def _first_chunk(ncols, xi, head, entries):
+    """The first of ``_support_chunks(ncols, xi, head)``, None if there is
+    none, kept between scans.  ``entries``, the ``_CHUNK_ENTRIES`` that sizes
+    the chunk, is read only as part of the key."""
+    return next(_support_chunks(ncols, xi, head), None)
+
+
+def _scan_chunks(ncols, xi, head):
+    """Every ``_support_chunks(ncols, xi, head)``: the kept first chunk, then
+    any later chunk rebuilt.  A scan of one chunk, such as the C(64, 3) =
+    41 664 supports of xi 3 on 64 columns, enumerates its supports once for
+    a run of scans of one shape; between scans at most one chunk is kept,
+    within the ``chunks`` budget."""
+    first = _first_chunk(ncols, xi, head, _CHUNK_ENTRIES)
+    if first is not None:
+        yield first
+        if first[0].shape[1] < math.comb(ncols - head, xi - head):
+            yield from _support_chunks(ncols, xi, head, start=1)
 
 
 def _minus(a, b, group):
@@ -513,13 +510,8 @@ def _descend(bound, solve, best):
     return best, vals
 
 
-def rip_scan(gram, xi, group=None, supports=None):
+def rip_scan(gram, xi, group=None):
     """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram.
-
-    ``supports``, a :class:`ScanSupports` built for (N, xi, group), holds
-    what no Gram matrix changes: the capacity check, the supports and their
-    Gershgorin pair indices.  A sweep builds one and passes it to each scan;
-    by default each call builds its own.
 
     A block is eigensolved as ``eigvalsh`` reads it with its columns sorted:
     the Hermitian H of its lower triangle and real diagonal.  Gershgorin's
@@ -552,17 +544,18 @@ def rip_scan(gram, xi, group=None, supports=None):
     repeated translates of a periodic support.  The inequality holds for any
     gram, so a wrong group can slow the scan but not change its value.
 
-    :func:`check_scan_capacity`, run when ``supports`` is built, refuses
-    to bound more than :data:`SUPPORT_BUDGET` supports, and the scan raises
+    The supports and their Gershgorin pair indices, which no Gram matrix
+    changes, come from ``_scan_chunks``: its first chunk is kept from the
+    last scan of the same shape.
+
+    :func:`check_scan_capacity` refuses to bound more than
+    :data:`SUPPORT_BUDGET` supports, and the scan raises
     :class:`CapacityError` before a batch would take the count of supports
     it eigensolves past the budget: a Gram matrix near a multiple of the
     identity ties every bound with the best and leaves nothing to prune.
     """
     ncols = gram.shape[0]
-    if supports is None:
-        supports = ScanSupports(ncols, xi, group)
-    elif supports.key != (ncols, xi, None if group is None else tuple(group)):
-        raise ValueError(f"supports built for {supports.key}, not this scan")
+    head = check_scan_capacity(ncols, xi, group)
     radius = np.abs(np.tril(gram, -1))
     radius += radius.T
     radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
@@ -586,7 +579,7 @@ def rip_scan(gram, xi, group=None, supports=None):
         return _deviations(gram, subs)
 
     best = 0.0
-    for cols, pairs in supports:
+    for cols, pairs in _scan_chunks(ncols, xi, head):
         best, dev = _descend(
             pad(_gershgorin(radius, cols, pairs)), lambda sel: deviations(cols[:, sel].T), best
         )

@@ -121,7 +121,7 @@ def sample_operator(u: DenseTensor, pattern: SamplingPattern) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def rip_exact(a: DenseTensor, xi: int, group=None, supports=None) -> float:
+def rip_exact(a: DenseTensor, xi: int, group=None) -> float:
     """Exact isometry constant: worst eigenvalue deviation of a Gram block.
 
     Deviations only grow as supports grow (eigenvalue interlacing), so only
@@ -134,22 +134,17 @@ def rip_exact(a: DenseTensor, xi: int, group=None, supports=None) -> float:
     scan that eigensolves every block returns, to the last bit.  A scan that
     would bound or eigensolve more than ``kernels.SUPPORT_BUDGET`` supports
     raises :class:`CapacityError`; the bounded count is refused before the
-    Gram matrix is formed.  ``supports``, a
-    :class:`tensorchain.kernels.ScanSupports` for (#columns, min(xi,
-    #columns), group), lets the trials of a sweep share the supports and
-    their Gershgorin indices; by default the call builds its own.
+    Gram matrix is formed.
     """
     if xi < 1:
         raise DomainError("xi must be at least 1")
     ncols = a.shape.col_count
     if group is not None and math.prod(group) != ncols:
         raise DomainError(f"group {tuple(group)} does not act on {ncols} columns")
-    xi = min(xi, ncols)
-    if supports is None:
-        supports = kernels.ScanSupports(ncols, xi, group)  # before the Gram
+    kernels.check_scan_capacity(ncols, min(xi, ncols), group)  # before the Gram
     mat = unfold(a)
     gram = mat.conj().T @ mat
-    return float(kernels.rip_scan(gram, xi, group, supports))
+    return float(kernels.rip_scan(gram, min(xi, ncols), group))
 
 
 @dataclass(frozen=True)
@@ -190,24 +185,23 @@ def rip_monte_carlo(
     deterministically by trial index.  Every tau value is exact, scanned with
     ``group`` as in :func:`rip_exact`; a scan over ``kernels.SUPPORT_BUDGET``
     supports raises :class:`CapacityError` before the first pattern is drawn.
-    The sweep builds one :class:`tensorchain.kernels.ScanSupports`, and every
-    trial's scan reuses it: a scan of one chunk, such as the C(64, 3) =
-    41 664 supports of xi 3 on 64 columns, enumerates its supports and their
-    Gershgorin indices once per sweep, not once per trial.
+    Every trial scans the same shape, so the first chunk of supports and
+    their Gershgorin indices that ``kernels.rip_scan`` keeps serves them
+    all: a scan of one chunk, such as the C(64, 3) = 41 664 supports of xi 3
+    on 64 columns, enumerates its supports once per sweep, not once per trial.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     if xi < 1:
         raise DomainError("xi must be at least 1")
-    ncols = u.shape.col_count
-    supports = kernels.ScanSupports(ncols, min(xi, ncols), group)
+    kernels.check_scan_capacity(u.shape.col_count, xi, group)
     source_dims = u.shape.row_modes
     values = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateOperatorWarning)
         for trial in range(trials):
             pattern = draw_pattern(source_dims, target_size, seed, stream_index=trial)
-            values.append(rip_exact(sample_operator(u, pattern), xi, group, supports))
+            values.append(rip_exact(sample_operator(u, pattern), xi, group))
     arr = np.array(values)
     eta_hat = float((arr >= tau).mean())
     half = 1.96 * math.sqrt(max(eta_hat * (1.0 - eta_hat), 0.0) / trials)

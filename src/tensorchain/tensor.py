@@ -214,7 +214,8 @@ def root_sum_squares(x, trailing: int):
         top = mags.max(axis=1, initial=0.0)  # divided by it, a block is in range
         fine = (top > 0) & np.isfinite(top)
         wild[wild] = fine
-        flat[wild] = top[fine] * root_sum_squares(mags[fine] / top[fine, None], 1)
+        with np.errstate(over="ignore"):  # a block past the float range is inf
+            flat[wild] = top[fine] * root_sum_squares(mags[fine] / top[fine, None], 1)
     return flat.reshape(lead)
 
 

@@ -44,20 +44,29 @@ def strict_json(path):
     return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
+def run_config(experiment: str, config: dict, root, name: str) -> Path:
+    """Run one config through ``cli.main`` into root/<name>/, with the exit
+    code in its ``exit_code`` file and every JSON output checked by
+    :func:`strict_json`; returns root/<name>."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / f"{name}.config.json"
+    path.write_text(json.dumps(config))
+    out = root / name
+    code = cli.main([experiment, "--config", str(path), "--out", str(out)])
+    path.unlink()
+    out.mkdir(exist_ok=True)
+    (out / "exit_code").write_text(f"{code}\n")
+    for output in sorted(out.glob("*.json")):
+        strict_json(output)
+    return out
+
+
 def write_workload(out, name: str, seed: int) -> None:
     """Run every config of one workload at one seed into out/<name>/<seed>/."""
     root = Path(out) / name / str(seed)
-    root.mkdir(parents=True, exist_ok=True)
     for k, (experiment, config) in enumerate(workloads.configs(name, seed)):
-        case = root / f"{k}-{experiment}"
-        path = root / f"{case.name}.config.json"
-        path.write_text(json.dumps(config))
-        code = cli.main([experiment, "--config", str(path), "--out", str(case)])
-        path.unlink()
-        case.mkdir(exist_ok=True)
-        (case / "exit_code").write_text(f"{code}\n")
-        for output in sorted(case.glob("*.json")):
-            strict_json(output)
+        run_config(experiment, config, root, f"{k}-{experiment}")
 
 
 def main(argv=None) -> int:

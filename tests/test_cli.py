@@ -934,6 +934,17 @@ def test_gamma_of_points_whose_squares_leave_the_float_range(tmp_path, scale):
 
 
 @pytest.mark.filterwarnings("error")
+def test_gamma_of_points_whose_distance_overflows(tmp_path, capfd):
+    # each coordinate of the first point is finite, its distance to 0 is not
+    points = [[1.5e308, 1.5e308], [0.0, 0.0], [1.0, 0.0]]
+    path = write_config(tmp_path, {"experiment": "gamma", "seed": 0, "points": points})
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert capfd.readouterr().err == "config error: metric 'euclidean' has non-finite entries\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_tail_at_coefficients_whose_squares_underflow(tmp_path):
     # distance 1e-200 between two distinct indices, not zero
     config = {

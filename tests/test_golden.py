@@ -17,8 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from tensorchain import cli
-
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
@@ -37,19 +35,7 @@ workload_outputs = _load("workload_outputs")
 
 def run_case(name, root):
     """Run one case into root/<name>, exit code in its ``exit_code`` file."""
-    config = CASES[name]
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{name}.config.json"
-    path.write_text(json.dumps(config))
-    out = root / name
-    code = cli.main([config["experiment"], "--config", str(path), "--out", str(out)])
-    path.unlink()
-    out.mkdir(exist_ok=True)
-    (out / "exit_code").write_text(f"{code}\n")
-    for output in sorted(out.glob("*.json")):
-        workload_outputs.strict_json(output)  # a NaN or an infinity raises
-    return out
+    return workload_outputs.run_config(CASES[name]["experiment"], CASES[name], root, name)
 
 
 def regenerate(target, names=tuple(sorted(CASES))):

@@ -800,7 +800,9 @@ def test_lex_supports_match_combinations(ncols, xi, limit, monkeypatch):
 
 
 def counting_lex_supports(monkeypatch):
-    """The support counts of every chunk ``kernels._lex_supports`` yields."""
+    """The support counts of every chunk ``kernels._lex_supports`` yields,
+    from a cold start: no first chunk is kept from an earlier scan."""
+    kernels._first_chunk.cache_clear()
     yielded, lex_supports = [], kernels._lex_supports
 
     def counting(*args):
@@ -820,6 +822,7 @@ def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeyp
     kernels.rip_scan(fourier_gram((64,), range(0, 64, 3)), 3, group)
     assert sum(yielded) == count
     yielded.clear()
+    kernels._first_chunk.cache_clear()  # a cold sweep
     u = sensing.fourier_unitary((64,))
     rep = sensing.rip_monte_carlo(u, 3, 0.5, trials=3, seed=9, target_size=32, group=group)
     assert len(rep.tau_values) == 3 and yielded == [count]
@@ -1030,43 +1033,42 @@ def sweep_taus(dims):
     return {xi: [rip_scan_loop(g, xi) for g in grams] for xi in sorted({1, 2, 3, 4, n})}
 
 
-# 1 << 22 holds each scan in one chunk, which the supports keep; at 20 the
+# 1 << 22 holds each scan in one chunk, which the scan keeps; at 20 the
 # scans of xi >= 2 take several, the first kept and the others rebuilt
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS[:2])
 @pytest.mark.parametrize("orbits", [False, True], ids=["plain", "orbit"])
 @pytest.mark.parametrize("dims", [(8,), (3, 4)], ids=str)
 def test_one_support_set_scans_a_sweep_of_grams(dims, orbits, chunk_entries, monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
-    n, group = math.prod(dims), dims if orbits else None
+    group = dims if orbits else None
     for xi, want in sweep_taus(dims).items():
-        supports = kernels.ScanSupports(n, xi, group)
-        got = [kernels.rip_scan(gram, xi, group, supports) for gram in sweep_grams(dims)]
-        assert got == want
+        assert [kernels.rip_scan(gram, xi, group) for gram in sweep_grams(dims)] == want
 
 
 def test_a_sweep_enumerates_only_the_chunks_after_the_first_again(monkeypatch):
-    # 41 664 supports at xi 3 in chunks of 10 000: the first scan enumerates
-    # them all, each later one all but the kept first chunk
+    # 41 664 supports at xi 3 in chunks of 10 000: a cold scan enumerates
+    # them all, a later one all but the kept first chunk
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 9 * 10_000)
     yielded = counting_lex_supports(monkeypatch)
-    supports = kernels.ScanSupports(64, 3)
     for seed in (7, 8, 9):
         selected = sensing.draw_pattern((64,), 32, seed).selected
         gram = fourier_gram((64,), selected)
-        tau = kernels.rip_scan(gram, 3, None, supports)
-        assert tau == kernels.rip_scan(gram, 3)  # its own supports, built afresh
+        tau = kernels.rip_scan(gram, 3)
+        kernels._first_chunk.cache_clear()
+        assert tau == kernels.rip_scan(gram, 3)  # every chunk built afresh
     whole = [10_000] * 4 + [1_664]
     assert yielded == whole + whole + whole[1:] + whole + whole[1:] + whole
 
 
-def test_rip_scan_refuses_supports_built_for_another_scan():
-    gram = fourier_gram((8,), range(0, 8, 2))
-    for ncols, xi, group in [(8, 2, None), (8, 3, (8,)), (12, 3, None)]:
-        with pytest.raises(ValueError, match="supports built for"):
-            kernels.rip_scan(gram, 3, None, kernels.ScanSupports(ncols, xi, group))
-    assert kernels.rip_scan(gram, 3, [8], kernels.ScanSupports(8, 3, (8,))) == rip_scan_loop(
-        gram, 3
-    )
+def test_a_kept_chunk_serves_only_its_chunk_budget(monkeypatch):
+    # one shape at budgets of two supports a chunk (20) and of one chunk:
+    # a first chunk kept from the other budget would skip supports 2 to 55
+    # after the switch to one chunk, or repeat supports after the other
+    gram = sweep_grams((8,))[0]
+    kernels._first_chunk.cache_clear()
+    for chunk_entries in (20, 1 << 22, 20, 1 << 22):
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+        assert kernels.rip_scan(gram, 3) == rip_scan_loop(gram, 3)
 
 
 def test_farthest_point_order_matches_loop():

@@ -275,7 +275,7 @@ def test_rip_monte_carlo_eta_monotone_in_tau():
 
 @pytest.mark.parametrize("group", [None, (3, 4)], ids=["plain", "orbit"])
 def test_rip_monte_carlo_equals_brute_force_on_every_trial(group):
-    # the trials share one ScanSupports; each is still the unpruned scan
+    # the trials share the scan's kept first chunk; each is still the unpruned scan
     u = fourier_unitary((3, 4))
     rep = rip_monte_carlo(u, 3, 0.5, trials=6, seed=18, target_size=5, group=group)
     want = [
