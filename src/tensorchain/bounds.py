@@ -185,13 +185,11 @@ def mixed_moment_to_tail(a, a_extra, u):
 def mixed_moment_envelope(n: int, p: float) -> float:
     """Stirling envelope f_n(p) dominating (1/n) p Gamma(p/n).
 
-    n = 1 and n = 2 carry explicit closed forms; n >= 3 uses the same
-    Stirling upper bound applied to Gamma(p/n + 1).
+    n = 2 carries an explicit closed form; every other n, n = 1 included,
+    uses the Stirling upper bound applied to Gamma(p/n + 1) at x = p / n.
     """
     if n < 1 or p < 1:
         raise DomainError("need n >= 1 and p >= 1")
-    if n == 1:
-        return math.sqrt(2.0 * math.pi * p) * p**p * math.exp(-p + 1.0 / (12.0 * p))
     if n == 2:
         return (
             math.sqrt(math.pi)

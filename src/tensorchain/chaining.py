@@ -306,27 +306,21 @@ def gamma_exhaustive(space, metric_id, beta) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ball_masks(dist: np.ndarray, u: float):
-    within = dist <= u
-    n = dist.shape[0]
-    masks = []
-    for c in range(n):
-        m = 0
-        for t in range(n):
-            if within[c, t]:
-                m |= 1 << t
-        masks.append(m)
-    return masks
-
-
 def _exact_cover_count(dist: np.ndarray, u: float, best: int) -> int:
     """Minimum u-ball cover by branch and bound, seeded with a cover of ``best``
-    balls."""
+    balls.
+
+    Ball c is row c of ``dist <= u``, packed little-endian into one Python
+    int (bit t for point t); the balls are tried in decreasing size, ties to
+    the lowest index, and the search branches on the uncovered point that
+    the fewest balls hold."""
     n = dist.shape[0]
     full = (1 << n) - 1
-    masks = _ball_masks(dist, u)
-    order = sorted(range(n), key=lambda c: -bin(masks[c]).count("1"))
-    degree = (dist <= u).sum(axis=0).tolist()  # balls holding each point
+    within = dist <= u
+    packed = np.packbits(within, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    order = np.argsort(-within.sum(axis=1), kind="stable").tolist()
+    degree = within.sum(axis=0).tolist()  # balls holding each point
 
     def descend(covered: int, used: int):
         nonlocal best

@@ -280,10 +280,10 @@ EXPERIMENTS = tuple(_KEYS)
 # trajectories and a component's part, 2 x index_count x D^2), the
 # basis_count x D^2 basis of a process, the steps x D^2 and n x D^2 stacks
 # of verify-azuma and verify-bernstein, empirical's t_count x n x D^2
-# parameter tensor and t_count x t_count metrics, the two n x n x (dim or
-# basis_count) arrays of differences and their squares of a Euclidean
-# metric on n points or indices (an upper count: they are formed in row
-# chunks), for verify_tail the one-sample chunk of
+# parameter tensor and t_count x t_count metrics, the two n x n distance
+# matrices of a metric on n points or indices (the metric built and the
+# copy FiniteMetricSpace freezes; its differences are formed in row chunks,
+# within the chunk budget), for verify_tail the one-sample chunk of
 # all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
 # threshold rows, and the N x N arrays of a rip trial on N columns.  The
 # largest workload config, index-wide's simulate, holds 1 280 000.
@@ -301,7 +301,7 @@ def _trajectory_entries(config) -> int:
 
 
 def _distance_entries(config) -> int:
-    return 2 * config["index_count"] ** 2 * config["basis_count"]
+    return 2 * config["index_count"] ** 2
 
 
 def _simulate_entries(config) -> int:
@@ -316,8 +316,7 @@ def _simulate_entries(config) -> int:
 
 
 def _gamma_entries(config) -> int:
-    shape = np.shape(config.get("points", []))  # a matrix is held as given
-    return 2 * shape[0] ** 2 * math.prod(shape[1:])
+    return 2 * len(config.get("points", [])) ** 2  # a matrix is held as given
 
 
 def _empirical_entries(config) -> int:

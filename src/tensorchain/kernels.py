@@ -595,19 +595,18 @@ def rip_scan(gram, xi, group=None):
 
 
 def farthest_point_order(dist):
-    """Farthest-point ordering seeded at the 1-center, ties to the lowest index."""
-    n = dist.shape[0]
-    order = np.empty(n, np.int64)
+    """Farthest-point ordering seeded at the 1-center, ties to the lowest index.
+
+    A chosen point's distance to the chosen set is set to -inf, which
+    ``np.minimum`` keeps, so ``argmax`` picks among the rest; ``dist`` must
+    be finite, as ``FiniteMetricSpace`` requires."""
+    order = np.empty(dist.shape[0], np.int64)
     order[0] = int(np.argmin(dist.max(axis=1)))
     mind = dist[order[0]].copy()
-    chosen = np.zeros(n, np.bool_)
-    chosen[order[0]] = True
-    for k in range(1, n):
-        masked = np.where(chosen, -np.inf, mind)
-        nxt = int(np.argmax(masked))
-        order[k] = nxt
-        chosen[nxt] = True
-        np.minimum(mind, dist[nxt], out=mind)
+    for k in range(1, len(order)):
+        mind[order[k - 1]] = -np.inf
+        order[k] = int(np.argmax(mind))
+        np.minimum(mind, dist[order[k]], out=mind)
     return order
 
 

@@ -310,8 +310,10 @@ def test_mixed_moment_to_tail_dominates_exponential():
 
 
 def test_mixed_envelopes_match_closed_forms():
+    def f1_expected(p):
+        return math.sqrt(2.0 * math.pi * p) * p**p * math.exp(-p + 1.0 / (12 * p))
+
     p = 2.0
-    f1_expected = math.sqrt(2.0 * math.pi * p) * p**p * math.exp(-p + 1.0 / (12 * p))
     f2_expected = (
         math.sqrt(math.pi)
         * math.exp(1.0 / (6 * p))
@@ -319,8 +321,11 @@ def test_mixed_envelopes_match_closed_forms():
         * math.exp(p / (2 * math.e))
         * p ** (p / 2)
     )
-    assert mixed_moment_envelope(1, p) == pytest.approx(f1_expected, rel=1e-12)
     assert mixed_moment_envelope(2, p) == pytest.approx(f2_expected, rel=1e-12)
+    # f_1 is the general Stirling form at x = p / 1, bit for bit the closed
+    # form; for an integer p, whose p**p is an exact int, too
+    for p in [*range(1, 144), 1.0, 1.5, 2.25, 7.75, 33.3, 143.0]:
+        assert mixed_moment_envelope(1, p) == f1_expected(p)
 
 
 def test_mixed_envelopes_dominate_gamma_summands():

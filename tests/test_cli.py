@@ -450,15 +450,14 @@ def test_entry_budget_counts_what_a_run_holds_not_its_work():
     assert validate({**SIMULATE, "index_count": 100_000}) == []
 
 
-# the n x n x (dim or basis_count) differences of a Euclidean metric, and
-# under verify_tail the one-sample chunk of all pair increments and its
-# threshold rows
+# the two n x n distance matrices of a metric, and under verify_tail the
+# one-sample chunk of all pair increments and its threshold rows
 @pytest.mark.parametrize(
     "config",
     [
         {**MIXED, "index_count": 20_000},
         {**SIMULATE, "index_count": 100_000, "verify_tail": True},
-        {**GAMMA, "points": [[float(k), 0.0, 1.0] for k in range(5000)]},
+        {**GAMMA, "points": [[float(k), 0.0, 1.0] for k in range(6000)]},
     ],
     ids=["mixed-tail", "simulate-verify-tail", "gamma"],
 )
@@ -565,9 +564,10 @@ def test_huge_entry_counts_exit_with_a_capacity_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, key, largest",
     [
-        ({**MIXED, "basis_count": 4}, "index_count", 2896),  # 2 x n^2 x 4
+        # 2 x n^2: the metric and its frozen copy, whatever the basis_count
+        ({**MIXED, "basis_count": 4}, "index_count", 5792),
         ({**SIMULATE, "verify_tail": True}, "index_count", 4096),  # 2 x pairs x 2^2
-        ({**GAMMA, "points": None}, "points", 4096),  # 2 x 4096^2 x 2 = 2^26
+        ({**GAMMA, "points": None}, "points", 5792),  # 2 x 5792^2 <= 2^26, whatever dim
     ],
     ids=["mixed-tail", "simulate-verify-tail", "gamma"],
 )

@@ -13,9 +13,12 @@ import importlib.util
 import json
 import shutil
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from tensorchain import cli, kernels
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -29,6 +32,7 @@ def _load(name):
 
 
 golden_compare = _load("compare")
+oracles = _load("oracles")
 same_bytes = _load("same_bytes")
 workload_outputs = _load("workload_outputs")
 
@@ -60,6 +64,46 @@ def test_regeneration_writes_the_stored_files_and_no_manifest(tmp_path):
 def test_case_reproduces_golden_outputs(tmp_path, name):
     out = run_case(name, tmp_path)
     assert golden_compare.compare(GOLDEN / "expected" / name, out) == []
+
+
+def test_every_case_writes_the_same_bytes_with_every_fast_path_slow(tmp_path):
+    # each oracle must run on some case, or its fast path goes unchecked
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    for name in sorted(CASES):
+        run_case(name, fast / "golden")
+    with oracles.slow_paths() as calls:
+        for name in sorted(CASES):
+            run_case(name, slow / "golden")
+    assert all(calls.values()), calls
+    assert same_bytes.same_tree(fast, slow, "golden")
+
+
+def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
+    # the golden cases and every workload config at seed 1, each traced on
+    # its own: the peak of what a run allocates, in bytes, against 16 B per
+    # complex entry of cli._ENTRIES, or of the chunk budget where that is more
+    workloads = workload_outputs.workloads
+    runs = [(name, CASES[name]["experiment"], CASES[name]) for name in sorted(CASES)]
+    runs += [
+        (f"{w}-{k}-{experiment}", experiment, config)
+        for w in workloads.WORKLOADS
+        for k, (experiment, config) in enumerate(workloads.configs(w, 1))
+    ]
+    ratios = {}
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        for name, experiment, config in runs:
+            entries = max(cli._ENTRIES[experiment](config), kernels._CHUNK_ENTRIES)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            workload_outputs.run_config(experiment, config, tmp_path, name)
+            ratios[name] = (tracemalloc.get_traced_memory()[1] - held) / (16 * entries)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert max(ratios.values()) <= 2.0, ratios
 
 
 def mutate_verdict(root):

@@ -185,8 +185,9 @@ def test_homogeneity_of_statistics_and_exponent():
     assert fit_a[0] == pytest.approx(fit_b[0], rel=1e-9)
 
 
-def oracle_trajectories(specs, seed, n_samples):
-    """Per-sample loop: each component's scalars from stream (seed, s) in order."""
+def oracle_trajectories(specs, seed, hi, lo=0):
+    """Per-sample loop over samples lo..hi-1: each component's scalars from
+    stream (seed, s) in order."""
     laws = {
         "gaussian_linear": lambda gen, k: gen.standard_normal(k),
         "subexponential_linear": lambda gen, k: (gen.integers(0, 2, k) * 2.0 - 1.0)
@@ -195,7 +196,7 @@ def oracle_trajectories(specs, seed, n_samples):
         "iid_bernstein": lambda gen, k: gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), k),
     }
     out = []
-    for s in range(n_samples):
+    for s in range(lo, hi):
         gen = trng.stream(seed, s)
         traj = None
         for spec in specs:
