@@ -102,29 +102,29 @@ class EmpiricalFamily:
         return math.sqrt(self.envelope_squares.mean(axis=0)[0, 0].real)
 
 
-def family_metrics(family: EmpiricalFamily, s_idx: int, t_idx: int):
-    """(d1, d2) between two parameter tuples.
-
-    d1 is the max over spaces of the spectral norm of the parameter
-    difference; d2 the quadratic mean of those norms.
-    """
-    diff = family.parameters[t_idx] - family.parameters[s_idx]
-    norms = kernels.batch_spectral(np.ascontiguousarray(diff))
-    d1 = float(norms.max())
-    d2 = float(math.sqrt(np.mean(norms**2)))
-    return d1, d2
-
-
 def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
-    """Metric space over the parameter tuples carrying both metrics."""
+    """Metric space over the parameter tuples carrying both metrics: d1 is
+    the max over spaces of the spectral norm of the parameter difference,
+    d2 the quadratic mean of those norms.
+
+    Row s holds the pairs (s, s + 1), ..., (s, t_count - 1).  Its
+    differences P[s+1:] - P[s] are formed in ``kernels.chunks`` blocks, one
+    (n, D, D) item a pair; each pair's norms come from one
+    ``batch_spectral`` call, every block eigensolved, and the row's max and
+    quadratic mean are taken along its (row, n) norms and written into the
+    row and the column of both matrices."""
+    params = family.parameters
     nt = family.t_count
     d1 = np.zeros((nt, nt))
     d2 = np.zeros((nt, nt))
-    for s in range(nt):
-        for t in range(s + 1, nt):
-            a, b = family_metrics(family, s, t)
-            d1[s, t] = d1[t, s] = a
-            d2[s, t] = d2[t, s] = b
+    for s in range(nt - 1):
+        norms = np.empty((nt - 1 - s, family.n))
+        for sl in kernels.chunks(len(norms), params[0].size):
+            diffs = params[s + 1 + sl.start : s + 1 + sl.stop] - params[s]
+            for j, diff in enumerate(diffs, sl.start):
+                norms[j] = kernels.batch_spectral(diff)
+        d1[s, s + 1 :] = d1[s + 1 :, s] = norms.max(axis=1)
+        d2[s, s + 1 :] = d2[s + 1 :, s] = np.sqrt(np.mean(norms**2, axis=1))
     return FiniteMetricSpace(nt, {"d1": d1, "d2": d2})
 
 

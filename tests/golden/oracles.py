@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import string
 import sys
 from pathlib import Path
@@ -57,6 +58,26 @@ def per_row_family_sups(family, seed, n_samples):
     """``sample_family_sups`` without the sign-row table: every row reduced."""
     w = rng.noise(family.noise, rng.stream(seed, 0), (n_samples, family.n))
     return empirical._family_sups(family, w)
+
+
+def family_metrics(family, s_idx, t_idx):
+    """(d1, d2) between two parameter tuples: d1 the max over spaces of the
+    spectral norm of the parameter difference, d2 the quadratic mean of
+    those norms."""
+    diff = family.parameters[t_idx] - family.parameters[s_idx]
+    norms = kernels.batch_spectral(np.ascontiguousarray(diff))
+    return float(norms.max()), float(math.sqrt(np.mean(norms**2)))
+
+
+def per_pair_family_space(family):
+    """``family_space`` one pair at a time, by :func:`family_metrics`."""
+    nt = family.t_count
+    d1, d2 = np.zeros((nt, nt)), np.zeros((nt, nt))
+    for s, t in itertools.combinations(range(nt), 2):
+        a, b = family_metrics(family, s, t)
+        d1[s, t] = d1[t, s] = a
+        d2[s, t] = d2[t, s] = b
+    return chaining.FiniteMetricSpace(nt, {"d1": d1, "d2": d2})
 
 
 def uncertified(dist, dim, scale=None):
@@ -102,6 +123,7 @@ SWAPS = [
     (kernels, "_sum_intervals", unbounded_sums),
     (kernels, "sup_norms_of_diagonals", every_diagonal_block),
     (empirical, "sample_family_sups", per_row_family_sups),
+    (empirical, "family_space", per_pair_family_space),
     (chaining, "_certify", uncertified),
     (processes, "_certify", uncertified),
     (kernels, "rip_scan", every_support),

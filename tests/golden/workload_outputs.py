@@ -1,7 +1,7 @@
 """Write the outputs of every benchmark workload config, for a byte-level
 comparison of two checkouts.
 
-Usage: python tests/golden/workload_outputs.py OUT
+Usage: python tests/golden/workload_outputs.py [--chunk-entries N] OUT
 
 For each workload of ``clibench/workloads.py`` and each seed in SEEDS, the
 k-th config runs through ``tensorchain.cli.main`` of this checkout (its
@@ -14,6 +14,10 @@ The contract is byte identity: CI runs this script in the base branch and
 in the change and requires ``diff -r -x manifest.json A B`` to find no
 difference.  When it does, ``python tests/golden/compare.py A B`` tells
 whether values moved (beyond a relative 1e-12) or only their text.
+
+``--chunk-entries N`` sets ``kernels._CHUNK_ENTRIES``, the budget the work
+is cut by, to N in this process: no byte may depend on it, and CI diffs a
+run at a small budget against a run at the default.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SEEDS = (1, 4242)
 
 sys.path.insert(0, str(ROOT / "src"))
-from tensorchain import cli  # noqa: E402
+from tensorchain import cli, kernels  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location("workloads", ROOT / "clibench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
@@ -71,6 +75,8 @@ def write_workload(out, name: str, seed: int) -> None:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--chunk-entries"] and len(args) == 3 and args[1].isdigit():
+        kernels._CHUNK_ENTRIES, args = int(args[1]), args[2:]
     if len(args) != 1:
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2

@@ -11,12 +11,12 @@ from tensorchain.empirical import (
     check_bernstein_condition,
     diagonal_family,
     empirical_sup_moment_bound,
-    family_metrics,
     family_space,
     sample_family_sups,
     verify_empirical_bound,
 )
 from tensorchain.errors import DomainError, ValidationError
+from golden.oracles import per_pair_family_space
 from test_kernels import diagonal_blocks, family_sups_oracle, random_hermitian_stack
 
 
@@ -55,23 +55,63 @@ def test_family_scale_and_variance_proxy():
 # ---------------------------------------------------------------------------
 
 
+def metric_matrices(family):
+    space = family_space(family)
+    return space.distance_matrix("d1"), space.distance_matrix("d2")
+
+
 def test_metrics_vanish_on_equal_parameters():
     fam = diagonal_family((2,), t_count=3, n=4, seed=2)
-    assert family_metrics(fam, 1, 1) == (0.0, 0.0)
+    params = fam.parameters.copy()
+    params[2] = params[1]
+    for d in metric_matrices(EmpiricalFamily((2,), params)):
+        assert d[1, 1] == d[1, 2] == d[2, 1] == 0.0
+        assert (d[0, 1:] > 0).all()
 
 
 def test_metrics_single_space_equal():
     fam = diagonal_family((2,), t_count=3, n=1, seed=3)
-    d1, d2 = family_metrics(fam, 0, 2)
+    d1, d2 = metric_matrices(fam)
     assert d1 == pytest.approx(d2, rel=1e-12)
 
 
 def test_metric_quadratic_mean_below_max():
     fam = diagonal_family((2,), t_count=5, n=6, seed=4)
-    for s in range(5):
-        for t in range(5):
-            d1, d2 = family_metrics(fam, s, t)
-            assert d2 <= d1 + 1e-12
+    d1, d2 = metric_matrices(fam)
+    assert (d2 <= d1 + 1e-12).all()
+
+
+def metric_family(dense, t_count, n, scale, seed):
+    gen = trng.stream(seed, 0)
+    if dense:
+        return EmpiricalFamily((2, 2), scale * random_hermitian_stack(gen, (t_count, n, 4, 4)))
+    return family_of_diagonals(scale * gen.uniform(-1.0, 1.0, (t_count, n, 4)))
+
+
+# n crosses numpy's pairwise-sum blocks of 8 and 128 in the row mean; at
+# 1e+-150 zheevd scales the blocks, at 1e-170 their norms square to subnormals;
+# a budget of 0 forms one pair's differences per chunk
+@pytest.mark.parametrize("chunk_entries", [0, 1 << 19])
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-170])
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 17, 130])
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, monkeypatch):
+    fam = metric_family(dense, 7, n, scale, 80 + n)
+    assert (fam.diagonals is None) == dense
+    want = per_pair_family_space(fam)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    got = family_space(fam)
+    for name in ("d1", "d2"):
+        assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
+
+
+# the squared norms of 1e170 overflow on both paths, before any metric is formed
+@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+def test_family_space_refuses_overflowing_squares_as_the_per_pair_path(dense):
+    fam = metric_family(dense, 3, 4, 1e170, 90)
+    for build in (family_space, per_pair_family_space):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            build(fam)
 
 
 def test_family_space_accepts_every_valid_family():
@@ -157,7 +197,8 @@ def test_zero_parameters_give_zero_process():
     fam = EmpiricalFamily((2,), np.zeros((3, 4, 2, 2), complex))
     sups = sample_family_sups(fam, seed=6, n_samples=10)
     assert np.all(sups == 0)
-    assert family_metrics(fam, 0, 2) == (0.0, 0.0)
+    for d in metric_matrices(fam):
+        assert not d.any()
 
 
 def test_sups_deterministic():

@@ -78,6 +78,55 @@ def test_every_case_writes_the_same_bytes_with_every_fast_path_slow(tmp_path):
     assert same_bytes.same_tree(fast, slow, "golden")
 
 
+# 4 x 4 stacks with thresholds inside the sample: each run has empirical
+# frequencies strictly between 0 and 1, which a Monte Carlo sum bound that
+# decides a sample wrongly moves; no golden case or workload config has them
+INSIDE = {
+    "verify-azuma-inside": {
+        "experiment": "verify-azuma", "seed": 8, "samples": 500, "steps": 6,
+        "row_modes": [2, 2], "u_sigma_factors": [0.25, 0.5, 1.0, 2.0],
+    },
+    "verify-bernstein-inside": {
+        "experiment": "verify-bernstein", "seed": 9, "samples": 500, "n": 5,
+        "row_modes": [2, 2], "u_grid": [0.05, 0.1, 0.2, 0.5, 1.0],
+    },
+}
+
+
+def test_thresholds_inside_the_sample_write_the_same_bytes_with_every_fast_path_slow(tmp_path):
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    for name, config in INSIDE.items():
+        out = workload_outputs.run_config(config["experiment"], config, fast / "inside", name)
+        rows = workload_outputs.strict_json(out / "bound_report.json")["rows"]
+        assert any(0.0 < row["empirical"] < 1.0 for row in rows), name
+    with oracles.slow_paths() as calls:
+        for name, config in INSIDE.items():
+            workload_outputs.run_config(config["experiment"], config, slow / "inside", name)
+    assert calls["tensorchain.kernels._sum_intervals"], calls
+    assert same_bytes.same_tree(fast, slow, "inside")
+
+
+@pytest.fixture(scope="module")
+def default_cut(tmp_path_factory):
+    """Every golden case written at the default chunk budget."""
+    root = tmp_path_factory.mktemp("default")
+    for name in sorted(CASES):
+        run_case(name, root / "golden")
+    return root
+
+
+# the work is cut into chunks of kernels._CHUNK_ENTRIES; no byte may depend
+# on where the cuts fall
+@pytest.mark.parametrize("chunk_entries", [4096, 1 << 24])
+def test_every_case_writes_the_same_bytes_at_any_chunk_budget(
+    tmp_path, monkeypatch, default_cut, chunk_entries
+):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    for name in sorted(CASES):
+        run_case(name, tmp_path / "golden")
+    assert same_bytes.same_tree(default_cut, tmp_path, "golden")
+
+
 def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
     # the golden cases and every workload config at seed 1, each traced on
     # its own: the peak of what a run allocates, in bytes, against 16 B per
@@ -162,6 +211,7 @@ def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):
         assert (out / "rip_report.json").is_file()
     assert golden_compare.compare(tmp_path / "a", tmp_path / "b") == []
     assert workload_outputs.main([]) == 2
+    assert workload_outputs.main(["--chunk-entries", "4096"]) == 2
 
 
 def test_same_bytes_lists_what_differs(tmp_path, capfd):

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tensorchain import kernels
+from tensorchain import kernels, processes
 from tensorchain import rng as trng
 from tensorchain.chaining import FiniteMetricSpace
 from tensorchain.errors import (
@@ -236,6 +239,30 @@ def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch):
         # the increments are Hermitian: spectral norm is the largest |eigenvalue|
         want = [np.abs(np.linalg.eigvalsh(traj - traj[0])).max() for traj in trajs]
         assert np.array_equal(got, want)
+
+
+# the property a process pool maps on: samples 0..n-1 realized in blocks cut
+# anywhere concatenate to one realization of them all, byte for byte.  At a
+# budget of 4096 entries contract forms the 6 indices x 2 x 2 rows of a block
+# in chunks of 32 rows, about 5 samples, so the cuts fall inside and across them
+@settings(max_examples=40, deadline=None)
+@example(families=("gaussian_linear",), k=3, cuts=[3], chunk_entries=4096)
+@given(
+    families=st.sampled_from([
+        ("gaussian_linear",), ("subexponential_linear",), ("rademacher_martingale",),
+        ("iid_bernstein",), ("gaussian_linear", "subexponential_linear"),
+    ]),
+    k=st.integers(1, 5),
+    cuts=st.lists(st.integers(1, 23), max_size=4, unique=True).map(sorted),
+    chunk_entries=st.sampled_from([4096, 1 << 19]),
+)
+def test_realize_over_any_split_concatenates_to_one_call(families, k, cuts, chunk_entries):
+    specs = tuple(make_spec(family, seed=120 + j, nt=6, k=k) for j, family in enumerate(families))
+    bounds = [0, *cuts, 24]
+    with mock.patch.object(kernels, "_CHUNK_ENTRIES", chunk_entries):
+        whole = processes._realize(specs, 121, 0, 24)
+        parts = [processes._realize(specs, 121, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
