@@ -51,6 +51,7 @@ from .processes import (
     ProcessFamily,
     ProcessSpec,
     _increment_metric,
+    _mixed_sample_entries,
     empirical_tail,
     ensemble_to_csv,
     fit_tail_exponent,
@@ -276,8 +277,10 @@ EXPERIMENTS = tuple(_KEYS)
 # The budget on what a run holds at once, in entries: the samples x
 # index_count x D^2 trajectories simulate realizes, the samples x K weights
 # the Monte Carlo sums draw, mixed-tail's per-sample suprema and the
-# one-sample chunk its trajectories are realized and reduced in (the
-# trajectories and a component's part, 2 x index_count x D^2), the
+# one-sample chunk it bounds and forms its increments in
+# (processes._mixed_sample_entries: the weight-times-coordinate arrays and
+# the coordinates of the increments, or, to form them all, X_t, a
+# component's part and its contract weights per index), the
 # basis_count x D^2 basis of a process, the steps x D^2 and n x D^2 stacks
 # of verify-azuma and verify-bernstein, empirical's t_count x n x D^2
 # parameter tensor and t_count x t_count metrics, the two n x n distance
@@ -326,7 +329,8 @@ def _empirical_entries(config) -> int:
 
 
 def _mixed_tail_entries(config) -> int:
-    chunk = _stack_entries(config, 2 * config["index_count"])
+    size = _stack_entries(config, 1)
+    chunk = _mixed_sample_entries(config["index_count"], 2 * config["basis_count"], size)
     basis = _stack_entries(config, config["basis_count"])
     return max(config["samples"], _distance_entries(config), chunk, basis)
 

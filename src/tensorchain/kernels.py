@@ -12,7 +12,9 @@ one ordered multiply-add over k on real views, bit for bit ``einsum``, in
 row blocks of a chunk's 1 / _CONTRACT_SHARE so that its product temporary
 stays in cache.  ``lambda_max_counts`` first bounds each sum from its
 weights (``_sum_intervals``) and forms and eigensolves only the sums those
-bounds leave undecided.
+bounds leave undecided; ``processes.sample_mixed_sups`` bounds each
+increment of its trajectories the same way and forms only those
+``_top_then_ties`` selects.
 
 The package's Hermitian reductions read their spectra here, from stacks
 built of matrices taken through ``tensor.hermitian_part``.  Spectral and
@@ -260,50 +262,79 @@ def contract(weights, stack):
 def _coordinates(stack):
     """(K, n * n) real coordinates of each matrix of ``stack`` (K, n, n) as
     ``eigvalsh`` reads it: the real diagonal, then the real and the
-    imaginary parts of the strict lower triangle in ``tril_indices`` order."""
-    low = stack[(slice(None), *np.tril_indices(stack.shape[-1], -1))]
-    return np.concatenate([stack.diagonal(0, -2, -1).real, low.real, low.imag], axis=1)
+    imaginary parts of the strict lower triangle in ``tril_indices`` order;
+    and (K,) the Frobenius norms of those Hermitian matrices."""
+    n = stack.shape[-1]
+    low = stack[(slice(None), *np.tril_indices(n, -1))]
+    coords = np.concatenate([stack.diagonal(0, -2, -1).real, low.real, low.imag], axis=1)
+    fro = root_sum_squares(coords * np.repeat([1.0, math.sqrt(2.0)], [n, n * n - n]), 1)
+    return coords, fro
 
 
-def _sum_intervals(w, coords, fro):
-    """Padded [lower, upper] of lambda_max, as ``eigvalsh`` computes it, of
-    each sum B = sum_k w_k S_k that ``contract`` forms from the rows of ``w``
-    (c, K), read off the weights: ``coords`` (K, n * n) holds the
-    ``_coordinates`` of the S_k and ``fro`` (K,) their Frobenius norms.
+def _sum_intervals(w, coords, v, reach, gauge=None):
+    """Padded [lower, upper] of lambda_max (``gauge`` None) or of the
+    spectral norm, as ``eigvalsh`` computes it, of each Hermitian B near a
+    sum Y = sum_k w_k S_k, read off the weights, and the pad scale A of
+    each.  The rows of ``w`` (c, K) weigh ``coords`` (..., K, n * n), the
+    ``_coordinates`` of the S_k, one stack or one per leading index, and the
+    bounds have the shape (..., c).  The caller supplies A = |v| @ reach,
+    ``v`` (..., K) and ``reach`` (K,) or (K, c): it must bound
+    sum_k |w_k| ||S_k||_F and the gap ||B - Y||_F <= (K + 3) eps A.
 
-    One BLAS product of coords and w gives the coordinates of a Hermitian
-    Y, and ``_trace_bounds`` bounds lambda_max(Y), padded by
-    (_SLACK + 8 (K + n^2) eps) A with A = sum_k |w_k| ||S_k||_F as computed.
-    The pad covers every gap to the computed value:
+    One BLAS product of coords and w gives the coordinates of Y, and
+    ``_trace_bounds`` bounds lambda_max(Y), or ||Y||, padded by
+    (_SLACK + 8 (K + n^2) eps) A as computed.  The pad covers every gap to
+    the computed value:
 
-    - each coordinate of Y, and of B, is a dot product of length K; in any
-      summation order, with or without FMA, it is within gamma_K = K u /
-      (1 - K u) <= K eps of the sum of its |products| (Higham, Accuracy and
-      Stability of Numerical Algorithms, 3.1), so ||B - Y||_F <= 2 K eps A;
-    - by Weyl, lambda_max(B) and lambda_max(Y) differ by at most that;
+    - each coordinate of Y is a dot product of length K; in any summation
+      order, with or without FMA, it is within gamma_K = K u / (1 - K u) <=
+      K eps of the sum of its |products| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.1); with two rounded factors per product, the
+      computed Y is within (K + 2) eps A of Y in Frobenius norm, and so
+      within (2 K + 5) eps A of B;
+    - by Weyl, lambda_max and the spectral norm move by at most that;
     - ``eigvalsh`` returns lambda_max(B + E) with ||E|| <= c n eps ||B||,
-      ||B||_F <= (1 + K eps) A, and the trace sums of ``_trace_bounds``
-      round within c n^2 eps A: both lie far under _SLACK A / 2, as in
-      ``_intervals``;
-    - the computed A is within (K + n^2 + 3) eps of A, relatively, so the
+      and the trace sums of ``_trace_bounds`` round within c n^2 eps A:
+      both lie far under _SLACK A / 2, as in ``_intervals``;
+    - the computed A is within (K + n^2 + 4) eps of A, relatively, so the
       pad is at least (_SLACK / 2 + 4 (K + n^2) eps) A.
+
+    Two callers supply ``v`` and ``reach``:
+
+    - ``lambda_max_counts``: B is the sum ``contract`` forms from the rows
+      of ``w`` and the stack of the S_k, and A = sum_k |w_k| ||S_k||_F
+      (``v`` is ``w``, ``reach`` the norms).  Each entry of B is, like Y's
+      coordinates, a dot product of length K of products rounded once:
+      ||B - Y||_F <= (K + 1) eps A.
+    - ``processes.sample_mixed_sups``: B is an increment X_t - X_0 of a sum
+      of two components.  Each X is formed by ``contract`` from the weights
+      c_k(t) v_k over the bases T_k of the components, one sum per
+      component, and the two parts are added; then X_0 is subtracted.  The
+      rows of ``w`` are the steps c_k(t) - c_k(0), ``coords`` the
+      coordinates of S_k = v_k T_k per sample, and
+      A = sum_k |v_k| (|c_k(t)| + |c_k(0)|) ||T_k||_F (``v`` the sample
+      weights, ``reach`` the factors after |v_k|).  An entry of X_t or X_0
+      is K products rounded twice each, summed in K - 1 additions: within
+      (K + 2) eps of its sum of |products|.  Their sum over both is at most
+      A in Frobenius norm, and the subtraction adds eps |X_t - X_0|, so
+      ||B - Y||_F <= (K + 3) eps A.
 
     The argument needs normal-range squares and products, so a row whose
     computed A falls outside _FRO_RANGE (below it, the square of a
     cancelled coordinate of Y underflows and s collapses), or whose bounds
     are not finite, gets [-inf, inf].
     """
-    n = math.isqrt(coords.shape[1])
+    n = math.isqrt(coords.shape[-1])
     slack = _SLACK + 8 * (w.shape[1] + n * n) * np.finfo(np.float64).eps
     with np.errstate(over="ignore", invalid="ignore"):  # the wild rows, reset below
-        y = coords.T @ w.T  # (n * n, c): each coordinate's sums contiguous
-        scale = np.abs(w) @ fro
-        off = 2.0 * (y[n:] ** 2).sum(axis=0)
-    lo, hi, _ = _trace_bounds(y[:n].T, off, None, slack * scale)
+        y = np.swapaxes(coords, -1, -2) @ w.T  # (..., n * n, c): a coordinate's sums contiguous
+        scale = np.abs(v) @ reach
+        off = 2.0 * (y[..., n:, :] ** 2).sum(axis=-2)
+    lo, hi, _ = _trace_bounds(np.swapaxes(y[..., :n, :], -1, -2), off, gauge, slack * scale)
     sure = (scale >= _FRO_RANGE[0]) & (scale <= _FRO_RANGE[1])
     wild = ~(sure & np.isfinite(lo) & np.isfinite(hi))
     lo[wild], hi[wild] = -np.inf, np.inf
-    return lo, hi
+    return lo, hi, scale
 
 
 def lambda_max_counts(weights, stack, thresholds):
@@ -313,13 +344,11 @@ def lambda_max_counts(weights, stack, thresholds):
     sum from its weights alone, and only the rows with a threshold inside
     their interval are formed and eigensolved."""
     thr = np.asarray(thresholds, np.float64)[:, None]
-    n = stack.shape[-1]
-    coords = _coordinates(stack)
-    fro = root_sum_squares(coords * np.repeat([1.0, math.sqrt(2.0)], [n, n * n - n]), 1)
+    coords, fro = _coordinates(stack)
     counts = np.zeros(len(thr), np.int64)
     for b in chunks(len(weights), stack[0].size):
         w = weights[b]
-        lo, hi = _sum_intervals(w, coords, fro)
+        lo, hi, _ = _sum_intervals(w, coords, w, fro)
         hit = lo >= thr
         todo = ~(hit | (hi < thr)).all(axis=0)
         counts += hit[:, ~todo].sum(axis=1)

@@ -20,10 +20,12 @@ claimed exponential tail with exponent ``tail_beta`` is verified on it
 empirically by :func:`verify_increment_tail`, never assumed.
 
 Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
-are bit-reproducible regardless of scheduling.  :func:`_realize` is the one
-place trajectories are built: it draws every component's scalars for a block
-of samples from one re-keyed generator and contracts each component once for
-the whole block with ``kernels.contract``.
+are bit-reproducible regardless of scheduling.  :func:`_form` is the one place
+trajectories are built: from the weights that :func:`_draw` draws for a block
+of samples, one re-keyed generator per sample, it contracts each component
+with ``kernels.contract`` at chosen (sample, index) pairs.  :func:`_realize`
+forms every pair of a block, and :func:`sample_mixed_sups` only those its
+bounds leave as candidates.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ class Ensemble:
         return self.norms_vs(t0).max(axis=1)
 
 
-def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, T, D, D) trajectories of samples lo..hi-1 of a sum of processes.
+def _draw(specs, seed: int, lo: int, hi: int) -> list:
+    """Per component of a sum of processes, the (hi - lo, K) signed weights
+    of samples lo..hi-1.
 
     Sample s draws the scalars of every component from the stream (seed, s),
     in component order, into row s - lo of one (samples, K) weight array per
@@ -171,20 +174,12 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
     their raw words (``rng.sign_words``) per sample, and after the loop
     ``rng.signs`` turns the whole block into +-1.0 factors of its weights, an
     exact product: the bits a per-sample ``integers(0, 2, K)`` draw gives.
-    Each component is then contracted once for the block by
-    ``kernels.contract``.
 
     The sign words skip the 32-bit half-word that ``integers`` would leave
     buffered after an odd K, and nothing reads it: ``specs`` is one process
     or a gaussian and a subexponential component, so a sample draws signs at
     most once; only ``standard_exponential`` follows them, and it reads whole
     64-bit words; and ``rng.streams`` clears the buffer at each re-key.
-
-    The block, formed with numpy's overflow warnings off, is refused with a
-    :class:`DomainError` unless each real or imaginary part r of its entries
-    has 4 |r| D^(3/2) <= the largest float.  Then an increment X_a - X_b has
-    parts within 2 |r|, Frobenius and spectral norms at most 2 sqrt(2) |r| D
-    and a nuclear norm sqrt(D) times that: all finite, with room for rounding.
     """
     n = hi - lo
     signed = (ProcessFamily.SUBEXPONENTIAL_LINEAR, ProcessFamily.RADEMACHER_MARTINGALE)
@@ -205,16 +200,49 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
                 words[row] = rng_mod.sign_words(gen, w.shape[1])
                 if family is ProcessFamily.SUBEXPONENTIAL_LINEAR:
                     gen.standard_exponential(out=w[row])
+    for spec, (_, w, words) in zip(specs, draws):
+        if words is not None:
+            w *= rng_mod.signs(words, spec.order)
+    return [w for _, w, _ in draws]
+
+
+def _form(specs, weights, rows, cols) -> np.ndarray:
+    """X at the samples ``rows`` of ``weights`` (from :func:`_draw`) and the
+    indices ``cols``, two indices that broadcast: each component's weights
+    c_k(t) w_k contracted by ``kernels.contract``, the parts added in
+    component order.  Every entry is formed by the same operations whichever
+    (row, index) pairs are chosen, so any of them equals that entry of the
+    whole block bit for bit."""
     trajs = None
+    for spec, w in zip(specs, weights):
+        part = kernels.contract(spec.coefficients[cols] * w[rows], spec.basis_stack)
+        trajs = part if trajs is None else np.add(trajs, part, out=trajs)
+    return trajs
+
+
+def _entry_limit(side: int) -> float:
+    """The largest |part| of a realized entry of D x D trajectories, D = ``side``."""
+    return np.finfo(np.float64).max / (4.0 * side**1.5)
+
+
+def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, T, D, D) trajectories of samples lo..hi-1 of a sum of processes:
+    the weights of :func:`_draw`, each component contracted once for the
+    block by :func:`_form`.
+
+    The block, formed with numpy's overflow warnings off, is refused with a
+    :class:`DomainError` unless each real or imaginary part r of its entries
+    has |r| <= ``_entry_limit(D)``, that is 4 |r| D^(3/2) <= the largest
+    float.  Then an increment X_a - X_b has parts within 2 |r|, Frobenius and
+    spectral norms at most 2 sqrt(2) |r| D and a nuclear norm sqrt(D) times
+    that: all finite, with room for rounding.
+    """
+    weights = _draw(specs, seed, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for spec, (_, w, words) in zip(specs, draws):
-            if words is not None:
-                w *= rng_mod.signs(words, spec.order)
-            part = kernels.contract(spec.coefficients * w[:, None, :], spec.basis_stack)
-            trajs = part if trajs is None else np.add(trajs, part, out=trajs)
+        trajs = _form(specs, weights, np.s_[:, None], np.s_[:])
         parts = trajs.view(np.float64)
         top = max(parts.max(), -parts.min())
-    limit = np.finfo(np.float64).max / (4.0 * trajs.shape[-1] ** 1.5)
+    limit = _entry_limit(trajs.shape[-1])
     if not top <= limit:  # also NaN
         raise DomainError(f"realized trajectories overflow: an entry passes {limit:.3g}")
     return trajs
@@ -383,6 +411,44 @@ def verify_increment_tail(
     )
 
 
+def _mixed_sample_entries(index_count: int, order: int, size: int) -> int:
+    """Complex entries that :func:`sample_mixed_sups` holds per sample, for
+    ``order`` weights in all over matrices of ``size`` D^2 entries: the
+    larger of its bound's reals, the weight-times-coordinate arrays (order x
+    D^2) and the coordinates of every increment (index_count x D^2), and of
+    what forming every increment holds, as a chunk realized whole or one
+    whose bounds decide nothing does: per index, X_t, a component's part or
+    the X_0 gather, and a component's contract weights (at most ``order``
+    reals)."""
+    bound = (order + index_count) * size
+    formed = index_count * (4 * size + order)
+    return -(-max(bound, formed) // 2)
+
+
+def _increment_bounds(specs, weights):
+    """(samples, T) upper bounds of the spectral norm, as ``eigvalsh``
+    computes it, of each increment X_t - X_0 that :func:`_form` gives from
+    ``weights`` (from :func:`_draw`), and the pad scale A of each.
+
+    X_t - X_0 = sum_k w_k (c_k(t) - c_k(0)) B_k over the K weights of every
+    component, so ``kernels._sum_intervals`` takes the steps c_k(t) - c_k(0)
+    as its weights and the coordinates of each sample's w_k B_k as its
+    stacks, with A = sum_k |w_k| (|c_k(t)| + |c_k(0)|) ||B_k||_F, which
+    covers the rounding of X_t, of X_0 and of their difference (derived
+    there).  A also bounds every |part| of X_t up to a relative
+    (K + D^2 + 4) eps.
+    """
+    coeffs = np.hstack([spec.coefficients for spec in specs])
+    coords, fro = kernels._coordinates(np.concatenate([spec.basis_stack for spec in specs]))
+    w = np.hstack(weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # wild in _sum_intervals
+        steps = coeffs - coeffs[0]
+        reach = ((np.abs(coeffs) + np.abs(coeffs[0])) * fro).T
+        scaled = w[:, :, None] * coords
+    _, upper, scale = kernels._sum_intervals(steps, scaled, w, reach, GaugeNorm.SPECTRAL)
+    return upper, scale
+
+
 def sample_mixed_sups(
     spec_subgauss: ProcessSpec, spec_subexp: ProcessSpec, seed: int, n_samples: int
 ) -> np.ndarray:
@@ -393,10 +459,16 @@ def sample_mixed_sups(
     blocks from the same per-sample stream, gaussian block first.  The
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
-    Each ``kernels.chunks`` block of samples is realized, made its increments
-    in place (numpy copies the overlapping X_0 slice first: X_t - X_0 bit for
-    bit) and reduced before the next by ``kernels.sup_norms``, which
-    eigensolves only the increments that may reach a sample's maximum.
+
+    Each ``kernels.chunks`` block of samples draws its weights once
+    (:func:`_draw`) and bounds every increment from them
+    (:func:`_increment_bounds`).  ``kernels._top_then_ties`` then forms
+    (:func:`_form`) and eigensolves only the increments that may hold a
+    sample's maximum, each X_t minus the sample's X_0: bit for bit the
+    increment of the realized block, whose entries are formed by the same
+    operations.  A chunk whose largest pad scale passes half
+    ``_entry_limit`` is first realized whole by :func:`_realize`, which
+    refuses one whose entries overflow.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
@@ -410,12 +482,22 @@ def sample_mixed_sups(
     if spec_subgauss.basis[0].shape != spec_subexp.basis[0].shape:
         raise ValidationError("components must share one tensor shape")
     specs = (spec_subgauss, spec_subexp)
+    side = spec_subgauss.basis_stack.shape[-1]
+    order = spec_subgauss.order + spec_subexp.order
     sups = np.empty(n_samples)
-    # per sample: its trajectories and the component part added to them
-    for sl in kernels.chunks(n_samples, 2 * nt * spec_subgauss.basis_stack[0].size):
-        block = _realize(specs, seed, sl.start, sl.stop)
-        block -= block[:, :1]
-        sups[sl] = kernels.sup_norms(block)
+    for sl in kernels.chunks(n_samples, _mixed_sample_entries(nt, order, side * side)):
+        weights = _draw(specs, seed, sl.start, sl.stop)
+        upper, scale = _increment_bounds(specs, weights)
+        if not scale.max() <= _entry_limit(side) / 2:  # also NaN
+            _realize(specs, seed, sl.start, sl.stop)
+        x0 = _form(specs, weights, np.s_[:], 0)
+
+        def norms(rows, cols):
+            diff = _form(specs, weights, rows, cols)
+            diff -= x0[rows]
+            return kernels.gauge_norms(diff, GaugeNorm.SPECTRAL)
+
+        sups[sl] = kernels._top_then_ties(upper, norms)
     return sups
 
 

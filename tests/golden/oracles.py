@@ -29,7 +29,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(Path(__file__).parent)]
 import workload_outputs  # noqa: E402
-from tensorchain import chaining, empirical, kernels, processes, rng  # noqa: E402
+from tensorchain import chaining, cli, empirical, kernels, processes, rng  # noqa: E402
 from test_chaining import brute_cover  # noqa: E402
 from test_kernels import farthest_point_order_loop  # noqa: E402
 from test_processes import oracle_trajectories  # noqa: E402
@@ -41,9 +41,12 @@ def unbounded(mats, gauge):
     return np.full(shape, -np.inf), np.full(shape, np.inf)
 
 
-def unbounded_sums(w, coords, fro):
-    """[-inf, inf] for every weight row: ``lambda_max_counts`` forms every sum."""
-    return np.full(len(w), -np.inf), np.full(len(w), np.inf)
+def unbounded_sums(w, coords, v, reach, gauge=None):
+    """[-inf, inf] for every weight row, and the pad scale: ``lambda_max_counts``
+    forms every sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(v) @ reach
+    return np.full(scale.shape, -np.inf), np.full(scale.shape, np.inf), scale
 
 
 def every_diagonal_block(diags):
@@ -109,6 +112,20 @@ def integer_signs(law, gen, shape):
     return _noise(law, gen, shape)
 
 
+def block_mixed_sups(spec_subgauss, spec_subexp, seed, n_samples):
+    """``sample_mixed_sups`` realizing every increment: each chunk of
+    samples realized whole, X_0 subtracted in place (numpy copies the
+    overlapping slice first) and reduced by ``kernels.sup_norms``."""
+    specs = (spec_subgauss, spec_subexp)
+    sups = np.empty(n_samples)
+    step = 2 * spec_subgauss.index_count * spec_subgauss.basis_stack[0].size
+    for sl in kernels.chunks(n_samples, step):
+        block = processes._realize(specs, seed, sl.start, sl.stop)
+        block -= block[:, :1]
+        sups[sl] = kernels.sup_norms(block)
+    return sups
+
+
 def oracle_realize(specs, seed, lo, hi):
     return oracle_trajectories(specs, seed, hi, lo)
 
@@ -127,6 +144,7 @@ SWAPS = [
     (chaining, "_certify", uncertified),
     (processes, "_certify", uncertified),
     (kernels, "rip_scan", every_support),
+    (cli, "sample_mixed_sups", block_mixed_sups),
     (kernels, "contract", einsum_contract),
     (processes, "_realize", oracle_realize),
     (rng, "noise", integer_signs),

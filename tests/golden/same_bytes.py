@@ -5,15 +5,18 @@ Usage: python tests/golden/same_bytes.py BASE
 BASE is another checkout of this repository, say a ``git worktree`` of the
 base branch.  Each side writes, with its own ``src``, the outputs of every
 benchmark workload config at seeds 1 and 4242 (``workload_outputs.py``)
-and of the golden cases (``python tests/test_golden.py OUT``).  Each pair
-of trees must pass ``diff -r -x manifest.json``, byte for byte.  Exit
-status 0 means both pairs match; 1 prints ``compare.py``'s listing of the
-pair that differs, which tells moved values from changed text.
+and of its golden cases (``python tests/test_golden.py OUT``).  A golden
+case that only one side holds, one the change adds or removes, has nothing
+to match: it is named and left out.  Each pair of trees must then pass
+``diff -r -x manifest.json``, byte for byte.  Exit status 0 means both
+pairs match; 1 prints ``compare.py``'s listing of the pair that differs,
+which tells moved values from changed text.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -31,6 +34,16 @@ def write_outputs(checkout: Path, out: Path) -> None:
     for tree, script in scripts.items():
         argv = [sys.executable, str(checkout / "tests" / script), str(out / tree)]
         subprocess.run(argv, env=env, check=True)
+
+
+def shared_cases(base: Path, change: Path, tree: str) -> None:
+    """Remove from base/tree and change/tree the cases that only one of them
+    holds, naming each."""
+    held = {side: {path.name for path in (side / tree).iterdir()} for side in (base, change)}
+    for side, other in ((base, change), (change, base)):
+        for name in sorted(held[side] - held[other]):
+            print(f"{tree}: {name} is only in the {side.name} checkout; not compared")
+            shutil.rmtree(side / tree / name)
 
 
 def same_tree(base: Path, change: Path, tree: str) -> bool:
@@ -54,6 +67,7 @@ def main(argv=None) -> int:
         base, change = Path(tmp, "base"), Path(tmp, "change")
         write_outputs(Path(args[0]).resolve(), base)
         write_outputs(ROOT, change)
+        shared_cases(base, change, "golden")
         same = [same_tree(base, change, tree) for tree in ("workloads", "golden")]
     return 0 if all(same) else 1
 

@@ -321,10 +321,11 @@ def test_empirical_and_mixed_tail_hold(tmp_path):
 
 
 def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
-    # 4 indices of 2x2 unfoldings: 16 complex entries per sample, held twice
-    # while realized, 64 samples per block
-    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 16 * 64)
-    calls = count_calls(monkeypatch, "sup_norms")
+    # 4 indices of 2x2 unfoldings and 2 + 2 weights: forming every increment
+    # of a sample holds 4 x (4 x 4 + 4) reals, 40 complex entries, so 64
+    # samples per block, each bounded and reduced by one call
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 40 * 64)
+    calls = count_calls(monkeypatch, "_top_then_ties")
     cfg = {
         "experiment": "mixed-tail",
         "seed": 10,
@@ -428,6 +429,7 @@ def test_held_entries_are_bounded_before_anything_is_drawn(
         raise AssertionError("drew past the entry budget")
 
     monkeypatch.setattr(processes, "_realize", refuse)
+    monkeypatch.setattr(processes, "_draw", refuse)
     monkeypatch.setattr(trng, "noise", refuse)
     monkeypatch.setattr(cli, "diagonal_family", refuse)
     kind = config["experiment"]
@@ -443,8 +445,9 @@ def test_held_entries_are_bounded_before_anything_is_drawn(
 
 
 def test_entry_budget_counts_what_a_run_holds_not_its_work():
-    # mixed-tail realizes 600 000 x 16 x 16 trajectory entries, a chunk at a
-    # time, and holds only its 600 000 suprema
+    # mixed-tail bounds 600 000 x 16 increments of 4 x 4 matrices, a chunk
+    # at a time, forms only those that may hold a supremum, and holds only
+    # its 600 000 suprema
     assert validate({**MIXED, "samples": 600_000, "index_count": 16, "row_modes": [2, 2]}) == []
     # simulate builds its metric and pair increments only under verify_tail
     assert validate({**SIMULATE, "index_count": 100_000}) == []
@@ -470,6 +473,7 @@ def test_metric_and_pair_arrays_are_bounded_before_they_are_built(
     monkeypatch.setattr(chaining, "euclidean_distances", refuse)
     monkeypatch.setattr(processes, "euclidean_distances", refuse)
     monkeypatch.setattr(processes, "_realize", refuse)
+    monkeypatch.setattr(processes, "_draw", refuse)
     kind = config["experiment"]
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
@@ -500,6 +504,7 @@ def test_dense_stacks_are_bounded_before_they_are_built(tmp_path, capsys, monkey
 
     monkeypatch.setattr(cli, "random_hermitian", refuse)
     monkeypatch.setattr(processes, "_realize", refuse)
+    monkeypatch.setattr(processes, "_draw", refuse)
     kind = config["experiment"]
     path = write_config(tmp_path, config)
     out = tmp_path / "out"

@@ -231,5 +231,19 @@ def test_same_bytes_lists_what_differs(tmp_path, capfd):
     assert same_bytes.main([]) == 2
 
 
+def test_same_bytes_compares_only_the_cases_both_sides_hold(tmp_path, capfd):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        shutil.copytree(GOLDEN / "expected", side / "golden")
+    shutil.copytree(change / "golden" / "gamma-small", change / "golden" / "gamma-added")
+    shutil.rmtree(change / "golden" / "rip-fourier")
+    same_bytes.shared_cases(base, change, "golden")
+    out = capfd.readouterr().out
+    assert "golden: rip-fourier is only in the base checkout; not compared" in out
+    assert "golden: gamma-added is only in the change checkout; not compared" in out
+    assert same_bytes.same_tree(base, change, "golden")
+    assert not (change / "golden" / "gamma-added").exists()
+
+
 if __name__ == "__main__":
     regenerate(sys.argv[1])

@@ -227,10 +227,11 @@ def test_ensemble_matches_per_sample_oracle(family):
 
 
 def test_mixed_sups_match_per_sample_oracle_across_blocks(monkeypatch):
-    # 6 indices of 2x2 unfoldings: 24 entries per sample, held twice while
-    # realized, 4 samples per block, so 10 samples span two full blocks and
-    # a partial one
-    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * 24 * 4)
+    # 6 indices of 2x2 unfoldings and 5 or 6 weights: forming every
+    # increment of a sample holds 6 x (4 x 4 + K) reals, at most 66 entries,
+    # 3 samples per block, so 10 samples span three full blocks and a
+    # partial one
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 3 * 66)
     g = make_spec("gaussian_linear", seed=103, nt=6, k=3)
     for k in (2, 3):  # subexponential orders, even and odd
         e = make_spec("subexponential_linear", seed=104, nt=6, k=k, tail_beta=1.0)
@@ -263,6 +264,117 @@ def test_realize_over_any_split_concatenates_to_one_call(families, k, cuts, chun
         whole = processes._realize(specs, 121, 0, 24)
         parts = [processes._realize(specs, 121, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+# the property sample_mixed_sups relies on: X formed at any (sample, index)
+# pairs of drawn weights is those entries of the realized block, byte for
+# byte, whatever the budget contract cuts its rows by
+@settings(max_examples=40, deadline=None)
+@given(
+    families=st.sampled_from([
+        ("gaussian_linear",), ("subexponential_linear",), ("rademacher_martingale",),
+        ("iid_bernstein",), ("gaussian_linear", "subexponential_linear"),
+    ]),
+    k=st.integers(1, 5),
+    pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)), min_size=1, max_size=40),
+    chunk_entries=st.sampled_from([0, 4096, 1 << 19]),
+)
+def test_forming_any_pairs_equals_those_entries_of_the_realized_block(
+    families, k, pairs, chunk_entries
+):
+    specs = tuple(make_spec(family, seed=140 + j, nt=6, k=k) for j, family in enumerate(families))
+    rows, cols = np.array(pairs).T
+    with mock.patch.object(kernels, "_CHUNK_ENTRIES", chunk_entries):
+        whole = processes._realize(specs, 141, 5, 15)
+        got = processes._form(specs, processes._draw(specs, 141, 5, 15), rows, cols)
+    assert got.tobytes() == whole[rows, cols].tobytes()
+
+
+def mixed_pair(k, scale, nt=7, row_modes=(2, 2)):
+    """A gaussian part of order 3 and a subexponential part of order ``k``,
+    coefficients times ``scale``, with a zero column and indices 2 and 5
+    equal, so that their increments tie."""
+    specs = []
+    for j, (family, order) in enumerate([("gaussian_linear", 3), ("subexponential_linear", k)]):
+        spec = make_spec(family, seed=150 + j, nt=nt, k=order, row_modes=row_modes)
+        coeffs = scale * spec.coefficients
+        coeffs[:, 1] = 0.0
+        coeffs[5] = coeffs[2]
+        specs.append(ProcessSpec(family, coeffs, spec.basis, 2.0 - j))
+    return specs
+
+
+# the bound-first path against the block path it replaced
+# (tests/golden/oracles.py::block_mixed_sups): up to 1e+-100 the increment
+# bounds decide most increments; near 1e+-150 and 1e+-170 the pad scale A
+# leaves _FRO_RANGE and every increment is formed; one sample per chunk, a
+# few chunks, one chunk
+@pytest.mark.parametrize("chunk_entries", [0, 3000, 1 << 19])
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100, 1e150, 1e-150, 1e170, 1e-170])
+@pytest.mark.parametrize("k", [2, 3])
+def test_mixed_sups_equal_the_block_path_bit_for_bit(monkeypatch, k, scale, chunk_entries):
+    from golden.oracles import block_mixed_sups
+
+    specs = mixed_pair(k, scale)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    got = sample_mixed_sups(*specs, 160, 45)
+    assert got.tobytes() == block_mixed_sups(*specs, 160, 45).tobytes()
+
+
+# the upper bounds read off the weights hold the norm eigvalsh computes on
+# every formed increment: random bases, and identity bases, whose scalar
+# increments make the Wolkowicz-Styan bound exact, so that only the pad
+# covers the rounding of X_t, X_0 and their difference
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+def test_increment_bounds_hold_every_computed_norm(scale):
+    eye = (identity(Shape((2,), (2,))),) * 2
+    for specs in (mixed_pair(3, scale), [ProcessSpec(s.family, s.coefficients[:, :2], eye, 2.0)
+                                         for s in mixed_pair(3, scale)]):
+        block = processes._realize(specs, 170, 0, 400)
+        block -= block[:, :1]
+        upper = processes._increment_bounds(specs, processes._draw(specs, 170, 0, 400))[0]
+        assert np.isfinite(upper).all()
+        assert (kernels.gauge_norms(block, "spectral") <= upper).all()
+
+
+def test_mixed_sups_form_only_candidate_increments(monkeypatch):
+    # at scale 1 the bounds leave few candidates: each sample's X_0 and its
+    # top increment, then the few whose bound reaches that
+    formed = []
+    form = processes._form
+
+    def counted(*args):
+        out = form(*args)
+        formed.append(len(out))
+        return out
+
+    monkeypatch.setattr(processes, "_form", counted)
+    sample_mixed_sups(*mixed_pair(3, 1.0), 160, 45)
+    assert formed[:2] == [45, 45]  # X_0 and the top increments
+    assert sum(formed[2:]) < 45 * 7 / 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_mixed_sups_refuse_entries_whose_increments_overflow():
+    # the subexponential part on the 2x2 identity, the gaussian part zero:
+    # entries +-c w_k; c the largest coefficient at which every |c w_k| of
+    # the 6 samples is within the limit, then the next float
+    basis = (identity(Shape((2,), (2,))),)
+    g = ProcessSpec("gaussian_linear", [[0.0], [0.0]], basis, 2.0)
+    e = ProcessSpec("subexponential_linear", [[1.0], [-1.0]], basis, 1.0)
+    top = np.abs(processes._draw((g, e), 3, 0, 6)[1]).max()
+    limit = np.finfo(np.float64).max / (4.0 * 2**1.5)
+    c = limit / top
+    while c * top > limit:
+        c = np.nextafter(c, 0.0)
+    while np.nextafter(c, np.inf) * top <= limit:
+        c = np.nextafter(c, np.inf)
+    at = ProcessSpec("subexponential_linear", [[c], [-c]], basis, 1.0)
+    sups = sample_mixed_sups(g, at, 3, 6)
+    assert np.isfinite(sups).all() and sups.max() == 2 * c * top
+    past = ProcessSpec("subexponential_linear", [[np.nextafter(c, np.inf)], [-c]], basis, 1.0)
+    with pytest.raises(DomainError, match="realized trajectories overflow"):
+        sample_mixed_sups(g, past, 3, 6)
 
 
 @pytest.mark.filterwarnings("error")
