@@ -6,21 +6,11 @@ from .tensor import (  # noqa: F401
     DenseTensor,
     GaugeNorm,
     Shape,
-    add,
-    conjugate_transpose,
     einstein_product,
     fold,
     hermitian_part,
-    identity,
-    inner_product,
-    inverse,
-    is_hermitian,
     is_unitary,
-    lambda_max,
-    norm,
-    trace,
     unfold,
-    zero,
 )
 from .chaining import (  # noqa: F401
     AdmissibleSequence,
@@ -41,7 +31,6 @@ from .processes import (  # noqa: F401
     ProcessFamily,
     ProcessSpec,
     TailCurve,
-    empirical_sup_moment,
     empirical_tail,
     fit_tail_exponent,
     sample_ensemble,

@@ -22,10 +22,6 @@ class ValidationError(TensorChainError, ValueError):
     """A structural invariant of an input object is violated."""
 
 
-class SingularityError(TensorChainError, ArithmeticError):
-    """The unfolding is singular and cannot be inverted."""
-
-
 class CapacityError(TensorChainError, RuntimeError):
     """The requested exact computation exceeds the configured budget."""
 

@@ -264,16 +264,6 @@ def sample_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def empirical_sup_moment(ensemble: Ensemble, p: float, t0: int) -> float:
-    """((1/S) sum_s max_t ||X_t - X_t0||^p)^(1/p)."""
-    if p < 1:
-        raise DomainError("p must be at least 1")
-    if ensemble.sample_count < 1:
-        raise ValidationError("ensemble is empty")
-    sups = ensemble.sup_samples(t0)
-    return float(np.mean(sups**p) ** (1.0 / p))
-
-
 @dataclass(frozen=True)
 class TailCurve:
     """Empirical survival of the per-sample supremum statistic.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SingularityError, ValidationError
+from .errors import ShapeError, ValidationError
 
 _MAX_SIDE = 1 << 31  # guard against unfoldings that cannot be addressed
 _REL_TOL = 1e-10  # default tolerance, relative to the Frobenius norm
@@ -75,14 +75,6 @@ class Shape:
     def is_square(self) -> bool:
         return self.row_modes == self.col_modes
 
-    def transposed(self) -> "Shape":
-        return Shape(self.col_modes, self.row_modes)
-
-    def __str__(self):
-        rows = "x".join(str(e) for e in self.row_modes)
-        cols = "x".join(str(e) for e in self.col_modes)
-        return f"({rows};{cols})"
-
 
 @dataclass(frozen=True, eq=False)
 class DenseTensor:
@@ -106,24 +98,10 @@ class DenseTensor:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Entries as a flat row-major vector."""
-        return self.data.reshape(-1)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
     def __mul__(self, scalar):
         return scale(self, scalar)
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"DenseTensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +130,6 @@ def fold(matrix: np.ndarray, shape: Shape) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot add tensors of shapes {a.shape} and {b.shape}")
-    return DenseTensor(a.shape, a.data + b.data)
-
-
 def scale(a: DenseTensor, scalar) -> DenseTensor:
     return DenseTensor(a.shape, a.data * complex(scalar))
 
@@ -175,26 +147,6 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
         )
     out_shape = Shape(a.shape.row_modes, b.shape.col_modes)
     return fold(unfold(a) @ unfold(b), out_shape)
-
-
-def conjugate_transpose(a: DenseTensor) -> DenseTensor:
-    m = len(a.shape.row_modes)
-    n = len(a.shape.col_modes)
-    axes = tuple(range(m, m + n)) + tuple(range(m))
-    return DenseTensor(a.shape.transposed(), np.conj(np.transpose(a.data, axes)))
-
-
-def trace(a: DenseTensor) -> complex:
-    if not a.shape.is_square:
-        raise ShapeError(f"trace requires matching mode groups, got {a.shape}")
-    return complex(np.trace(unfold(a)))
-
-
-def inner_product(a: DenseTensor, b: DenseTensor) -> complex:
-    """Trace pairing ``<a, b>``; equals the conjugated entrywise dot product."""
-    if a.shape != b.shape:
-        raise ShapeError(f"inner product requires equal shapes, got {a.shape}, {b.shape}")
-    return complex(np.vdot(a.data, b.data))
 
 
 def root_sum_squares(x, trailing: int):
@@ -219,34 +171,13 @@ def root_sum_squares(x, trailing: int):
     return flat.reshape(lead)
 
 
-def norm(a: DenseTensor, gauge=GaugeNorm.FROBENIUS) -> float:
-    gauge = GaugeNorm.coerce(gauge)
-    if gauge is GaugeNorm.FROBENIUS:
-        return float(root_sum_squares(a.entries, 1))
-    singular = np.linalg.svd(unfold(a), compute_uv=False)
-    if gauge is GaugeNorm.SPECTRAL:
-        return float(singular[0])
-    return float(singular.sum())
-
-
-def default_tolerance(a: DenseTensor) -> float:
-    return _REL_TOL * norm(a, GaugeNorm.FROBENIUS)
-
-
-def is_hermitian(a: DenseTensor, tol: float | None = None) -> bool:
-    if not a.shape.is_square:
-        return False
-    if tol is None:
-        tol = default_tolerance(a)
-    mat = unfold(a)
-    return float(root_sum_squares(mat - mat.conj().T, 2)) <= tol
-
-
 def is_unitary(a: DenseTensor, tol: float | None = None) -> bool:
+    """Whether both U^H U and U U^H are within ``tol`` of I in Frobenius norm;
+    by default ``tol`` is _REL_TOL times the Frobenius norm of U."""
     if not a.shape.is_square:
         return False
     if tol is None:
-        tol = default_tolerance(a)
+        tol = _REL_TOL * float(root_sum_squares(a.data.reshape(-1), 1))
     mat = unfold(a)
     eye = np.eye(mat.shape[0])
     return (
@@ -257,8 +188,8 @@ def is_unitary(a: DenseTensor, tol: float | None = None) -> bool:
 
 def hermitian_part(mats) -> np.ndarray:
     """Read-only (M + M^H) / 2 of each M in a (..., D, D) stack, which is M
-    bit for bit when M is exactly Hermitian.  Each M must pass
-    :func:`is_hermitian`'s default rule ||M - M^H||_F <= 1e-10 ||M||_F, else
+    bit for bit when M is exactly Hermitian.  Each M must pass the rule
+    ||M - M^H||_F <= _REL_TOL ||M||_F (_REL_TOL is 1e-10), else
     :class:`ValidationError` is raised."""
     mats = np.asarray(mats, dtype=np.complex128)
     adjoint = np.conj(np.swapaxes(mats, -1, -2))
@@ -280,33 +211,6 @@ def hermitian_stack(tensors, what: str):
     if not shape.is_square or any(t.shape != shape for t in tensors):
         raise ShapeError(f"{what} tensors must share one square shape")
     return shape, hermitian_part([unfold(t) for t in tensors])
-
-
-def lambda_max(a: DenseTensor) -> float:
-    """Largest eigenvalue of the Hermitian unfolding."""
-    if not is_hermitian(a):
-        raise DomainError("lambda_max requires a Hermitian tensor")
-    return float(np.linalg.eigvalsh(unfold(a))[-1])
-
-
-def identity(shape: Shape) -> DenseTensor:
-    if not shape.is_square:
-        raise ShapeError(f"identity requires matching mode groups, got {shape}")
-    return fold(np.eye(shape.row_count, dtype=np.complex128), shape)
-
-
-def zero(shape: Shape) -> DenseTensor:
-    return DenseTensor(shape, np.zeros(shape.row_modes + shape.col_modes, np.complex128))
-
-
-def inverse(a: DenseTensor) -> DenseTensor:
-    if not a.shape.is_square:
-        raise ShapeError(f"inverse requires matching mode groups, got {a.shape}")
-    try:
-        inv = np.linalg.inv(unfold(a))
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"unfolding is singular: {exc}") from exc
-    return fold(inv, a.shape)
 
 
 # ---------------------------------------------------------------------------

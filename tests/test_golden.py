@@ -4,14 +4,17 @@ tests/golden/expected/<case>/ (see tests/golden/compare.py for the rule).
 
 To regenerate the stored outputs (say why in CHANGES.md):
 
-    PYTHONPATH=src python tests/test_golden.py tests/golden/expected
+    PYTHONPATH=src python tests/test_golden.py tests/golden/expected [CASE ...]
 
 which runs :func:`regenerate`: the stored tree holds no ``manifest.json``.
+Only the named cases' directories are replaced, every case's when none is
+named.
 """
 
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -42,13 +45,40 @@ def run_case(name, root):
     return workload_outputs.run_config(CASES[name]["experiment"], CASES[name], root, name)
 
 
-def regenerate(target, names=tuple(sorted(CASES))):
-    """Replace ``target`` with the outputs of the cases ``names``, less the
-    ``manifest.json`` each run writes (wall times, never compared)."""
-    target = Path(target)
-    shutil.rmtree(target, ignore_errors=True)
-    for name in names:
+def regenerate(target, names=()):
+    """Replace target/<name> with the outputs of each case of ``names`` (every
+    case when none is named), less the ``manifest.json`` each run writes (wall
+    times, never compared); every other directory of ``target`` is left alone."""
+    for name in names or sorted(CASES):
+        shutil.rmtree(Path(target, name), ignore_errors=True)
         (run_case(name, target) / "manifest.json").unlink(missing_ok=True)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if not args:
+        print(__doc__.splitlines()[6].strip(), file=sys.stderr)
+        return 2
+    unknown = sorted(set(args[1:]) - set(CASES))
+    if unknown:
+        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    regenerate(args[0], args[1:])
+    return 0
+
+
+def test_regeneration_rewrites_only_the_named_cases(tmp_path):
+    copy = tmp_path / "expected"
+    shutil.copytree(GOLDEN / "expected", copy)
+    for name in ("gamma-small", "rip-fourier"):
+        (copy / name / "stale").write_text("\n")
+    assert main([str(copy), "gamma-small", "verify-azuma"]) == 0
+    assert not (copy / "gamma-small" / "stale").exists()
+    assert (copy / "rip-fourier" / "stale").read_text() == "\n"
+    (copy / "rip-fourier" / "stale").unlink()
+    assert subprocess.run(["diff", "-r", str(GOLDEN / "expected"), str(copy)]).returncode == 0
+    assert main([str(copy), "no-such-case"]) == 2
+    assert main([]) == 2
 
 
 def test_regeneration_writes_the_stored_files_and_no_manifest(tmp_path):
@@ -76,34 +106,6 @@ def test_every_case_writes_the_same_bytes_with_every_fast_path_slow(tmp_path):
             run_case(name, slow / "golden")
     assert all(calls.values()), calls
     assert same_bytes.same_tree(fast, slow, "golden")
-
-
-# 4 x 4 stacks with thresholds inside the sample: each run has empirical
-# frequencies strictly between 0 and 1, which a Monte Carlo sum bound that
-# decides a sample wrongly moves; no golden case or workload config has them
-INSIDE = {
-    "verify-azuma-inside": {
-        "experiment": "verify-azuma", "seed": 8, "samples": 500, "steps": 6,
-        "row_modes": [2, 2], "u_sigma_factors": [0.25, 0.5, 1.0, 2.0],
-    },
-    "verify-bernstein-inside": {
-        "experiment": "verify-bernstein", "seed": 9, "samples": 500, "n": 5,
-        "row_modes": [2, 2], "u_grid": [0.05, 0.1, 0.2, 0.5, 1.0],
-    },
-}
-
-
-def test_thresholds_inside_the_sample_write_the_same_bytes_with_every_fast_path_slow(tmp_path):
-    fast, slow = tmp_path / "fast", tmp_path / "slow"
-    for name, config in INSIDE.items():
-        out = workload_outputs.run_config(config["experiment"], config, fast / "inside", name)
-        rows = workload_outputs.strict_json(out / "bound_report.json")["rows"]
-        assert any(0.0 < row["empirical"] < 1.0 for row in rows), name
-    with oracles.slow_paths() as calls:
-        for name, config in INSIDE.items():
-            workload_outputs.run_config(config["experiment"], config, slow / "inside", name)
-    assert calls["tensorchain.kernels._sum_intervals"], calls
-    assert same_bytes.same_tree(fast, slow, "inside")
 
 
 @pytest.fixture(scope="module")
@@ -246,4 +248,4 @@ def test_same_bytes_compares_only_the_cases_both_sides_hold(tmp_path, capfd):
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1])
+    raise SystemExit(main())

@@ -29,7 +29,6 @@ from tensorchain.tensor import (
     fold,
     hermitian_part,
     hermitian_stack as tensor_stack,
-    norm,
     random_hermitian,
     random_tensor,
     unfold,
@@ -208,7 +207,8 @@ def test_process_metric_scale_matches_svd(gauge):
     shape, stack = hermitian_stack(9, 3)
     coeffs = trng.stream(9, 9).uniform(-1.0, 1.0, (6, 3))
     spec = ProcessSpec("gaussian_linear", coeffs, tensors(stack, shape), 2.0, 1.5)
-    scale = 1.5 * max(norm(b, gauge) for b in spec.basis)  # tensor.norm keeps the SVD
+    ords = {"spectral": 2, "frobenius": "fro", "nuclear": "nuc"}  # numpy takes the SVD
+    scale = 1.5 * max(np.linalg.norm(unfold(b), ords[gauge]) for b in spec.basis)
     want = scale * euclidean_distances(coeffs)
     assert np.allclose(process_metric(spec, gauge), want, rtol=1e-12, atol=0.0)
 

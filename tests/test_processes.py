@@ -16,7 +16,6 @@ from tensorchain.errors import (
 from tensorchain.processes import (
     ProcessSpec,
     TailCurve,
-    empirical_sup_moment,
     empirical_tail,
     ensemble_to_csv,
     fit_tail_exponent,
@@ -27,14 +26,10 @@ from tensorchain.processes import (
 )
 from tensorchain.tensor import (
     DenseTensor,
-    GaugeNorm,
     Shape,
     fold,
-    identity,
-    norm,
     random_hermitian,
     unfold,
-    zero,
 )
 
 
@@ -66,7 +61,7 @@ def test_spec_stores_exactly_hermitian_basis_bit_for_bit():
 def test_spec_stores_hermitian_part_of_nearly_hermitian_basis():
     herm = unfold(random_hermitian((3,), trng.stream(6, 0)))
     off = herm.copy()
-    off[0, 2] += 1e-12  # inside the relative tolerance of is_hermitian
+    off[0, 2] += 1e-12  # inside the relative tolerance of hermitian_part
     basis = (fold(off, Shape((3,), (3,))),)
     spec = ProcessSpec("gaussian_linear", np.ones((2, 1)), basis, 2.0)
     mat = unfold(spec.basis[0])
@@ -157,7 +152,7 @@ def test_rank_one_increment_closed_form():
     spec = ProcessSpec("gaussian_linear", coeffs, basis, 2.0)
     seed, samples = 23, 40
     ens = sample_ensemble(spec, seed, samples)
-    b_norm = norm(basis[0], GaugeNorm.SPECTRAL)
+    b_norm = np.linalg.norm(unfold(basis[0]), 2)
     pairwise = kernels.ensemble_pairwise_norms(ens.trajectories, ens.gauge)
     assert pairwise.shape == (samples, 1)  # the one pair (0, 1)
     got = pairwise[:, 0]
@@ -327,7 +322,7 @@ def test_mixed_sups_equal_the_block_path_bit_for_bit(monkeypatch, k, scale, chun
 # covers the rounding of X_t, X_0 and their difference
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
 def test_increment_bounds_hold_every_computed_norm(scale):
-    eye = (identity(Shape((2,), (2,))),) * 2
+    eye = (fold(np.eye(2), Shape((2,), (2,))),) * 2
     for specs in (mixed_pair(3, scale), [ProcessSpec(s.family, s.coefficients[:, :2], eye, 2.0)
                                          for s in mixed_pair(3, scale)]):
         block = processes._realize(specs, 170, 0, 400)
@@ -359,7 +354,7 @@ def test_mixed_sups_refuse_entries_whose_increments_overflow():
     # the subexponential part on the 2x2 identity, the gaussian part zero:
     # entries +-c w_k; c the largest coefficient at which every |c w_k| of
     # the 6 samples is within the limit, then the next float
-    basis = (identity(Shape((2,), (2,))),)
+    basis = (fold(np.eye(2), Shape((2,), (2,))),)
     g = ProcessSpec("gaussian_linear", [[0.0], [0.0]], basis, 2.0)
     e = ProcessSpec("subexponential_linear", [[1.0], [-1.0]], basis, 1.0)
     top = np.abs(processes._draw((g, e), 3, 0, 6)[1]).max()
@@ -381,7 +376,7 @@ def test_mixed_sups_refuse_entries_whose_increments_overflow():
 def test_realize_refuses_entries_whose_increments_overflow():
     # signs on the 2x2 identity: entries +-c, increments +-2c times the identity
     limit = np.finfo(np.float64).max / (4.0 * 2**1.5)
-    basis = (identity(Shape((2,), (2,))),)
+    basis = (fold(np.eye(2), Shape((2,), (2,))),)
     huge = ProcessSpec("rademacher_martingale", [[limit], [-limit]], basis, 2.0)
     trajs = sample_ensemble(huge, 0, 4).trajectories
     for gauge in ("spectral", "frobenius", "nuclear"):
@@ -415,35 +410,7 @@ def test_sup_moment_singleton_space_is_zero():
     basis = (random_hermitian((2,), trng.stream(41, 0)),)
     spec = ProcessSpec("gaussian_linear", np.ones((1, 1)), basis, 2.0)
     ens = sample_ensemble(spec, 43, 10)
-    assert empirical_sup_moment(ens, 1.0, 0) == 0.0
-
-
-def test_sup_moment_scales_exactly():
-    spec, _, _ = make_pair(seed=47, samples=60)
-    spec3 = ProcessSpec(
-        spec.family, spec.coefficients, tuple(2.5 * b for b in spec.basis),
-        spec.tail_beta, spec.metric_scale,
-    )
-    ens3 = sample_ensemble(spec3, 48, 60)
-    base = sample_ensemble(spec, 48, 60)
-    for p in (1.0, 2.0):
-        assert empirical_sup_moment(ens3, p, 0) == pytest.approx(
-            2.5 * empirical_sup_moment(base, p, 0), rel=1e-12
-        )
-
-
-def test_sup_moment_small_ensemble_hand_average():
-    spec, space, ens = make_pair(seed=53, samples=5)
-    sups = ens.norms_vs(0).max(axis=1)
-    assert empirical_sup_moment(ens, 1.0, 0) == pytest.approx(
-        float(sups.mean()), rel=1e-12
-    )
-
-
-def test_sup_moment_monotone_in_p():
-    spec, space, ens = make_pair(seed=59, samples=200)
-    values = [empirical_sup_moment(ens, p, 0) for p in (1, 2, 4, 8)]
-    assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+    assert np.array_equal(ens.sup_samples(0), np.zeros(10))
 
 
 def test_sup_moment_subset_monotonicity():
@@ -455,10 +422,9 @@ def test_sup_moment_subset_monotonicity():
 
 def test_sup_moment_domain_checks():
     spec, space, ens = make_pair(seed=67, samples=5)
-    with pytest.raises(DomainError):
-        empirical_sup_moment(ens, 0.5, 0)
-    with pytest.raises(DomainError):
-        empirical_sup_moment(ens, 1.0, 99)
+    for t0 in (-1, 99):
+        with pytest.raises(DomainError, match="outside the space"):
+            ens.sup_samples(t0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +481,7 @@ def test_fit_exponent_needs_enough_points():
 
 
 def test_increment_tail_zero_process_has_no_pair_to_test():
-    basis = (zero(Shape((2,), (2,))),)
+    basis = (DenseTensor(Shape((2,), (2,)), np.zeros((2, 2))),)
     spec = ProcessSpec("gaussian_linear", np.ones((3, 1)), basis, 2.0)
     space = process_space(spec)  # all distances zero
     ens = sample_ensemble(spec, 79, 20)

@@ -4,36 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorchain import rng as trng
-from tensorchain.errors import (
-    DomainError,
-    ShapeError,
-    SingularityError,
-    ValidationError,
-)
+from tensorchain import kernels, rng as trng
+from tensorchain.errors import ShapeError, ValidationError
 from tensorchain.tensor import (
     DenseTensor,
     GaugeNorm,
     Shape,
-    add,
-    conjugate_transpose,
     einstein_product,
     fold,
     hermitian_part,
-    identity,
-    inner_product,
-    inverse,
-    is_hermitian,
     is_unitary,
-    lambda_max,
-    norm,
     random_hermitian,
     random_tensor,
     random_unitary,
     root_sum_squares,
-    trace,
     unfold,
-    zero,
 )
 
 # ---------------------------------------------------------------------------
@@ -53,20 +38,6 @@ def loop_einstein(a: DenseTensor, b: DenseTensor) -> np.ndarray:
                 acc += a.data[i + j] * b.data[j + k]
             out[i + k] = acc
     return out
-
-
-def loop_inner(a: DenseTensor, b: DenseTensor) -> complex:
-    acc = 0.0 + 0.0j
-    for idx in np.ndindex(*a.data.shape):
-        acc += np.conj(a.data[idx]) * b.data[idx]
-    return acc
-
-
-def loop_trace(a: DenseTensor) -> complex:
-    acc = 0.0 + 0.0j
-    for i in np.ndindex(*a.shape.row_modes):
-        acc += a.data[i + i]
-    return acc
 
 
 def power_iteration_norm(mat: np.ndarray, iters: int = 2000) -> float:
@@ -95,6 +66,18 @@ def shifted_power_lambda_max(mat: np.ndarray, iters: int = 4000) -> float:
 
 def rand(shape, seed=0):
     return random_tensor(shape, trng.stream(seed, 0))
+
+
+def eye(shape):
+    return fold(np.eye(shape.row_count), shape)
+
+
+# numpy's matrix norm of the unfolding for each gauge
+NUMPY_ORD = {GaugeNorm.FROBENIUS: "fro", GaugeNorm.SPECTRAL: 2, GaugeNorm.NUCLEAR: "nuc"}
+
+
+def gauge_norm(a, gauge):
+    return float(np.linalg.norm(unfold(a), NUMPY_ORD[gauge]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,43 +114,13 @@ def test_tensors_are_immutable():
 
 
 # ---------------------------------------------------------------------------
-# addition
-# ---------------------------------------------------------------------------
-
-
-def test_add_zero_identity():
-    a = rand(Shape((2, 3), (2,)), 1)
-    z = zero(a.shape)
-    assert np.array_equal(add(z, a).data, a.data)
-
-
-def test_add_additive_inverse():
-    a = rand(Shape((2, 3), (2,)), 2)
-    total = add(a, (-1.0) * a)
-    assert np.all(total.data == 0)
-
-
-def test_add_matches_scalar_loop():
-    a = rand(Shape((2, 3), (2, 3)), 3)
-    b = rand(Shape((2, 3), (2, 3)), 4)
-    out = add(a, b)
-    for idx in np.ndindex(*a.data.shape):
-        assert out.data[idx] == a.data[idx] + b.data[idx]
-
-
-def test_add_shape_mismatch():
-    with pytest.raises(ShapeError):
-        add(rand(Shape((2,), (2,))), rand(Shape((3,), (2,))))
-
-
-# ---------------------------------------------------------------------------
 # the contraction product
 # ---------------------------------------------------------------------------
 
 
 def test_einstein_identity_neutral():
     a = rand(Shape((2, 3), (2,)), 5)
-    left = identity(Shape((2, 3), (2, 3)))
+    left = eye(Shape((2, 3), (2, 3)))
     assert np.allclose(einstein_product(left, a).data, a.data, rtol=1e-14, atol=0)
 
 
@@ -181,7 +134,7 @@ def test_einstein_matrix_case():
 
 def test_einstein_annihilates_zero():
     b = rand(Shape((2,), (3,)), 6)
-    z = zero(Shape((3,), (2,)))
+    z = DenseTensor(Shape((3,), (2,)), np.zeros((3, 2)))
     assert np.all(einstein_product(z, b).data == 0)
 
 
@@ -206,115 +159,26 @@ def test_einstein_mode_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# conjugate transpose
-# ---------------------------------------------------------------------------
-
-
-def test_conjugate_transpose_involution():
-    a = rand(Shape((2, 3), (4,)), 11)
-    assert np.array_equal(conjugate_transpose(conjugate_transpose(a)).data, a.data)
-
-
-def test_conjugate_transpose_real_symmetric_fixed_point():
-    mat = np.array([[1.0, 2.0], [2.0, 5.0]], np.complex128)
-    a = DenseTensor(Shape((2,), (2,)), mat)
-    assert np.array_equal(conjugate_transpose(a).data, a.data)
-
-
-def test_conjugate_transpose_entry_definition():
-    a = zero(Shape((2,), (3,)))
-    data = np.array(a.data)
-    data[0, 1] = 1 + 2j
-    a = DenseTensor(a.shape, data)
-    h = conjugate_transpose(a)
-    assert h.shape == Shape((3,), (2,))
-    assert h.data[1, 0] == 1 - 2j
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_conjugate_transpose_is_isometry_every_gauge(seed):
-    a = random_tensor(Shape((2,), (2, 2)), trng.stream(seed, 0))
-    h = conjugate_transpose(a)
-    for gauge in GaugeNorm:
-        assert norm(a, gauge) == pytest.approx(norm(h, gauge), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# trace and inner product
-# ---------------------------------------------------------------------------
-
-
-def test_trace_identity_counts_diagonal():
-    assert trace(identity(Shape((2, 3), (2, 3)))) == pytest.approx(6.0)
-
-
-def test_trace_zero():
-    assert trace(zero(Shape((2, 2), (2, 2)))) == 0
-
-
-def test_trace_matches_matrix_and_loop_oracles():
-    a = rand(Shape((2, 3), (2, 3)), 12)
-    assert trace(a) == pytest.approx(np.trace(unfold(a)), rel=1e-12)
-    assert trace(a) == pytest.approx(loop_trace(a), rel=1e-12)
-
-
-def test_trace_rejects_non_square():
-    with pytest.raises(ShapeError):
-        trace(rand(Shape((2,), (3,))))
-    with pytest.raises(ShapeError):
-        trace(rand(Shape((2, 3), (3, 2))))  # equal products, different modes
-
-
-def test_inner_product_gives_squared_frobenius():
-    a = rand(Shape((2,), (2, 2)), 13)
-    assert inner_product(a, a).real == pytest.approx(
-        norm(a, GaugeNorm.FROBENIUS) ** 2, rel=1e-12
-    )
-    assert abs(inner_product(a, a).imag) < 1e-12
-
-
-def test_inner_product_zero():
-    b = rand(Shape((2,), (2,)), 14)
-    assert inner_product(zero(b.shape), b) == 0
-
-
-def test_inner_product_matches_loop_oracle():
-    a = rand(Shape((2, 2), (3,)), 15)
-    b = rand(Shape((2, 2), (3,)), 16)
-    assert inner_product(a, b) == pytest.approx(loop_inner(a, b), rel=1e-12)
-
-
-def test_inner_product_equals_trace_pairing():
-    a = rand(Shape((2,), (3,)), 17)
-    b = rand(Shape((2,), (3,)), 18)
-    paired = trace(einstein_product(conjugate_transpose(a), b))
-    assert inner_product(a, b) == pytest.approx(paired, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# norms and eigenvalues
+# norms and eigenvalues, by the kernels on Hermitian unfoldings
 # ---------------------------------------------------------------------------
 
 
 def test_norms_of_identity():
-    eye = identity(Shape((2,), (2,)))
-    assert norm(eye, GaugeNorm.FROBENIUS) == pytest.approx(np.sqrt(2))
-    assert norm(eye, GaugeNorm.SPECTRAL) == pytest.approx(1.0)
-    assert norm(eye, GaugeNorm.NUCLEAR) == pytest.approx(2.0)
+    mat = np.eye(2)
+    assert kernels.gauge_norms(mat, GaugeNorm.FROBENIUS) == pytest.approx(np.sqrt(2))
+    assert kernels.gauge_norms(mat, GaugeNorm.SPECTRAL) == pytest.approx(1.0)
+    assert kernels.gauge_norms(mat, GaugeNorm.NUCLEAR) == pytest.approx(2.0)
 
 
 def test_norms_of_zero():
-    z = zero(Shape((2, 2), (3,)))
+    z = np.zeros((6, 6))
     for gauge in GaugeNorm:
-        assert norm(z, gauge) == 0.0
+        assert kernels.gauge_norms(z, gauge) == 0.0
 
 
 def test_spectral_norm_matches_power_iteration():
-    a = rand(Shape((2, 2), (2, 2)), 19)
-    assert norm(a, GaugeNorm.SPECTRAL) == pytest.approx(
-        power_iteration_norm(unfold(a)), rel=1e-8
-    )
+    h = unfold(random_hermitian((2, 2), trng.stream(19, 0)))
+    assert kernels.batch_spectral(h) == pytest.approx(power_iteration_norm(h), rel=1e-8)
 
 
 def test_gauge_norms_unitarily_invariant():
@@ -324,81 +188,34 @@ def test_gauge_norms_unitarily_invariant():
     v = random_unitary((2, 2), trng.stream(22, 0))
     rotated = einstein_product(einstein_product(u, a), v)
     for gauge in GaugeNorm:
-        assert norm(rotated, gauge) == pytest.approx(norm(a, gauge), rel=1e-10)
+        assert gauge_norm(rotated, gauge) == pytest.approx(gauge_norm(a, gauge), rel=1e-10)
 
 
 def test_lambda_max_identity_and_diagonal():
-    assert lambda_max(identity(Shape((2,), (2,)))) == pytest.approx(1.0)
-    d = DenseTensor(Shape((2,), (2,)), np.diag([3.0, -1.0]).astype(np.complex128))
-    assert lambda_max(d) == pytest.approx(3.0)
+    assert kernels.batch_lambda_max(np.eye(2)) == pytest.approx(1.0)
+    assert kernels.batch_lambda_max(np.diag([3.0, -1.0])) == pytest.approx(3.0)
 
 
 def test_lambda_max_matches_shifted_power_iteration():
-    h = random_hermitian((2, 2), trng.stream(23, 0))
-    assert lambda_max(h) == pytest.approx(
-        shifted_power_lambda_max(unfold(h)), rel=1e-8
-    )
-
-
-def test_lambda_max_rejects_non_hermitian():
-    with pytest.raises(DomainError):
-        lambda_max(rand(Shape((2,), (2,)), 24))
+    h = unfold(random_hermitian((2, 2), trng.stream(23, 0)))
+    assert kernels.batch_lambda_max(h) == pytest.approx(shifted_power_lambda_max(h), rel=1e-8)
 
 
 def test_lambda_max_below_spectral_equality_when_psd():
-    h = random_hermitian((2,), trng.stream(25, 0))
-    assert lambda_max(h) <= norm(h, GaugeNorm.SPECTRAL) + 1e-12
-    psd = fold(unfold(h) @ unfold(h).conj().T, h.shape)
-    assert lambda_max(psd) == pytest.approx(norm(psd, GaugeNorm.SPECTRAL), rel=1e-12)
+    h = unfold(random_hermitian((2,), trng.stream(25, 0)))
+    assert kernels.batch_lambda_max(h) <= kernels.batch_spectral(h) + 1e-12
+    psd = h @ h.conj().T
+    assert kernels.batch_lambda_max(psd) == pytest.approx(kernels.batch_spectral(psd), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# identity / zero / inverse
+# the identity tensor
 # ---------------------------------------------------------------------------
-
-
-def test_identity_unfolds_to_eye():
-    assert np.array_equal(unfold(identity(Shape((2, 3), (2, 3)))), np.eye(6))
-
-
-def test_identity_trace_counts_dimension():
-    assert trace(identity(Shape((4,), (4,)))) == pytest.approx(4.0)
 
 
 def test_identity_idempotent_under_product():
-    eye = identity(Shape((2, 2), (2, 2)))
-    assert np.array_equal(einstein_product(eye, eye).data, eye.data)
-
-
-def test_identity_requires_square():
-    with pytest.raises(ShapeError):
-        identity(Shape((2,), (3,)))
-
-
-def test_inverse_of_identity():
-    eye = identity(Shape((2, 3), (2, 3)))
-    assert np.allclose(inverse(eye).data, eye.data)
-
-
-def test_inverse_of_unitary_is_adjoint():
-    u = random_unitary((2, 2), trng.stream(26, 0))
-    assert np.allclose(
-        inverse(u).data, conjugate_transpose(u).data, rtol=0, atol=1e-10
-    )
-
-
-def test_inverse_residual_small():
-    a = rand(Shape((2, 2), (2, 2)), 27)
-    shifted = add(a, 5.0 * identity(a.shape))  # comfortably nonsingular
-    res = einstein_product(shifted, inverse(shifted))
-    gap = norm(add(res, (-1.0) * identity(a.shape)), GaugeNorm.FROBENIUS)
-    assert gap <= 1e-10 * norm(shifted, GaugeNorm.FROBENIUS)
-
-
-def test_inverse_singular_raises():
-    singular = DenseTensor(Shape((2,), (2,)), np.ones((2, 2), np.complex128))
-    with pytest.raises(SingularityError):
-        inverse(singular)
+    one = eye(Shape((2, 2), (2, 2)))
+    assert np.array_equal(einstein_product(one, one).data, one.data)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +224,9 @@ def test_inverse_singular_raises():
 
 
 def test_identity_is_hermitian_and_unitary():
-    eye = identity(Shape((2, 3), (2, 3)))
-    assert is_hermitian(eye) and is_unitary(eye)
+    one = eye(Shape((2, 3), (2, 3)))
+    assert is_unitary(one)
+    assert np.array_equal(hermitian_part(unfold(one)), unfold(one))
 
 
 def test_random_unitary_detected():
@@ -417,15 +235,17 @@ def test_random_unitary_detected():
 
 
 def test_tolerance_semantics():
-    eye = identity(Shape((2,), (2,)))
-    bumped = add(eye, 1e-3 * identity(eye.shape))
+    bumped = fold((1.0 + 1e-3) * np.eye(2), Shape((2,), (2,)))
     assert not is_unitary(bumped, tol=1e-6)
-    assert not is_hermitian(add(eye, 1e-3 * rand(Shape((2,), (2,)), 29)), tol=1e-6)
+    with pytest.raises(ValidationError):
+        hermitian_part(np.eye(2) + 1e-3 * unfold(rand(Shape((2,), (2,)), 29)))
 
 
 def test_non_square_predicates_false():
     t = rand(Shape((2,), (3,)), 30)
-    assert not is_hermitian(t) and not is_unitary(t)
+    assert not is_unitary(t)
+    with pytest.raises(ValidationError):
+        hermitian_part(unfold(t))
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +317,9 @@ def test_hermitian_rule_holds_where_squares_leave_the_float_range(scale):
     far = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         hermitian_part(far)
-    t = fold(far, Shape((2,), (2,)))
-    assert not is_hermitian(t)
-    assert norm(t) == pytest.approx(1.5 * scale, rel=1e-15, abs=0.0)
+    assert root_sum_squares(far, 2) == pytest.approx(1.5 * scale, rel=1e-15, abs=0.0)
     exact = scale * np.array([[1.0, 0.5], [0.5, 1.0]])
     assert np.array_equal(hermitian_part(exact), exact)
-    assert is_hermitian(fold(exact, Shape((2,), (2,))))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +366,9 @@ def test_invariant_product_factorizes_bit_exact(seed):
 @settings(max_examples=25, deadline=None)
 def test_invariant_frobenius_three_ways(seed):
     a = random_tensor(Shape((2, 2), (3,)), trng.stream(seed, 0))
-    f = norm(a, GaugeNorm.FROBENIUS)
-    assert f**2 == pytest.approx(float(np.sum(np.abs(a.entries) ** 2)), rel=1e-12)
-    assert f**2 == pytest.approx(inner_product(a, a).real, rel=1e-12)
+    f = float(root_sum_squares(unfold(a), 2))
+    assert f**2 == pytest.approx(float(np.sum(np.abs(a.data) ** 2)), rel=1e-12)
+    assert f**2 == pytest.approx(np.vdot(a.data, a.data).real, rel=1e-12)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -559,7 +376,5 @@ def test_invariant_frobenius_three_ways(seed):
 def test_invariant_unitary_isometry(seed):
     u = random_unitary((2, 2), trng.stream(seed, 0))
     x = random_tensor(Shape((2, 2), (3,)), trng.stream(seed, 1))
-    ratio = norm(einstein_product(u, x), GaugeNorm.FROBENIUS) / norm(
-        x, GaugeNorm.FROBENIUS
-    )
+    ratio = root_sum_squares(unfold(einstein_product(u, x)), 2) / root_sum_squares(unfold(x), 2)
     assert abs(ratio - 1.0) <= 1e-10
