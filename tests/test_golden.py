@@ -108,6 +108,25 @@ def test_every_case_writes_the_same_bytes_with_every_fast_path_slow(tmp_path):
     assert same_bytes.same_tree(fast, slow, "golden")
 
 
+# 4 x 4 stacks with thresholds inside the sample: each run has empirical
+# frequencies strictly between 0 and 1, which a Monte Carlo sum bound that
+# decides a sample wrongly moves; these two cases alone must exercise the
+# sum-interval oracle, whatever the other cases do
+INSIDE = ("verify-azuma-inside", "verify-bernstein-inside")
+
+
+def test_thresholds_inside_the_sample_write_the_same_bytes_with_every_fast_path_slow(tmp_path):
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    for name in INSIDE:
+        rows = workload_outputs.strict_json(run_case(name, fast / "inside") / "bound_report.json")["rows"]
+        assert any(0.0 < row["empirical"] < 1.0 for row in rows), name
+    with oracles.slow_paths() as calls:
+        for name in INSIDE:
+            run_case(name, slow / "inside")
+    assert calls["tensorchain.kernels._sum_intervals"], calls
+    assert same_bytes.same_tree(fast, slow, "inside")
+
+
 @pytest.fixture(scope="module")
 def default_cut(tmp_path_factory):
     """Every golden case written at the default chunk budget."""
