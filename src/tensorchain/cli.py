@@ -79,6 +79,7 @@ class RunManifest:
     stage_seconds: dict
     digests: dict
     verdicts: list = field(default_factory=list)
+    workers: int = 1  # the processes kernels.map_blocks could share a loop among
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +611,8 @@ def run(config: dict, out_dir) -> RunManifest:
     start = time.perf_counter()
     verdicts = _RUNNERS[config["experiment"]](config, _settings(config), outputs)
     stages = {"run": time.perf_counter() - start}
-    manifest = RunManifest(config, __version__, stages, digests={}, verdicts=verdicts)
+    manifest = RunManifest(config, __version__, stages, digests={}, verdicts=verdicts,
+                           workers=kernels._WORKERS)
     _write_run(out_dir, outputs, manifest)
     return manifest
 

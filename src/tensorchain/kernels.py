@@ -35,6 +35,9 @@ eigensolves the block of largest bound, then those whose bound reaches it.
 
 import functools
 import math
+import os
+import pickle
+import warnings
 from itertools import combinations, islice
 
 import numpy as np
@@ -47,6 +50,16 @@ from .tensor import _FRO_RANGE, GaugeNorm, root_sum_squares
 # greedy_cover curve takes 23.7 ms at 1 << 22, 24.8 at 1 << 20, 27.5 here and
 # 36.2 at 1 << 18; a round of the mc-deep configs peaks at 135, 86, 80, 64 MB.
 _CHUNK_ENTRIES = 1 << 19
+
+# The processes a map_blocks loop is shared among: the CPUs this process may
+# run on (``taskset`` sets them), one where os.fork is missing.
+_WORKERS = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+# By default map_blocks forks only for shares of 1 / _LEAST_SHARE of the
+# chunk budget or more: a fork and the page faults that follow it cost about
+# 10 ms of CPU in a 70 MB process on a 2-vCPU KVM guest, and reducing 2^16
+# entries of increments takes about 8 ms.
+_LEAST_SHARE = 8
 
 # contract: its product temporary holds 1 / _CONTRACT_SHARE of a chunk, 1 024
 # rows of a 4 x 4 matrix (256 KB).  On a 2-core AMD EPYC it formed 32 768
@@ -69,11 +82,107 @@ _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
 
 
-def chunks(count, entries):
+def chunks(count, entries, workers=1):
     """Slices of range(count), items of ``entries`` complex entries: each holds
-    at most _CHUNK_ENTRIES entries, or one item where that alone is more."""
+    at most _CHUNK_ENTRIES entries, or one item where that alone is more.
+    For ``workers`` processes (``map_blocks``) their count is rounded up to a
+    multiple of ``workers``, or to ``count``, and their sizes differ by at
+    most one item."""
     step = max(1, _CHUNK_ENTRIES // max(1, entries))
+    if workers > 1:
+        blocks = -(-count // step)
+        blocks = min(count, -(-blocks // workers) * workers)
+        return (slice(count * k // blocks, count * (k + 1) // blocks) for k in range(blocks))
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def map_blocks(fn, count, entries, least=None):
+    """[fn(sl) for sl in chunks(count, entries, W)], the slices shared in
+    order among W processes: _WORKERS, or fewer, so that each share holds at
+    least ``least`` items, by default those of _CHUNK_ENTRIES / _LEAST_SHARE
+    entries.
+
+    W - 1 children are forked, each to run ``fn`` over its share of the
+    slices and send back its results, or the exception that stopped them,
+    pickled through a pipe; a child always leaves by ``os._exit``.  This
+    process runs the first share itself, and any share whose fork fails,
+    then reads the children in order and raises the first exception one
+    sent; once it raises, the children left are killed.  Every child is
+    reaped before the map returns or raises.  No result depends on W,
+    provided ``fn`` returns its slice's values and changes nothing else: a
+    child's other effects are lost.
+    """
+    if least is None:
+        least = -(-_CHUNK_ENTRIES // (_LEAST_SHARE * max(1, entries)))
+    workers = max(1, min(_WORKERS, count // max(1, least)))
+    slices = list(chunks(count, entries, workers))
+    cuts = [len(slices) * k // workers for k in range(workers + 1)]
+    shares = [slices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = []  # per later share: (pid, read end of its pipe), or None
+    try:
+        for share in shares[1:]:
+            children.append(_fork(fn, share))
+        results = [fn(sl) for sl in shares[0]]
+        for share, child in zip(shares[1:], children):
+            if child is None:
+                results += [fn(sl) for sl in share]
+                continue
+            data = child[1].read()
+            if not data:
+                raise ChildProcessError(f"worker {child[0]} ended without a result")
+            done, value = pickle.loads(data)
+            if not done:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        import signal  # here, not at the top: no CLI start loads it
+
+        for pid, _ in filter(None, children):  # their results are not read
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _fork(fn, share):
+    """Fork a child that sends (True, [fn(sl) for sl in share]), or (False,
+    the exception), pickled through a pipe; return its pid and the read end
+    of the pipe, or None if the fork fails."""
+    global _WORKERS
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork with threads alive, such as
+            # OpenBLAS's pool; OpenBLAS stops its pool in its own fork
+            # handler, and the package starts no thread
+            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: the share runs here
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    try:
+        _WORKERS = 1  # a map inside fn runs in this child
+        os.close(read)
+        try:
+            out = (True, [fn(sl) for sl in share])
+        except BaseException as exc:
+            out = (False, exc)
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            error = ChildProcessError(f"a worker's result does not pickle: {exc!r}")
+            data = pickle.dumps((False, error))
+        with open(write, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 def gauge_norms(mats, gauge):
@@ -161,12 +270,13 @@ def _increments(block, a, b):
 
 
 def _map_increments(trajs, a, b, reduce):
-    """[reduce(X_a - X_b)] over chunks of samples; ``b`` is aligned with ``a``
-    or holds one index, which broadcasts.  The entries ``chunks`` counts are
-    a chunk's two gathers, X_a (the difference buffer) and X_b.  Each chunk
-    is dropped once reduced, before the next is formed."""
+    """[reduce(X_a - X_b)] over chunks of samples, by :func:`map_blocks`;
+    ``b`` is aligned with ``a`` or holds one index, which broadcasts.  The
+    entries ``chunks`` counts are a chunk's two gathers, X_a (the difference
+    buffer) and X_b.  Each chunk is dropped once reduced, before the next is
+    formed."""
     step = (a.size + b.size) * math.prod(trajs.shape[2:])
-    return [reduce(_increments(trajs[sl], a, b)) for sl in chunks(trajs.shape[0], step)]
+    return map_blocks(lambda sl: reduce(_increments(trajs[sl], a, b)), trajs.shape[0], step)
 
 
 def increment_counts(trajs, a, b, thresholds, gauge):

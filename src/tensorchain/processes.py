@@ -401,6 +401,13 @@ def verify_increment_tail(
     )
 
 
+# sample_mixed_sups forks only for shares of _CHUNK_ENTRIES /
+# _LEAST_MIXED_SHARE samples or more, 256 at the default budget: bound first,
+# a sample costs 17 us (mc-deep) to 120 us (index-wide), far less than its
+# entries say, against about 10 ms of CPU for a fork and its page faults.
+_LEAST_MIXED_SHARE = 2048
+
+
 def _mixed_sample_entries(index_count: int, order: int, size: int) -> int:
     """Complex entries that :func:`sample_mixed_sups` holds per sample, for
     ``order`` weights in all over matrices of ``size`` D^2 entries: the
@@ -450,8 +457,8 @@ def sample_mixed_sups(
     resulting process has one sub-gaussian and one sub-exponential metric
     (from each component), the shape the mixed-tail bounds expect.
 
-    Each ``kernels.chunks`` block of samples draws its weights once
-    (:func:`_draw`) and bounds every increment from them
+    Each block of samples, mapped by ``kernels.map_blocks``, draws its
+    weights once (:func:`_draw`) and bounds every increment from them
     (:func:`_increment_bounds`).  ``kernels._top_then_ties`` then forms
     (:func:`_form`) and eigensolves only the increments that may hold a
     sample's maximum, each X_t minus the sample's X_0: bit for bit the
@@ -474,8 +481,8 @@ def sample_mixed_sups(
     specs = (spec_subgauss, spec_subexp)
     side = spec_subgauss.basis_stack.shape[-1]
     order = spec_subgauss.order + spec_subexp.order
-    sups = np.empty(n_samples)
-    for sl in kernels.chunks(n_samples, _mixed_sample_entries(nt, order, side * side)):
+
+    def block_sups(sl):
         weights = _draw(specs, seed, sl.start, sl.stop)
         upper, scale = _increment_bounds(specs, weights)
         if not scale.max() <= _entry_limit(side) / 2:  # also NaN
@@ -487,8 +494,11 @@ def sample_mixed_sups(
             diff -= x0[rows]
             return kernels.gauge_norms(diff, GaugeNorm.SPECTRAL)
 
-        sups[sl] = kernels._top_then_ties(upper, norms)
-    return sups
+        return kernels._top_then_ties(upper, norms)
+
+    entries = _mixed_sample_entries(nt, order, side * side)
+    least = kernels._CHUNK_ENTRIES // _LEAST_MIXED_SHARE
+    return np.concatenate(kernels.map_blocks(block_sups, n_samples, entries, least))
 
 
 def ensemble_to_csv(ensemble: Ensemble, t0: int = 0) -> str:

@@ -12,7 +12,9 @@ reach.
 :func:`unreached` gives the package functions that a list of configs never
 calls; ``tests/test_package.py`` pins that set for the golden cases.  Each
 list is profiled (``sys.setprofile``) in a fresh interpreter that starts the
-profile before it imports the package, so what runs at import counts.
+profile before it imports the package, so what runs at import counts, and
+runs in that one process (``kernels._WORKERS`` 1), so what a forked child
+would run counts too.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def _profile(runs) -> list:
 
     sys.setprofile(record)
     sys.path.insert(0, str(ROOT / "src"))
-    from tensorchain import cli
+    from tensorchain import cli, kernels
+
+    kernels._WORKERS = 1  # a function that only a forked child calls is still seen
 
     with tempfile.TemporaryDirectory() as tmp:
         for k, (experiment, config) in enumerate(runs):

@@ -1,7 +1,7 @@
 """Write the outputs of every benchmark workload config, for a byte-level
 comparison of two checkouts.
 
-Usage: python tests/golden/workload_outputs.py [--chunk-entries N] OUT
+Usage: python tests/golden/workload_outputs.py [--chunk-entries N] [--workers N] OUT
 
 For each workload of ``clibench/workloads.py`` and each seed in SEEDS, the
 k-th config runs through ``tensorchain.cli.main`` of this checkout (its
@@ -16,8 +16,10 @@ difference.  When it does, ``python tests/golden/compare.py A B`` tells
 whether values moved (beyond a relative 1e-12) or only their text.
 
 ``--chunk-entries N`` sets ``kernels._CHUNK_ENTRIES``, the budget the work
-is cut by, to N in this process: no byte may depend on it, and CI diffs a
-run at a small budget against a run at the default.
+is cut by, to N in this process, and ``--workers N`` sets
+``kernels._WORKERS``, the count of processes ``kernels.map_blocks`` shares a
+loop among: no byte may depend on either, and CI diffs runs at one worker,
+and at a small budget with two, against a run at the defaults.
 """
 
 from __future__ import annotations
@@ -75,11 +77,15 @@ def write_workload(out, name: str, seed: int) -> None:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if args[:1] == ["--chunk-entries"] and len(args) == 3 and args[1].isdigit():
-        kernels._CHUNK_ENTRIES, args = int(args[1]), args[2:]
+    options, chosen = {"--chunk-entries": "_CHUNK_ENTRIES", "--workers": "_WORKERS"}, {}
+    while len(args) > 2 and args[0] in options and args[1].isdigit() and int(args[1]) > 0:
+        chosen[options.pop(args[0])] = int(args[1])
+        args = args[2:]
     if len(args) != 1:
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
+    for name, value in chosen.items():
+        setattr(kernels, name, value)
     shutil.rmtree(args[0], ignore_errors=True)
     for name in workloads.WORKLOADS:
         for seed in SEEDS:

@@ -126,6 +126,15 @@ def test_gamma_experiment_report_value(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["digests"]) == {"report.json", "covering.csv"}
     assert manifest["verdicts"] == []
+    assert manifest["workers"] == kernels._WORKERS
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_manifest_declares_the_workers_a_run_was_allowed(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    path = write_config(tmp_path, GAMMA_CONFIG)
+    assert main(["gamma", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["workers"] == workers
 
 
 def test_reruns_reproduce_identical_digests(tmp_path):
@@ -320,24 +329,44 @@ def test_empirical_and_mixed_tail_hold(tmp_path):
     assert json.loads((out / "bound_report.json").read_text())["verdict"] == "holds"
 
 
+BLOCKED_MIXED = {
+    "experiment": "mixed-tail",
+    "seed": 10,
+    "samples": 300,
+    "row_modes": [2],
+    "index_count": 4,
+    "basis_count": 2,
+}
+
+
 def test_mixed_tail_reduces_one_block_at_a_time(tmp_path, monkeypatch):
     # 4 indices of 2x2 unfoldings and 2 + 2 weights: forming every increment
     # of a sample holds 4 x (4 x 4 + 4) reals, 40 complex entries, so 64
-    # samples per block, each bounded and reduced by one call
+    # samples per block, each bounded and reduced by one call; in one
+    # process, where the calls are counted
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 40 * 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
     calls = count_calls(monkeypatch, "_top_then_ties")
-    cfg = {
-        "experiment": "mixed-tail",
-        "seed": 10,
-        "samples": 300,
-        "row_modes": [2],
-        "index_count": 4,
-        "basis_count": 2,
-    }
-    path = write_config(tmp_path, cfg)
+    path = write_config(tmp_path, BLOCKED_MIXED)
     assert main(["mixed-tail", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_OK
     assert len(calls) == math.ceil(300 / 64)
     assert [len(args[0]) for args in calls] == [64, 64, 64, 64, 44]
+
+
+def test_mixed_tail_blocks_shared_by_two_workers_write_the_same_bytes(tmp_path, monkeypatch):
+    # the blocks above, shared by two processes: this one reduces the first
+    # share of the 6 blocks of 50 samples the cut for two workers gives
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 40 * 64)
+    calls = count_calls(monkeypatch, "_top_then_ties")
+    path = write_config(tmp_path, BLOCKED_MIXED)
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert main(["mixed-tail", "--config", path, "--out", str(out)]) == EXIT_OK
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    assert outputs[2] == outputs[1]
+    assert [len(args[0]) for args in calls] == [64, 64, 64, 64, 44] + [50, 50, 50]
 
 
 # each config with the count of blocks its statistic reduces: samples x
@@ -918,6 +947,37 @@ def test_overflowing_realizations_print_only_the_diagnostic(tmp_path, capfd, con
     assert err.startswith("config error: realized trajectories overflow: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_overflow_refused_in_a_child_exits_as_in_one_process(tmp_path, monkeypatch, capfd):
+    # one basis matrix and two indices, coefficients 0 and c: a sample's
+    # entries are c times those at c = 1, and c puts the limit between the
+    # largest entry of the first half of the samples and the largest of the
+    # second, the share a forked child reduces
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 20 * 64)
+    cfg = {**MIXED, "seed": 5, "samples": 200, "index_count": 2, "basis_count": 1}
+    p = cli._settings({**cfg, "coefficients": [[0.0], [1.0]]})
+    specs = [cli._build_process_spec(p, family, p["basis_seed"] + shift, 1.0)
+             for family, shift in (("gaussian_linear", 0), ("subexponential_linear", 1000))]
+    parts = processes._realize(specs, p["seed"], 0, 200).view(np.float64)
+    top = np.abs(parts).reshape(200, -1).max(axis=1)
+    slices = list(kernels.chunks(200, processes._mixed_sample_entries(2, 2, 4), 2))
+    half = slices[len(slices) // 2].start
+    assert top[half:].max() > 1.01 * top[:half].max()
+    c = processes._entry_limit(2) / math.sqrt(top[:half].max() * top[half:].max())
+    path = write_config(tmp_path, {**cfg, "coefficients": [[0.0], [c]]})
+    printed = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        out = tmp_path / str(workers)
+        assert main(["mixed-tail", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+        printed[workers] = capfd.readouterr()
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert printed[2] == printed[1]
+    assert printed[1].out == ""
+    assert re.fullmatch(r"config error: realized trajectories overflow: [^\n]*\n", printed[1].err)
 
 
 # the squares of these distances under- or overflow; the distances do not

@@ -13,6 +13,7 @@ named.
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -148,6 +149,37 @@ def test_every_case_writes_the_same_bytes_at_any_chunk_budget(
     assert same_bytes.same_tree(default_cut, tmp_path, "golden")
 
 
+# kernels.map_blocks shares its loops among kernels._WORKERS processes; at
+# 4096 entries a chunk the small cases fork too, and at 1024 a child's share
+# of the ensemble.csv norms holds several chunks, so that a share reduced
+# out of order moves bytes.  Whatever the exit code, a run leaves no child
+# behind and prints its diagnostics once
+@pytest.mark.parametrize("chunk_entries", [4096, 1024])
+def test_every_case_writes_the_same_bytes_at_any_worker_count(
+    tmp_path, monkeypatch, capfd, default_cut, chunk_entries
+):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    printed, forked = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        for name in sorted(CASES):
+            run_case(name, tmp_path / str(workers) / "golden")
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            printed[workers, name] = capfd.readouterr()
+        forked[workers] = len(forks)
+        assert same_bytes.same_tree(default_cut, tmp_path / str(workers), "golden")
+    assert forked[1] == 0 and forked[2] > 0
+    assert all(printed[2, name] == printed[1, name] for name in CASES)
+
+
 def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
     # the golden cases and every workload config at seed 1, each traced on
     # its own: the peak of what a run allocates, in bytes, against 16 B per
@@ -233,6 +265,9 @@ def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):
     assert golden_compare.compare(tmp_path / "a", tmp_path / "b") == []
     assert workload_outputs.main([]) == 2
     assert workload_outputs.main(["--chunk-entries", "4096"]) == 2
+    assert workload_outputs.main(["--workers", "2"]) == 2
+    assert workload_outputs.main(["--workers", "0", str(tmp_path / "c")]) == 2
+    assert workload_outputs.main(["--workers", "1", "--workers", "2", str(tmp_path / "c")]) == 2
 
 
 def test_same_bytes_lists_what_differs(tmp_path, capfd):

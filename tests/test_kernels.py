@@ -3,6 +3,9 @@
 import functools
 import itertools
 import math
+import os
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -12,7 +15,7 @@ from tensorchain import kernels, sensing
 from tensorchain import rng as trng
 from tensorchain.bounds import verify_azuma, verify_bernstein
 from tensorchain.empirical import EmpiricalFamily, sample_family_sups
-from tensorchain.errors import CapacityError
+from tensorchain.errors import CapacityError, DomainError
 from tensorchain.processes import ProcessSpec, sample_mixed_sups
 from tensorchain.report import dumps
 from tensorchain.tensor import GaugeNorm, random_hermitian, unfold
@@ -33,6 +36,199 @@ def test_chunks_slice_every_item_within_the_budget(monkeypatch):
     assert list(kernels.chunks(12, 1)) == [slice(0, 12)]
     # an item above the budget is a chunk of its own
     assert list(kernels.chunks(2, 13)) == [slice(0, 1), slice(1, 2)]
+
+
+def test_chunks_for_workers_come_in_multiples_of_them(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 96)  # 24 items of 4 entries
+    assert list(kernels.chunks(0, 4, 2)) == []
+    assert list(kernels.chunks(7, 4, 2)) == [slice(0, 3), slice(3, 7)]
+    assert list(kernels.chunks(1, 4, 2)) == [slice(0, 1)]
+    assert len(list(kernels.chunks(100, 4, 2))) == 6  # 5 chunks, rounded up
+    assert len(list(kernels.chunks(100, 4, 3))) == 6
+    for workers in (2, 3):
+        for count in range(60):
+            for entries in (1, 4, 13, 200):
+                plain = len(list(kernels.chunks(count, entries)))
+                got = list(kernels.chunks(count, entries, workers))
+                items = [i for sl in got for i in range(sl.start, sl.stop)]
+                assert items == list(range(count))
+                sizes = [sl.stop - sl.start for sl in got]
+                assert max(sizes, default=1) <= max(1, 96 // entries)
+                assert max(sizes, default=0) - min(sizes, default=0) <= 1
+                assert len(got) == min(count, -(-plain // workers) * workers)
+
+
+def assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_blocks_forks_only_for_shares_of_least_items(monkeypatch):
+    # by default a share holds 64 / 8 entries or more: 2 items of 4 entries
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+
+    def owners(count, entries, least=None):
+        return len({pid for pid in kernels.map_blocks(lambda sl: os.getpid(), count, entries, least)})
+
+    assert owners(100, 4) == 3
+    assert owners(5, 4) == 2
+    assert owners(1, 4) == 1
+    assert owners(100, 4, least=40) == 2
+    assert owners(100, 4, least=101) == 1
+    assert owners(100, 64) == 3  # a 64-entry item is a share of its own
+    assert_no_child_left()
+
+
+def test_map_blocks_shares_the_slices_in_order(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        for count in (0, 1, 5, 333):  # shares of 2 items or more
+            got = kernels.map_blocks(lambda sl: (sl, os.getpid()), count, 4)
+            cut = kernels.chunks(count, 4, min(workers, count // 2))
+            assert [sl for sl, _ in got] == list(cut)
+        owners = [pid for _, pid in got]
+        assert owners[0] == os.getpid()
+        # one contiguous share a process, of nearly equal sizes
+        shares = [len(list(run)) for _, run in itertools.groupby(owners)]
+        assert len(shares) == len(set(owners)) == workers
+        assert max(shares) - min(shares) <= 1
+        assert_no_child_left()
+
+
+def in_child(parent, error):
+    """A block function that raises ``error`` in any process but ``parent``."""
+
+    def fn(sl):
+        if os.getpid() != parent:
+            raise error
+        return sl
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "error", [DomainError("realized trajectories overflow"), KeyboardInterrupt("stop")],
+    ids=["domain", "interrupt"],
+)
+def test_map_blocks_raises_what_a_child_raised(monkeypatch, error):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    with pytest.raises(type(error)) as raised:
+        kernels.map_blocks(in_child(os.getpid(), error), 100, 4)
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    assert_no_child_left()
+
+
+def test_map_blocks_raises_the_first_error_in_slice_order(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 3)
+
+    def fails(sl):
+        raise ValueError(f"block at {sl.start}")
+
+    with pytest.raises(ValueError, match="^block at 0$"):  # this process's own, first
+        kernels.map_blocks(fails, 100, 4)
+    slices = list(kernels.chunks(100, 4, 3))
+    parent = os.getpid()
+
+    def child_fails(sl):
+        return sl if os.getpid() == parent else fails(sl)
+
+    # the first child's share is the second third of the slices
+    with pytest.raises(ValueError, match=f"^block at {slices[len(slices) // 3].start}$"):
+        kernels.map_blocks(child_fails, 100, 4)
+    assert_no_child_left()
+
+
+def test_map_blocks_kills_the_children_once_it_raises(monkeypatch):
+    # the child's share would take a minute; the error in this process's
+    # share ends the map at once, and leaves no child behind
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    parent = os.getpid()
+
+    def slow_child(sl):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise DomainError("refused here")
+
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^refused here$"):
+        kernels.map_blocks(slow_child, 100, 4)
+    assert time.perf_counter() - start < 20
+    assert_no_child_left()
+
+
+def test_map_blocks_reports_a_child_that_sends_nothing(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    parent = os.getpid()
+
+    def dies(sl):
+        if os.getpid() != parent:
+            os._exit(1)
+        return sl
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        kernels.map_blocks(dies, 100, 4)
+
+    def unpicklable(sl):
+        return sl if os.getpid() == parent else (lambda: sl)
+
+    with pytest.raises(ChildProcessError, match="does not pickle"):
+        kernels.map_blocks(unpicklable, 100, 4)
+    assert_no_child_left()
+
+
+def test_map_blocks_runs_a_share_here_when_the_fork_fails(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = kernels.map_blocks(lambda sl: (sl, os.getpid()), 100, 4)
+    assert [sl for sl, _ in got] == list(kernels.chunks(100, 4, 2))
+    assert {pid for _, pid in got} == {os.getpid()}
+
+
+def test_map_blocks_nests_inside_a_child_without_forking(monkeypatch):
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+
+    def owners(sl):
+        return os.getpid(), {pid for pid in kernels.map_blocks(lambda s: os.getpid(), 100, 4)}
+
+    got = kernels.map_blocks(owners, 100, 4)
+    assert len(got[0][1]) == 2  # this process forks its own inner map
+    assert got[-1][1] == {got[-1][0]}  # a child's inner map runs in the child
+
+
+@pytest.mark.filterwarnings("error")
+def test_map_blocks_forks_where_python_warns_of_threads(monkeypatch):
+    # Python 3.12 warns, after the fork and in the parent, that a process with
+    # threads (OpenBLAS's pool) may deadlock in the child
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may"
+                " lead to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+            )
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    got = kernels.map_blocks(lambda sl: (sl, os.getpid()), 100, 4)
+    assert [sl for sl, _ in got] == list(kernels.chunks(100, 4, 2))
+    assert len({pid for _, pid in got}) == 2
 
 
 def random_hermitian_stack(gen, shape):

@@ -151,6 +151,7 @@ UNREACHED = {
     "chaining.intersect_partitions": GAMMA_PRIME,
     "chaining.covering_number": TRACED,
     "chaining.dudley_integral": TRACED,
+    "kernels._fork": "forks a child of `kernels.map_blocks`; the reach probe runs in one process",
     "kernels.sup_norms": "the suprema of a dense `EmpiricalFamily`, which the CLI never builds",
     "tensor.einstein_product": "the contraction product of the paper's tensors",
     "tensor.is_unitary": "`sensing.coherence` checks its input by it",
