@@ -32,6 +32,16 @@ from .bounds import ConstantSet, evaluate_bound, fit_constants
 # the moment orders p that check_bernstein_condition tests
 BERNSTEIN_ORDERS = (2, 3, 4)
 
+# family_space forks only for shares of _CHUNK_ENTRIES / _LEAST_PAIR_SHARE
+# pairs or more, 256 at the default budget.  On a 2-vCPU guest a pair of
+# 8 blocks of 4 x 4 costs about 11 us and a fork about 10 ms of CPU with its
+# page faults, so given two real cores a share pays from about 1 000 pairs:
+# mc-deep's 496 pairs stay in one process, index-wide's 19 900 fork.  The
+# value is the smallest power of two at which a budget of 4096 entries
+# still shares the 6 pairs of a 4-tuple family, so that the small-budget
+# tests fork here too.
+_LEAST_PAIR_SHARE = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalFamily:
@@ -107,24 +117,37 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
     the max over spaces of the spectral norm of the parameter difference,
     d2 the quadratic mean of those norms.
 
-    Row s holds the pairs (s, s + 1), ..., (s, t_count - 1).  Its
-    differences P[s+1:] - P[s] are formed in ``kernels.chunks`` blocks, one
-    (n, D, D) item a pair; each pair's norms come from one
-    ``batch_spectral`` call, every block eigensolved, and the row's max and
-    quadratic mean are taken along its (row, n) norms and written into the
-    row and the column of both matrices."""
+    The C(t_count, 2) pairs (s, t), s < t, are taken in ``np.triu_indices``
+    order and shared by ``kernels.map_blocks``, one (n, D, D) item a pair;
+    row s holds t_count - 1 - s of them, so the map cuts pairs, not rows.  A
+    slice walks its pairs one row piece at a time, forming P[t0:t1] - P[s]
+    from a view and a broadcast; each pair's norms come from one
+    ``batch_spectral`` call, every block eigensolved, and the slice returns
+    each pair's max and quadratic mean along its (pairs, n) norms.  Both
+    are written into the row and the column of both matrices."""
     params = family.parameters
     nt = family.t_count
+    rows, cols = np.triu_indices(nt, 1)
+
+    def pair_metrics(sl):
+        norms = np.empty((sl.stop - sl.start, family.n))
+        k = sl.start
+        while k < sl.stop:
+            s, t = rows[k], cols[k]
+            end = min(sl.stop, k + nt - t)  # the rest of row s, or of the slice
+            diffs = params[t : t + end - k] - params[s]
+            for j, diff in enumerate(diffs, k - sl.start):
+                norms[j] = kernels.batch_spectral(diff)
+            k = end
+        return np.stack([norms.max(axis=1), np.sqrt(np.mean(norms**2, axis=1))], axis=1)
+
+    least = kernels._CHUNK_ENTRIES // _LEAST_PAIR_SHARE
+    metrics = kernels.map_blocks(pair_metrics, len(rows), params[0].size, least)
+    metrics = np.concatenate(metrics) if metrics else np.empty((0, 2))
     d1 = np.zeros((nt, nt))
     d2 = np.zeros((nt, nt))
-    for s in range(nt - 1):
-        norms = np.empty((nt - 1 - s, family.n))
-        for sl in kernels.chunks(len(norms), params[0].size):
-            diffs = params[s + 1 + sl.start : s + 1 + sl.stop] - params[s]
-            for j, diff in enumerate(diffs, sl.start):
-                norms[j] = kernels.batch_spectral(diff)
-        d1[s, s + 1 :] = d1[s + 1 :, s] = norms.max(axis=1)
-        d2[s, s + 1 :] = d2[s + 1 :, s] = np.sqrt(np.mean(norms**2, axis=1))
+    d1[rows, cols] = d1[cols, rows] = metrics[:, 0]
+    d2[rows, cols] = d2[cols, rows] = metrics[:, 1]
     return FiniteMetricSpace(nt, {"d1": d1, "d2": d2})
 
 

@@ -31,6 +31,12 @@ Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
 bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
 by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
 eigensolves the block of largest bound, then those whose bound reaches it.
+
+Four loops are shared among the usable cores by :func:`map_blocks`, each
+over its ``chunks`` slices in order: the increment chunks of
+``increment_counts`` and ``ensemble_norms_vs_ref`` (``_map_increments``),
+the sample blocks of ``processes.sample_mixed_sups`` and the pairs of
+``empirical.family_space``.  No result depends on the number of processes.
 """
 
 import functools

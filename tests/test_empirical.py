@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,12 @@ from tensorchain.empirical import (
 )
 from tensorchain.errors import DomainError, ValidationError
 from golden.oracles import per_pair_family_space
-from test_kernels import diagonal_blocks, family_sups_oracle, random_hermitian_stack
+from test_kernels import (
+    assert_no_child_left,
+    diagonal_blocks,
+    family_sups_oracle,
+    random_hermitian_stack,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +94,87 @@ def metric_family(dense, t_count, n, scale, seed):
     return family_of_diagonals(scale * gen.uniform(-1.0, 1.0, (t_count, n, 4)))
 
 
+def count_forks(monkeypatch):
+    """A list that gains an entry at each later ``os.fork``."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 # n crosses numpy's pairwise-sum blocks of 8 and 128 in the row mean; at
 # 1e+-150 zheevd scales the blocks, at 1e-170 their norms square to subnormals;
-# a budget of 0 forms one pair's differences per chunk
-@pytest.mark.parametrize("chunk_entries", [0, 1 << 19])
+# a budget of 0 forms one pair's differences per chunk.  Shared by two
+# workers, a budget of 0 gives each slice one pair and 4096 gives slices
+# that cross rows; both fork
+@pytest.mark.parametrize(
+    "chunk_entries, workers",
+    [
+        pytest.param(0, 1, id="0"),
+        pytest.param(1 << 19, 1, id="524288"),
+        pytest.param(0, 2, id="0-w2"),
+        pytest.param(4096, 2, id="4096-w2"),
+    ],
+)
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-170])
 @pytest.mark.parametrize("n", [1, 3, 8, 9, 17, 130])
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, monkeypatch):
+def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, workers, monkeypatch):
     fam = metric_family(dense, 7, n, scale, 80 + n)
     assert (fam.diagonals is None) == dense
     want = per_pair_family_space(fam)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    forks = count_forks(monkeypatch)
     got = family_space(fam)
+    assert (len(forks) > 0) == (workers > 1)
+    assert_no_child_left()
     for name in ("d1", "d2"):
         assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
 
 
-# the squared norms of 1e170 overflow on both paths, before any metric is formed
+# the squared norms of 1e170 overflow on both paths, before any metric is
+# formed.  Shared by two workers, the pair (0, 1) is this process's share and
+# the rest a child's: with only the last tuple at 1e170 the child raises, and
+# this process raises what it sent
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-def test_family_space_refuses_overflowing_squares_as_the_per_pair_path(dense):
+def test_family_space_refuses_overflowing_squares_as_the_per_pair_path(dense, monkeypatch):
     fam = metric_family(dense, 3, 4, 1e170, 90)
-    for build in (family_space, per_pair_family_space):
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            build(fam)
+    params = fam.parameters * np.array([1e-170, 1e-170, 1.0])[:, None, None, None]
+    last = EmpiricalFamily(fam.row_modes, params)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 0)
+    forks = count_forks(monkeypatch)
+    for family in (fam, last):
+        raised = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            for build in (family_space, per_pair_family_space):
+                with pytest.raises(RuntimeWarning, match="overflow") as error:
+                    build(family)
+                raised[workers, build] = type(error.value), str(error.value)
+            assert_no_child_left()
+        assert len(set(raised.values())) == 1
+    assert len(forks) == 2
+
+
+# at the default budget a fork pays only for large families: the empirical
+# configs of mc-deep (t_count 32) and of clibench/tests/test_tracing.py
+# (t_count 6, whose batch_spectral calls it counts in this process) stay in
+# one process, index-wide's (t_count 200) is shared by one child
+@pytest.mark.parametrize(
+    "modes, t_count, n, forked", [((2, 2), 32, 8, 0), ((2, 2), 200, 8, 1), ((2,), 6, 3, 0)]
+)
+def test_family_space_forks_only_for_large_families(modes, t_count, n, forked, monkeypatch):
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    fam = diagonal_family(modes, t_count=t_count, n=n, seed=1)
+    forks = count_forks(monkeypatch)
+    family_space(fam)
+    assert len(forks) == forked
+    assert_no_child_left()
 
 
 def test_family_space_accepts_every_valid_family():
