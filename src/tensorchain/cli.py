@@ -46,7 +46,13 @@ from .chaining import (
     gamma_value,
 )
 from .empirical import diagonal_family, verify_empirical_bound
-from .errors import CapacityError, FitFailureError, InsufficientDataError, TensorChainError
+from .errors import (
+    CapacityError,
+    FitFailureError,
+    InsufficientDataError,
+    TensorChainError,
+    WorkerError,
+)
 from .processes import (
     ProcessFamily,
     ProcessSpec,
@@ -346,7 +352,7 @@ def _sums_entries(config, count_key) -> int:
 def _rip_entries(config) -> int:
     """Three N x N arrays: the unitary, and a trial's kept rows and their
     Gram; fourier_unitary holds as many while it builds (index grids, DFT).
-    The first chunk of supports and Gershgorin indices that
+    The first chunk of supports and their pair indices that
     ``kernels.rip_scan`` keeps between scans is one ``kernels.chunks`` slice,
     within the chunk budget, not counted here."""
     return 3 * math.prod(config["col_dims"]) ** 2
@@ -691,7 +697,7 @@ def main(argv=None) -> int:
             print(f"{exc.label}: {exc}", file=sys.stderr)
             if isinstance(exc, FitFailureError):
                 _write_run(args.out, {"fit_diagnostics.json": dumps(exc.diagnostics)})
-            return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_CONFIG
+            return EXIT_CAPACITY if isinstance(exc, (CapacityError, WorkerError)) else EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,6 +28,12 @@ class CapacityError(TensorChainError, RuntimeError):
     label = "capacity error"
 
 
+class WorkerError(TensorChainError, RuntimeError):
+    """A forked worker ended without a usable result."""
+
+    label = "worker error"
+
+
 class DegenerateMetricError(TensorChainError, ValueError):
     """A zero distance pairs indices whose realizations differ."""
 

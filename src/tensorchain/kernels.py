@@ -26,7 +26,9 @@ order.
 Bound first: maxima and threshold counts eigensolve only the matrices the
 padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
-Both interval kernels share one Wolkowicz-Styan body, ``_trace_bounds``.
+Both interval kernels share one Wolkowicz-Styan body, ``_trace_bounds``;
+``rip_scan`` bounds each support's |lambda - 1| by the same formula, summed
+in place over its supports (``_trace_deviations``).
 Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
 bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
 by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
@@ -44,11 +46,11 @@ import math
 import os
 import pickle
 import warnings
-from itertools import combinations, islice
+from itertools import islice
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, WorkerError
 from .tensor import _FRO_RANGE, GaugeNorm, root_sum_squares
 
 # The one chunk budget in complex entries (8 MB), read only by chunks().  It
@@ -112,11 +114,12 @@ def map_blocks(fn, count, entries, least=None):
     slices and send back its results, or the exception that stopped them,
     pickled through a pipe; a child always leaves by ``os._exit``.  This
     process runs the first share itself, and any share whose fork fails,
-    then reads the children in order and raises the first exception one
-    sent; once it raises, the children left are killed.  Every child is
-    reaped before the map returns or raises.  No result depends on W,
-    provided ``fn`` returns its slice's values and changes nothing else: a
-    child's other effects are lost.
+    then reads and reaps the children in order and raises the first
+    exception one sent, or a :class:`WorkerError` with the wait status of
+    one that sent no result or did not exit 0; once it raises, the children
+    left are killed.  Every child is reaped before the map returns or
+    raises.  No result depends on W, provided ``fn`` returns its slice's
+    values and changes nothing else: a child's other effects are lost.
     """
     if least is None:
         least = -(-_CHUNK_ENTRIES // (_LEAST_SHARE * max(1, entries)))
@@ -124,18 +127,24 @@ def map_blocks(fn, count, entries, least=None):
     slices = list(chunks(count, entries, workers))
     cuts = [len(slices) * k // workers for k in range(workers + 1)]
     shares = [slices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    children = []  # per later share: (pid, read end of its pipe), or None
+    children = []  # per later share: (pid, read end of its pipe); None if unforked or reaped
     try:
         for share in shares[1:]:
             children.append(_fork(fn, share))
         results = [fn(sl) for sl in shares[0]]
-        for share, child in zip(shares[1:], children):
-            if child is None:
+        for k, share in enumerate(shares[1:]):
+            if children[k] is None:
                 results += [fn(sl) for sl in share]
                 continue
-            data = child[1].read()
-            if not data:
-                raise ChildProcessError(f"worker {child[0]} ended without a result")
+            pid, pipe = children[k]
+            with pipe:
+                data = pipe.read()
+            children[k] = None
+            status = os.waitpid(pid, 0)[1]
+            if status or not data:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise WorkerError(f"worker {pid} ended without a result: {how}")
             done, value = pickle.loads(data)
             if not done:
                 raise value
@@ -183,7 +192,7 @@ def _fork(fn, share):
         try:
             data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
-            error = ChildProcessError(f"a worker's result does not pickle: {exc!r}")
+            error = WorkerError(f"a worker's result does not pickle: {exc!r}")
             data = pickle.dumps((False, error))
         with open(write, "wb") as fh:
             fh.write(data)
@@ -525,17 +534,24 @@ def check_scan_capacity(ncols, xi, group=None):
     return head
 
 
-def _gershgorin(radius, cols, pairs):
-    """Gershgorin bound max_i (|H_ii - 1| + sum_{j != i} |H_ij|) of the block
-    on each support of ``cols`` (xi, k), whose a < b pairs have the flat
-    indices ``pairs`` in ``combinations`` order; ``radius`` holds |H| off
-    the diagonal and |H_ii - 1| on it."""
-    rows = radius.diagonal()[cols]
-    for (a, b), flat in zip(combinations(range(cols.shape[0]), 2), pairs):
-        off = radius.take(flat)
-        rows[a] += off
-        rows[b] += off
-    return rows.max(axis=0)
+def _trace_deviations(shift, sq, cols, pairs):
+    """The Wolkowicz-Styan bound of ``_trace_bounds``, |m| + s sqrt(xi - 1), on
+    max |lambda - 1| of the block H on each support of ``cols`` (xi, k), summed
+    in place over its rows: m and s^2 are the mean and the variance of
+    ``shift``, Re H_ii - 1, with ``sq``, 2 |H_ij|^2, at the flat indices
+    ``pairs`` of ``_support_chunks`` added into s^2.  Not finite: +inf."""
+    dev = shift[cols]
+    with np.errstate(over="ignore", invalid="ignore"):  # wild H: +inf or NaN, set below
+        mean = dev.mean(axis=0)
+        dev -= mean
+        bound = np.square(dev, out=dev).sum(axis=0)
+        for flat in pairs:
+            bound += sq.take(flat)
+        bound *= (cols.shape[0] - 1) / cols.shape[0]
+        np.sqrt(bound, out=bound)
+        bound += np.abs(mean)
+    bound[np.isnan(bound)] = np.inf  # so that its support is eigensolved
+    return bound
 
 
 def _support_chunks(ncols, xi, head, start=0):
@@ -543,7 +559,7 @@ def _support_chunks(ncols, xi, head, start=0):
     the supports a :func:`rip_scan` of ``xi`` of ``ncols`` columns bounds
     (``head`` from :func:`check_scan_capacity`): ``cols`` (xi, k), column 0
     put first for a group scan, and the flat indices ``pairs`` (xi (xi - 1)
-    / 2, k) of their Gershgorin pairs, cols[a] * ncols + cols[b] for a < b in
+    / 2, k) of their pairs, cols[a] * ncols + cols[b] for a < b in
     ``combinations`` order; both read-only."""
     for cols in _lex_supports(ncols - head, xi - head, start):
         if head:  # 0, then xi - 1 of the columns 1 .. N - 1
@@ -659,12 +675,16 @@ def rip_scan(gram, xi, group=None):
     """Largest |eigenvalue - 1| over every xi-by-xi principal block of gram.
 
     A block is eigensolved as ``eigvalsh`` reads it with its columns sorted:
-    the Hermitian H of its lower triangle and real diagonal.  Gershgorin's
-    theorem gives |lambda - 1| <= g = max_i (|H_ii - 1| + sum_{j != i} |H_ij|).
-    The computed eigenvalues are exact for some H + E with
-    ||E|| <= c xi eps ||H||, ||H|| <= 1 + g, and g is summed with relative
-    error below xi eps; both stay far below the slack, so a computed
-    deviation is at most its bound padded to b + _SLACK * (1 + b).
+    the Hermitian H of its lower triangle and real diagonal.  The eigenvalues
+    of H - I have mean m = tr(H - I) / xi and variance s^2 =
+    ||H - (1 + m) I||_F^2 / xi, so Wolkowicz and Styan give |lambda - 1| <=
+    b = |m| + s sqrt(xi - 1) (``_trace_deviations``).  The computed
+    eigenvalues are exact for some H + E with ||E|| <= c xi eps (1 + b);
+    b, a sum of about xi^2 / 2 squares, is rounded with relative error of
+    order xi^2 eps / 4 (1e-10 at xi = 1 300), squares that underflow take
+    under 1e-150 from s, and a bound whose squares overflow is +inf.  All
+    of it lies far below the pad, so a computed deviation is at most
+    its bound padded to b + _SLACK * (1 + b).
     Each chunk's supports are eigensolved in decreasing order of that bound
     (``_descend``: the largest alone, then only those whose bound still
     reaches the best are sorted), in batches that start at _RIP_FIRST_BATCH
@@ -682,14 +702,14 @@ def rip_scan(gram, xi, group=None):
     xi delta of the one circulant block C[r, r] in spectral norm, so by Weyl
     dev(S) <= dev(r) + 2 xi delta.  Every orbit {S - s} has members holding
     0, so only those C(N - 1, xi - 1) representatives are bounded (by
-    g + 2 xi delta) and eigensolved; an orbit is expanded, its members
+    b + 2 xi delta) and eigensolved; an orbit is expanded, its members
     without 0 eigensolved, only while its representative's deviation plus
     2 xi delta, padded, reaches the best, and only from its lexicographically
     least representative.  No support is then eigensolved twice, save the
     repeated translates of a periodic support.  The inequality holds for any
     gram, so a wrong group can slow the scan but not change its value.
 
-    The supports and their Gershgorin pair indices, which no Gram matrix
+    The supports and their pair indices, which no Gram matrix
     changes, come from ``_scan_chunks``: its first chunk is kept from the
     last scan of the same shape.
 
@@ -701,9 +721,10 @@ def rip_scan(gram, xi, group=None):
     """
     ncols = gram.shape[0]
     head = check_scan_capacity(ncols, xi, group)
-    radius = np.abs(np.tril(gram, -1))
-    radius += radius.T
-    radius[np.diag_indices(ncols)] = np.abs(gram.diagonal().real - 1.0)
+    shift = gram.diagonal().real - 1.0
+    with np.errstate(over="ignore"):  # +inf bounds: see above
+        sq = 2.0 * np.abs(np.tril(gram, -1)) ** 2
+    sq += sq.T
     spread = 0.0 if group is None else 2.0 * xi * _circulant_gap(gram, group)
 
     def pad(bound):
@@ -725,9 +746,8 @@ def rip_scan(gram, xi, group=None):
 
     best = 0.0
     for cols, pairs in _scan_chunks(ncols, xi, head):
-        best, dev = _descend(
-            pad(_gershgorin(radius, cols, pairs)), lambda sel: deviations(cols[:, sel].T), best
-        )
+        bound = pad(_trace_deviations(shift, sq, cols, pairs))
+        best, dev = _descend(bound, lambda sel: deviations(cols[:, sel].T), best)
         if group is None:
             continue
         bound = pad(dev)

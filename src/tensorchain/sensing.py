@@ -186,7 +186,7 @@ def rip_monte_carlo(
     ``group`` as in :func:`rip_exact`; a scan over ``kernels.SUPPORT_BUDGET``
     supports raises :class:`CapacityError` before the first pattern is drawn.
     Every trial scans the same shape, so the first chunk of supports and
-    their Gershgorin indices that ``kernels.rip_scan`` keeps serves them
+    their pair indices that ``kernels.rip_scan`` keeps serves them
     all: a scan of one chunk, such as the C(64, 3) = 41 664 supports of xi 3
     on 64 columns, enumerates its supports once per sweep, not once per trial.
     """

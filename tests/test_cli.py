@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -978,6 +979,29 @@ def test_overflow_refused_in_a_child_exits_as_in_one_process(tmp_path, monkeypat
     assert printed[2] == printed[1]
     assert printed[1].out == ""
     assert re.fullmatch(r"config error: realized trajectories overflow: [^\n]*\n", printed[1].err)
+
+
+def test_a_killed_worker_exits_with_its_own_diagnostic(tmp_path, monkeypatch, capfd):
+    # mixed-tail's sample blocks are shared by two processes under a small
+    # chunk budget; the forked one is killed as it draws
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 20 * 64)
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    parent, draw = os.getpid(), processes._draw
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return draw(*args)
+
+    monkeypatch.setattr(processes, "_draw", killed)
+    path = write_config(tmp_path, {**MIXED, "seed": 5, "samples": 200})
+    out = tmp_path / "out"
+    assert main(["mixed-tail", "--config", path, "--out", str(out)]) == EXIT_CAPACITY
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"worker error: worker \d+ ended without a result: killed by signal 9\n", err)
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # the squares of these distances under- or overflow; the distances do not

@@ -15,10 +15,10 @@ from tensorchain import kernels, sensing
 from tensorchain import rng as trng
 from tensorchain.bounds import verify_azuma, verify_bernstein
 from tensorchain.empirical import EmpiricalFamily, sample_family_sups
-from tensorchain.errors import CapacityError, DomainError
+from tensorchain.errors import CapacityError, DomainError, WorkerError
 from tensorchain.processes import ProcessSpec, sample_mixed_sups
 from tensorchain.report import dumps
-from tensorchain.tensor import GaugeNorm, random_hermitian, unfold
+from tensorchain.tensor import GaugeNorm, random_hermitian, random_unitary, unfold
 
 GAUGES = list(GaugeNorm)
 GAUGE_IDS = [str(i) for i in range(len(GAUGES))]
@@ -172,13 +172,13 @@ def test_map_blocks_reports_a_child_that_sends_nothing(monkeypatch):
             os._exit(1)
         return sl
 
-    with pytest.raises(ChildProcessError, match="ended without a result"):
+    with pytest.raises(WorkerError, match=r"^worker \d+ ended without a result: exit status 1$"):
         kernels.map_blocks(dies, 100, 4)
 
     def unpicklable(sl):
         return sl if os.getpid() == parent else (lambda: sl)
 
-    with pytest.raises(ChildProcessError, match="does not pickle"):
+    with pytest.raises(WorkerError, match="does not pickle"):
         kernels.map_blocks(unpicklable, 100, 4)
     assert_no_child_left()
 
@@ -930,18 +930,22 @@ def test_rip_scan_matches_plain_scan_in_small_chunks(xi, scale, monkeypatch):
     assert kernels.rip_scan(gram, xi) == rip_scan_loop(gram, xi)
 
 
-def gershgorin_bound(block):
-    off = np.abs(block).sum(axis=1) - np.abs(block.diagonal())
-    return float((np.abs(block.diagonal().real - 1.0) + off).max())
+def trace_bound(block):
+    """Wolkowicz-Styan |m| + s sqrt(n - 1) on max |lambda - 1| of a Hermitian
+    block, m and s^2 the mean and the variance of its eigenvalues minus 1."""
+    n = block.shape[0]
+    m = np.trace(block).real / n - 1.0
+    s = np.linalg.norm(block - (1.0 + m) * np.eye(n)) / math.sqrt(n)
+    return abs(m) + s * math.sqrt(n - 1)
 
 
 def misleading_gram():
-    """Its largest Gershgorin bound (0.6, on {0, 1, 2}) is not on the
-    support of largest deviation (0.5, any support holding 3)."""
+    """Its largest trace bound (0.57, on {0, 1, 3}) is not on the support of
+    largest deviation (0.3 sqrt 2 = 0.42, on {0, 1, 2})."""
     gram = np.eye(6, dtype=np.complex128)
     gram[0, 1] = gram[1, 0] = 0.3
     gram[0, 2], gram[2, 0] = 0.3j, -0.3j
-    gram[3, 3] = 1.5
+    gram[3, 3] = 1.4
     return gram
 
 
@@ -952,8 +956,11 @@ def equicorrelated(n, rho):
 @pytest.mark.parametrize(
     "gram",
     [
-        equicorrelated(7, 0.2),  # lambda_max meets its Gershgorin bound
+        equicorrelated(7, 0.2),  # lambda_max meets its trace bound
         equicorrelated(7, -0.15),  # lambda_min meets it
+        1e200 * equicorrelated(7, 0.2),  # its squares overflow: every bound +inf
+        # its off-diagonal squares underflow: the bound reads the diagonal alone
+        equicorrelated(7, 1e-170) + np.diag([0.0, 0.1, 0.2, 0.3, 0.4, 0.49999999, 0.5]),
         1.0 * np.eye(7, dtype=np.complex128),
         1.5 * np.eye(7, dtype=np.complex128),
         0.25 * np.eye(7, dtype=np.complex128),
@@ -962,7 +969,9 @@ def equicorrelated(n, rho):
         # just above the best of the earlier ones
         np.diag([1.0, 1.1, 1.2, 1.3, 1.4, 1.49999999, 1.5]).astype(np.complex128),
     ],
-    ids=["equi+", "equi-", "I", "1.5I", "0.25I", "misleading", "graded"],
+    ids=[
+        "equi+", "equi-", "equi+1e200", "graded+1e-170", "I", "1.5I", "0.25I", "misleading", "graded"
+    ],
 )
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("xi", [1, 2, 3, 6])
@@ -976,10 +985,10 @@ def test_rip_scan_matches_plain_scan_on_adversarial_grams(
 def test_misleading_gram_bound_and_deviation_disagree():
     gram = misleading_gram()
     combs = list(itertools.combinations(range(6), 3))
-    bounds = [gershgorin_bound(gram[np.ix_(c, c)]) for c in combs]
+    bounds = [trace_bound(gram[np.ix_(c, c)]) for c in combs]
     devs = [np.abs(np.linalg.eigvalsh(gram[np.ix_(c, c)]) - 1.0).max() for c in combs]
-    assert combs[int(np.argmax(bounds))] == (0, 1, 2)
-    assert 3 in combs[int(np.argmax(devs))]
+    assert combs[int(np.argmax(bounds))] == (0, 1, 3)
+    assert combs[int(np.argmax(devs))] == (0, 1, 2)
     assert max(bounds) > max(devs)
 
 
@@ -1030,22 +1039,54 @@ def test_scan_capacity_counts_the_supports_the_scan_bounds(group, count, monkeyp
         kernels.check_scan_capacity(64, 3, group)
 
 
-def test_rip_scan_eigensolves_few_fourier_blocks(monkeypatch):
-    u = sensing.fourier_unitary((64,))
-    a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))
-    gram = a.conj().T @ a
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
+def count_eigensolves(monkeypatch):
+    """The stack sizes of the ``np.linalg.eigvalsh`` calls made from now on."""
+    solved, eigvalsh = [], np.linalg.eigvalsh
 
     def counting(blocks, *args, **kwargs):
         solved.append(blocks.shape[0])
         return eigvalsh(blocks, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+def test_rip_scan_eigensolves_few_fourier_blocks(monkeypatch):
+    u = sensing.fourier_unitary((64,))
+    a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))
+    gram = a.conj().T @ a
+    solved = count_eigensolves(monkeypatch)
     tau = kernels.rip_scan(gram, 3)
     assert sum(solved) < math.comb(64, 3) / 4
     monkeypatch.undo()
     assert tau == rip_scan_loop(gram, 3)
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_rip_scan_eigensolves_few_random_unitary_blocks(trial, monkeypatch):
+    # no Fourier structure to prune by orbits: the trace bounds alone leave
+    # under 1% of the C(64, 3) supports to eigvalsh
+    u = random_unitary((64,), trng.stream(11, 0))
+    pattern = sensing.draw_pattern((64,), 32, 12, trial)
+    a = unfold(sensing.sample_operator(u, pattern))
+    gram = a.conj().T @ a
+    solved = count_eigensolves(monkeypatch)
+    tau = kernels.rip_scan(gram, 3)
+    assert sum(solved) < math.comb(64, 3) // 100 == 416
+    monkeypatch.undo()
+    assert tau == rip_scan_loop(gram, 3)
+
+
+def test_rip_scan_eigensolves_a_support_whose_bound_is_not_finite():
+    # an infinite diagonal entry makes the bound of each support holding it
+    # NaN (inf - inf): as +inf that support is eigensolved, as in the plain
+    # scan, where a NaN bound, never solved, would hide it
+    gram = np.eye(5, dtype=np.complex128)
+    gram[2, 2] = np.inf
+    assert kernels.rip_scan(gram, 1) == rip_scan_loop(gram, 1) == np.inf
+    for scan in (rip_scan_loop, kernels.rip_scan):
+        with pytest.raises(np.linalg.LinAlgError):  # eigvalsh does not converge
+            scan(gram, 3)
 
 
 def fourier_gram(dims, selected):
@@ -1147,15 +1188,15 @@ def test_orbit_scan_bounds_one_support_per_orbit_representative(monkeypatch):
     u = sensing.fourier_unitary((64,))
     a = unfold(sensing.sample_operator(u, sensing.draw_pattern((64,), 32, 7)))
     gram = a.conj().T @ a
-    bounded, gershgorin = [], kernels._gershgorin
+    bounded, trace_deviations = [], kernels._trace_deviations
 
-    def counting(radius, cols, pairs):
+    def counting(shift, sq, cols, pairs):
         bounded.append(cols.shape[1])
-        return gershgorin(radius, cols, pairs)
+        return trace_deviations(shift, sq, cols, pairs)
 
-    monkeypatch.setattr(kernels, "_gershgorin", counting)
+    monkeypatch.setattr(kernels, "_trace_deviations", counting)
     tau = kernels.rip_scan(gram, 3, (64,))
-    assert sum(bounded) <= math.comb(63, 2) == 1953
+    assert 0 < sum(bounded) <= math.comb(63, 2) == 1953
     assert tau == rip_scan_loop(gram, 3)
 
 
@@ -1164,14 +1205,7 @@ def test_rip_scan_budget_binds_the_supports_it_eigensolves(group, monkeypatch):
     # every row of the DFT on 16 columns: G = I up to rounding ties every
     # bound with the best, so nothing is pruned
     gram = fourier_gram((16,), range(16))
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(blocks, *args, **kwargs):
-        solved.append(blocks.shape[0])
-        return eigvalsh(blocks, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    solved = count_eigensolves(monkeypatch)
     tau = kernels.rip_scan(gram, 3, group)
     spent = sum(solved)
     assert spent >= math.comb(15, 2)  # at least every support holding 0
