@@ -281,8 +281,10 @@ _KEYS = {
 EXPERIMENTS = tuple(_KEYS)
 
 
-# The budget on what a run holds at once, in entries: the samples x
-# index_count x D^2 trajectories simulate realizes, the samples x K weights
+# The budget on what a run holds at once, in entries: simulate's samples x K
+# weights and samples x index_count norms, with the larger of one chunk (of
+# its norms against t0, or under verify_tail of its pair increments) and the
+# text of ensemble.csv (_csv_entries), the samples x K weights
 # the Monte Carlo sums draw, mixed-tail's per-sample suprema and the
 # one-sample chunk it bounds and forms its increments in
 # (processes._mixed_sample_entries: the weight-times-coordinate arrays and
@@ -293,10 +295,12 @@ EXPERIMENTS = tuple(_KEYS)
 # parameter tensor and t_count x t_count metrics, the two n x n distance
 # matrices of a metric on n points or indices (the metric built and the
 # copy FiniteMetricSpace freezes; its differences are formed in row chunks,
-# within the chunk budget), for verify_tail the one-sample chunk of
-# all n(n - 1) / 2 pair increments (X_a and X_b, both gathered) and its
-# threshold rows, and the N x N arrays of a rip trial on N columns.  The
-# largest workload config, index-wide's simulate, holds 1 280 000.
+# within the chunk budget), for verify_tail the one-sample chunk of its
+# formed block and all n(n - 1) / 2 pair increments (X_a and X_b, both
+# gathered) and its threshold rows, and the N x N arrays of a rip trial on
+# N columns.  The largest workload configs, mc-deep's verify-azuma and
+# verify-bernstein, hold 800 000; index-wide's simulate holds 490 800, most
+# of it the text of its 80 000 CSV rows.
 _ENTRY_BUDGET = 1 << 26
 
 
@@ -306,23 +310,33 @@ def _stack_entries(config, count) -> int:
     return count * side * side
 
 
-def _trajectory_entries(config) -> int:
-    return _stack_entries(config, config["samples"] * config["index_count"])
-
-
 def _distance_entries(config) -> int:
     return 2 * config["index_count"] ** 2
 
 
+def _csv_entries(samples, count) -> int:
+    """Entries of the samples x count rows of ``ensemble.csv`` as it is
+    written: each row's text (two indices, a float repr of at most 24
+    characters, two commas and a newline) held twice, as the joined text
+    and its parts, then as the text and its encoded copy; and the two int64
+    index arrays ``ensemble_to_csv`` builds."""
+    chars = len(str(samples - 1)) + len(str(count - 1)) + 27
+    return -(-samples * count * (2 * chars + 16) // 16)
+
+
 def _simulate_entries(config) -> int:
     p = _settings(config)
-    held = max(_trajectory_entries(config), _stack_entries(config, config["basis_count"]))
-    if not p["verify_tail"]:
-        return held
-    pairs = config["index_count"] * (config["index_count"] - 1) // 2
-    rows = _u_grid(p["tail_u_grid"]).size + 1  # one more for the degeneracy check
-    increments = _stack_entries(config, 2 * pairs)
-    return max(held, _distance_entries(config), increments, rows * pairs)
+    samples, count = config["samples"], config["index_count"]
+    side = _stack_entries(config, 1)
+    chunk = (2 * count + 1) * side  # one sample's block, its increments and X_t0
+    if p["verify_tail"]:
+        pairs = count * (count - 1) // 2
+        rows = _u_grid(p["tail_u_grid"]).size + 1  # one more for the degeneracy check
+        increments = (count + 2 * pairs) * side
+        chunk = max(chunk, _distance_entries(config), increments, rows * pairs)
+    held = samples * (config["basis_count"] + count)  # the weights and the norms
+    basis = _stack_entries(config, config["basis_count"])
+    return max(basis, held + max(chunk, _csv_entries(samples, count)))
 
 
 def _gamma_entries(config) -> int:

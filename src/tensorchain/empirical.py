@@ -112,6 +112,20 @@ class EmpiricalFamily:
         return math.sqrt(self.envelope_squares.mean(axis=0)[0, 0].real)
 
 
+def _max_and_quadratic_mean(norms):
+    """Per row of ``norms``, its max d1 and its quadratic mean d2 =
+    sqrt(mean(norms^2)).  Where the squares overflow, and only there, d2 is
+    taken in the range-safe form d1 sqrt(mean((norms / d1)^2)), so every
+    finite direct value keeps its bits."""
+    d1 = norms.max(axis=1)
+    with np.errstate(over="ignore"):  # taken again below
+        d2 = np.sqrt(np.mean(norms**2, axis=1))
+    wild = ~np.isfinite(d2)
+    if wild.any():
+        d2[wild] = d1[wild] * np.sqrt(np.mean((norms[wild] / d1[wild, None]) ** 2, axis=1))
+    return d1, d2
+
+
 def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
     """Metric space over the parameter tuples carrying both metrics: d1 is
     the max over spaces of the spectral norm of the parameter difference,
@@ -123,8 +137,9 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
     slice walks its pairs one row piece at a time, forming P[t0:t1] - P[s]
     from a view and a broadcast; each pair's norms come from one
     ``batch_spectral`` call, every block eigensolved, and the slice returns
-    each pair's max and quadratic mean along its (pairs, n) norms.  Both
-    are written into the row and the column of both matrices."""
+    each pair's max and quadratic mean along its (pairs, n) norms
+    (``_max_and_quadratic_mean``).  Both are written into the row and the
+    column of both matrices."""
     params = family.parameters
     nt = family.t_count
     rows, cols = np.triu_indices(nt, 1)
@@ -139,7 +154,7 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
             for j, diff in enumerate(diffs, k - sl.start):
                 norms[j] = kernels.batch_spectral(diff)
             k = end
-        return np.stack([norms.max(axis=1), np.sqrt(np.mean(norms**2, axis=1))], axis=1)
+        return np.stack(_max_and_quadratic_mean(norms), axis=1)
 
     least = kernels._CHUNK_ENTRIES // _LEAST_PAIR_SHARE
     metrics = kernels.map_blocks(pair_metrics, len(rows), params[0].size, least)

@@ -4,8 +4,11 @@ Each kernel has one implementation.  ``tests/test_kernels.py`` checks every
 one against a plain-loop oracle.  Every batched loop in the package, here
 and in the callers that realize or sum per-sample stacks, takes its blocks
 of samples, supports, subsets or radii from :func:`chunks`, under the one
-budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole,
-and the increment and weighted-sum chunks here are each dropped before the
+budget ``_CHUNK_ENTRIES``: no stack of one matrix per sample is held whole.
+The increment loops (``_map_increments``) read each chunk's block as
+``trajs[sl]``, from an array or from an ensemble's former, which forms the
+block there; a loop writes its chunks into buffers it reuses and drops when
+it returns, and the weighted-sum chunks here are each dropped before the
 next is formed.  Every weighted sum of a stack that is formed, realized
 trajectories and empirical values included, is formed by :func:`contract`:
 one ordered multiply-add over k on real views, bit for bit ``einsum``, in
@@ -36,9 +39,10 @@ eigensolves the block of largest bound, then those whose bound reaches it.
 
 Four loops are shared among the usable cores by :func:`map_blocks`, each
 over its ``chunks`` slices in order: the increment chunks of
-``increment_counts`` and ``ensemble_norms_vs_ref`` (``_map_increments``),
-the sample blocks of ``processes.sample_mixed_sups`` and the pairs of
-``empirical.family_space``.  No result depends on the number of processes.
+``increment_counts`` and ``ensemble_norms_vs_ref`` (``_map_increments``,
+whose forked shares form their own blocks), the sample blocks of
+``processes.sample_mixed_sups`` and the pairs of ``empirical.family_space``.
+No result depends on the number of processes.
 """
 
 import functools
@@ -277,21 +281,42 @@ def _count(mats, thr, gauge):
     return hit.sum(axis=1)
 
 
-def _increments(block, a, b):
-    """X_a - X_b of a block of samples, formed in the gather of a."""
-    diff = block[:, a]
-    diff -= block[:, b]
-    return diff
+def _reuse(held, key, shape, dtype):
+    """A ``shape`` array of ``dtype``: the leading rows of the buffer
+    ``held[key]``, made anew only when it has fewer rows, so that the chunks
+    of one loop share it."""
+    buf = held.get(key)
+    if buf is None or len(buf) < shape[0]:
+        buf = held[key] = np.empty(shape, dtype)
+    return buf[: shape[0]]
+
+
+def _increments(block, a, b, held):
+    """X_a - X_b of a block of samples, written into the buffer
+    ``held["diff"]`` with X_b gathered into ``held["other"]`` (``_reuse``).
+    X_a is gathered too, unless ``a`` is None, every index in order: then
+    it is read where it lies, and the subtraction is the one pass."""
+    n, side = len(block), block.shape[2:]
+    other = _reuse(held, "other", (n, b.size, *side), block.dtype)
+    np.take(block, b, axis=1, out=other, mode="clip")  # "raise" would buffer out
+    diff = _reuse(held, "diff", (n, block.shape[1] if a is None else a.size, *side), block.dtype)
+    xa = block if a is None else np.take(block, a, axis=1, out=diff, mode="clip")
+    return np.subtract(xa, other, out=diff)
 
 
 def _map_increments(trajs, a, b, reduce):
     """[reduce(X_a - X_b)] over chunks of samples, by :func:`map_blocks`;
-    ``b`` is aligned with ``a`` or holds one index, which broadcasts.  The
-    entries ``chunks`` counts are a chunk's two gathers, X_a (the difference
-    buffer) and X_b.  Each chunk is dropped once reduced, before the next is
-    formed."""
-    step = (a.size + b.size) * math.prod(trajs.shape[2:])
-    return map_blocks(lambda sl: reduce(_increments(trajs[sl], a, b)), trajs.shape[0], step)
+    ``b`` is aligned with ``a`` or holds one index, which broadcasts, and
+    ``a`` None is every index.  A chunk reads its block as ``trajs[sl]``:
+    a view of an array, or the block that an ensemble's former
+    (``processes.Ensemble.blocks``) forms from its weights.  The entries
+    ``chunks`` counts are that block and the chunk's two gathers, X_a (the
+    difference buffer) and X_b; the gathers reuse two buffers, held as long
+    as the loop, and each chunk is reduced before the next is formed."""
+    count = trajs.shape[1] if a is None else a.size
+    step = (trajs.shape[1] + count + b.size) * math.prod(trajs.shape[2:])
+    held = {}
+    return map_blocks(lambda sl: reduce(_increments(trajs[sl], a, b, held)), trajs.shape[0], step)
 
 
 def increment_counts(trajs, a, b, thresholds, gauge):
@@ -351,8 +376,8 @@ def ensemble_pairwise_norms(trajs, gauge):
 
 def ensemble_norms_vs_ref(trajs, ref, gauge):
     """(samples, index) gauge norms of X_a - X_ref."""
-    a, b = np.arange(trajs.shape[1]), np.array([ref])
-    return np.concatenate(_map_increments(trajs, a, b, lambda d: gauge_norms(d, gauge)))
+    b = np.array([ref])
+    return np.concatenate(_map_increments(trajs, None, b, lambda d: gauge_norms(d, gauge)))
 
 
 def batch_lambda_max(mats):
@@ -360,27 +385,36 @@ def batch_lambda_max(mats):
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def contract(weights, stack):
+def contract(weights, stack, out=None):
     """sum_k weights[..., k] stack[k], shape weights.shape[:-1] + stack.shape[1:],
-    for real ``weights`` and a real or complex ``stack``.
+    for real ``weights`` and a real or complex ``stack``; written into
+    ``out``, a C-contiguous array of that shape, when one is given (its
+    values are not read).
 
     Each output entry is 0 + w_0 s_0 + w_1 s_1 + ... in the order of k, on
     real views of a complex stack.  That is bit for bit ``np.einsum`` over
     k: it multiplies by w + 0j, whose extra zero products can flip only the
     sign of a zero product, and a sum begun at +0 drops that sign.  The
     rows of the output, one per weight vector, are formed in ``chunks`` of
-    1 / _CONTRACT_SHARE of the budget, so the product temporary stays in
-    cache."""
-    out = np.zeros((*weights.shape[:-1], *stack.shape[1:]), stack.dtype)
+    1 / _CONTRACT_SHARE of the budget, so the product temporary, one for
+    the call, stays in cache."""
+    if out is None:
+        out = np.empty((*weights.shape[:-1], *stack.shape[1:]), stack.dtype)
     rows = weights.reshape(-1, weights.shape[-1])
     terms = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
     sums = out.reshape(len(rows), -1).view(np.float64)
+    prod = None
     for sl in chunks(len(rows), _CONTRACT_SHARE * stack[0].size):
         part, w = sums[sl], rows[sl]
-        prod = np.empty_like(part)
+        if prod is None:  # the first chunk is the largest
+            prod = np.empty_like(part)
+        tmp = prod[: len(part)]
         for k, term in enumerate(terms):
-            np.multiply(w[:, k, None], term, out=prod)
-            part += prod
+            np.multiply(w[:, k, None], term, out=tmp)
+            if k:
+                part += tmp
+            else:  # w_0 s_0 + 0 is 0 + w_0 s_0: a -0 product is summed to +0
+                np.add(tmp, 0.0, out=part)
     return out
 
 

@@ -23,9 +23,12 @@ Trajectory s is drawn from the counter-based stream (seed, s), so ensembles
 are bit-reproducible regardless of scheduling.  :func:`_form` is the one place
 trajectories are built: from the weights that :func:`_draw` draws for a block
 of samples, one re-keyed generator per sample, it contracts each component
-with ``kernels.contract`` at chosen (sample, index) pairs.  :func:`_realize`
-forms every pair of a block, and :func:`sample_mixed_sups` only those its
-bounds leave as candidates.
+with ``kernels.contract`` at chosen (sample, index) pairs.  An
+:class:`Ensemble` holds only its weights; its blocks are formed a chunk of
+samples at a time inside the ``kernels`` loops that reduce them
+(:meth:`Ensemble.blocks`).  :func:`_realize` forms every pair of a block,
+to refuse one whose entries overflow, and :func:`sample_mixed_sups` forms
+only those its bounds leave as candidates.
 """
 
 from __future__ import annotations
@@ -127,25 +130,40 @@ def process_space(spec: ProcessSpec, gauge=GaugeNorm.SPECTRAL) -> FiniteMetricSp
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Realized trajectories as a read-only (samples, index, D, D) array.
+    """Samples of a process, held as the read-only (samples, K) weights that
+    one :func:`_draw` call gives; their trajectories are formed a block of
+    samples at a time, inside the loop that reduces them (:meth:`blocks`).
 
-    Gauge norms of the increments against one index are reduced from the
-    trajectories on demand and cached, in ``norms_vs``.
+    Gauge norms of the increments against one index are reduced from those
+    blocks on demand and cached, in ``norms_vs``.
     """
 
     spec: ProcessSpec
     seed: int
     gauge: GaugeNorm
-    trajectories: np.ndarray
+    weights: np.ndarray
     _norms_vs: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def sample_count(self) -> int:
-        return self.trajectories.shape[0]
+        return self.weights.shape[0]
 
     @property
     def space_size(self) -> int:
-        return self.trajectories.shape[1]
+        return self.spec.index_count
+
+    @property
+    def trajectories(self) -> np.ndarray:
+        """The read-only (samples, index, D, D) trajectories, every sample
+        formed at each read: for tests and library callers; the package's
+        own reductions read :meth:`blocks`."""
+        trajs = self.blocks()[:]
+        trajs.flags.writeable = False
+        return trajs
+
+    def blocks(self) -> "_Blocks":
+        """A new block former of the trajectories, for one ``kernels`` loop."""
+        return _Blocks(self.spec, self.weights)
 
     def norms_vs(self, t0: int) -> np.ndarray:
         """(samples, index) norms of X_t - X_t0, computed once per t0, read-only."""
@@ -153,7 +171,7 @@ class Ensemble:
             raise DomainError(f"reference index {t0} outside the space")
         norms = self._norms_vs.get(t0)
         if norms is None:
-            norms = kernels.ensemble_norms_vs_ref(self.trajectories, t0, self.gauge)
+            norms = kernels.ensemble_norms_vs_ref(self.blocks(), t0, self.gauge)
             norms.flags.writeable = False
             self._norms_vs[t0] = norms
         return norms
@@ -161,6 +179,23 @@ class Ensemble:
     def sup_samples(self, t0: int) -> np.ndarray:
         """Per-sample supremum over t of ||X_t - X_t0||."""
         return self.norms_vs(t0).max(axis=1)
+
+
+class _Blocks:
+    """The trajectories of ``weights`` (samples, K) under ``spec`` as the
+    ``kernels`` increment loops read an array: ``shape``, and ``[sl]`` the
+    block of the samples ``sl``, formed by :func:`_form` into a buffer that
+    the next block reuses, so a former serves one loop.  A share that
+    ``kernels.map_blocks`` forks forms its own blocks in its own buffer."""
+
+    def __init__(self, spec, weights):
+        self._spec, self._weights, self._held = spec, weights, {}
+        self.shape = (len(weights), spec.index_count, *spec.basis_stack.shape[1:])
+
+    def __getitem__(self, sl):
+        rows = self._weights[sl]
+        out = kernels._reuse(self._held, "block", (len(rows), *self.shape[1:]), np.complex128)
+        return _form((self._spec,), (rows,), np.s_[:, None], np.s_[:], out)
 
 
 def _draw(specs, seed: int, lo: int, hi: int) -> list:
@@ -206,16 +241,17 @@ def _draw(specs, seed: int, lo: int, hi: int) -> list:
     return [w for _, w, _ in draws]
 
 
-def _form(specs, weights, rows, cols) -> np.ndarray:
+def _form(specs, weights, rows, cols, out=None) -> np.ndarray:
     """X at the samples ``rows`` of ``weights`` (from :func:`_draw`) and the
     indices ``cols``, two indices that broadcast: each component's weights
-    c_k(t) w_k contracted by ``kernels.contract``, the parts added in
-    component order.  Every entry is formed by the same operations whichever
-    (row, index) pairs are chosen, so any of them equals that entry of the
-    whole block bit for bit."""
+    c_k(t) w_k contracted by ``kernels.contract``, the first into ``out`` if
+    given, the parts added in component order.  Every entry is formed by
+    the same operations whichever (row, index) pairs are chosen, so any of
+    them equals that entry of the whole block bit for bit."""
     trajs = None
     for spec, w in zip(specs, weights):
-        part = kernels.contract(spec.coefficients[cols] * w[rows], spec.basis_stack)
+        part = kernels.contract(spec.coefficients[cols] * w[rows], spec.basis_stack,
+                                out if trajs is None else None)
         trajs = part if trajs is None else np.add(trajs, part, out=trajs)
     return trajs
 
@@ -251,12 +287,27 @@ def _realize(specs, seed: int, lo: int, hi: int) -> np.ndarray:
 def sample_ensemble(
     spec: ProcessSpec, seed: int, n_samples: int, gauge=GaugeNorm.SPECTRAL
 ) -> Ensemble:
-    """Trajectories of samples 0..n_samples-1 at every index of ``spec``."""
+    """Samples 0..n_samples-1 of ``spec``: the weights of one :func:`_draw`.
+
+    Overflow is refused here, as :func:`_realize` refuses it, though no
+    trajectory is formed yet.  Every |part| of an entry of X_t is at most
+    the pad scale sum_k |w_k| max_t |c_k(t)| ||B_k||_F of its sample, up to
+    a relative (K + 2) eps; only when the largest scale passes half
+    ``_entry_limit`` are the samples realized, a ``kernels.chunks`` block at
+    a time, so that :func:`_realize` refuses the entries that overflow.
+    """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
-    trajs = _realize((spec,), seed, 0, n_samples)
-    trajs.flags.writeable = False
-    return Ensemble(spec, seed, GaugeNorm.coerce(gauge), trajs)
+    (weights,) = _draw((spec,), seed, 0, n_samples)
+    side = spec.basis_stack.shape[-1]
+    fro = kernels.gauge_norms(spec.basis_stack, GaugeNorm.FROBENIUS)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: realized below
+        scale = np.abs(weights) @ (np.abs(spec.coefficients).max(axis=0) * fro)
+    if not scale.max() <= _entry_limit(side) / 2:  # also NaN
+        for sl in kernels.chunks(n_samples, spec.index_count * side * side):
+            _realize((spec,), seed, sl.start, sl.stop)
+    weights.flags.writeable = False
+    return Ensemble(spec, seed, GaugeNorm.coerce(gauge), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +421,7 @@ def verify_increment_tail(
     live = d_pairs > 0
     with np.errstate(over="ignore"):  # no finite norm reaches an infinite threshold
         thr = np.vstack([u[:, None] * d_pairs, np.full_like(d_pairs, np.nextafter(0.0, 1.0))])
-    counts = kernels.increment_counts(ensemble.trajectories, idx_s, idx_t, thr, ensemble.gauge)
+    counts = kernels.increment_counts(ensemble.blocks(), idx_s, idx_t, thr, ensemble.gauge)
     differ = np.flatnonzero(~live & (counts[-1] > 0))
     if differ.size:  # name the first in triu order
         raise DegenerateMetricError(

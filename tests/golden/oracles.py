@@ -12,7 +12,7 @@ kept (``brute_cover`` is affordable only on spaces of a few points);
 The oracles are those the unit tests check each fast path against:
 ``tests/test_chaining.py::brute_cover``,
 ``tests/test_kernels.py::farthest_point_order_loop`` and
-``tests/test_processes.py::oracle_trajectories``, and the plain forms below.
+``tests/test_processes.py::oracle_weights``, and the plain forms below.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import workload_outputs  # noqa: E402
 from tensorchain import chaining, cli, empirical, kernels, processes, rng  # noqa: E402
 from test_chaining import brute_cover  # noqa: E402
 from test_kernels import farthest_point_order_loop  # noqa: E402
-from test_processes import oracle_trajectories  # noqa: E402
+from test_processes import oracle_weights  # noqa: E402
 
 
 def unbounded(mats, gauge):
@@ -66,10 +66,16 @@ def per_row_family_sups(family, seed, n_samples):
 def family_metrics(family, s_idx, t_idx):
     """(d1, d2) between two parameter tuples: d1 the max over spaces of the
     spectral norm of the parameter difference, d2 the quadratic mean of
-    those norms."""
+    those norms, taken as d1 sqrt(mean((norms / d1)^2)) where the squares
+    overflow."""
     diff = family.parameters[t_idx] - family.parameters[s_idx]
     norms = kernels.batch_spectral(np.ascontiguousarray(diff))
-    return float(norms.max()), float(math.sqrt(np.mean(norms**2)))
+    d1 = float(norms.max())
+    with np.errstate(over="ignore"):
+        d2 = math.sqrt(np.mean(norms**2))
+    if not math.isfinite(d2):
+        d2 = d1 * math.sqrt(np.mean((norms / d1) ** 2))
+    return d1, d2
 
 
 def per_pair_family_space(family):
@@ -99,10 +105,10 @@ def every_support(gram, xi, group=None):
     return max(0.0, float((w[:, -1] - 1.0).max()), float((1.0 - w[:, 0]).max()))
 
 
-def einsum_contract(weights, stack):
-    """sum_k weights[..., k] stack[k] by ``np.einsum``."""
+def einsum_contract(weights, stack, out=None):
+    """sum_k weights[..., k] stack[k] by ``np.einsum``, into ``out`` if given."""
     axes = string.ascii_lowercase[: stack.ndim - 1]
-    return np.einsum(f"...z,z{axes}->...{axes}", weights, stack)
+    return np.einsum(f"...z,z{axes}->...{axes}", weights, stack, out=out)
 
 
 def integer_signs(law, gen, shape):
@@ -126,8 +132,22 @@ def block_mixed_sups(spec_subgauss, spec_subexp, seed, n_samples):
     return sups
 
 
-def oracle_realize(specs, seed, lo, hi):
-    return oracle_trajectories(specs, seed, hi, lo)
+class SampleBlocks:
+    """``processes._Blocks`` a sample at a time: each trajectory contracted
+    from its row of weights by ``np.einsum``, into a new array per block."""
+
+    def __init__(self, spec, weights):
+        self.spec, self.weights = spec, weights
+        self.shape = (len(weights), spec.index_count, *spec.basis_stack.shape[1:])
+
+    def __getitem__(self, sl):
+        spec = self.spec
+        return np.array([np.einsum("tk,kij->tij", spec.coefficients * w, spec.basis_stack)
+                         for w in self.weights[sl]]).reshape(-1, *self.shape[1:])
+
+
+def oracle_draw(specs, seed, lo, hi):
+    return oracle_weights(specs, seed, hi, lo)
 
 
 def brute_exact_cover(dist, u, best):
@@ -146,7 +166,8 @@ SWAPS = [
     (kernels, "rip_scan", every_support),
     (cli, "sample_mixed_sups", block_mixed_sups),
     (kernels, "contract", einsum_contract),
-    (processes, "_realize", oracle_realize),
+    (processes, "_draw", oracle_draw),
+    (processes, "_Blocks", SampleBlocks),
     (rng, "noise", integer_signs),
     (kernels, "farthest_point_order", farthest_point_order_loop),
 ]

@@ -601,7 +601,9 @@ def test_huge_entry_counts_exit_with_a_capacity_diagnostic(tmp_path, capsys):
     [
         # 2 x n^2: the metric and its frozen copy, whatever the basis_count
         ({**MIXED, "basis_count": 4}, "index_count", 5792),
-        ({**SIMULATE, "verify_tail": True}, "index_count", 4096),  # 2 x pairs x 2^2
+        # a sample's block and its two pair gathers, (n + 2 x pairs) x 2^2 = 4 n^2,
+        # beside the 50 x (2 + n) weights and norms
+        ({**SIMULATE, "verify_tail": True}, "index_count", 4089),
         ({**GAMMA, "points": None}, "points", 5792),  # 2 x 5792^2 <= 2^26, whatever dim
     ],
     ids=["mixed-tail", "simulate-verify-tail", "gamma"],

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +19,7 @@ from tensorchain.errors import DomainError, ValidationError
 from golden.oracles import per_pair_family_space
 from test_kernels import (
     assert_no_child_left,
+    count_forks,
     diagonal_blocks,
     family_sups_oracle,
     random_hermitian_stack,
@@ -94,18 +94,6 @@ def metric_family(dense, t_count, n, scale, seed):
     return family_of_diagonals(scale * gen.uniform(-1.0, 1.0, (t_count, n, 4)))
 
 
-def count_forks(monkeypatch):
-    """A list that gains an entry at each later ``os.fork``."""
-    fork, forks = os.fork, []
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
 # n crosses numpy's pairwise-sum blocks of 8 and 128 in the row mean; at
 # 1e+-150 zheevd scales the blocks, at 1e-170 their norms square to subnormals;
 # a budget of 0 forms one pair's differences per chunk.  Shared by two
@@ -137,28 +125,31 @@ def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, w
         assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
 
 
-# the squared norms of 1e170 overflow on both paths, before any metric is
-# formed.  Shared by two workers, the pair (0, 1) is this process's share and
-# the rest a child's: with only the last tuple at 1e170 the child raises, and
-# this process raises what it sent
+# the squared norms of 1e170 overflow on both paths, and d2 is taken in its
+# range-safe form there: the same bits, a quadratic mean within a few ulps
+# of 1e170 times that at scale 1.  Shared by two workers, the pair (0, 1) is
+# this process's share and the rest a child's: with only the last tuple at
+# 1e170 only the child's pairs overflow
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-def test_family_space_refuses_overflowing_squares_as_the_per_pair_path(dense, monkeypatch):
+def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense, monkeypatch):
     fam = metric_family(dense, 3, 4, 1e170, 90)
     params = fam.parameters * np.array([1e-170, 1e-170, 1.0])[:, None, None, None]
     last = EmpiricalFamily(fam.row_modes, params)
+    unit = family_space(metric_family(dense, 3, 4, 1.0, 90)).distance_matrix("d2")
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 0)
     forks = count_forks(monkeypatch)
     for family in (fam, last):
-        raised = {}
+        want = per_pair_family_space(family)
         for workers in (1, 2):
             monkeypatch.setattr(kernels, "_WORKERS", workers)
-            for build in (family_space, per_pair_family_space):
-                with pytest.raises(RuntimeWarning, match="overflow") as error:
-                    build(family)
-                raised[workers, build] = type(error.value), str(error.value)
+            got = family_space(family)
             assert_no_child_left()
-        assert len(set(raised.values())) == 1
+            for name in ("d1", "d2"):
+                assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
     assert len(forks) == 2
+    d2 = per_pair_family_space(fam).distance_matrix("d2")
+    assert np.isfinite(d2).all() and d2 == pytest.approx(1e170 * unit, rel=1e-14)
 
 
 # at the default budget a fork pays only for large families: the empirical

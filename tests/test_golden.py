@@ -180,10 +180,19 @@ def test_every_case_writes_the_same_bytes_at_any_worker_count(
     assert all(printed[2, name] == printed[1, name] for name in CASES)
 
 
-def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
-    # the golden cases and every workload config at seed 1, each traced on
-    # its own: the peak of what a run allocates, in bytes, against 16 B per
-    # complex entry of cli._ENTRIES, or of the chunk budget where that is more
+# a simulate config of 1 x 1 matrices, whose ensemble.csv text outweighs
+# every array it holds: 400 000 rows
+CSV_HEAVY = {"experiment": "simulate", "seed": 3, "samples": 4000, "index_count": 100,
+             "basis_count": 2, "row_modes": [1]}
+
+
+def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path, monkeypatch):
+    # the golden cases, every workload config at seed 1 and CSV_HEAVY, each
+    # traced on its own in this one process (a forked child's allocations
+    # escape tracemalloc): the peak of what a run allocates, in bytes,
+    # against 16 B per complex entry of cli._ENTRIES, or of the chunk budget
+    # where that is more
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
     workloads = workload_outputs.workloads
     runs = [(name, CASES[name]["experiment"], CASES[name]) for name in sorted(CASES)]
     runs += [
@@ -191,6 +200,7 @@ def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
         for w in workloads.WORKLOADS
         for k, (experiment, config) in enumerate(workloads.configs(w, 1))
     ]
+    runs.append(("csv-heavy", "simulate", CSV_HEAVY))
     ratios = {}
     started = not tracemalloc.is_tracing()
     if started:
@@ -206,6 +216,27 @@ def test_each_run_peaks_within_twice_the_entries_it_declares(tmp_path):
         if started:
             tracemalloc.stop()
     assert max(ratios.values()) <= 2.0, ratios
+
+
+def test_index_wide_simulate_holds_less_than_its_trajectories(tmp_path, monkeypatch):
+    # 200 samples over 400 indices of 4 x 4 matrices are 20.48 MB of
+    # trajectories; formed a chunk at a time inside the loops that reduce
+    # them, the run never holds them whole
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    experiment, config = workload_outputs.workloads.configs("index-wide", 1)[0]
+    assert experiment == "simulate" and (config["samples"], config["index_count"]) == (200, 400)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        workload_outputs.run_config(experiment, config, tmp_path, "index-wide-simulate")
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 200 * 400 * 16 * 16, peak
 
 
 def mutate_verdict(root):

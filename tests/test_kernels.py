@@ -64,6 +64,18 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch):
+    """A list that gains an entry at each later ``os.fork``."""
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 def test_map_blocks_forks_only_for_shares_of_least_items(monkeypatch):
     # by default a share holds 64 / 8 entries or more: 2 items of 4 entries
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
@@ -872,30 +884,48 @@ def test_contract_takes_a_real_stack(law, monkeypatch):
     assert_same_values_and_signs(kernels.contract(w, stack), np.einsum("si,itd->std", w, stack))
 
 
-def test_each_chunk_is_dropped_before_the_next_is_formed(monkeypatch):
-    # the increment chunks and the weighted sums: none is alive when the
-    # next is formed, so a loop holds one chunk at a time
+def test_each_loop_reuses_one_buffer_and_drops_it(monkeypatch):
+    # the increment chunks of a loop are written into one buffer, which no
+    # later loop reads and which is dropped once its loop returns; the
+    # weighted sums are each dropped before the next is formed.  So a loop
+    # holds one chunk at a time
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 200)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
     trajs = random_trajs(61, ns=40, nt=5, d=3)
-    alive, held = [], []
+    buffers, alive, held = [], [], []
+    increments, contract = kernels._increments, kernels.contract
 
-    def tracking(make):
-        def formed(*args, **kwargs):
-            held.append(sum(ref() is not None for ref in alive))
-            out = make(*args, **kwargs)
-            alive.append(weakref.ref(out))
-            return out
+    def tracked_increments(*args):
+        out = increments(*args)
+        buffers.append(out.base)
+        return out
 
-        return formed
+    def tracked_contract(*args, **kwargs):
+        held.append(sum(ref() is not None for ref in alive))
+        out = contract(*args, **kwargs)
+        alive.append(weakref.ref(out))
+        return out
 
-    monkeypatch.setattr(kernels, "_increments", tracking(kernels._increments))
-    monkeypatch.setattr(kernels, "contract", tracking(kernels.contract))
+    monkeypatch.setattr(kernels, "_increments", tracked_increments)
+    monkeypatch.setattr(kernels, "contract", tracked_contract)
     a, b = np.triu_indices(5, 1)
-    kernels.ensemble_norms_vs_ref(trajs, 2, "nuclear")
-    kernels.ensemble_pairwise_norms(trajs, "spectral")
-    kernels.increment_counts(trajs, a, b, np.ones((2, a.size)), "spectral")
-    kernels.lambda_max_counts(np.ones((40, 5)), trajs[0], [0.0, 1.0])
-    assert len(held) > 5 * 4 and max(held) == 0
+    loops = [
+        lambda: kernels.ensemble_norms_vs_ref(trajs, 2, "nuclear"),
+        lambda: kernels.ensemble_pairwise_norms(trajs, "spectral"),
+        lambda: kernels.increment_counts(trajs, a, b, np.ones((2, a.size)), "spectral"),
+    ]
+    for loop in loops:
+        loop()
+        assert len(buffers) > 4 and all(buf is buffers[0] for buf in buffers)
+        assert not np.shares_memory(buffers[0], trajs)
+        dropped = weakref.ref(buffers[0])
+        buffers.clear()
+        assert dropped() is None
+    # thresholds among the sums, so that every chunk forms some of them
+    weights = trng.stream(62, 0).standard_normal((200, 5))
+    sums = kernels.batch_lambda_max(np.einsum("sk,kij->sij", weights, trajs[0]))
+    kernels.lambda_max_counts(weights, trajs[0], np.quantile(sums, [0.3, 0.7]))
+    assert len(held) > 4 and max(held) == 0
 
 
 def rip_scan_loop(gram, xi):

@@ -153,6 +153,10 @@ UNREACHED = {
     "chaining.dudley_integral": TRACED,
     "kernels._fork": "forks a child of `kernels.map_blocks`; the reach probe runs in one process",
     "kernels.sup_norms": "the suprema of a dense `EmpiricalFamily`, which the CLI never builds",
+    "processes.Ensemble.trajectories": "every sample formed at once, for tests and library "
+                                       "callers; the CLI's reductions stream `Ensemble.blocks`",
+    "processes._realize": "refuses the entries that overflow once a pad scale passes half "
+                          "`_entry_limit`; no golden case draws near the float limit",
     "tensor.einstein_product": "the contraction product of the paper's tensors",
     "tensor.is_unitary": "`sensing.coherence` checks its input by it",
 }

@@ -31,6 +31,7 @@ from tensorchain.tensor import (
     random_hermitian,
     unfold,
 )
+from test_kernels import assert_no_child_left, count_forks
 
 
 def make_spec(family="gaussian_linear", seed=7, nt=6, k=3, row_modes=(2,), **kw):
@@ -183,24 +184,36 @@ def test_homogeneity_of_statistics_and_exponent():
     assert fit_a[0] == pytest.approx(fit_b[0], rel=1e-9)
 
 
-def oracle_trajectories(specs, seed, hi, lo=0):
+LAWS = {
+    "gaussian_linear": lambda gen, k: gen.standard_normal(k),
+    "subexponential_linear": lambda gen, k: (gen.integers(0, 2, k) * 2.0 - 1.0)
+    * gen.standard_exponential(k),
+    "rademacher_martingale": lambda gen, k: gen.integers(0, 2, k) * 2.0 - 1.0,
+    "iid_bernstein": lambda gen, k: gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), k),
+}
+
+
+def oracle_weights(specs, seed, hi, lo=0):
     """Per-sample loop over samples lo..hi-1: each component's scalars from
-    stream (seed, s) in order."""
-    laws = {
-        "gaussian_linear": lambda gen, k: gen.standard_normal(k),
-        "subexponential_linear": lambda gen, k: (gen.integers(0, 2, k) * 2.0 - 1.0)
-        * gen.standard_exponential(k),
-        "rademacher_martingale": lambda gen, k: gen.integers(0, 2, k) * 2.0 - 1.0,
-        "iid_bernstein": lambda gen, k: gen.uniform(-np.sqrt(3.0), np.sqrt(3.0), k),
-    }
-    out = []
+    stream (seed, s) in order; one (hi - lo, K) array per component."""
+    draws = []
     for s in range(lo, hi):
         gen = trng.stream(seed, s)
+        draws.append([LAWS[spec.family.value](gen, spec.order) for spec in specs])
+    return [np.array([row[j] for row in draws]).reshape(hi - lo, spec.order)
+            for j, spec in enumerate(specs)]
+
+
+def oracle_trajectories(specs, seed, hi, lo=0):
+    """Per-sample loop over samples lo..hi-1 of :func:`oracle_weights`: each
+    component contracted by ``einsum``, the parts added in order."""
+    weights = oracle_weights(specs, seed, hi, lo)
+    out = []
+    for row in range(hi - lo):
         traj = None
-        for spec in specs:
-            w = laws[spec.family.value](gen, spec.order)
+        for spec, w in zip(specs, weights):
             part = np.einsum(
-                "tk,kij->tij", spec.coefficients * w[None, :], spec.basis_stack
+                "tk,kij->tij", spec.coefficients * w[row][None, :], spec.basis_stack
             )
             traj = part if traj is None else traj + part
         out.append(traj)
@@ -390,6 +403,36 @@ def test_realize_refuses_entries_whose_increments_overflow():
 # ---------------------------------------------------------------------------
 # supremum statistics
 # ---------------------------------------------------------------------------
+
+
+# the streamed ensemble against the kernels run on its realized array: each
+# chunk's block is formed inside the loop that reduces it, in this process
+# or, at two workers, in a forked child that forms its own share; one
+# sample per chunk, a few chunks (both fork at two workers) and one chunk
+# (too few samples to fork)
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_entries", [0, 4096, kernels._CHUNK_ENTRIES])
+@pytest.mark.parametrize("gauge", ["spectral", "nuclear", "frobenius"])
+def test_streamed_norms_and_counts_equal_the_kernels_on_the_realized_array(
+    monkeypatch, gauge, chunk_entries, workers
+):
+    spec = make_spec("subexponential_linear", seed=180, nt=6, k=3, row_modes=(2, 2))
+    ens = sample_ensemble(spec, 181, 90, gauge)
+    trajs = ens.trajectories
+    a, b = np.triu_indices(6, 1)
+    want_norms = kernels.ensemble_norms_vs_ref(trajs, 4, gauge)
+    thr = np.quantile(kernels.ensemble_pairwise_norms(trajs, gauge), [0.2, 0.5, 0.9], axis=0)
+    want_counts = kernels.increment_counts(trajs, a, b, thr, gauge)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    forks = count_forks(monkeypatch)
+    got_norms = sample_ensemble(spec, 181, 90, gauge).norms_vs(4)
+    got_counts = kernels.increment_counts(ens.blocks(), a, b, thr, gauge)
+    assert_no_child_left()
+    assert len(forks) == (2 if workers == 2 and chunk_entries < 1 << 19 else 0)
+    assert got_norms.tobytes() == want_norms.tobytes()
+    assert got_counts.tobytes() == want_counts.tobytes()
+    assert 0 < want_counts.sum() < thr.size * 90
 
 
 # one chunk for the whole ensemble, or (clamped) one sample per chunk
