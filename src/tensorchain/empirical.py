@@ -32,16 +32,6 @@ from .bounds import ConstantSet, evaluate_bound, fit_constants
 # the moment orders p that check_bernstein_condition tests
 BERNSTEIN_ORDERS = (2, 3, 4)
 
-# family_space forks only for shares of _CHUNK_ENTRIES / _LEAST_PAIR_SHARE
-# pairs or more, 256 at the default budget.  On a 2-vCPU guest a pair of
-# 8 blocks of 4 x 4 costs about 11 us and a fork about 10 ms of CPU with its
-# page faults, so given two real cores a share pays from about 1 000 pairs:
-# mc-deep's 496 pairs stay in one process, index-wide's 19 900 fork.  The
-# value is the smallest power of two at which a budget of 4096 entries
-# still shares the 6 pairs of a 4-tuple family, so that the small-budget
-# tests fork here too.
-_LEAST_PAIR_SHARE = 2048
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalFamily:
@@ -156,8 +146,9 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
             k = end
         return np.stack(_max_and_quadratic_mean(norms), axis=1)
 
-    least = kernels._CHUNK_ENTRIES // _LEAST_PAIR_SHARE
-    metrics = kernels.map_blocks(pair_metrics, len(rows), params[0].size, least)
+    metrics = kernels.map_blocks(
+        lambda share: [pair_metrics(sl) for sl in share], len(rows), params[0].size
+    )
     metrics = np.concatenate(metrics) if metrics else np.empty((0, 2))
     d1 = np.zeros((nt, nt))
     d2 = np.zeros((nt, nt))

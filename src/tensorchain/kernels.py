@@ -42,7 +42,8 @@ over its ``chunks`` slices in order: the increment chunks of
 ``increment_counts`` and ``ensemble_norms_vs_ref`` (``_map_increments``,
 whose forked shares form their own blocks), the sample blocks of
 ``processes.sample_mixed_sups`` and the pairs of ``empirical.family_space``.
-No result depends on the number of processes.
+Each loop states an item's work; one constant, ``_FORK_WORK``, decides from
+sizes alone whether it forks.  No result depends on the number of processes.
 """
 
 import functools
@@ -67,11 +68,12 @@ _CHUNK_ENTRIES = 1 << 19
 # run on (``taskset`` sets them), one where os.fork is missing.
 _WORKERS = (len(os.sched_getaffinity(0))
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-# By default map_blocks forks only for shares of 1 / _LEAST_SHARE of the
-# chunk budget or more: a fork and the page faults that follow it cost about
-# 10 ms of CPU in a 70 MB process on a 2-vCPU KVM guest, and reducing 2^16
-# entries of increments takes about 8 ms.
-_LEAST_SHARE = 8
+# map_blocks forks only for shares of _FORK_WORK entries of work or more (0:
+# every share).  A fork and its page faults cost about 10 ms of CPU in a 70 MB
+# process on a 2-vCPU KVM guest, and the mapped loops reduce about 0.08 us an
+# entry (family_space 10-11 us a pair of 128, index-wide's simulate 1.0 ms a
+# sample of 12 816): a share of 2^18 entries takes about 21 ms, twice a fork.
+_FORK_WORK = 1 << 18
 
 # contract: its product temporary holds 1 / _CONTRACT_SHARE of a chunk, 1 024
 # rows of a 4 x 4 matrix (256 KB).  On a 2-core AMD EPYC it formed 32 768
@@ -108,26 +110,26 @@ def chunks(count, entries, workers=1):
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def map_blocks(fn, count, entries, least=None):
-    """[fn(sl) for sl in chunks(count, entries, W)], the slices shared in
-    order among W processes: _WORKERS, or fewer, so that each share holds at
-    least ``least`` items, by default those of _CHUNK_ENTRIES / _LEAST_SHARE
-    entries.
+def map_blocks(fn, count, entries, work=None):
+    """The lists ``fn(share)`` joined in order, for the W shares of
+    consecutive slices of chunks(count, entries, W).  W is min(_WORKERS,
+    count, count * work // _FORK_WORK), at least 1 (_FORK_WORK 0: no limit),
+    ``work`` an item's work in entries reduced, by default ``entries``.
 
-    W - 1 children are forked, each to run ``fn`` over its share of the
-    slices and send back its results, or the exception that stopped them,
-    pickled through a pipe; a child always leaves by ``os._exit``.  This
-    process runs the first share itself, and any share whose fork fails,
-    then reads and reaps the children in order and raises the first
-    exception one sent, or a :class:`WorkerError` with the wait status of
-    one that sent no result or did not exit 0; once it raises, the children
-    left are killed.  Every child is reaped before the map returns or
-    raises.  No result depends on W, provided ``fn`` returns its slice's
-    values and changes nothing else: a child's other effects are lost.
+    W - 1 children are forked, each to run ``fn`` over its share and send
+    back its list, or the exception that stopped it, pickled through a
+    pipe; a child always leaves by ``os._exit``.  This process runs the
+    first share itself, and any share whose fork fails, then reads and
+    reaps the children in order and raises the first exception one sent, or
+    a :class:`WorkerError` with the wait status of one that sent no result
+    or did not exit 0; once it raises, the children left are killed.  Every
+    child is reaped before the map returns or raises.  No result depends on
+    W, provided ``fn`` returns its share's values and changes nothing else:
+    a child's other effects are lost.
     """
-    if least is None:
-        least = -(-_CHUNK_ENTRIES // (_LEAST_SHARE * max(1, entries)))
-    workers = max(1, min(_WORKERS, count // max(1, least)))
+    work = entries if work is None else work
+    limit = count * work // _FORK_WORK if _FORK_WORK else count
+    workers = max(1, min(_WORKERS, count, limit))
     slices = list(chunks(count, entries, workers))
     cuts = [len(slices) * k // workers for k in range(workers + 1)]
     shares = [slices[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
@@ -135,10 +137,10 @@ def map_blocks(fn, count, entries, least=None):
     try:
         for share in shares[1:]:
             children.append(_fork(fn, share))
-        results = [fn(sl) for sl in shares[0]]
+        results = fn(shares[0])
         for k, share in enumerate(shares[1:]):
             if children[k] is None:
-                results += [fn(sl) for sl in share]
+                results += fn(share)
                 continue
             pid, pipe = children[k]
             with pipe:
@@ -167,9 +169,9 @@ def map_blocks(fn, count, entries, least=None):
 
 
 def _fork(fn, share):
-    """Fork a child that sends (True, [fn(sl) for sl in share]), or (False,
-    the exception), pickled through a pipe; return its pid and the read end
-    of the pipe, or None if the fork fails."""
+    """Fork a child that sends (True, fn(share)), or (False, the exception),
+    pickled through a pipe; return its pid and the read end of the pipe, or
+    None if the fork fails."""
     global _WORKERS
     read, write = os.pipe()
     try:
@@ -190,7 +192,7 @@ def _fork(fn, share):
         _WORKERS = 1  # a map inside fn runs in this child
         os.close(read)
         try:
-            out = (True, [fn(sl) for sl in share])
+            out = (True, fn(share))
         except BaseException as exc:
             out = (False, exc)
         try:
@@ -304,25 +306,30 @@ def _increments(block, a, b, held):
     return np.subtract(xa, other, out=diff)
 
 
-def _map_increments(trajs, a, b, reduce):
-    """[reduce(X_a - X_b)] over chunks of samples, by :func:`map_blocks`;
-    ``b`` is aligned with ``a`` or holds one index, which broadcasts, and
-    ``a`` None is every index.  A chunk reads its block as ``trajs[sl]``:
-    a view of an array, or the block that an ensemble's former
+def _map_increments(trajs, a, b, reduce, fold=list):
+    """The lists fold(reduce(X_a - X_b) of each chunk in order) of the shares
+    of samples that :func:`map_blocks` cuts, joined in order; ``b`` is
+    aligned with ``a`` or holds one index, which broadcasts, and ``a`` None
+    is every index.  A chunk reads its block as ``trajs[sl]``: a view of an
+    array, or the block that an ensemble's former
     (``processes.Ensemble.blocks``) forms from its weights.  The entries
     ``chunks`` counts are that block and the chunk's two gathers, X_a (the
     difference buffer) and X_b; the gathers reuse two buffers, held as long
     as the loop, and each chunk is reduced before the next is formed."""
     count = trajs.shape[1] if a is None else a.size
     step = (trajs.shape[1] + count + b.size) * math.prod(trajs.shape[2:])
-    held = {}
-    return map_blocks(lambda sl: reduce(_increments(trajs[sl], a, b, held)), trajs.shape[0], step)
+    held = {}  # a forked share forms into its own copy
+    return map_blocks(
+        lambda share: fold(reduce(_increments(trajs[sl], a, b, held)) for sl in share),
+        trajs.shape[0], step,
+    )
 
 
 def increment_counts(trajs, a, b, thresholds, gauge):
-    """(k, len(a)) counts of samples with ||X_a - X_b|| >= ``thresholds`` (k, len(a))."""
+    """(k, len(a)) counts of samples with ||X_a - X_b|| >= ``thresholds`` (k,
+    len(a)); a process holds its share's running total and one chunk's."""
     thr, gauge = np.asarray(thresholds, np.float64)[:, None], GaugeNorm.coerce(gauge)
-    return sum(_map_increments(trajs, a, b, lambda diff: _count(diff, thr, gauge)))
+    return sum(_map_increments(trajs, a, b, lambda d: _count(d, thr, gauge), lambda c: [sum(c)]))
 
 
 def _top_then_ties(upper, solve):

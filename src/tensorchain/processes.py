@@ -452,13 +452,6 @@ def verify_increment_tail(
     )
 
 
-# sample_mixed_sups forks only for shares of _CHUNK_ENTRIES /
-# _LEAST_MIXED_SHARE samples or more, 256 at the default budget: bound first,
-# a sample costs 17 us (mc-deep) to 120 us (index-wide), far less than its
-# entries say, against about 10 ms of CPU for a fork and its page faults.
-_LEAST_MIXED_SHARE = 2048
-
-
 def _mixed_sample_entries(index_count: int, order: int, size: int) -> int:
     """Complex entries that :func:`sample_mixed_sups` holds per sample, for
     ``order`` weights in all over matrices of ``size`` D^2 entries: the
@@ -548,8 +541,14 @@ def sample_mixed_sups(
         return kernels._top_then_ties(upper, norms)
 
     entries = _mixed_sample_entries(nt, order, side * side)
-    least = kernels._CHUNK_ENTRIES // _LEAST_MIXED_SHARE
-    return np.concatenate(kernels.map_blocks(block_sups, n_samples, entries, least))
+    # a sample's work in entries of 0.08 us (kernels._FORK_WORK): bound first,
+    # 17 us over 16 indices (mc-deep) and 130-140 over 400 (index-wide), of
+    # 4 x 4 matrices and 8 weights, fit by 150 for its draw and D^2 / 4 an index
+    work = 150 + nt * side * side // 4
+    sups = kernels.map_blocks(
+        lambda share: [block_sups(sl) for sl in share], n_samples, entries, work
+    )
+    return np.concatenate(sups)
 
 
 def ensemble_to_csv(ensemble: Ensemble, t0: int = 0) -> str:

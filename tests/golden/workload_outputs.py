@@ -1,7 +1,7 @@
 """Write the outputs of every benchmark workload config, for a byte-level
 comparison of two checkouts.
 
-Usage: python tests/golden/workload_outputs.py [--chunk-entries N] [--workers N] OUT
+Usage: python tests/golden/workload_outputs.py [--chunk-entries N] [--workers N] [--fork-work N] OUT
 
 For each workload of ``clibench/workloads.py`` and each seed in SEEDS, the
 k-th config runs through ``tensorchain.cli.main`` of this checkout (its
@@ -16,10 +16,12 @@ difference.  When it does, ``python tests/golden/compare.py A B`` tells
 whether values moved (beyond a relative 1e-12) or only their text.
 
 ``--chunk-entries N`` sets ``kernels._CHUNK_ENTRIES``, the budget the work
-is cut by, to N in this process, and ``--workers N`` sets
-``kernels._WORKERS``, the count of processes ``kernels.map_blocks`` shares a
-loop among: no byte may depend on either, and CI diffs runs at one worker,
-and at a small budget with two, against a run at the defaults.
+is cut by, to N in this process, ``--workers N`` sets ``kernels._WORKERS``,
+the count of processes ``kernels.map_blocks`` shares a loop among, and
+``--fork-work N`` sets ``kernels._FORK_WORK``, the work a share must hold
+for the map to fork (0: every loop forks): no byte may depend on any of
+them, and CI diffs runs at one worker, and at a small budget with two that
+fork every loop, against a run at the defaults.
 """
 
 from __future__ import annotations
@@ -77,8 +79,12 @@ def write_workload(out, name: str, seed: int) -> None:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    options, chosen = {"--chunk-entries": "_CHUNK_ENTRIES", "--workers": "_WORKERS"}, {}
-    while len(args) > 2 and args[0] in options and args[1].isdigit() and int(args[1]) > 0:
+    options = {"--chunk-entries": "_CHUNK_ENTRIES", "--workers": "_WORKERS",
+               "--fork-work": "_FORK_WORK"}
+    chosen = {}
+    while len(args) > 2 and args[0] in options and args[1].isdigit() and (
+        int(args[1]) > 0 or args[0] == "--fork-work"
+    ):
         chosen[options.pop(args[0])] = int(args[1])
         args = args[2:]
     if len(args) != 1:

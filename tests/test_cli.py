@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -358,6 +359,7 @@ def test_mixed_tail_blocks_shared_by_two_workers_write_the_same_bytes(tmp_path, 
     # the blocks above, shared by two processes: this one reduces the first
     # share of the 6 blocks of 50 samples the cut for two workers gives
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 40 * 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     calls = count_calls(monkeypatch, "_top_then_ties")
     path = write_config(tmp_path, BLOCKED_MIXED)
     outputs = {}
@@ -956,8 +958,9 @@ def test_overflow_refused_in_a_child_exits_as_in_one_process(tmp_path, monkeypat
     # one basis matrix and two indices, coefficients 0 and c: a sample's
     # entries are c times those at c = 1, and c puts the limit between the
     # largest entry of the first half of the samples and the largest of the
-    # second, the share a forked child reduces
+    # second, the share a forked child reduces, in several blocks
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 20 * 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     cfg = {**MIXED, "seed": 5, "samples": 200, "index_count": 2, "basis_count": 1}
     p = cli._settings({**cfg, "coefficients": [[0.0], [1.0]]})
     specs = [cli._build_process_spec(p, family, p["basis_seed"] + shift, 1.0)
@@ -984,9 +987,9 @@ def test_overflow_refused_in_a_child_exits_as_in_one_process(tmp_path, monkeypat
 
 
 def test_a_killed_worker_exits_with_its_own_diagnostic(tmp_path, monkeypatch, capfd):
-    # mixed-tail's sample blocks are shared by two processes under a small
-    # chunk budget; the forked one is killed as it draws
-    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 20 * 64)
+    # mixed-tail's sample blocks are shared by two processes, whatever the
+    # work; the forked one is killed as it draws
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     parent, draw = os.getpid(), processes._draw
 
@@ -1196,6 +1199,38 @@ def test_a_run_keeps_other_files_and_a_failed_run_changes_nothing(tmp_path):
     zero = {**SIMULATE, "coefficients": [[0.0, 0.0]] * 4}  # insufficient data
     assert run_into(tmp_path, zero, out) == EXIT_CONFIG
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_write_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    # the run's files go into a directory beside --out, which replaces --out
+    # only once every file is written: a write that fails midway, into an
+    # earlier run's --out or where there is none, leaves --out as it was and
+    # nothing beside it
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    (out / "notes.txt").write_text("mine")
+    (out / "sub").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+    def full_disk(path, *args, **kwargs):
+        if os.path.basename(path) == "report.json":  # simulate's second file
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    for target in (out, runs / "new"):
+        assert run_into(tmp_path, SIMULATE, target) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"output error: {target}: No space left on device\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert (out / "sub").is_dir() and "ensemble.csv" not in before
+    assert [p.name for p in runs.iterdir()] == ["out"]
+    monkeypatch.undo()
+    assert run_into(tmp_path, SIMULATE, out) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == {
+        "ensemble.csv", "report.json", "tail_curve.csv", "manifest.json", "notes.txt", "sub"
+    }
+    assert [p.name for p in runs.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize(

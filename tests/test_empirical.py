@@ -97,8 +97,8 @@ def metric_family(dense, t_count, n, scale, seed):
 # n crosses numpy's pairwise-sum blocks of 8 and 128 in the row mean; at
 # 1e+-150 zheevd scales the blocks, at 1e-170 their norms square to subnormals;
 # a budget of 0 forms one pair's differences per chunk.  Shared by two
-# workers, a budget of 0 gives each slice one pair and 4096 gives slices
-# that cross rows; both fork
+# workers, whatever the work, a budget of 0 gives each slice one pair and
+# 4096 gives slices that cross rows
 @pytest.mark.parametrize(
     "chunk_entries, workers",
     [
@@ -116,6 +116,7 @@ def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, w
     assert (fam.diagonals is None) == dense
     want = per_pair_family_space(fam)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     forks = count_forks(monkeypatch)
     got = family_space(fam)
@@ -127,9 +128,9 @@ def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, w
 
 # the squared norms of 1e170 overflow on both paths, and d2 is taken in its
 # range-safe form there: the same bits, a quadratic mean within a few ulps
-# of 1e170 times that at scale 1.  Shared by two workers, the pair (0, 1) is
-# this process's share and the rest a child's: with only the last tuple at
-# 1e170 only the child's pairs overflow
+# of 1e170 times that at scale 1.  Shared by two workers, whatever the work,
+# the pair (0, 1) is this process's share and the rest a child's: with only
+# the last tuple at 1e170 only the child's pairs overflow
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
 def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense, monkeypatch):
@@ -138,6 +139,7 @@ def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense,
     last = EmpiricalFamily(fam.row_modes, params)
     unit = family_space(metric_family(dense, 3, 4, 1.0, 90)).distance_matrix("d2")
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 0)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     forks = count_forks(monkeypatch)
     for family in (fam, last):
         want = per_pair_family_space(family)
@@ -150,22 +152,6 @@ def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense,
     assert len(forks) == 2
     d2 = per_pair_family_space(fam).distance_matrix("d2")
     assert np.isfinite(d2).all() and d2 == pytest.approx(1e170 * unit, rel=1e-14)
-
-
-# at the default budget a fork pays only for large families: the empirical
-# configs of mc-deep (t_count 32) and of clibench/tests/test_tracing.py
-# (t_count 6, whose batch_spectral calls it counts in this process) stay in
-# one process, index-wide's (t_count 200) is shared by one child
-@pytest.mark.parametrize(
-    "modes, t_count, n, forked", [((2, 2), 32, 8, 0), ((2, 2), 200, 8, 1), ((2,), 6, 3, 0)]
-)
-def test_family_space_forks_only_for_large_families(modes, t_count, n, forked, monkeypatch):
-    monkeypatch.setattr(kernels, "_WORKERS", 2)
-    fam = diagonal_family(modes, t_count=t_count, n=n, seed=1)
-    forks = count_forks(monkeypatch)
-    family_space(fam)
-    assert len(forks) == forked
-    assert_no_child_left()
 
 
 def test_family_space_accepts_every_valid_family():

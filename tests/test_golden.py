@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from tensorchain import cli, kernels
+from tensorchain.empirical import diagonal_family, family_space
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -149,16 +150,17 @@ def test_every_case_writes_the_same_bytes_at_any_chunk_budget(
     assert same_bytes.same_tree(default_cut, tmp_path, "golden")
 
 
-# kernels.map_blocks shares its loops among kernels._WORKERS processes; at
-# 4096 entries a chunk the small cases fork too, and at 1024 a child's share
-# of the ensemble.csv norms holds several chunks, so that a share reduced
-# out of order moves bytes.  Whatever the exit code, a run leaves no child
-# behind and prints its diagnostics once
+# kernels.map_blocks shares its loops among kernels._WORKERS processes; with
+# kernels._FORK_WORK 0 the small cases fork too, and at 1024 entries a chunk a
+# child's share of the ensemble.csv norms holds several chunks, so that a
+# share reduced out of order moves bytes.  Whatever the exit code, a run
+# leaves no child behind and prints its diagnostics once
 @pytest.mark.parametrize("chunk_entries", [4096, 1024])
 def test_every_case_writes_the_same_bytes_at_any_worker_count(
     tmp_path, monkeypatch, capfd, default_cut, chunk_entries
 ):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     fork, forks = os.fork, []
 
     def counted_fork():
@@ -178,6 +180,57 @@ def test_every_case_writes_the_same_bytes_at_any_worker_count(
         assert same_bytes.same_tree(default_cut, tmp_path / str(workers), "golden")
     assert forked[1] == 0 and forked[2] > 0
     assert all(printed[2, name] == printed[1, name] for name in CASES)
+
+
+# each mapped loop of every workload config at seed 1, at two workers and the
+# default kernels._FORK_WORK: its items, the entries of one, the work it
+# states (None: its entries) and the forks it made.  A loop forks once its
+# items' work reaches twice _FORK_WORK, 2^19
+WORKLOAD_FORKS = {
+    ("mc-deep", "simulate"): [(1500, 528, None, 1), (1500, 4096, None, 1)],
+    ("mc-deep", "mixed-tail"): [(8000, 576, 214, 1)],
+    ("mc-deep", "empirical"): [(496, 128, None, 0)],
+    ("index-wide", "simulate"): [(200, 12816, None, 1)],
+    ("index-wide", "mixed-tail"): [(200, 14400, 1750, 0)],
+    ("index-wide", "empirical"): [(19900, 128, None, 1)],
+}
+
+
+def test_the_fork_rule_forks_the_loops_whose_work_pays(tmp_path, monkeypatch):
+    assert kernels._FORK_WORK == 1 << 18
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    fork, map_blocks, forks, maps = os.fork, kernels.map_blocks, [], []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    def recorded(fn, count, entries, work=None):
+        before = len(forks)
+        try:
+            return map_blocks(fn, count, entries, work)
+        finally:
+            maps.append((count, entries, work, len(forks) - before))
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(kernels, "map_blocks", recorded)
+    seen = {}
+    workloads = workload_outputs.workloads
+    for w in workloads.WORKLOADS:
+        for k, (experiment, config) in enumerate(workloads.configs(w, 1)):
+            workload_outputs.run_config(experiment, config, tmp_path, f"{w}-{k}")
+            if maps:
+                seen[w, experiment] = maps[:]
+                maps.clear()
+    assert seen == WORKLOAD_FORKS
+    # diagonal families of 46 and 64 tuples, 1 035 and 2 016 pairs of 128
+    # entries, stay in one process, as does the t_count-6 family whose
+    # batch_spectral calls clibench/tests/test_tracing.py counts here
+    for modes, t_count, n in [((2, 2), 46, 8), ((2, 2), 64, 8), ((2,), 6, 3)]:
+        family_space(diagonal_family(modes, t_count=t_count, n=n, seed=1))
+    assert maps == [(1035, 128, None, 0), (2016, 128, None, 0), (15, 12, None, 0)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # a simulate config of 1 x 1 matrices, whose ensemble.csv text outweighs
@@ -299,6 +352,8 @@ def test_workload_outputs_are_written_per_config_and_reproducible(tmp_path):
     assert workload_outputs.main(["--workers", "2"]) == 2
     assert workload_outputs.main(["--workers", "0", str(tmp_path / "c")]) == 2
     assert workload_outputs.main(["--workers", "1", "--workers", "2", str(tmp_path / "c")]) == 2
+    assert workload_outputs.main(["--fork-work", "0"]) == 2
+    assert workload_outputs.main(["--fork-work", "-1", str(tmp_path / "c")]) == 2
 
 
 def test_same_bytes_lists_what_differs(tmp_path, capfd):

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -76,29 +77,42 @@ def count_forks(monkeypatch):
     return forks
 
 
-def test_map_blocks_forks_only_for_shares_of_least_items(monkeypatch):
-    # by default a share holds 64 / 8 entries or more: 2 items of 4 entries
+def each(fn):
+    """A share function for ``kernels.map_blocks``: [fn(sl) for sl in share]."""
+    return lambda share: [fn(sl) for sl in share]
+
+
+def test_map_blocks_forks_only_for_shares_of_fork_work(monkeypatch):
+    # a share holds 64 entries of work or more: by default an item's entries
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 64)
     monkeypatch.setattr(kernels, "_WORKERS", 3)
 
-    def owners(count, entries, least=None):
-        return len({pid for pid in kernels.map_blocks(lambda sl: os.getpid(), count, entries, least)})
+    def owners(count, entries, work=None):
+        return len(set(kernels.map_blocks(each(lambda sl: os.getpid()), count, entries, work)))
 
     assert owners(100, 4) == 3
-    assert owners(5, 4) == 2
-    assert owners(1, 4) == 1
-    assert owners(100, 4, least=40) == 2
-    assert owners(100, 4, least=101) == 1
+    assert owners(40, 4) == 2
+    assert owners(15, 4) == 1
+    assert owners(100, 4, work=1) == 1  # the stated work, not the entries
+    assert owners(2, 4, work=32) == 1
+    assert owners(2, 4, work=64) == 2
     assert owners(100, 64) == 3  # a 64-entry item is a share of its own
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)  # every share forks
+    assert owners(100, 4, work=0) == 3
+    assert owners(2, 4, work=0) == 2
+    assert owners(1, 4) == 1
+    assert owners(0, 4) == 0
     assert_no_child_left()
 
 
 def test_map_blocks_shares_the_slices_in_order(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 8)
     for workers in (1, 2, 3):
         monkeypatch.setattr(kernels, "_WORKERS", workers)
         for count in (0, 1, 5, 333):  # shares of 2 items or more
-            got = kernels.map_blocks(lambda sl: (sl, os.getpid()), count, 4)
+            got = kernels.map_blocks(each(lambda sl: (sl, os.getpid())), count, 4)
             cut = kernels.chunks(count, 4, min(workers, count // 2))
             assert [sl for sl, _ in got] == list(cut)
         owners = [pid for _, pid in got]
@@ -127,22 +141,24 @@ def in_child(parent, error):
 )
 def test_map_blocks_raises_what_a_child_raised(monkeypatch, error):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     with pytest.raises(type(error)) as raised:
-        kernels.map_blocks(in_child(os.getpid(), error), 100, 4)
+        kernels.map_blocks(each(in_child(os.getpid(), error)), 100, 4)
     assert type(raised.value) is type(error) and str(raised.value) == str(error)
     assert_no_child_left()
 
 
 def test_map_blocks_raises_the_first_error_in_slice_order(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 3)
 
     def fails(sl):
         raise ValueError(f"block at {sl.start}")
 
     with pytest.raises(ValueError, match="^block at 0$"):  # this process's own, first
-        kernels.map_blocks(fails, 100, 4)
+        kernels.map_blocks(each(fails), 100, 4)
     slices = list(kernels.chunks(100, 4, 3))
     parent = os.getpid()
 
@@ -151,7 +167,7 @@ def test_map_blocks_raises_the_first_error_in_slice_order(monkeypatch):
 
     # the first child's share is the second third of the slices
     with pytest.raises(ValueError, match=f"^block at {slices[len(slices) // 3].start}$"):
-        kernels.map_blocks(child_fails, 100, 4)
+        kernels.map_blocks(each(child_fails), 100, 4)
     assert_no_child_left()
 
 
@@ -159,6 +175,7 @@ def test_map_blocks_kills_the_children_once_it_raises(monkeypatch):
     # the child's share would take a minute; the error in this process's
     # share ends the map at once, and leaves no child behind
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     parent = os.getpid()
 
@@ -169,13 +186,14 @@ def test_map_blocks_kills_the_children_once_it_raises(monkeypatch):
 
     start = time.perf_counter()
     with pytest.raises(DomainError, match="^refused here$"):
-        kernels.map_blocks(slow_child, 100, 4)
+        kernels.map_blocks(each(slow_child), 100, 4)
     assert time.perf_counter() - start < 20
     assert_no_child_left()
 
 
 def test_map_blocks_reports_a_child_that_sends_nothing(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     parent = os.getpid()
 
@@ -185,37 +203,39 @@ def test_map_blocks_reports_a_child_that_sends_nothing(monkeypatch):
         return sl
 
     with pytest.raises(WorkerError, match=r"^worker \d+ ended without a result: exit status 1$"):
-        kernels.map_blocks(dies, 100, 4)
+        kernels.map_blocks(each(dies), 100, 4)
 
     def unpicklable(sl):
         return sl if os.getpid() == parent else (lambda: sl)
 
     with pytest.raises(WorkerError, match="does not pickle"):
-        kernels.map_blocks(unpicklable, 100, 4)
+        kernels.map_blocks(each(unpicklable), 100, 4)
     assert_no_child_left()
 
 
 def test_map_blocks_runs_a_share_here_when_the_fork_fails(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
 
     def no_fork():
         raise BlockingIOError("Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    got = kernels.map_blocks(lambda sl: (sl, os.getpid()), 100, 4)
+    got = kernels.map_blocks(each(lambda sl: (sl, os.getpid())), 100, 4)
     assert [sl for sl, _ in got] == list(kernels.chunks(100, 4, 2))
     assert {pid for _, pid in got} == {os.getpid()}
 
 
 def test_map_blocks_nests_inside_a_child_without_forking(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
 
     def owners(sl):
-        return os.getpid(), {pid for pid in kernels.map_blocks(lambda s: os.getpid(), 100, 4)}
+        return os.getpid(), set(kernels.map_blocks(each(lambda s: os.getpid()), 100, 4))
 
-    got = kernels.map_blocks(owners, 100, 4)
+    got = kernels.map_blocks(each(owners), 100, 4)
     assert len(got[0][1]) == 2  # this process forks its own inner map
     assert got[-1][1] == {got[-1][0]}  # a child's inner map runs in the child
 
@@ -225,6 +245,7 @@ def test_map_blocks_forks_where_python_warns_of_threads(monkeypatch):
     # Python 3.12 warns, after the fork and in the parent, that a process with
     # threads (OpenBLAS's pool) may deadlock in the child
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 64)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", 2)
     fork = os.fork
 
@@ -238,7 +259,7 @@ def test_map_blocks_forks_where_python_warns_of_threads(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)
-    got = kernels.map_blocks(lambda sl: (sl, os.getpid()), 100, 4)
+    got = kernels.map_blocks(each(lambda sl: (sl, os.getpid())), 100, 4)
     assert [sl for sl, _ in got] == list(kernels.chunks(100, 4, 2))
     assert len({pid for _, pid in got}) == 2
 
@@ -815,6 +836,26 @@ def test_increment_counts_equal_full_counts(gauge, chunk_entries, monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge), want)
     assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, gauge.value), want)
+
+
+def test_increment_counts_holds_a_running_total_not_a_count_array_per_chunk(monkeypatch):
+    # one sample per chunk, 400 chunks, and (64, 45) int64 counts (23 KB) per
+    # chunk: a process sums its share's counts as they come, so the peak is a
+    # few count arrays, where keeping one per chunk would hold 400 of them
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 0)
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    trajs = random_hermitian_stack(np.random.default_rng(52), (400, 10, 2, 2))
+    a, b = np.triu_indices(10, 1)
+    thr = np.linspace(0.0, 4.0, 64)[:, None] * np.ones(a.size)
+    counts = kernels.increment_counts(trajs, a, b, thr, "spectral")  # warm caches
+    tracemalloc.start()
+    try:
+        assert np.array_equal(kernels.increment_counts(trajs, a, b, thr, "spectral"), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < counts.sum() < 64 * 45 * 400
+    assert peak < 10 * counts.nbytes, peak / counts.nbytes
 
 
 def contract_weights(gen, law, shape):

@@ -408,8 +408,8 @@ def test_realize_refuses_entries_whose_increments_overflow():
 # the streamed ensemble against the kernels run on its realized array: each
 # chunk's block is formed inside the loop that reduces it, in this process
 # or, at two workers, in a forked child that forms its own share; one
-# sample per chunk, a few chunks (both fork at two workers) and one chunk
-# (too few samples to fork)
+# sample per chunk, a few chunks and one chunk, each forked at two workers
+# whatever its work
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_entries", [0, 4096, kernels._CHUNK_ENTRIES])
 @pytest.mark.parametrize("gauge", ["spectral", "nuclear", "frobenius"])
@@ -424,12 +424,13 @@ def test_streamed_norms_and_counts_equal_the_kernels_on_the_realized_array(
     thr = np.quantile(kernels.ensemble_pairwise_norms(trajs, gauge), [0.2, 0.5, 0.9], axis=0)
     want_counts = kernels.increment_counts(trajs, a, b, thr, gauge)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     forks = count_forks(monkeypatch)
     got_norms = sample_ensemble(spec, 181, 90, gauge).norms_vs(4)
     got_counts = kernels.increment_counts(ens.blocks(), a, b, thr, gauge)
     assert_no_child_left()
-    assert len(forks) == (2 if workers == 2 and chunk_entries < 1 << 19 else 0)
+    assert len(forks) == (2 if workers == 2 else 0)
     assert got_norms.tobytes() == want_norms.tobytes()
     assert got_counts.tobytes() == want_counts.tobytes()
     assert 0 < want_counts.sum() < thr.size * 90
