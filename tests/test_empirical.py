@@ -154,6 +154,22 @@ def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense,
     assert np.isfinite(d2).all() and d2 == pytest.approx(1e170 * unit, rel=1e-14)
 
 
+# at the default budget a fork pays only for large families: the empirical
+# configs of mc-deep (t_count 32) and of clibench/tests/test_tracing.py
+# (t_count 6, whose batch_spectral calls it counts in this process) stay in
+# one process, index-wide's (t_count 200) is shared by one child
+@pytest.mark.parametrize(
+    "modes, t_count, n, forked", [((2, 2), 32, 8, 0), ((2, 2), 200, 8, 1), ((2,), 6, 3, 0)]
+)
+def test_family_space_forks_only_for_large_families(modes, t_count, n, forked, monkeypatch):
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    fam = diagonal_family(modes, t_count=t_count, n=n, seed=1)
+    forks = count_forks(monkeypatch)
+    family_space(fam)
+    assert len(forks) == forked
+    assert_no_child_left()
+
+
 def test_family_space_accepts_every_valid_family():
     # each tensor is within the construction's Hermitian tolerance of 1e-10,
     # their difference (gap 1.6e-10) is not; the stored Hermitian parts are
