@@ -647,20 +647,16 @@ _OUTPUT_NAMES = ("ensemble.csv", "tail_curve.csv", "report.json", "covering.csv"
 
 def _write_run(out_dir, outputs, manifest=None):
     """Write ``outputs`` (name -> text), then ``manifest`` with their digests
-    and write time, into a new directory beside out_dir, and move it onto
-    out_dir; a fit failure passes its diagnostics alone.  An existing
-    out_dir is moved aside first and removed once the new one is in place,
-    after its files other than _OUTPUT_NAMES have moved into the new one.
-    So a write that fails leaves out_dir as it was."""
-    out_dir = os.path.realpath(out_dir)
-    parent = os.path.dirname(out_dir)
-    os.makedirs(parent, exist_ok=True)
-    temp = tempfile.mkdtemp(prefix=".tensorchain-", dir=parent)
-    aside = None
+    and write time, into a temporary directory inside out_dir (created if
+    missing), then move each file into out_dir, the manifest last, and
+    remove the files of _OUTPUT_NAMES this run did not write; a fit failure
+    passes its diagnostics alone.  out_dir itself and its other files are
+    not touched, and a write that fails leaves out_dir as it was."""
+    made = not os.path.isdir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    temp = None
     try:
-        mask = os.umask(0o022)
-        os.umask(mask)
-        os.chmod(temp, 0o777 & ~mask)  # as os.mkdir makes a directory
+        temp = tempfile.mkdtemp(prefix=".tensorchain-", dir=out_dir)
         start = time.perf_counter()
         for name, text in sorted(outputs.items()):
             data = text.encode("ascii")
@@ -668,27 +664,25 @@ def _write_run(out_dir, outputs, manifest=None):
                 fh.write(data)
             if manifest is not None:
                 manifest.digests[name] = hashlib.sha256(data).hexdigest()
+        names = sorted(outputs)
         if manifest is not None:
             manifest.stage_seconds["write"] = time.perf_counter() - start
             with open(os.path.join(temp, "manifest.json"), "wb") as fh:
                 fh.write(dumps(asdict(manifest)).encode("ascii"))
-        if os.path.isdir(out_dir):
-            aside = temp + ".old"  # a rename never replaces a file or a filled directory
-            os.rename(out_dir, aside)
-        try:
-            os.rename(temp, out_dir)
-        except OSError:
-            if aside is not None:
-                os.rename(aside, out_dir)
-            raise
+            names.append("manifest.json")
     except BaseException:
-        shutil.rmtree(temp, ignore_errors=True)
+        if temp is not None:
+            shutil.rmtree(temp, ignore_errors=True)
+        if made:
+            os.rmdir(out_dir)
         raise
-    if aside is not None:
-        for name in os.listdir(aside):
-            if name not in _OUTPUT_NAMES:
-                os.rename(os.path.join(aside, name), os.path.join(out_dir, name))
-        shutil.rmtree(aside)
+    for name in names:
+        os.replace(os.path.join(temp, name), os.path.join(out_dir, name))
+    os.rmdir(temp)
+    for name in set(_OUTPUT_NAMES) - set(names):
+        path = os.path.join(out_dir, name)
+        if os.path.isfile(path):
+            os.remove(path)
 
 
 def build_parser() -> argparse.ArgumentParser:

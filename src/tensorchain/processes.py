@@ -541,9 +541,10 @@ def sample_mixed_sups(
         return kernels._top_then_ties(upper, norms)
 
     entries = _mixed_sample_entries(nt, order, side * side)
-    # a sample's work in entries of 0.08 us (kernels._FORK_WORK): bound first,
-    # 17 us over 16 indices (mc-deep) and 130-140 over 400 (index-wide), of
-    # 4 x 4 matrices and 8 weights, fit by 150 for its draw and D^2 / 4 an index
+    # a sample's work in entries at kernels._FORK_WORK's rate: bound first, it
+    # costs 17 us over 16 indices (mc-deep) and 130-140 over 400 (index-wide),
+    # fit by 150 for its draw and D^2 / 4 an index.  Both have 8 weights of
+    # 4 x 4 matrices; at another order or D the fit is unmeasured.
     work = 150 + nt * side * side // 4
     sups = kernels.map_blocks(
         lambda share: [block_sups(sl) for sl in share], n_samples, entries, work

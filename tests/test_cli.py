@@ -1202,10 +1202,10 @@ def test_a_run_keeps_other_files_and_a_failed_run_changes_nothing(tmp_path):
 
 
 def test_a_write_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
-    # the run's files go into a directory beside --out, which replaces --out
-    # only once every file is written: a write that fails midway, into an
-    # earlier run's --out or where there is none, leaves --out as it was and
-    # nothing beside it
+    # the run's files go into a temporary directory inside --out and move
+    # into --out only once every file is written: a write that fails midway,
+    # into an earlier run's --out or where there is none, leaves --out as it
+    # was and nothing beside it
     runs = tmp_path / "runs"
     out = runs / "out"
     assert run_into(tmp_path, GAMMA, out) == EXIT_OK
@@ -1223,7 +1223,7 @@ def test_a_write_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
         assert run_into(tmp_path, SIMULATE, target) == EXIT_CONFIG
         assert capsys.readouterr().err == f"output error: {target}: No space left on device\n"
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
-    assert (out / "sub").is_dir() and "ensemble.csv" not in before
+    assert {p.name for p in out.iterdir()} == {*before, "sub"} and "ensemble.csv" not in before
     assert [p.name for p in runs.iterdir()] == ["out"]
     monkeypatch.undo()
     assert run_into(tmp_path, SIMULATE, out) == EXIT_OK
@@ -1231,6 +1231,27 @@ def test_a_write_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
         "ensemble.csv", "report.json", "tail_curve.csv", "manifest.json", "notes.txt", "sub"
     }
     assert [p.name for p in runs.iterdir()] == ["out"]
+
+
+def test_a_run_keeps_the_out_directory_itself(tmp_path, monkeypatch):
+    # files move into --out one by one; --out is never renamed or remade, so
+    # it keeps its inode and mode (a 0700 --out stays private, a mount point
+    # stays usable), and a shell inside it (--out .) stays where it was
+    out = tmp_path / "out"
+    out.mkdir(mode=0o700)
+    out.chmod(0o700)
+    ino = out.stat().st_ino
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    assert run_into(tmp_path, SIMULATE, out) == EXIT_OK
+    assert (out.stat().st_ino, out.stat().st_mode & 0o777) == (ino, 0o700)
+    assert {p.name for p in out.iterdir()} == {
+        "ensemble.csv", "report.json", "tail_curve.csv", "manifest.json"
+    }
+    monkeypatch.chdir(out)
+    path = write_config(tmp_path, GAMMA)
+    assert main(["gamma", "--config", path, "--out", "."]) == EXIT_OK
+    assert os.getcwd() == str(out) and os.stat(".").st_ino == ino
+    assert sorted(os.listdir(".")) == ["covering.csv", "manifest.json", "report.json"]
 
 
 @pytest.mark.parametrize(
