@@ -15,6 +15,7 @@ bound was violated.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -651,7 +652,8 @@ def _write_run(out_dir, outputs, manifest=None):
     missing), then move each file into out_dir, the manifest last, and
     remove the files of _OUTPUT_NAMES this run did not write; a fit failure
     passes its diagnostics alone.  out_dir itself and its other files are
-    not touched, and a write that fails leaves out_dir as it was."""
+    not touched, and a write that fails, or an output name taken by a
+    directory in out_dir, leaves out_dir as it was."""
     made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     temp = None
@@ -670,6 +672,10 @@ def _write_run(out_dir, outputs, manifest=None):
             with open(os.path.join(temp, "manifest.json"), "wb") as fh:
                 fh.write(dumps(asdict(manifest)).encode("ascii"))
             names.append("manifest.json")
+        for name in names:  # os.replace fails on a directory, after the files before it
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     except BaseException:
         if temp is not None:
             shutil.rmtree(temp, ignore_errors=True)

@@ -1,17 +1,19 @@
 """Empirical averages of Hermitian random tensors over a parameter set.
 
 A family holds, for each parameter tuple t and each of the n probability
-spaces, a deterministic Hermitian parameter tensor; the random draw on
-space i is a zero-mean scalar times that tensor, with the scalar shared
-across t (the process is coupled through the same sample point).  Bounded
-scalars make the per-space draws satisfy the Bernstein moment condition
-with envelopes dominating the squared parameter tensors.
+spaces, a deterministic diagonal Hermitian parameter tensor, kept as its
+real diagonal; the random draw on space i is a zero-mean scalar times that
+tensor, with the scalar shared across t (the process is coupled through the
+same sample point).  Bounded scalars make the per-space draws satisfy the
+Bernstein moment condition with envelopes dominating the squared parameter
+tensors.
 
 The two chaining metrics are evaluated on the deterministic parameter
 tensors (the only reading that yields a bona fide metric; a random
 quantity cannot serve as a chaining distance), using the spectral norm of
 the Hermitian differences, which dominates their largest eigenvalue and is
-symmetric in (s, t).
+symmetric in (s, t).  Every spectrum is read by eigensolving the complex
+blocks ``kernels.diagonal_blocks`` forms from the diagonals.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from . import kernels, rng as rng_mod
 from .chaining import FiniteMetricSpace, build_admissible_greedy, gamma_value
 from .errors import DomainError, ValidationError
 from .report import MARGIN_SIGMAS, BoundReport
-from .tensor import hermitian_part
 from .bounds import ConstantSet, evaluate_bound, fit_constants
 
 # the moment orders p that check_bernstein_condition tests
@@ -35,61 +36,54 @@ BERNSTEIN_ORDERS = (2, 3, 4)
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalFamily:
-    """Parameter tensors (t_count, n, D, D) plus the scalar noise law.
+    """The real diagonals (t_count, n, D) of the parameter tensors, D the
+    product of ``row_modes``, plus the scalar noise law.
 
-    The parameters go through :func:`~tensorchain.tensor.hermitian_part`
-    and are stored as its read-only result, as the norm kernels assume.
-    """
+    Diagonals that are not real, not finite or not of that shape with
+    t_count, n >= 1 are refused, never coerced; the family stores a
+    read-only float64 copy."""
 
     row_modes: tuple
-    parameters: np.ndarray
+    diagonals: np.ndarray
     noise: str = "rademacher"
 
     def __post_init__(self):
         object.__setattr__(self, "row_modes", tuple(int(m) for m in self.row_modes))
-        params = np.asarray(self.parameters, dtype=np.complex128)
+        given = np.asarray(self.diagonals)
         side = math.prod(self.row_modes)
-        if params.ndim != 4 or params.shape[2:] != (side, side):
-            raise ValidationError(
-                f"parameters must have shape (t_count, n, {side}, {side})"
-            )
+        if given.dtype.kind not in "fiu":
+            raise ValidationError("diagonals must be real numbers")
+        if given.ndim != 3 or given.shape[2] != side or 0 in given.shape[:2]:
+            raise ValidationError(f"diagonals must have shape (t_count >= 1, n >= 1, {side})")
+        if not np.isfinite(given).all():
+            raise ValidationError("diagonals must be finite")
         if self.noise not in rng_mod.NOISE_LAWS:
             raise ValidationError(f"noise must be one of {rng_mod.NOISE_LAWS}")
-        object.__setattr__(self, "parameters", hermitian_part(params))
+        diags = np.array(given, np.float64)
+        diags.flags.writeable = False
+        object.__setattr__(self, "diagonals", diags)
 
     @property
     def t_count(self) -> int:
-        return self.parameters.shape[0]
+        return self.diagonals.shape[0]
 
     @property
     def n(self) -> int:
-        return self.parameters.shape[1]
-
-    @cached_property
-    def diagonals(self):
-        """The read-only real diagonals (t_count, n, D) when every
-        off-diagonal parameter entry is exactly zero (``==``, no tolerance),
-        else None."""
-        side = self.parameters.shape[-1]
-        if (self.parameters[..., ~np.eye(side, dtype=bool)] != 0).any():
-            return None
-        diags = np.ascontiguousarray(self.parameters.diagonal(0, -2, -1).real)
-        diags.flags.writeable = False
-        return diags
+        return self.diagonals.shape[1]
 
     @cached_property
     def upsilon(self) -> float:
         """Bernstein scale: the largest spectral norm over all (t, i)."""
-        flat = self.parameters.reshape(-1, *self.parameters.shape[2:])
-        return float(kernels.batch_spectral(np.ascontiguousarray(flat)).max())
+        flat = kernels.diagonal_blocks(self.diagonals.reshape(-1, self.diagonals.shape[2]))
+        return float(kernels.batch_spectral(flat).max())
 
     @cached_property
     def envelope_squares(self) -> np.ndarray:
         """Default envelopes A_i^2 = (max_t ||theta_i(t)||)^2 I, one per space."""
-        side = self.parameters.shape[2]
+        side = self.diagonals.shape[2]
         out = np.empty((self.n, side, side), np.complex128)
         for i in range(self.n):
-            block = np.ascontiguousarray(self.parameters[:, i])
+            block = kernels.diagonal_blocks(self.diagonals[:, i])
             top = float(kernels.batch_spectral(block).max())
             out[i] = top**2 * np.eye(side)
         out.flags.writeable = False
@@ -124,14 +118,14 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
     The C(t_count, 2) pairs (s, t), s < t, are taken in ``np.triu_indices``
     order and shared by ``kernels.map_blocks``, one (n, D, D) item a pair;
     row s holds t_count - 1 - s of them, so the map cuts pairs, not rows.  A
-    slice walks its pairs one row piece at a time, forming P[t0:t1] - P[s]
-    from a view and a broadcast; each pair's norms come from one
-    ``batch_spectral`` call, every block eigensolved, and the slice returns
-    each pair's max and quadratic mean along its (pairs, n) norms
-    (``_max_and_quadratic_mean``).  Both are written into the row and the
-    column of both matrices."""
-    params = family.parameters
-    nt = family.t_count
+    slice walks its pairs one row piece at a time, forming the blocks of the
+    diagonal differences Q[t0:t1] - Q[s] from a view and a broadcast; each
+    pair's norms come from one ``batch_spectral`` call, every block
+    eigensolved, and the slice returns each pair's max and quadratic mean
+    along its (pairs, n) norms (``_max_and_quadratic_mean``).  Both are
+    written into the row and the column of both matrices."""
+    diags = family.diagonals
+    nt, side = family.t_count, diags.shape[2]
     rows, cols = np.triu_indices(nt, 1)
 
     def pair_metrics(sl):
@@ -140,14 +134,14 @@ def family_space(family: EmpiricalFamily) -> FiniteMetricSpace:
         while k < sl.stop:
             s, t = rows[k], cols[k]
             end = min(sl.stop, k + nt - t)  # the rest of row s, or of the slice
-            diffs = params[t : t + end - k] - params[s]
+            diffs = kernels.diagonal_blocks(diags[t : t + end - k] - diags[s])
             for j, diff in enumerate(diffs, k - sl.start):
                 norms[j] = kernels.batch_spectral(diff)
             k = end
         return np.stack(_max_and_quadratic_mean(norms), axis=1)
 
     metrics = kernels.map_blocks(
-        lambda share: [pair_metrics(sl) for sl in share], len(rows), params[0].size
+        lambda share: [pair_metrics(sl) for sl in share], len(rows), family.n * side * side
     )
     metrics = np.concatenate(metrics) if metrics else np.empty((0, 2))
     d1 = np.zeros((nt, nt))
@@ -174,17 +168,16 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
     formed and reduced per ``kernels.chunks`` block, so only the weights w
     and the suprema grow with ``n_samples``.
 
-    Every family forms its values by ``kernels.contract``, samples first:
-    0 + w_0 theta_0 + w_1 theta_1 + ... in the order of i.  Dense blocks are
-    divided by n in place and reduced by ``kernels.sup_norms``.  A family with
-    ``diagonals`` forms only those and scales by values *= 1.0 / n, bit for
-    bit the real parts of the dense blocks: numpy divides by n + 0j as a
-    product with 1 / n (a real / n differs in the last bit for some n);
-    ``kernels.sup_norms_of_diagonals`` reduces them.  Both are bound first,
-    with the suprema of a full eigensolve to the last bit.
+    The values are formed by ``kernels.contract`` on the diagonals alone,
+    samples first: 0 + w_0 q_0 + w_1 q_1 + ... in the order of i.  They are
+    scaled by values *= 1.0 / n, bit for bit the real parts of the complex
+    blocks divided by n (numpy divides by n + 0j as a product with 1 / n; a
+    real / n differs in the last bit for some n), and reduced by
+    ``kernels.sup_norms_of_diagonals``: bound first, with the suprema of a
+    full eigensolve of the complex blocks to the last bit.
 
     A sample's supremum depends on its row of w alone: ``contract`` forms
-    each row on its own and both reductions decide row by row.  So under
+    each row on its own and the reduction decides row by row.  So under
     ``rademacher`` noise with 2^n <= ``n_samples``, each row is keyed by its
     sign bits into a ``bincount`` table of 2^n entries, one exact +-1.0 row
     is rebuilt and reduced per key present, and each sample takes its key's
@@ -204,19 +197,15 @@ def sample_family_sups(family: EmpiricalFamily, seed: int, n_samples: int) -> np
 
 
 def _family_sups(family, w):
-    """The suprema of ``sample_family_sups`` for the weight rows ``w``."""
+    """The suprema of ``sample_family_sups`` for the weight rows ``w``; a
+    chunk holds as many rows as it would of the t complex D x D blocks the
+    values stand for."""
     sups = np.empty(len(w))
-    diags = family.diagonals
-    theta = family.parameters if diags is None else diags  # (t, n, ...)
-    stack = np.ascontiguousarray(np.moveaxis(theta, 1, 0))  # (n, t, ...)
-    for sl in kernels.chunks(len(w), family.parameters[:, 0].size):
-        values = kernels.contract(w[sl], stack)  # (samples, t, ...)
-        if diags is None:
-            values /= family.n
-            sups[sl] = kernels.sup_norms(values)
-        else:
-            values *= 1.0 / family.n
-            sups[sl] = kernels.sup_norms_of_diagonals(values)
+    stack = np.ascontiguousarray(np.moveaxis(family.diagonals, 1, 0))  # (n, t, D)
+    for sl in kernels.chunks(len(w), family.t_count * stack.shape[2] ** 2):
+        values = kernels.contract(w[sl], stack)  # (samples, t, D)
+        values *= 1.0 / family.n
+        sups[sl] = kernels.sup_norms_of_diagonals(values)
     return sups
 
 
@@ -281,12 +270,13 @@ def check_bernstein_condition(family: EmpiricalFamily, seed: int, n_samples: int
         raise ValidationError("need at least two samples for a standard error")
     gen = rng_mod.stream(seed, 0)
     w = rng_mod.noise(family.noise, gen, n_samples)
+    blocks = kernels.diagonal_blocks(family.diagonals)  # (t, i, D, D)
     results = []
     for p in BERNSTEIN_ORDERS:
         wp = w**p
         mean_wp = float(wp.mean())
         se_wp = float(wp.std(ddof=1) / math.sqrt(n_samples))
-        theta_p = np.linalg.matrix_power(family.parameters, p)  # (t, i, D, D)
+        theta_p = np.linalg.matrix_power(blocks, p)
         margins = MARGIN_SIGMAS * se_wp * kernels.batch_spectral(theta_p)
         scale = math.factorial(p) * family.upsilon ** (p - 2) / 2.0
         bound = scale * family.envelope_squares
@@ -311,10 +301,6 @@ def diagonal_family(
     row_modes, t_count: int, n: int, seed: int, noise: str = "rademacher"
 ) -> EmpiricalFamily:
     """Convenience family with random diagonal parameter tensors."""
-    side = math.prod(tuple(row_modes))
     gen = rng_mod.stream(seed, 0)
-    diags = gen.uniform(-1.0, 1.0, (t_count, n, side))
-    params = np.zeros((t_count, n, side, side), np.complex128)
-    idx = np.arange(side)
-    params[:, :, idx, idx] = diags
-    return EmpiricalFamily(tuple(row_modes), params, noise)
+    diags = gen.uniform(-1.0, 1.0, (t_count, n, math.prod(tuple(row_modes))))
+    return EmpiricalFamily(tuple(row_modes), diags, noise)

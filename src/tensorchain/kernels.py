@@ -20,21 +20,23 @@ increment of its trajectories the same way and forms only those
 ``_top_then_ties`` selects.
 
 The package's Hermitian reductions read their spectra here, from stacks
-built of matrices taken through ``tensor.hermitian_part``.  Spectral and
-nuclear norms come from the eigenvalues, max |w| and sum |w|, and
-``np.linalg.eigvalsh`` reads only the lower triangle of each matrix.
+built of matrices taken through ``tensor.hermitian_part`` or formed from
+real diagonals by :func:`diagonal_blocks`, the one place that forms
+diagonal blocks.  Spectral and nuclear norms come from the eigenvalues,
+max |w| and sum |w|, and ``np.linalg.eigvalsh`` reads only the lower
+triangle of each matrix.
 Ensemble increments are reduced once per a < b pair, in ``np.triu_indices``
 order.
 
-Bound first: maxima and threshold counts eigensolve only the matrices the
-padded trace bounds of ``_intervals`` leave undecided, bit for bit the full
+Bound first: threshold counts eigensolve only the matrices the padded
+trace bounds of ``_intervals`` leave undecided, bit for bit the full
 result; callers reading every value (``ensemble.csv``) keep the full path.
 Both interval kernels share one Wolkowicz-Styan body, ``_trace_bounds``;
 ``rip_scan`` bounds each support's |lambda - 1| by the same formula, summed
 in place over its supports (``_trace_deviations``).
-Per-sample maxima come from ``sup_norms`` (dense blocks, ``_intervals``
-bounds) or ``sup_norms_of_diagonals`` (real diagonals, max |diag| padded
-by ``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
+An empirical family's per-sample maxima come from
+``sup_norms_of_diagonals`` (real diagonals, max |diag| padded by
+``_SLACK``) on a chunk its caller formed: per sample, ``_top_then_ties``
 eigensolves the block of largest bound, then those whose bound reaches it.
 
 Four loops are shared among the usable cores by :func:`map_blocks`, each
@@ -347,32 +349,27 @@ def _top_then_ties(upper, solve):
     return vals.max(axis=1)
 
 
-def sup_norms(mats):
-    """(rows,) maxima over items of the spectral norms of ``mats`` (rows,
-    items, n, n), selected by ``_top_then_ties`` on ``_intervals`` bounds."""
-    spectral = GaugeNorm.SPECTRAL
-    upper = _intervals(mats, spectral)[1]
-    return _top_then_ties(upper, lambda rows, items: gauge_norms(mats[rows, items], spectral))
-
-
 def sup_norms_of_diagonals(diags):
-    """(samples,) maxima over t of ``batch_spectral`` of the diagonal blocks
-    with real diagonals ``diags`` (samples, t, D), each eigensolved as the
-    complex block of that diagonal and zeros.
+    """(samples,) maxima over t of ``batch_spectral`` of the blocks with
+    real diagonals ``diags`` (samples, t, D), each eigensolved as its
+    :func:`diagonal_blocks` block.
 
     In exact arithmetic a block's norm is max |diag|.  ``eigvalsh`` returns
     the diagonal as it is inside LAPACK's unscaled range (about 1e-146 to
     1e146) and within a few ulps of it outside, where ``zheevd`` scales the
     block, so max |diag| padded by _SLACK bounds the computed norm; the
     blocks are selected by ``_top_then_ties`` on that bound."""
+    upper = np.abs(diags).max(axis=-1) * (1.0 + _SLACK)
+    return _top_then_ties(upper, lambda rows, t: batch_spectral(diagonal_blocks(diags[rows, t])))
+
+
+def diagonal_blocks(diags):
+    """The complex (..., D, D) blocks with real diagonals ``diags`` (..., D)
+    and zeros off the diagonal."""
     side = np.arange(diags.shape[-1])
-
-    def spectral(rows, cols):
-        blocks = np.zeros((rows.size, side.size, side.size), np.complex128)
-        blocks[:, side, side] = diags[rows, cols]
-        return batch_spectral(blocks)
-
-    return _top_then_ties(np.abs(diags).max(axis=-1) * (1.0 + _SLACK), spectral)
+    blocks = np.zeros((*diags.shape, side.size), np.complex128)
+    blocks[..., side, side] = diags
+    return blocks
 
 
 def ensemble_pairwise_norms(trajs, gauge):

@@ -36,7 +36,7 @@ from test_processes import oracle_weights  # noqa: E402
 
 
 def unbounded(mats, gauge):
-    """[-inf, inf] for every matrix: ``_count`` and ``sup_norms`` eigensolve all."""
+    """[-inf, inf] for every matrix: ``_count`` eigensolves all."""
     shape = mats.shape[:-2]
     return np.full(shape, -np.inf), np.full(shape, np.inf)
 
@@ -51,10 +51,7 @@ def unbounded_sums(w, coords, v, reach, gauge=None):
 
 def every_diagonal_block(diags):
     """Row maxima of the spectral norms of every diagonal block, each eigensolved."""
-    side = np.arange(diags.shape[-1])
-    blocks = np.zeros((*diags.shape, side.size), np.complex128)
-    blocks[..., side, side] = diags
-    return np.abs(np.linalg.eigvalsh(blocks)).max(axis=(1, 2))
+    return np.abs(np.linalg.eigvalsh(kernels.diagonal_blocks(diags))).max(axis=(1, 2))
 
 
 def per_row_family_sups(family, seed, n_samples):
@@ -63,13 +60,17 @@ def per_row_family_sups(family, seed, n_samples):
     return empirical._family_sups(family, w)
 
 
-def family_metrics(family, s_idx, t_idx):
-    """(d1, d2) between two parameter tuples: d1 the max over spaces of the
-    spectral norm of the parameter difference, d2 the quadratic mean of
-    those norms, taken as d1 sqrt(mean((norms / d1)^2)) where the squares
+def block_norms(family, s_idx, t_idx):
+    """The spectral norms of the n blocks of the parameter difference of two
+    tuples: each tuple's complex blocks formed, then subtracted."""
+    blocks = kernels.diagonal_blocks(family.diagonals[[s_idx, t_idx]])
+    return kernels.batch_spectral(np.ascontiguousarray(blocks[1] - blocks[0]))
+
+
+def family_metrics(norms):
+    """(d1, d2) of a pair's block norms: d1 their max, d2 their quadratic
+    mean, taken as d1 sqrt(mean((norms / d1)^2)) where the squares
     overflow."""
-    diff = family.parameters[t_idx] - family.parameters[s_idx]
-    norms = kernels.batch_spectral(np.ascontiguousarray(diff))
     d1 = float(norms.max())
     with np.errstate(over="ignore"):
         d2 = math.sqrt(np.mean(norms**2))
@@ -78,12 +79,13 @@ def family_metrics(family, s_idx, t_idx):
     return d1, d2
 
 
-def per_pair_family_space(family):
-    """``family_space`` one pair at a time, by :func:`family_metrics`."""
+def per_pair_family_space(family, norms=block_norms):
+    """``family_space`` one pair at a time: :func:`family_metrics` of each
+    pair's ``norms(family, s, t)``."""
     nt = family.t_count
     d1, d2 = np.zeros((nt, nt)), np.zeros((nt, nt))
     for s, t in itertools.combinations(range(nt), 2):
-        a, b = family_metrics(family, s, t)
+        a, b = family_metrics(norms(family, s, t))
         d1[s, t] = d1[t, s] = a
         d2[s, t] = d2[t, s] = b
     return chaining.FiniteMetricSpace(nt, {"d1": d1, "d2": d2})
@@ -121,14 +123,14 @@ def integer_signs(law, gen, shape):
 def block_mixed_sups(spec_subgauss, spec_subexp, seed, n_samples):
     """``sample_mixed_sups`` realizing every increment: each chunk of
     samples realized whole, X_0 subtracted in place (numpy copies the
-    overlapping slice first) and reduced by ``kernels.sup_norms``."""
+    overlapping slice first) and every increment eigensolved."""
     specs = (spec_subgauss, spec_subexp)
     sups = np.empty(n_samples)
     step = 2 * spec_subgauss.index_count * spec_subgauss.basis_stack[0].size
     for sl in kernels.chunks(n_samples, step):
         block = processes._realize(specs, seed, sl.start, sl.stop)
         block -= block[:, :1]
-        sups[sl] = kernels.sup_norms(block)
+        sups[sl] = kernels.batch_spectral(block).max(axis=1)
     return sups
 
 

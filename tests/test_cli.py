@@ -1233,6 +1233,23 @@ def test_a_write_that_fails_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
     assert [p.name for p in runs.iterdir()] == ["out"]
 
 
+def test_an_output_name_taken_by_a_directory_moves_nothing(tmp_path, capsys):
+    # a directory where a run's file would go is refused before any file
+    # moves: the earlier run's files keep their bytes, the directory stays,
+    # and the temporary directory is removed
+    out = tmp_path / "out"
+    assert run_into(tmp_path, GAMMA, out) == EXIT_OK
+    (out / "report.json").unlink()
+    (out / "report.json").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    moved = {**GAMMA, "points": [[0.0], [2.0], [5.0]]}
+    assert run_into(tmp_path, moved, out) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"output error: {out}: Is a directory\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert {p.name for p in out.iterdir()} == {*before, "report.json"}
+    assert (out / "report.json").is_dir()
+
+
 def test_a_run_keeps_the_out_directory_itself(tmp_path, monkeypatch):
     # files move into --out one by one; --out is never renamed or remade, so
     # it keeps its inode and mode (a 0700 --out stays private, a mount point

@@ -16,14 +16,8 @@ from tensorchain.empirical import (
     verify_empirical_bound,
 )
 from tensorchain.errors import DomainError, ValidationError
-from golden.oracles import per_pair_family_space
-from test_kernels import (
-    assert_no_child_left,
-    count_forks,
-    diagonal_blocks,
-    family_sups_oracle,
-    random_hermitian_stack,
-)
+from golden.oracles import block_norms, per_pair_family_space
+from test_kernels import assert_no_child_left, count_forks, family_sups_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -32,23 +26,53 @@ from test_kernels import (
 
 
 def test_family_requires_hermitian_parameters():
-    params = np.zeros((2, 2, 2, 2), complex)
-    params[0, 0] = [[0.0, 1.0], [0.0, 0.0]]
-    with pytest.raises(ValidationError):
-        EmpiricalFamily((2,), params)
+    # a diagonal tensor is Hermitian when its diagonal is real: complex
+    # diagonals are refused, not cut to their real parts, even where every
+    # imaginary part is zero
+    diags = np.zeros((2, 2, 2), complex)
+    for imag in (1.0, 0.0):
+        diags[0, 0, 1] = 1.0 + imag * 1j
+        with pytest.raises(ValidationError, match="real"):
+            EmpiricalFamily((2,), diags)
 
 
 def test_family_shape_checks():
-    with pytest.raises(ValidationError):
-        EmpiricalFamily((2,), np.zeros((2, 2, 3, 3), complex))
-    with pytest.raises(ValidationError):
-        EmpiricalFamily((2,), np.zeros((2, 2, 2, 2), complex), noise="cauchy")
+    # the wrong D, the wrong rank, and no tuple or no space
+    for shape in [(2, 2, 3), (2, 2), (2, 2, 2, 2), (0, 2, 2), (2, 0, 2)]:
+        with pytest.raises(ValidationError, match="shape"):
+            EmpiricalFamily((2,), np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_family_refuses_non_finite_diagonals(bad):
+    diags = np.zeros((2, 3, 2))
+    diags[1, 2, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        EmpiricalFamily((2,), diags)
+
+
+def test_family_refuses_an_unknown_noise_law():
+    with pytest.raises(ValidationError, match="noise"):
+        EmpiricalFamily((2,), np.zeros((2, 2, 2)), noise="cauchy")
+
+
+def test_family_stores_a_read_only_copy():
+    # a caller that changes its own array afterwards changes nothing
+    given = trng.stream(3, 0).uniform(-1.0, 1.0, (4, 3, 2))
+    fam, same = EmpiricalFamily((2,), given), EmpiricalFamily((2,), given.copy())
+    given[:] = 7.0
+    assert fam.diagonals.tobytes() == same.diagonals.tobytes()
+    assert (fam.upsilon, fam.sigma) == (same.upsilon, same.sigma)
+    assert sample_family_sups(fam, 4, 50).tobytes() == sample_family_sups(same, 4, 50).tobytes()
+    assert not fam.diagonals.flags.writeable
+    with pytest.raises(ValueError):
+        fam.diagonals[0, 0, 0] = 1.0
 
 
 def test_family_scale_and_variance_proxy():
     fam = diagonal_family((2,), t_count=3, n=4, seed=1)
     # upsilon is the worst spectral norm; the default envelopes are flat
-    norms = np.abs(fam.parameters).max(axis=(2, 3))
+    norms = np.abs(fam.diagonals).max(axis=2)
     assert fam.upsilon == pytest.approx(float(norms.max()), rel=1e-12)
     per_space_tops = norms.max(axis=0)
     assert fam.sigma == pytest.approx(
@@ -68,9 +92,9 @@ def metric_matrices(family):
 
 def test_metrics_vanish_on_equal_parameters():
     fam = diagonal_family((2,), t_count=3, n=4, seed=2)
-    params = fam.parameters.copy()
-    params[2] = params[1]
-    for d in metric_matrices(EmpiricalFamily((2,), params)):
+    diags = fam.diagonals.copy()
+    diags[2] = diags[1]
+    for d in metric_matrices(EmpiricalFamily((2,), diags)):
         assert d[1, 1] == d[1, 2] == d[2, 1] == 0.0
         assert (d[0, 1:] > 0).all()
 
@@ -87,15 +111,32 @@ def test_metric_quadratic_mean_below_max():
     assert (d2 <= d1 + 1e-12).all()
 
 
-def metric_family(dense, t_count, n, scale, seed):
-    gen = trng.stream(seed, 0)
-    if dense:
-        return EmpiricalFamily((2, 2), scale * random_hermitian_stack(gen, (t_count, n, 4, 4)))
-    return family_of_diagonals(scale * gen.uniform(-1.0, 1.0, (t_count, n, 4)))
+def metric_family(t_count, n, scale, seed):
+    return EmpiricalFamily((4,), scale * trng.stream(seed, 0).uniform(-1.0, 1.0, (t_count, n, 4)))
+
+
+def max_diagonal_difference(family, s, t):
+    """The block norms of a pair's parameter difference read in exact
+    arithmetic: max |diagonal difference| per space."""
+    return np.abs(family.diagonals[t] - family.diagonals[s]).max(axis=1)
+
+
+def assert_equals_oracle(space, family, oracle, scale):
+    """``space`` against the dense per-pair path bit for bit, or against
+    ``max_diagonal_difference``: exact at scale 1, where eigvalsh returns a
+    diagonal as it is, and within 4 ulps where zheevd scales the blocks."""
+    norms = block_norms if oracle == "dense" else max_diagonal_difference
+    want = per_pair_family_space(family, norms).metrics
+    for name in ("d1", "d2"):
+        got = space.distance_matrix(name)
+        if oracle == "dense" or scale == 1.0:
+            assert_same_bits(got, want[name])
+        else:
+            assert np.allclose(got, want[name], rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 # n crosses numpy's pairwise-sum blocks of 8 and 128 in the row mean; at
-# 1e+-150 zheevd scales the blocks, at 1e-170 their norms square to subnormals;
+# 1e+-150 zheevd scales the blocks, at 1e-170 their squared norms underflow;
 # a budget of 0 forms one pair's differences per chunk.  Shared by two
 # workers, whatever the work, a budget of 0 gives each slice one pair and
 # 4096 gives slices that cross rows
@@ -110,11 +151,9 @@ def metric_family(dense, t_count, n, scale, seed):
 )
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-170])
 @pytest.mark.parametrize("n", [1, 3, 8, 9, 17, 130])
-@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, workers, monkeypatch):
-    fam = metric_family(dense, 7, n, scale, 80 + n)
-    assert (fam.diagonals is None) == dense
-    want = per_pair_family_space(fam)
+@pytest.mark.parametrize("oracle", ["diagonal", "dense"])
+def test_family_space_equals_the_per_pair_path(oracle, n, scale, chunk_entries, workers, monkeypatch):
+    fam = metric_family(7, n, scale, 80 + n)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
     monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
@@ -122,35 +161,31 @@ def test_family_space_equals_the_per_pair_path(dense, n, scale, chunk_entries, w
     got = family_space(fam)
     assert (len(forks) > 0) == (workers > 1)
     assert_no_child_left()
-    for name in ("d1", "d2"):
-        assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
+    assert_equals_oracle(got, fam, oracle, scale)
 
 
-# the squared norms of 1e170 overflow on both paths, and d2 is taken in its
-# range-safe form there: the same bits, a quadratic mean within a few ulps
-# of 1e170 times that at scale 1.  Shared by two workers, whatever the work,
-# the pair (0, 1) is this process's share and the rest a child's: with only
-# the last tuple at 1e170 only the child's pairs overflow
+# the squared norms of 1e170 overflow on every path, and d2 is taken in its
+# range-safe form there: a quadratic mean within a few ulps of 1e170 times
+# that at scale 1.  Shared by two workers, whatever the work, the pair
+# (0, 1) is this process's share and the rest a child's: with only the last
+# tuple at 1e170 only the child's pairs overflow
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(dense, monkeypatch):
-    fam = metric_family(dense, 3, 4, 1e170, 90)
-    params = fam.parameters * np.array([1e-170, 1e-170, 1.0])[:, None, None, None]
-    last = EmpiricalFamily(fam.row_modes, params)
-    unit = family_space(metric_family(dense, 3, 4, 1.0, 90)).distance_matrix("d2")
+@pytest.mark.parametrize("oracle", ["diagonal", "dense"])
+def test_family_space_equals_the_per_pair_path_where_the_squares_overflow(oracle, monkeypatch):
+    fam = metric_family(3, 4, 1e170, 90)
+    last = EmpiricalFamily((4,), fam.diagonals * np.array([1e-170, 1e-170, 1.0])[:, None, None])
+    unit = family_space(metric_family(3, 4, 1.0, 90)).distance_matrix("d2")
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 0)
     monkeypatch.setattr(kernels, "_FORK_WORK", 0)
     forks = count_forks(monkeypatch)
     for family in (fam, last):
-        want = per_pair_family_space(family)
         for workers in (1, 2):
             monkeypatch.setattr(kernels, "_WORKERS", workers)
             got = family_space(family)
             assert_no_child_left()
-            for name in ("d1", "d2"):
-                assert_same_bits(got.distance_matrix(name), want.distance_matrix(name))
+            assert_equals_oracle(got, family, oracle, None)
     assert len(forks) == 2
-    d2 = per_pair_family_space(fam).distance_matrix("d2")
+    d2 = family_space(fam).distance_matrix("d2")
     assert np.isfinite(d2).all() and d2 == pytest.approx(1e170 * unit, rel=1e-14)
 
 
@@ -171,37 +206,28 @@ def test_family_space_forks_only_for_large_families(modes, t_count, n, forked, m
 
 
 def test_family_space_accepts_every_valid_family():
-    # each tensor is within the construction's Hermitian tolerance of 1e-10,
-    # their difference (gap 1.6e-10) is not; the stored Hermitian parts are
-    # off-diagonal +-0.4e-10, so d1 is the spectral norm 0.8e-10 of theirs
-    params = np.zeros((2, 1, 2, 2), complex)
-    params[0, 0] = [[1.0, 0.8e-10], [0.0, 1.0]]
-    params[1, 0] = [[1.0, -0.8e-10], [0.0, 1.0]]
-    space = family_space(EmpiricalFamily((2,), params))
-    assert space.distance_matrix("d1")[0, 1] == pytest.approx(0.8e-10, rel=1e-9)
+    # signed zeros, the least subnormal and halves of the largest finite
+    # value, whose difference is that value: every distance is finite and
+    # d1 is within 4 ulps of the largest |diagonal difference|
+    top = np.finfo(float).max / 2
+    diags = np.array([[[0.0, -0.0]], [[-0.0, 5e-324]], [[top, 0.0]], [[-top, 0.0]]])
+    fam = EmpiricalFamily((2,), diags)
+    d1 = family_space(fam).distance_matrix("d1")
+    assert np.isfinite(d1).all() and d1[0, 1] == 5e-324
+    want = per_pair_family_space(fam, max_diagonal_difference).distance_matrix("d1")
+    assert np.allclose(d1, want, rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_family_stores_exactly_hermitian_parameters_bit_for_bit():
+    # real diagonals are exactly Hermitian: the family keeps them as given,
+    # signed zeros and subnormals too, and as float64 where given as integers
     fam = diagonal_family((2, 2), t_count=3, n=2, seed=6)
-    gen = np.random.default_rng(6)
-    raw = gen.standard_normal((3, 2, 4, 4)) + 1j * gen.standard_normal((3, 2, 4, 4))
-    params = raw + raw.conj().transpose(0, 1, 3, 2)
-    for given in (fam.parameters, params):
-        stored = EmpiricalFamily((2, 2), given).parameters
-        assert np.array_equal(stored, given)
-        assert np.array_equal(stored, stored.conj().transpose(0, 1, 3, 2))
-
-
-def test_family_stores_hermitian_part_of_nearly_hermitian_parameters():
-    gen = np.random.default_rng(7)
-    raw = gen.standard_normal((2, 3, 2, 2)) + 1j * gen.standard_normal((2, 3, 2, 2))
-    herm = raw + raw.conj().transpose(0, 1, 3, 2)
-    off = herm.copy()
-    off[:, :, 0, 1] += 0.9e-10  # within the accepted gap of 1e-10
-    stored = EmpiricalFamily((2,), off).parameters
-    assert np.array_equal(stored, (off + off.conj().transpose(0, 1, 3, 2)) / 2)
-    assert np.array_equal(stored, stored.conj().transpose(0, 1, 3, 2))
-    assert not np.array_equal(stored, off)
+    assert fam.diagonals.tobytes() == trng.stream(6, 0).uniform(-1.0, 1.0, (3, 2, 4)).tobytes()
+    given = np.array([[[-0.0, 0.0, 5e-324, -5e-324]]])
+    for diags in (fam.diagonals, given):
+        assert EmpiricalFamily((2, 2), diags).diagonals.tobytes() == diags.tobytes()
+    ints = EmpiricalFamily((2,), np.arange(4).reshape(1, 2, 2)).diagonals
+    assert ints.dtype == np.float64 and ints.tolist() == [[[0.0, 1.0], [2.0, 3.0]]]
 
 
 def test_family_space_carries_both_metrics():
@@ -250,7 +276,7 @@ def test_tail_bound_formula():
 
 
 def test_zero_parameters_give_zero_process():
-    fam = EmpiricalFamily((2,), np.zeros((3, 4, 2, 2), complex))
+    fam = EmpiricalFamily((2,), np.zeros((3, 4, 2)))
     sups = sample_family_sups(fam, seed=6, n_samples=10)
     assert np.all(sups == 0)
     for d in metric_matrices(fam):
@@ -283,7 +309,8 @@ def test_family_sups_memory_grows_by_the_weights_not_the_values():
 
 
 # ---------------------------------------------------------------------------
-# diagonal families against the dense path, bit for bit
+# suprema against the dense path, a full eigensolve of the complex blocks,
+# bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -291,27 +318,12 @@ def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def family_of_diagonals(diags, noise="rademacher"):
-    """The family whose (t, i) parameter blocks are diag(diags[t, i])."""
-    return EmpiricalFamily((diags.shape[-1],), diagonal_blocks(diags), noise)
-
-
 def test_diagonals_are_the_read_only_real_diagonals():
     fam = diagonal_family((2, 2), t_count=5, n=3, seed=20)
     diags = fam.diagonals
     assert diags.shape == (5, 3, 4) and diags.dtype == np.float64
     assert not diags.flags.writeable
-    assert np.array_equal(diags, fam.parameters.diagonal(0, -2, -1).real)
-    assert fam.diagonals is diags  # decided once
-
-
-def test_one_subnormal_off_diagonal_entry_takes_the_dense_path():
-    fam = diagonal_family((2,), t_count=4, n=3, seed=21)
-    params = fam.parameters.copy()
-    params[2, 1, 0, 1] = params[2, 1, 1, 0] = 5e-324
-    nearly = EmpiricalFamily((2,), params)
-    assert nearly.diagonals is None
-    assert_same_bits(sample_family_sups(nearly, 22, 300), family_sups_oracle(nearly, 22, 300))
+    assert diags.tobytes() == trng.stream(20, 0).uniform(-1.0, 1.0, (5, 3, 4)).tobytes()
 
 
 # every n from 1 to 17 pins the scaling: a real / n differs in the last bit
@@ -320,7 +332,6 @@ def test_one_subnormal_off_diagonal_entry_takes_the_dense_path():
 @pytest.mark.parametrize("n", range(1, 18))
 def test_diagonal_family_sups_equal_the_dense_path(n, noise):
     fam = diagonal_family((2, 2), t_count=7, n=n, seed=30 + n, noise=noise)
-    assert fam.diagonals is not None
     assert_same_bits(sample_family_sups(fam, n, 400), family_sups_oracle(fam, n, 400))
 
 
@@ -346,14 +357,13 @@ def adversarial_diagonals(seed):
 @pytest.mark.parametrize("scales", [slice(None), slice(0, 6), slice(6, 12), slice(7, 8)])
 @pytest.mark.parametrize("noise", ["rademacher", "uniform"])
 def test_adversarial_diagonal_families_equal_the_dense_path(noise, scales):
-    fam = family_of_diagonals(adversarial_diagonals(40)[scales], noise)
+    fam = EmpiricalFamily((4,), adversarial_diagonals(40)[scales], noise)
     assert_same_bits(sample_family_sups(fam, 41, 500), family_sups_oracle(fam, 41, 500))
 
 
 def test_zero_diagonal_families_equal_the_dense_path():
     for noise in ("rademacher", "uniform"):
-        fam = family_of_diagonals(np.zeros((3, 4, 2)), noise)
-        assert fam.diagonals is not None
+        fam = EmpiricalFamily((2,), np.zeros((3, 4, 2)), noise)
         assert_same_bits(sample_family_sups(fam, 42, 50), family_sups_oracle(fam, 42, 50))
 
 
@@ -376,22 +386,28 @@ def distinct_sign_rows(seed, samples, n):
     return len({row.tobytes() for row in w})
 
 
+def diagonal_sups(family, seed, n_samples):
+    """Every sample's real diagonal values, scaled as the complex blocks
+    are, each row's largest |entry|: the norm a full eigensolve returns
+    inside LAPACK's unscaled range."""
+    w = trng.noise(family.noise, trng.stream(seed, 0), (n_samples, family.n))
+    values = np.einsum("si,tid->std", w, family.diagonals) * (1.0 / family.n)
+    return np.abs(values).max(axis=(1, 2))
+
+
 # 2^n just above, at and below the sample count: under rademacher noise the
-# sign-row path runs once 2^n <= samples and forms one row per distinct row
-@pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+# sign-row path runs once 2^n <= samples and forms one row per distinct row;
+# its suprema equal both the dense path's and the diagonal reading's
+@pytest.mark.parametrize("oracle", ["diagonal", "dense"])
 @pytest.mark.parametrize("n", range(1, 17))
-def test_sign_row_sups_equal_the_per_sample_path(n, dense, monkeypatch):
-    gen = trng.stream(60 + n, 0)
-    if dense:
-        fam = EmpiricalFamily((2,), random_hermitian_stack(gen, (3, n, 2, 2)))
-    else:
-        fam = family_of_diagonals(gen.uniform(-1.0, 1.0, (3, n, 2)))
-    assert (fam.diagonals is None) == dense
+def test_sign_row_sups_equal_the_per_sample_path(n, oracle, monkeypatch):
+    fam = EmpiricalFamily((2,), trng.stream(60 + n, 0).uniform(-1.0, 1.0, (3, n, 2)))
+    per_sample = family_sups_oracle if oracle == "dense" else diagonal_sups
     formed = []
     contract = kernels.contract
     monkeypatch.setattr(kernels, "contract", lambda w, st: formed.append(len(w)) or contract(w, st))
     for samples in {min(2**n - 1, 3000), 2**n, min(4 * 2**n, 3000)}:
-        want = family_sups_oracle(fam, 70 + n, samples)
+        want = per_sample(fam, 70 + n, samples)
         formed.clear()
         assert_same_bits(sample_family_sups(fam, 70 + n, samples), want)
         rows = distinct_sign_rows(70 + n, samples, n) if 2**n <= samples else samples
@@ -404,7 +420,7 @@ def test_diagonal_family_sups_eigensolve_about_one_block_per_sample(monkeypatch)
     solved = count_solves(monkeypatch)
     samples = 3000
     sample_family_sups(fam, 44, samples)
-    assert samples <= sum(solved) <= 1.05 * samples  # the dense path: 32 per sample
+    assert samples <= sum(solved) <= 1.05 * samples  # a full eigensolve: 32 per sample
 
 
 def test_diagonal_family_sups_eigensolve_about_one_block_per_sign_row(monkeypatch):
@@ -415,31 +431,6 @@ def test_diagonal_family_sups_eigensolve_about_one_block_per_sign_row(monkeypatc
     sample_family_sups(fam, 44, samples)
     assert rows == 2**fam.n  # every sign row occurs at this sample count
     assert rows <= sum(solved) <= 1.05 * rows
-
-
-def dense_family(noise):
-    fam = EmpiricalFamily((2, 2), random_hermitian_stack(trng.stream(45, 0), (32, 8, 4, 4)), noise)
-    assert fam.diagonals is None
-    return fam
-
-
-def test_dense_family_sups_eigensolve_a_third_of_the_blocks(monkeypatch):
-    fam = dense_family("uniform")
-    solved = count_solves(monkeypatch)
-    samples = 2000
-    sample_family_sups(fam, 46, samples)
-    # 9.4 per sample here; every one of the 32 blocks when each is solved
-    assert samples <= sum(solved) <= 32 * samples / 3
-
-
-def test_dense_family_sups_eigensolve_a_third_of_the_blocks_per_sign_row(monkeypatch):
-    fam = dense_family("rademacher")
-    samples = 2000
-    rows = distinct_sign_rows(46, samples, fam.n)
-    solved = count_solves(monkeypatch)
-    sample_family_sups(fam, 46, samples)
-    assert rows == 2**fam.n
-    assert rows <= sum(solved) <= 32 * rows / 3
 
 
 def test_verify_empirical_bound_fit_and_holds():

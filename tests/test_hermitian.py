@@ -1,6 +1,7 @@
-"""One Hermitian contract: every consumer of Hermitian input takes it through
-``tensor.hermitian_part``, and every Hermitian spectrum comes from the
-``kernels`` eigensolver.
+"""One Hermitian contract: every consumer of Hermitian matrices takes them
+through ``tensor.hermitian_part`` (an empirical family takes real
+diagonals and refuses any other input), and every Hermitian spectrum comes
+from the ``kernels`` eigensolver.
 
 A nearly Hermitian input must give the same results (``==``) as its exact
 Hermitian part, and the eigenvalue-based scales must match the singular
@@ -15,12 +16,7 @@ import pytest
 from tensorchain import rng as trng
 from tensorchain.bounds import martingale_chain_metric, verify_azuma, verify_bernstein
 from tensorchain.chaining import euclidean_distances
-from tensorchain.empirical import (
-    EmpiricalFamily,
-    check_bernstein_condition,
-    sample_family_sups,
-    verify_empirical_bound,
-)
+from tensorchain.empirical import EmpiricalFamily, check_bernstein_condition
 from tensorchain.errors import ShapeError, ValidationError
 from tensorchain.processes import ProcessSpec, process_metric, sample_ensemble
 from tensorchain.report import MARGIN_SIGMAS, dumps
@@ -160,21 +156,6 @@ def test_process_spec_takes_the_hermitian_part():
     assert np.array_equal(a.trajectories, b.trajectories)
 
 
-def test_empirical_family_takes_the_hermitian_part():
-    _, stack = hermitian_stack(5, 12)
-    off = nudged(stack.reshape(3, 4, 4, 4))
-    near = EmpiricalFamily((2, 2), off)
-    exact = EmpiricalFamily((2, 2), hermitian_part(off))
-    assert np.array_equal(near.parameters, exact.parameters)
-    assert (near.sigma, near.upsilon) == (exact.sigma, exact.upsilon)
-    assert np.array_equal(sample_family_sups(near, 6, 30), sample_family_sups(exact, 6, 30))
-    grid = [1.0, 2.0]
-    assert (
-        dumps(verify_empirical_bound(near, 6, 30, grid).to_dict())
-        == dumps(verify_empirical_bound(exact, 6, 30, grid).to_dict())
-    )
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue scales against an SVD oracle
 # ---------------------------------------------------------------------------
@@ -194,11 +175,11 @@ def test_variance_proxies_match_svd():
 
 
 def test_empirical_family_scales_match_svd():
-    _, stack = hermitian_stack(8, 12)
-    fam = EmpiricalFamily((2, 2), stack.reshape(3, 4, 4, 4))
+    diags = trng.stream(8, 0).uniform(-1.0, 1.0, (3, 4, 4))
+    fam = EmpiricalFamily((2, 2), diags)
     avg = fam.envelope_squares.mean(axis=0)
     assert fam.sigma == pytest.approx(math.sqrt(top_singular(avg)), rel=1e-12)
-    upsilon = max(top_singular(m) for m in stack)
+    upsilon = max(top_singular(np.diag(d)) for d in diags.reshape(-1, 4))
     assert fam.upsilon == pytest.approx(upsilon, rel=1e-12)
 
 
@@ -214,8 +195,8 @@ def test_process_metric_scale_matches_svd(gauge):
 
 
 def test_bernstein_condition_matches_a_per_matrix_svd_loop():
-    _, stack = hermitian_stack(10, 6, row_modes=(2,))
-    fam = EmpiricalFamily((2,), stack.reshape(2, 3, 2, 2), noise="uniform")
+    diags = trng.stream(10, 0).uniform(-1.0, 1.0, (2, 3, 2))
+    fam = EmpiricalFamily((2,), diags, noise="uniform")
     records = check_bernstein_condition(fam, seed=11, n_samples=500)
     w = trng.stream(11, 0).uniform(-1.0, 1.0, 500)
     want = []
@@ -225,7 +206,7 @@ def test_bernstein_condition_matches_a_per_matrix_svd_loop():
         scale = math.factorial(p) * fam.upsilon ** (p - 2) / 2.0
         for t in range(2):
             for i in range(3):
-                theta_p = np.linalg.matrix_power(fam.parameters[t, i], p)
+                theta_p = np.linalg.matrix_power(np.diag(diags[t, i]), p)
                 bound = scale * fam.envelope_squares[i]
                 slack = np.linalg.eigvalsh(bound - float(wp.mean()) * theta_p)[0]
                 want.append((p, t, i, slack, MARGIN_SIGMAS * se * top_singular(theta_p)))

@@ -17,7 +17,7 @@ from tensorchain import rng as trng
 from tensorchain.bounds import verify_azuma, verify_bernstein
 from tensorchain.empirical import EmpiricalFamily, sample_family_sups
 from tensorchain.errors import CapacityError, DomainError, WorkerError
-from tensorchain.processes import ProcessSpec, sample_mixed_sups
+from tensorchain.processes import ProcessSpec, _realize, sample_mixed_sups
 from tensorchain.report import dumps
 from tensorchain.tensor import GaugeNorm, random_hermitian, random_unitary, unfold
 
@@ -628,107 +628,48 @@ def mixed_specs(seed):
             ProcessSpec("subexponential_linear", coeffs[:, ::-1], basis, 1.0))
 
 
-def diagonal_blocks(diags):
-    """The complex blocks with real diagonals ``diags`` (..., D) and zeros."""
-    side = diags.shape[-1]
-    blocks = np.zeros((*diags.shape, side), np.complex128)
-    blocks[..., np.arange(side), np.arange(side)] = diags
-    return blocks
+def test_diagonal_blocks_hold_the_diagonals_and_zeros():
+    # signed zeros, a subnormal and the largest finite value, in a stack of
+    # any leading shape, against np.diag a block at a time
+    diags = trng.stream(33, 0).uniform(-1.0, 1.0, (2, 3, 4))
+    diags[0, 0] = [-0.0, 0.0, 5e-324, -np.finfo(float).max]
+    got = kernels.diagonal_blocks(diags)
+    want = np.array([np.diag(d) for d in diags.reshape(-1, 4)], np.complex128)
+    assert got.shape == (2, 3, 4, 4) and got.dtype == np.complex128
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
 
 
 def family_sups_oracle(family, seed, n_samples):
-    """Every sample's values stacked at once, then reduced."""
+    """Every sample's values stacked at once as complex blocks, divided by
+    n, then every block eigensolved."""
     w = trng.noise(family.noise, trng.stream(seed, 0), (n_samples, family.n))
-    values = np.einsum("si,tiab->stab", w, family.parameters) / family.n
+    blocks = kernels.diagonal_blocks(family.diagonals)
+    values = np.einsum("si,tiab->stab", w, blocks) / family.n
     return np.abs(np.linalg.eigvalsh(values)).max(axis=(1, 2))
 
 
 @pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
 @pytest.mark.parametrize("seed", [30, 31])
 def test_sup_norms_vs_ref_equal_full_row_maxima(seed, chunk_entries, monkeypatch):
-    # sup_norms on increments against a reference, adversarial and random
-    # trajectories: the full row maxima
-    adversarial = adversarial_trajs(seed)
-    cases = [(adversarial, 0), (adversarial, 3), (random_trajs(seed, ns=9, nt=7, d=4), 5)]
-    wants = [kernels.ensemble_norms_vs_ref(t, ref, "spectral").max(axis=1) for t, ref in cases]
+    # the suprema of the callers that realize or form their stacks chunk by
+    # chunk against full row maxima: mixed-tail's sup_t ||X_t - X_0|| against
+    # every norm of its realized trajectories, and empirical's against every
+    # block eigensolved, on a diagonal family with ties, a zero block and
+    # tuples near 1e+-150, under each noise law
     specs = mixed_specs(seed)
-    want_mixed = sample_mixed_sups(*specs, seed, 13)
-    family = EmpiricalFamily((2, 2), random_trajs(seed + 10, ns=3, nt=5, d=4))
-    want_family = family_sups_oracle(family, seed, 11)
-    # a diagonal family, which takes the diagonal path: ties, a zero block,
-    # and tuples near 1e+-150, under each noise law
+    trajs = _realize(specs, seed, 0, 13)
+    want_mixed = kernels.ensemble_norms_vs_ref(trajs, 0, "spectral").max(axis=1)
     diags = trng.stream(seed + 20, 0).uniform(-1.0, 1.0, (6, 5, 4))
     diags[1] = -diags[0]
     diags[2, 3] = 0.0
     diags[4] *= 1e150
     diags[5] *= 1e-150
     noise = ("rademacher", "uniform")[seed % 2]
-    diagonal = EmpiricalFamily((2, 2), diagonal_blocks(diags), noise)
+    diagonal = EmpiricalFamily((2, 2), diags, noise)
     want_diagonal = family_sups_oracle(diagonal, seed, 37)
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
-    for (trajs, ref), want in zip(cases, wants):
-        assert np.array_equal(kernels.sup_norms(trajs - trajs[:, ref : ref + 1]), want)
-    # the callers that realize or form their stacks chunk by chunk
-    assert np.array_equal(sample_mixed_sups(*specs, seed, 13), want_mixed)
-    assert np.array_equal(sample_family_sups(family, seed, 11), want_family)
-    assert diagonal.diagonals is not None
-    assert np.array_equal(sample_family_sups(diagonal, seed, 37), want_diagonal)
-
-
-def tiny_rows(seed, n=4):
-    """(2, 2, n, n) rows that a bound from underflowed squares misorders: a
-    zero-trace off-diagonal block near 1e-170 beside a diagonal one near
-    1e-171, in both orders."""
-    gen = trng.stream(seed, 2)
-    off = random_hermitian_stack(gen, (n, n))
-    off[np.arange(n), np.arange(n)] = 0.0
-    diag = np.diag(gen.uniform(0.5, 1.0, n)).astype(np.complex128)
-    pair = np.stack([1e-170 * off, 1e-171 * diag])
-    return np.stack([pair, pair[::-1]])
-
-
-@pytest.mark.parametrize("seed", [30, 31])
-def test_sup_norms_equal_full_row_maxima(seed):
-    # the increments of adversarial_trajs: ties, zero and scalar blocks; the
-    # same rows near 1e+-150 and 1e+-170; and the rows of tiny_rows
-    trajs = adversarial_trajs(seed)
-    mats = trajs - trajs[:, :1]
-    mats = np.concatenate([mats, *(c * mats for c in (1e150, 1e-150, 1e170, 1e-170))])
-    for mats in (mats, tiny_rows(seed)):
-        want = kernels.gauge_norms(mats, "spectral").max(axis=1)
-        assert kernels.sup_norms(mats).tobytes() == want.tobytes()
-        # samples last in memory, as sample_family_sups forms them
-        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
-        assert kernels.sup_norms(view).tobytes() == want.tobytes()
-
-
-def adversarial_family(seed, noise):
-    """A dense family (t, n, 4, 4) with tuples tied exactly and up to sign,
-    a zero tuple, a scalar tuple, tuples near 1e+-150, and last the two
-    tuples of ``tiny_rows``, near 1e-170 and 1e-171."""
-    params = random_hermitian_stack(trng.stream(seed, 0), (10, 3, 4, 4))
-    params[1] = params[0]
-    params[2] = -params[0]
-    params[3] = 0.0
-    params[4] = 2.0 * np.eye(4)
-    params[5, 1] = 0.0  # a zero block
-    params[6] *= 1e150
-    params[7] *= 1e-150
-    params[8:] = tiny_rows(seed)[0][:, None]
-    return EmpiricalFamily((2, 2), params, noise)
-
-
-@pytest.mark.parametrize("chunk_entries", CHUNK_BUDGETS)
-@pytest.mark.parametrize("noise", ["rademacher", "uniform"])
-def test_dense_family_sups_equal_the_full_eigensolve(noise, chunk_entries, monkeypatch):
-    fams = [adversarial_family(50, noise)]
-    fams += [EmpiricalFamily((2, 2), fams[0].parameters[sl], noise)
-             for sl in (slice(0, 6), slice(6, 7), slice(7, 8), slice(8, 10))]
-    wants = [family_sups_oracle(fam, 51, 40) for fam in fams]
-    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", chunk_entries)
-    for fam, want in zip(fams, wants):
-        assert fam.diagonals is None
-        assert sample_family_sups(fam, 51, 40).tobytes() == want.tobytes()
+    assert sample_mixed_sups(*specs, seed, 13).tobytes() == want_mixed.tobytes()
+    assert sample_family_sups(diagonal, seed, 37).tobytes() == want_diagonal.tobytes()
 
 
 def test_sup_norms_of_diagonals_equal_full_row_maxima():
@@ -748,7 +689,7 @@ def test_sup_norms_of_diagonals_equal_full_row_maxima():
         diags[rows, 5] = np.nextafter(diags[rows, 4], 0.0)
     diags[32:36, 6:] *= 1e150  # one sample, two scales
     diags[36:, 6:] *= 1e-150
-    want = kernels.batch_spectral(diagonal_blocks(diags)).max(axis=1)
+    want = kernels.batch_spectral(kernels.diagonal_blocks(diags)).max(axis=1)
     got = kernels.sup_norms_of_diagonals(diags)
     assert got.tobytes() == want.tobytes()
     # samples last in memory, as sample_family_sups forms them

@@ -152,7 +152,6 @@ UNREACHED = {
     "chaining.covering_number": TRACED,
     "chaining.dudley_integral": TRACED,
     "kernels._fork": "forks a child of `kernels.map_blocks`; the reach probe runs in one process",
-    "kernels.sup_norms": "the suprema of a dense `EmpiricalFamily`, which the CLI never builds",
     "processes.Ensemble.trajectories": "every sample formed at once, for tests and library "
                                        "callers; the CLI's reductions stream `Ensemble.blocks`",
     "processes._realize": "refuses the entries that overflow once a pad scale passes half "
